@@ -17,7 +17,7 @@ from typing import Optional
 from . import polys
 from .errors import RealEmbedding
 from .intervals import RatInterval
-from .numberfield import FieldElement
+from .numberfield import FieldElement, _min_sep_sq
 
 
 @lru_cache(maxsize=256)
@@ -33,19 +33,6 @@ def _prod_poly_sq(a: tuple, b: tuple) -> tuple:
 @lru_cache(maxsize=256)
 def _diff_poly_sq(a: tuple, b: tuple) -> tuple:
     return polys.squarefree_part(polys.diff_poly(a, b))
-
-
-@lru_cache(maxsize=256)
-def _min_sep_sq(c: tuple) -> Fraction:
-    """A positive rational lower bound for the squared distance between
-    distinct roots of squarefree c (Mahler's separation bound)."""
-    ip, _ = polys.to_int_primitive(c)
-    m = polys.degree(ip)
-    if m < 2:
-        return Fraction(1)
-    disc = abs(polys.resultant(ip, polys.derivative(ip)) / polys.lead(ip))
-    norm2sq = sum(Fraction(x) ** 2 for x in ip)
-    return 3 * disc / (Fraction(m) ** (m + 2) * norm2sq ** (m - 1))
 
 
 class RealAlg:
@@ -218,11 +205,7 @@ def _try_isolate(sq: tuple, box: RatInterval) -> Optional[RealAlg]:
     lo, hi = box.lo, box.hi
     if lo == hi:
         return RealAlg.from_rational(lo)
-    pad = (hi - lo) / 64
-    while polys.eval_at(sq, lo) == 0:
-        lo -= pad
-    while polys.eval_at(sq, hi) == 0:
-        hi += pad
+    lo, hi = polys.off_roots(sq, lo, hi)
     chain = polys.sturm_chain(sq)
     n = polys.count_roots(chain, lo, hi)
     if n == 1:

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Optional
 from .algebraic import abs_sq_of_embedding
 from .errors import (DependentBasis, InvalidRho, RankNotOne,
                      ThresholdAmbiguous)
+from .linalg import gauss_jordan
 from .numberfield import FieldElement, NumberField, certified_dist
 from . import polys
 
@@ -126,48 +127,26 @@ class IndexSet:
 # indicators from linear algebra
 # ---------------------------------------------------------------------------
 
-def _invert_matrix(M: list) -> Optional[list]:
-    n = len(M)
-    A = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c] != 0), None)
-        if piv is None:
-            return None
-        A[c], A[piv] = A[piv], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [v * inv for v in A[c]]
-        for r in range(n):
-            if r != c and A[r][c]:
-                f = A[r][c]
-                A[r] = [v - f * w for v, w in zip(A[r], A[c])]
-    return [row[n:] for row in A]
-
-
 def lattice_indicator(field: NumberField, basis: list) -> SetPredicate:
     """Indicator of the Z-span of a Q-linearly independent family: the dual
     coordinates must be integers and the complementary coordinates zero."""
     r = len(basis)
     m = field.degree
-    cols = [field.element(b).coords for b in basis]
-    # extend with standard basis vectors, keeping the matrix invertible
-    chosen = list(cols)
+    chosen = [list(field.element(b).coords) for b in basis]
+    if gauss_jordan(list(chosen), m)[0] != r:
+        raise DependentBasis("basis is Q-linearly dependent")
+    # extend with standard basis vectors to a basis of Q^m
     for k in range(m):
         if len(chosen) == m:
             break
-        e = tuple(Fraction(1) if t == k else Fraction(0) for t in range(m))
-        trial = [list(col) for col in (*chosen, e)]
-        Mt = [[trial[j][i] for j in range(len(trial))] for i in range(m)]
-        # rank test on the current columns
-        rank = _matrix_rank([row[:] for row in Mt])
-        if rank == len(trial):
+        e = [Fraction(int(t == k)) for t in range(m)]
+        if gauss_jordan(chosen + [e], m)[0] > len(chosen):
             chosen.append(e)
-    if len(chosen) < m:
-        raise DependentBasis("basis is Q-linearly dependent")
-    M = [[chosen[j][i] for j in range(m)] for i in range(m)]
-    Minv = _invert_matrix(M)
-    if Minv is None:
-        raise DependentBasis("basis is Q-linearly dependent")
+    # invert the matrix whose columns are the chosen vectors
+    A = [[v[i] for v in chosen] + [Fraction(int(i == k)) for k in range(m)]
+         for i in range(m)]
+    gauss_jordan(A, m)
+    Minv = [row[m:] for row in A]
 
     def fn(x: FieldElement) -> bool:
         x = field.element(x)
@@ -176,26 +155,6 @@ def lattice_indicator(field: NumberField, basis: list) -> SetPredicate:
                 and all(ci == 0 for ci in c[r:]))
 
     return SetPredicate(f"lattice(rank {r})", field, fn)
-
-
-def _matrix_rank(M: list) -> int:
-    if not M:
-        return 0
-    rows, cols = len(M), len(M[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if M[r][c] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = 1 / M[rank][c]
-        for r in range(rank + 1, rows):
-            if M[r][c]:
-                f = M[r][c] * inv
-                for k in range(c, cols):
-                    M[r][k] -= f * M[rank][k]
-        rank += 1
-    return rank
 
 
 def unit_indicator(field: NumberField) -> SetPredicate:
@@ -306,6 +265,8 @@ def salem_test(x: FieldElement) -> bool:
 # ---------------------------------------------------------------------------
 
 def _flog(q: Fraction) -> float:
+    if q <= 0:
+        raise ValueError("log of a nonpositive rational")
     return math.log(q.numerator) - math.log(q.denominator)
 
 

@@ -49,10 +49,6 @@ class RatInterval:
         x = Fraction(x)
         return self.lo <= x <= self.hi
 
-    def strictly_contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo < x < self.hi
-
     def overlaps(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -192,6 +188,9 @@ class ComplexBox:
         if isinstance(other, ComplexBox):
             return self * other.recip()
         return ComplexBox(self.re / other, self.im / other)
+
+    def __rtruediv__(self, other):
+        return self.recip() * other
 
     def contains(self, re, im=0) -> bool:
         return self.re.contains(re) and self.im.contains(im)

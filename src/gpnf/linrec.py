@@ -13,23 +13,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import polys
-from .constructions import (SetPredicate, _sqrt_upper, pisot_unit_test,
-                            power_set_predicate, salem_test)
+from .constructions import (SetPredicate, _flog, _sqrt_upper,
+                            pisot_unit_test, power_set_predicate, salem_test)
 from .errors import (DegreeMismatch, NotPisot, RankNotOne, SearchBoundExceeded,
                      SingularSystem, VandermondeSingular, ZeroSourceSequence,
                      ZeroTraceRep)
 from .intervals import ComplexBox, RatInterval
+from .linalg import gauss_jordan
 from .numberfield import (FieldElement, NumberField, certified_floor,
                           certified_nint)
-
-
-def _flog(q: Fraction) -> float:
-    if q <= 0:
-        raise ValueError("log of a nonpositive rational")
-    return math.log(q.numerator) - math.log(q.denominator)
 
 
 class LinRecSeq:
@@ -106,17 +101,8 @@ def _solve_trace_system(f: NumberField, rhs: list) -> FieldElement:
     m = f.degree
     ps = f.power_sums(2 * m)
     A = [[ps[j + k] for k in range(m)] + [rhs[j]] for j in range(m)]
-    for c in range(m):
-        piv = next((r for r in range(c, m) if A[r][c] != 0), None)
-        if piv is None:
-            raise SingularSystem("trace system is singular")
-        A[c], A[piv] = A[piv], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [v * inv for v in A[c]]
-        for r in range(m):
-            if r != c and A[r][c]:
-                fac = A[r][c]
-                A[r] = [v - fac * w for v, w in zip(A[r], A[c])]
+    if gauss_jordan(A, m)[0] < m:
+        raise SingularSystem("trace system is singular")
     return f.element([A[k][m] for k in range(m)])
 
 
@@ -271,31 +257,14 @@ class TransferMap:
         return acc
 
 
-def _hankel_rows(seq_terms: Callable, m: int) -> list:
-    return [[seq_terms(i + j) for j in range(m)] for i in range(m)]
-
-
-def _solve_rational_system(M: list, rhs: list):
-    """Solve M w = rhs exactly; rhs entries may be rationals or field
-    elements (the matrix is rational)."""
-    n = len(M)
-    A = [row[:] for row in M]
-    b = list(rhs)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c] != 0), None)
-        if piv is None:
-            raise SingularSystem("transfer system is singular")
-        A[c], A[piv] = A[piv], A[c]
-        b[c], b[piv] = b[piv], b[c]
-        inv = 1 / A[c][c]
-        A[c] = [v * inv for v in A[c]]
-        b[c] = b[c] * inv
-        for r in range(n):
-            if r != c and A[r][c]:
-                fac = A[r][c]
-                A[r] = [v - fac * w for v, w in zip(A[r], A[c])]
-                b[r] = b[r] - b[c] * fac
-    return b
+def _solve_hankel(seq: LinRecSeq, rhs: list) -> list:
+    """The w with sum_j seq_{i+j} w_j = rhs[i] for 0 <= i < m; rhs entries
+    may be rationals or field elements."""
+    m = seq.order
+    A = [[seq.term(i + j) for j in range(m)] + [rhs[i]] for i in range(m)]
+    if gauss_jordan(A, m)[0] < m:
+        raise SingularSystem("transfer system is singular")
+    return [row[m] for row in A]
 
 
 def transfer_map(src: LinRecSeq, dst: LinRecSeq) -> TransferMap:
@@ -310,8 +279,7 @@ def transfer_map(src: LinRecSeq, dst: LinRecSeq) -> TransferMap:
     s = src.integer_scale()
     zsrc = LinRecSeq(src.charpoly, [s * src.term(i) for i in range(src.order)])
     m = src.order
-    M = _hankel_rows(zsrc.term, m)
-    w = _solve_rational_system(M, [dst.term(i) for i in range(m)])
+    w = _solve_hankel(zsrc, [dst.term(i) for i in range(m)])
     onset = max(verified_i0(zsrc, j) for j in range(m))
     tm = TransferMap(f, w, onset, s, [_NintCache(f, j) for j in range(m)])
     for i in range(onset, onset + 2 * m):
@@ -331,8 +299,7 @@ def transfer_to_powers(seq: LinRecSeq) -> TransferMap:
     s = seq.integer_scale()
     zsrc = LinRecSeq(seq.charpoly, [s * seq.term(i) for i in range(seq.order)])
     m = seq.order
-    M = _hankel_rows(zsrc.term, m)
-    w = _solve_rational_system(M, [f.beta ** i for i in range(m)])
+    w = _solve_hankel(zsrc, [f.beta ** i for i in range(m)])
     onset = max(verified_i0(zsrc, j) for j in range(m))
     tm = TransferMap(f, w, onset, s, [_NintCache(f, j) for j in range(m)])
     for i in range(onset, onset + 2 * m):
@@ -424,14 +391,13 @@ class SalemRecoveryFamily:
             if any(bw.abs_sq().contains(0) for bw in cboxes_w):
                 attempt *= 2
                 continue  # w_alpha = 0 impossible for x != 0; refine
-            M = []
-            for j in range(m):
-                M.append([cboxes_w[a] * cboxes_a[a].pow(j) for a in range(m)])
-            try:
-                inv = _invert_complex_interval(M)
-            except ZeroDivisionError:
+            A = [[cboxes_w[a] * cboxes_a[a].pow(j) for a in range(m)]
+                 + [ComplexBox.point(int(j == k)) for k in range(m)]
+                 for j in range(m)]
+            if gauss_jordan(A, m, lambda b: not b.abs_sq().contains(0))[0] < m:
                 attempt *= 2
-                continue
+                continue  # a pivot box straddles zero; refine
+            inv = [row[m:] for row in A]
             self.gamma_all = inv          # row alpha solves for alpha^i
             self._gamma = inv[self.field.distinguished]
             self._gamma_bits = attempt
@@ -497,30 +463,6 @@ class SalemRecoveryFamily:
     def verify(self) -> None:
         for i in self.verify_range:
             self.recover(i)
-
-
-def _invert_complex_interval(M: list) -> list:
-    """Inverse of a complex interval matrix by Gaussian elimination;
-    raises ZeroDivisionError if a pivot box straddles zero."""
-    n = len(M)
-    A = [row[:] + [ComplexBox.point(1 if i == k else 0) for k in range(n)]
-         for i, row in enumerate(M)]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if not A[r][c].abs_sq().contains(0):
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError
-        A[c], A[piv] = A[piv], A[c]
-        inv = A[c][c].recip()
-        A[c] = [v * inv for v in A[c]]
-        for r in range(n):
-            if r != c:
-                fac = A[r][c]
-                A[r] = [v - fac * w for v, w in zip(A[r], A[c])]
-    return [row[n:] for row in A]
 
 
 def salem_recovery_family(seq: LinRecSeq,

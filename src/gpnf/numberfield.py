@@ -23,6 +23,7 @@ from . import polys
 from .errors import (ComplexEmbedding, DivisionByZero, FieldMismatch,
                      NoRealRoot, NotSquarefree, ReducibleDetected)
 from .intervals import ComplexBox, RatInterval, poly_complex_box, poly_interval
+from .linalg import gauss_jordan
 
 Rationalish = Union[int, Fraction, str]
 
@@ -39,10 +40,6 @@ _SECTOR = {
     (1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
     (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7,
 }
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _edge_uv(p: tuple, x0, y0, x1, y1) -> tuple:
@@ -102,14 +99,14 @@ def _sign_at_root(other: tuple, defining: tuple, lo, hi) -> int:
     """Sign of other(r) for r the unique root of squarefree `defining` in
     [lo, hi]; requires other(r) != 0."""
     if lo == hi:
-        return _sign(polys.eval_at(other, lo))
+        return polys._sign(polys.eval_at(other, lo))
     while True:
         s = poly_interval(other, RatInterval(lo, hi)).sign()
         if s:
             return s
         lo, hi = polys.refine_root(defining, lo, hi, (hi - lo) / 16)
         if lo == hi:
-            return _sign(polys.eval_at(other, lo))
+            return polys._sign(polys.eval_at(other, lo))
 
 
 def _edge_steps(p: tuple, x0, y0, x1, y1) -> int:
@@ -158,7 +155,8 @@ def _edge_steps(p: tuple, x0, y0, x1, y1) -> int:
     events.sort(key=lambda e: e[0][0])
 
     def state_at(t: Fraction) -> tuple:
-        return (_sign(polys.eval_at(u, t)), _sign(polys.eval_at(v, t)))
+        return (polys._sign(polys.eval_at(u, t)),
+                polys._sign(polys.eval_at(v, t)))
 
     walk = [state_at(Fraction(0))]
     for k, ((lo, hi), kind) in enumerate(events):
@@ -206,6 +204,19 @@ def _split_candidates(lo: Fraction, hi: Fraction):
         yield lo + w * Fraction(num, den)
 
 
+@functools.lru_cache(maxsize=256)
+def _min_sep_sq(c: tuple) -> Fraction:
+    """A positive rational lower bound for the squared distance between
+    distinct roots of squarefree c (Mahler's separation bound)."""
+    ip, _ = polys.to_int_primitive(c)
+    m = polys.degree(ip)
+    if m < 2:
+        return Fraction(1)
+    disc = abs(polys.resultant(ip, polys.derivative(ip)) / polys.lead(ip))
+    norm2sq = sum(Fraction(x) ** 2 for x in ip)
+    return 3 * disc / (Fraction(m) ** (m + 2) * norm2sq ** (m - 1))
+
+
 def _isolate_complex_upper(p: tuple, expected: int) -> list:
     """Isolating rectangles (xlo, xhi, ylo, yhi) for the roots of squarefree
     p in the open upper half-plane."""
@@ -214,11 +225,7 @@ def _isolate_complex_upper(p: tuple, expected: int) -> list:
     bound = polys.cauchy_bound(p)
     # lower edge strictly below the least positive imaginary part, via the
     # Mahler root-separation bound (conjugate pairs are 2*Im apart)
-    ip, _ = polys.to_int_primitive(p)
-    m = polys.degree(p)
-    disc = abs(polys.resultant(ip, polys.derivative(ip)) / polys.lead(ip))
-    norm2sq = sum(Fraction(c) ** 2 for c in ip)
-    sep_sq = 3 * disc / (Fraction(m) ** (m + 2) * norm2sq ** (m - 1))
+    sep_sq = _min_sep_sq(p)
     eta = Fraction(1)
     while 4 * eta * eta > sep_sq:
         eta /= 2
@@ -454,13 +461,7 @@ class NumberField:
         chain2 = polys.sturm_chain(sum2)
 
         def count2(lo, hi):
-            bump = (hi - lo) / 1009 if hi > lo else Fraction(1, 1009)
-            a, b = lo, hi
-            while polys.eval_at(sum2, a) == 0:
-                a -= bump
-            while polys.eval_at(sum2, b) == 0:
-                b += bump
-            return polys.count_roots(chain2, a, b)
+            return polys.count_roots(chain2, *polys.off_roots(sum2, lo, hi))
 
         def cmp(ra, rb):
             while True:
@@ -531,13 +532,7 @@ class NumberField:
                 if hi < 0:
                     return -1
                 if s_at_0 and lo < 0 < hi:
-                    bump = (hi - lo) / 1009
-                    a, b = lo, hi
-                    while polys.eval_at(S, a) == 0:
-                        a -= bump
-                    while polys.eval_at(S, b) == 0:
-                        b += bump
-                    if polys.count_roots(chainS, a, b) == 1:
+                    if polys.count_roots(chainS, *polys.off_roots(S, lo, hi)) == 1:
                         return 0  # the unique enclosed root of S is 0 itself
                 width /= 16
 
@@ -831,24 +826,7 @@ class FieldElement:
         return sum(M[i][i] for i in range(len(M)))
 
     def norm(self) -> Fraction:
-        M = [row[:] for row in self.mult_matrix()]
-        m = len(M)
-        det = Fraction(1)
-        for c in range(m):
-            piv = next((r for r in range(c, m) if M[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                M[c], M[piv] = M[piv], M[c]
-                det = -det
-            det *= M[c][c]
-            inv = 1 / M[c][c]
-            for r in range(c + 1, m):
-                if M[r][c]:
-                    f = M[r][c] * inv
-                    for k in range(c, m):
-                        M[r][k] -= f * M[c][k]
-        return det
+        return Fraction(gauss_jordan(self.mult_matrix(), self.field.degree)[1]())
 
     def char_poly(self) -> tuple:
         """Characteristic polynomial of the multiplication matrix, monic of
@@ -908,7 +886,7 @@ class FieldElement:
             raise ComplexEmbedding("comparison needs a real embedding")
         q = Fraction(q)
         if self.is_rational():
-            return _sign(self.coords[0] - q)
+            return polys._sign(self.coords[0] - q)
         if self == q:
             return 0
         prec = 8

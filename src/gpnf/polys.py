@@ -26,15 +26,6 @@ def mk(coeffs: Iterable) -> Poly:
     return tuple(cs)
 
 
-def from_desc(coeffs: Iterable) -> Poly:
-    """Build from descending (leading-first) coefficients, the CLI order."""
-    return mk(reversed(list(coeffs)))
-
-
-def to_desc(p: Poly) -> list:
-    return list(reversed(p)) if p else [Fraction(0)]
-
-
 def degree(p: Poly) -> int:
     return len(p) - 1  # -1 for the zero polynomial
 
@@ -85,13 +76,6 @@ def scale(p: Poly, c) -> Poly:
     if c == 0:
         return ZERO
     return tuple(a * c for a in p)
-
-
-def shift_up(p: Poly, k: int) -> Poly:
-    """Multiply by x^k."""
-    if not p:
-        return ZERO
-    return tuple([Fraction(0)] * k) + p
 
 
 def pow_(p: Poly, n: int) -> Poly:
@@ -195,10 +179,6 @@ def to_int_primitive(p: Poly) -> tuple:
     return tuple(Fraction(v) for v in ints), Fraction(g, den)
 
 
-def content_free_pair(p: Poly, q: Poly) -> tuple:
-    return to_int_primitive(p)[0], to_int_primitive(q)[0]
-
-
 def cauchy_bound(p: Poly) -> Fraction:
     """All complex roots have modulus < 1 + max|a_i/lead|."""
     if degree(p) < 1:
@@ -258,8 +238,19 @@ def variations_at_inf(chain: list, positive: bool) -> int:
 def count_roots(chain: list, lo, hi) -> int:
     """Number of distinct real roots in (lo, hi]; endpoints are Fractions.
     The chain's first entry must not vanish at lo or hi for the open-interval
-    reading; callers arrange that."""
+    reading; callers arrange that with `off_roots`."""
     return variations_at(chain, lo) - variations_at(chain, hi)
+
+
+def off_roots(p: Poly, lo: Fraction, hi: Fraction) -> tuple:
+    """Widen [lo, hi] by 1/64 of its width (of 1 for a point) at each end
+    that is a root of p until neither end is one."""
+    pad = (hi - lo) / 64 or Fraction(1, 64)
+    while eval_at(p, lo) == 0:
+        lo -= pad
+    while eval_at(p, hi) == 0:
+        hi += pad
+    return lo, hi
 
 
 def count_real_roots(p: Poly) -> int:
@@ -306,11 +297,7 @@ def isolate_real_roots(p: Poly) -> list:
             walk(lo, mid, nl)
             walk(mid, hi, n - nl)
 
-    lo, hi = -bound, bound
-    while eval_at(p, lo) == 0:
-        lo -= 1
-    while eval_at(p, hi) == 0:
-        hi += 1
+    lo, hi = off_roots(p, -bound, bound)
     walk(lo, hi, total(lo, hi))
     return out
 

@@ -20,6 +20,7 @@ from .constructions import (IndexSet, PisotSetSpec, hereditary_predicate,
 from .genpoly import (Add, Dist, Embed, Floor, Frac, Mul, Neg, Nint,
                       RationalConst, Var, eval_expr, parse, pretty,
                       zero_indicator)
+from .linalg import gauss_jordan
 from .linrec import (LinRecSeq, salem_recover_exact, salem_recovery_family,
                      trace_representation, transfer_map, value_set_membership,
                      verified_i0)
@@ -86,31 +87,10 @@ def check_gram_nondegenerate(fast=False):
         m = f.degree
         basis = [f.beta ** k for k in range(m)]
         G = [[(basis[i] * basis[j]).trace() for j in range(m)] for i in range(m)]
-        det = _det(G)
-        assert det != 0
+        assert gauss_jordan(G, m)[1]() != 0
     f = _fields()[1]
     G = [[(f.beta ** (i + j)).trace() for j in range(2)] for i in range(2)]
-    assert _det(G) == 8  # Q(sqrt2): [[2,0],[0,4]]
-
-
-def _det(M):
-    M = [row[:] for row in M]
-    n, det = len(M), Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c]:
-                fa = M[r][c] * inv
-                for k in range(c, n):
-                    M[r][k] -= fa * M[c][k]
-    return det
+    assert gauss_jordan(G, 2)[1]() == 8  # Q(sqrt2): [[2,0],[0,4]]
 
 
 def check_floor_sandwich(fast=False):

@@ -47,6 +47,8 @@ def test_lattice_rank_deficient(K_phi):
     phi = K_phi.beta
     with pytest.raises(DependentBasis):
         lattice_indicator(K_phi, [phi, phi * 2])
+    with pytest.raises(DependentBasis):   # more than m vectors
+        lattice_indicator(K_phi, [K_phi.one, phi, phi / 2])
 
 
 def test_sublattice(K_phi):
