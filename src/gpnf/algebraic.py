@@ -69,7 +69,7 @@ class RealAlg:
         if not f.is_real_root(j):
             raise ValueError("from_embedding needs a real root index")
         if x.is_rational():
-            return RealAlg.from_rational(x.coords[0])
+            return RealAlg.from_rational(x.as_rational())
         c = x.minimal_poly()
         prec = 8
         while True:
@@ -260,7 +260,7 @@ def re_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAl
     if f.is_real_root(j):
         return RealAlg.from_embedding(x, j)
     if x.is_rational():
-        return RealAlg.from_rational(x.coords[0])
+        return RealAlg.from_rational(x.as_rational())
     c = x.minimal_poly()
     if embedding_is_real(x, j):
         # the embedded value is itself a real root of c
@@ -312,7 +312,7 @@ def abs_sq_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> Re
     f = x.field
     j = f.distinguished if root_index is None else root_index
     if x.is_rational():
-        return RealAlg.from_rational(x.coords[0] ** 2)
+        return RealAlg.from_rational(x.as_rational() ** 2)
     if f.is_real_root(j):
         return RealAlg.from_embedding(x * x, j)
     c = x.minimal_poly()

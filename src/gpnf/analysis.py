@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, List, Sequence
 
 from .errors import (DensityHypothesisFailed, PigeonholeFailed, RationalSlope,
-                     WindowTooShort)
+                     SlopeOutOfRange, WindowTooShort)
 from .numberfield import FieldElement, certified_floor
 
 
@@ -59,7 +59,7 @@ def sturmian(a, b, lo: int, hi: int) -> BinaryWord:
     if a.is_rational():
         raise RationalSlope("slope is rational")
     if a.compare_rational(0) <= 0 or a.compare_rational(1) >= 0:
-        raise ValueError("slope must lie in (0, 1)")
+        raise SlopeOutOfRange("slope must lie in (0, 1)")
     f = a.field
     if isinstance(b, FieldElement):
         b = f.element(b)

@@ -14,6 +14,7 @@ nonconstructive but extensionally identical on the field.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -149,8 +150,8 @@ def lattice_indicator(field: NumberField, basis: list) -> SetPredicate:
     Minv = [row[m:] for row in A]
 
     def fn(x: FieldElement) -> bool:
-        x = field.element(x)
-        c = [sum(Minv[i][j] * x.coords[j] for j in range(m)) for i in range(m)]
+        xc = field.element(x).coords
+        c = [sum(Minv[i][j] * xc[j] for j in range(m)) for i in range(m)]
         return (all(ci.denominator == 1 for ci in c[:r])
                 and all(ci == 0 for ci in c[r:]))
 
@@ -282,6 +283,7 @@ def power_set_predicate(beta: FieldElement) -> SetPredicate:
         raise ValueError("beta must be a Pisot unit")
     log_beta = _flog(beta.embed(None, 40).mid)
     root_f = float(f.root_box(f.distinguished, Fraction(1, 2 ** 52)).mid)
+    root_pows = [root_f ** t for t in range(f.degree)]
     powers = {0: f.one, 1: beta}
 
     def power(k: int) -> FieldElement:
@@ -291,7 +293,7 @@ def power_set_predicate(beta: FieldElement) -> SetPredicate:
 
     def exponent_of(x) -> Optional[int]:
         x = f.element(x)
-        if x == f.one:
+        if x == 1:
             return 0
         if x.is_rational():
             return None
@@ -299,7 +301,7 @@ def power_set_predicate(beta: FieldElement) -> SetPredicate:
         # power comparison is what decides
         k_est = None
         try:
-            val = sum(float(c) * root_f ** t for t, c in enumerate(x.coords))
+            val = sum(map(operator.mul, x.num, root_pows)) / x.den
             if math.isfinite(val) and val > 1:
                 k_est = round(math.log(val) / log_beta)
         except OverflowError:

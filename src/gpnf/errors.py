@@ -122,6 +122,10 @@ class RationalSlope(GpnfError):
     pass
 
 
+class SlopeOutOfRange(GpnfError, ValueError):
+    """A Sturmian slope must lie strictly between 0 and 1."""
+
+
 class WindowTooShort(GpnfError):
     pass
 

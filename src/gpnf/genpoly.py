@@ -403,7 +403,7 @@ class Value:
         f = elem.field
         j = f.distinguished if j is None else j
         if elem.is_rational():
-            return Value.rational(elem.coords[0])
+            return Value.rational(elem.as_rational())
         if f.is_real_root(j):
             return Value("emb", (elem, j))
         return Value("cemb", (elem, j))

@@ -196,6 +196,8 @@ class ComplexBox:
         return self.re.contains(re) and self.im.contains(im)
 
     def pow(self, n: int) -> "ComplexBox":
+        if n < 0:
+            return self.pow(-n).recip()
         out = ComplexBox.point(1)
         base = self
         while n:

@@ -57,6 +57,7 @@ class LinRecSeq:
         self._rec = [-c for c in p[:-1]]  # n_{i+m} = sum rec[j] * n_{i+j}
         self._field: Optional[NumberField] = None
         self._trace_rep: Optional[FieldElement] = None
+        self._trace_rep_inv: Optional[FieldElement] = None
         self._to_powers = None
 
     @property
@@ -96,21 +97,11 @@ class LinRecSeq:
 # trace representation
 # ---------------------------------------------------------------------------
 
-def _solve_trace_system(f: NumberField, rhs: list) -> FieldElement:
-    """The unique y with Tr(beta^j y) = rhs[j] for 0 <= j < m."""
-    m = f.degree
-    ps = f.power_sums(2 * m)
-    A = [[ps[j + k] for k in range(m)] + [rhs[j]] for j in range(m)]
-    if gauss_jordan(A, m)[0] < m:
-        raise SingularSystem("trace system is singular")
-    return f.element([A[k][m] for k in range(m)])
-
-
 def trace_representation(seq: LinRecSeq) -> FieldElement:
     """The unique x in K with Tr(beta^i x) = n_i for all i."""
     if seq._trace_rep is None:
         rhs = [seq.term(i) for i in range(seq.order)]
-        seq._trace_rep = _solve_trace_system(seq.field, rhs)
+        seq._trace_rep = seq.field.from_traces(rhs)
     return seq._trace_rep
 
 
@@ -217,25 +208,24 @@ class _NintCache:
         self.lo_num = (self.box.lo.numerator << bits) // self.box.lo.denominator
         self.hi_num = -((-self.box.hi.numerator << bits) // self.box.hi.denominator)
 
-    def __call__(self, q) -> Fraction:
-        if isinstance(q, int) or q.denominator == 1:
-            zi = int(q)
-            a, b = self.lo_num * zi, self.hi_num * zi
-            if zi < 0:
+    def __call__(self, q) -> int:
+        if isinstance(q, int):
+            a, b = self.lo_num * q, self.hi_num * q
+            if q < 0:
                 a, b = b, a
             T1 = self.T + 1
             half = 1 << self.T
             na = (2 * a + half) >> T1
             nb = (2 * b + half) >> T1
             if na == nb:
-                return Fraction(na)
+                return na
         else:
             iv = self.box * q + Fraction(1, 2)
             flo = iv.lo.numerator // iv.lo.denominator
             fhi = iv.hi.numerator // iv.hi.denominator
             if flo == fhi:
-                return Fraction(flo)
-        return Fraction(certified_nint(self.elem * Fraction(q)))
+                return flo
+        return certified_nint(self.elem * q)
 
 
 @dataclass
@@ -250,6 +240,8 @@ class TransferMap:
 
     def apply(self, q) -> Union[Fraction, FieldElement]:
         z = Fraction(q) * self.scale
+        if z.denominator == 1:
+            z = z.numerator
         acc = None
         for w, nint_j in zip(self.coeffs, self._nints):
             term = w * nint_j(z)
@@ -326,8 +318,10 @@ def salem_recover_exact(seq: LinRecSeq, i: int,
     window = [Fraction(v) for v in window]
     if len(window) != m:
         raise DegreeMismatch(f"window must have {m} terms")
-    y = _solve_trace_system(seq.field, window)
-    return y / x
+    y = seq.field.from_traces(window)
+    if seq._trace_rep_inv is None:
+        seq._trace_rep_inv = x.inverse()
+    return y * seq._trace_rep_inv
 
 
 class SalemRecoveryFamily:

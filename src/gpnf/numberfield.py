@@ -16,12 +16,14 @@ import functools
 import threading
 from fractions import Fraction
 from itertools import product as _iproduct
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
+from operator import mul as _mul
 from typing import Optional, Sequence, Union
 
 from . import polys
 from .errors import (ComplexEmbedding, DivisionByZero, FieldMismatch,
-                     NoRealRoot, NotSquarefree, ReducibleDetected)
+                     NoRealRoot, NotSquarefree, ReducibleDetected,
+                     SingularSystem)
 from .intervals import ComplexBox, RatInterval, poly_complex_box, poly_interval
 from .linalg import gauss_jordan
 
@@ -399,9 +401,10 @@ class NumberField:
             self._roots.append(_Root("lower", rect=rect, pair=k))
 
         self._lock = threading.RLock()
-        self._red = self._reduction_table()
+        self._red, self._red_den = self._reduction_table()
         self.distinguished = self._pick_distinguished(
             distinguished, require_real_distinguished)
+        self._hash = hash((self.minpoly_int, self.distinguished))
 
     # -- construction helpers -----------------------------------------------
 
@@ -485,22 +488,19 @@ class NumberField:
 
         return sorted(uppers, key=functools.cmp_to_key(cmp))
 
-    def _reduction_table(self) -> list:
-        """Coordinates of beta^k for 0 <= k <= 2m-2, reduced mod minpoly."""
+    def _reduction_table(self) -> tuple:
+        """(rows, den): beta^k = rows[k - m] / den in the power basis for
+        m <= k <= 2m-2, with integer rows over one positive denominator
+        (1 for a monic integer minpoly)."""
         m = self.degree
-        if m == 1:
-            return [[Fraction(1)]]
         top = [-c for c in self.monic_minpoly[:-1]]
-        table = []
-        cur = [Fraction(0)] * m
-        cur[0] = Fraction(1)
-        for _ in range(2 * m - 1):
-            table.append(list(cur))
+        fracs = []
+        cur = [Fraction(0)] * (m - 1) + [Fraction(1)]  # beta^(m-1)
+        for _ in range(m - 1):
             carry = cur[m - 1]
-            cur = [Fraction(0)] + cur[:-1]
-            if carry:
-                cur = [c + carry * t for c, t in zip(cur, top)]
-        return table
+            cur = [carry * t + c for c, t in zip([Fraction(0)] + cur[:-1], top)]
+            fracs.append(cur)
+        return _common_den(fracs)
 
     def _pick_distinguished(self, distinguished, require_real) -> int:
         r1 = self.signature[0]
@@ -612,17 +612,20 @@ class NumberField:
 
     def element(self, coords) -> FieldElement:
         if isinstance(coords, FieldElement):
-            if coords.field != self:
+            if coords.field is not self and coords.field != self:
                 raise FieldMismatch("element from a different field")
             return coords
-        if isinstance(coords, (int, Fraction, str)):
-            v = [Fraction(0)] * self.degree
-            v[0] = Fraction(coords)
-            return FieldElement(self, tuple(v))
+        if isinstance(coords, str):
+            coords = Fraction(coords)
+        if isinstance(coords, (int, Fraction)):
+            return _raw(self, (coords.numerator,) + (0,) * (self.degree - 1),
+                        coords.denominator)
         v = [Fraction(c) for c in coords]
         if len(v) != self.degree:
             raise ValueError("coordinate vector has wrong length")
-        return FieldElement(self, tuple(v))
+        # over the lcm of the denominators the vector is already canonical
+        (num,), den = _common_den([v])
+        return _raw(self, num, den)
 
     @property
     def zero(self) -> FieldElement:
@@ -636,9 +639,17 @@ class NumberField:
     def beta(self) -> FieldElement:
         if self.degree == 1:
             return self.element(-self.monic_minpoly[0])
-        v = [Fraction(0)] * self.degree
-        v[1] = Fraction(1)
-        return FieldElement(self, tuple(v))
+        return _raw(self, (0, 1) + (0,) * (self.degree - 2), 1)
+
+    def from_traces(self, traces) -> FieldElement:
+        """The unique y with Tr(beta^j y) = traces[j] (int or Fraction)
+        for 0 <= j < m."""
+        if len(traces) != self.degree:
+            raise ValueError("trace vector has wrong length")
+        rows, den = _trace_dual(self)
+        (z,), d = _common_den([traces])
+        return _elem(self, tuple(sum(map(_mul, row, z)) for row in rows),
+                     den * d)
 
     @property
     def unit_rank(self) -> int:
@@ -669,7 +680,7 @@ class NumberField:
                 and self.distinguished == other.distinguished)
 
     def __hash__(self):
-        return hash((self.minpoly_int, self.distinguished))
+        return self._hash
 
     def __repr__(self):
         terms = " + ".join(
@@ -678,35 +689,89 @@ class NumberField:
         return f"NumberField({terms}, signature={self.signature})"
 
 
-class FieldElement:
-    __slots__ = ("field", "coords")
+def _common_den(rows: list) -> tuple:
+    """(int_rows, den): rows of Fractions as integer tuples over the least
+    common denominator of all their entries."""
+    den = lcm(1, *(c.denominator for row in rows for c in row))
+    return [tuple(c.numerator * (den // c.denominator) for c in row)
+            for row in rows], den
 
-    def __init__(self, field: NumberField, coords: tuple):
-        self.field = field
-        self.coords = coords
+
+@functools.lru_cache(maxsize=64)
+def _trace_dual(f: NumberField) -> tuple:
+    """(rows, den): the inverse of the power-sum Hankel matrix
+    (Tr(beta^(j+k)))_{j,k} as integer rows over one denominator."""
+    m = f.degree
+    ps = f.power_sums(2 * m)
+    A = [[ps[j + k] for k in range(m)] + [Fraction(int(j == k)) for k in range(m)]
+         for j in range(m)]
+    if gauss_jordan(A, m)[0] < m:
+        raise SingularSystem("trace system is singular")
+    return _common_den([row[m:] for row in A])
+
+
+def _raw(field: NumberField, num: tuple, den: int) -> FieldElement:
+    """The element num/den, already in canonical form."""
+    x = object.__new__(FieldElement)
+    x.field = field
+    x.num = num
+    x.den = den
+    return x
+
+
+def _elem(field: NumberField, num: tuple, den: int) -> FieldElement:
+    """The element num/den for a positive integer den, made canonical."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    return _raw(field, num, den)
+
+
+class FieldElement:
+    """sum_i num[i] beta^i / den: an integer coordinate vector in the power
+    basis over one denominator, kept canonical (den > 0 and
+    gcd(den, *num) == 1) so that equality and hashing compare integers."""
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, coords):
+        x = field.element(coords)
+        self.field, self.num, self.den = field, x.num, x.den
+
+    @property
+    def coords(self) -> tuple:
+        """The power-basis coordinates as Fractions (derived, read-only)."""
+        d = self.den
+        return tuple(Fraction(a, d) for a in self.num)
 
     # -- ring structure -------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch("elements of different fields")
             return other
         if isinstance(other, (int, Fraction, str)):
-            return self.field.element(Fraction(other))
+            return self.field.element(other)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.coords, o.coords)))
+        da, db = self.den, o.den
+        g = gcd(da, db)
+        ka, kb = db // g, da // g
+        return _elem(self.field,
+                     tuple(a * ka + b * kb for a, b in zip(self.num, o.num)),
+                     da * ka)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return _raw(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -718,36 +783,41 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.field, tuple(a * q for a in self.coords))
+        f = self.field
+        if isinstance(other, int):
+            # gcd(den, n * num) == gcd(den, n) since gcd(den, *num) == 1
+            g = gcd(self.den, other)
+            k = other // g
+            return _raw(f, tuple(a * k for a in self.num), self.den // g)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _elem(f, tuple(a * p for a in self.num),
+                         self.den * other.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        m = self.field.degree
-        prod = [Fraction(0)] * (2 * m - 1)
-        for i, a in enumerate(self.coords):
+        m = f.degree
+        prod = [0] * (2 * m - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.coords):
+                for j, b in enumerate(o.num):
                     if b:
                         prod[i + j] += a * b
-        red = self.field._red
-        out = [Fraction(0)] * m
-        for k, c in enumerate(prod):
+        rd = f._red_den
+        out = prod[:m] if rd == 1 else [c * rd for c in prod[:m]]
+        for c, row in zip(prod[m:], f._red):
             if c:
-                row = red[k]
                 for t in range(m):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return FieldElement(self.field, tuple(out))
+                    out[t] += c * row[t]
+        return _elem(f, tuple(out), self.den * o.den * rd)
 
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if self.field.degree == 1:
-            return self.field.element(1 / self.coords[0])
+        if self.is_rational():
+            return self.field.element(1 / self.as_rational())
         a = polys.mk(self.coords)
         b = self.field.monic_minpoly
         s0, s1 = polys.ONE, polys.ZERO
@@ -762,8 +832,7 @@ class FieldElement:
                 f"element exposes factor with coefficients {list(r0)}")
         inv = polys.scale(s0, 1 / r0[0])
         rem = polys.divmod_(inv, b)[1]
-        coords = list(rem) + [Fraction(0)] * (self.field.degree - len(rem))
-        return FieldElement(self.field, tuple(coords[:self.field.degree]))
+        return self.field.element(list(rem) + [0] * (self.field.degree - len(rem)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -787,25 +856,28 @@ class FieldElement:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            return ((other.field is self.field or other.field == self.field)
+                    and self.den == other.den and self.num == other.num)
         if isinstance(other, (int, Fraction)):
-            other = self.field.element(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+            return (self.den == other.denominator
+                    and self.num[0] == other.numerator
+                    and not any(self.num[1:]))
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self.num, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     # -- invariants -------------------------------------------------------
 
@@ -864,7 +936,7 @@ class FieldElement:
         j = f.distinguished if root_index is None else root_index
         target = Fraction(1, 2 ** prec_bits)
         if self.is_rational():
-            q = self.coords[0]
+            q = self.as_rational()
             return (RatInterval.point(q) if f.is_real_root(j)
                     else ComplexBox.point(q))
         width = Fraction(1, 2 ** 8)
@@ -886,7 +958,7 @@ class FieldElement:
             raise ComplexEmbedding("comparison needs a real embedding")
         q = Fraction(q)
         if self.is_rational():
-            return polys._sign(self.coords[0] - q)
+            return polys._sign(self.as_rational() - q)
         if self == q:
             return 0
         prec = 8
@@ -917,8 +989,7 @@ def certified_floor(x: FieldElement, root_index: Optional[int] = None) -> int:
     if not f.is_real_root(j):
         raise ComplexEmbedding("floor needs a real embedding")
     if x.is_rational():
-        q = x.coords[0]
-        return q.numerator // q.denominator
+        return x.num[0] // x.den
     prec = 8
     while True:
         box = x.embed(j, prec)

@@ -139,6 +139,15 @@ def test_complexity_command(capsys):
     assert d["complexity"] == [[5, 6], [6, 7], [7, 8], [8, 9]]
 
 
+def test_complexity_slope_out_of_range(capsys):
+    code, out = run(capsys, "complexity", "--minpoly", "1,-1,-1",
+                    "--a=0,1", "--window", "100",
+                    "--n-min", "1", "--n-max", "3", "--json")
+    assert code == 1
+    d = json.loads(out)
+    assert d["schema"] == 1 and d["error"] == "SlopeOutOfRange"
+
+
 def test_nonhereditary_command(tmp_path, capsys):
     wf = tmp_path / "window.txt"
     code, out = run(capsys, "nonhereditary", "--h-preset", "half",

@@ -1,0 +1,144 @@
+"""The integer scalar core of FieldElement: an integer coordinate vector over
+one positive denominator, kept canonical.  Ring axioms and the canonical
+form are property-tested; multiplication is checked against sympy."""
+
+import random
+from fractions import Fraction as F
+from math import gcd
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from gpnf.numberfield import FieldElement, NumberField
+
+FIELDS = {
+    "golden": NumberField([-1, -1, 1]),             # x^2 - x - 1
+    "plastic": NumberField([-1, -1, 0, 1]),         # x^3 - x - 1
+    "salem": NumberField([1, -1, -1, -1, 1]),       # x^4 - x^3 - x^2 - x + 1
+    "nonmonic": NumberField([-3, 0, 2]),            # 2x^2 - 3
+}
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+field_names = st.sampled_from(sorted(FIELDS))
+
+
+@st.composite
+def elements(draw, field, nonzero=False):
+    x = field.element(draw(st.lists(rationals, min_size=field.degree,
+                                    max_size=field.degree)))
+    if nonzero and x.is_zero():
+        x = field.one
+    return x
+
+
+@st.composite
+def triples(draw):
+    f = FIELDS[draw(field_names)]
+    return draw(elements(f)), draw(elements(f)), draw(elements(f, nonzero=True))
+
+
+def canonical(x: FieldElement) -> FieldElement:
+    assert isinstance(x.den, int) and x.den > 0
+    assert len(x.num) == x.field.degree
+    assert all(isinstance(a, int) for a in x.num)
+    assert gcd(x.den, *x.num) == 1
+    return x
+
+
+def test_reduction_table_denominator():
+    assert FIELDS["golden"]._red_den == 1
+    assert FIELDS["salem"]._red_den == 1
+    K = FIELDS["nonmonic"]
+    assert K._red_den == 2
+    assert canonical(K.beta * K.beta) == F(3, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples())
+def test_ring_axioms(xyz):
+    x, y, z = xyz
+    assert canonical((x * y) * z) == canonical(x * (y * z))
+    assert canonical((x + y) + z) == canonical(x + (y + z))
+    assert x * y == y * x and x + y == y + x
+    assert canonical(x * (y + z)) == x * y + x * z
+    assert canonical(z * canonical(z.inverse())) == 1
+    assert canonical((x + y) - y) == x
+    assert canonical(x - x).is_zero() and (x - x).den == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples(), rationals, st.integers(-30, 30))
+def test_scalar_paths_are_canonical(xyz, q, n):
+    x, _y, z = xyz
+    f = x.field
+    for got, want in ((x * n, x * f.element(n)), (x * q, x * f.element(q)),
+                      (x + n, x + f.element(n)), (x + q, x + f.element(q)),
+                      (-x, f.zero - x), (z ** -2, (z * z).inverse()),
+                      (x / z, x * z.inverse()), (n / z, f.element(n) / z),
+                      (q / z, f.element(q) / z)):
+        assert canonical(got) == want
+        assert hash(got) == hash(want)
+
+
+def test_rtruediv_takes_any_exact_rational_numerator():
+    z = FIELDS["golden"].beta
+    assert 2.5 / z == "5/2" / z == F(5, 2) * z.inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples())
+def test_eq_and_hash_agree_across_constructions(xyz):
+    x, y, _z = xyz
+    for v in (x, x * y, x + y):
+        rebuilt = v.field.element(list(v.coords))
+        assert rebuilt == v and hash(rebuilt) == hash(v)
+        assert (rebuilt.num, rebuilt.den) == (v.num, v.den)
+    if x.is_rational():
+        q = x.as_rational()
+        assert x == q and x == x.field.element(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_names, st.data())
+def test_coords_round_trip(name, data):
+    f = FIELDS[name]
+    cs = data.draw(st.lists(rationals, min_size=f.degree, max_size=f.degree))
+    x = canonical(f.element(cs))
+    assert x.coords == tuple(cs)
+    assert all(type(c) is F for c in x.coords)
+    assert FieldElement(f, x.coords) == x
+    with pytest.raises(AttributeError):
+        x.coords = x.coords
+
+
+@settings(max_examples=40, deadline=None)
+@given(triples())
+def test_from_traces_inverts_the_trace_form(xyz):
+    x, _y, _z = xyz
+    f = x.field
+    traces = [(f.beta ** j * x).trace() for j in range(f.degree)]
+    assert canonical(f.from_traces(traces)) == x
+    with pytest.raises(ValueError):
+        f.from_traces(traces[1:])
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_mul_against_sympy_rem(name):
+    f = FIELDS[name]
+    t = sympy.Symbol("t")
+    minpoly = sum(sympy.Rational(int(c)) * t ** i
+                  for i, c in enumerate(f.minpoly_int))
+    rng = random.Random(4 + f.degree)
+    for _ in range(25):
+        ca, cb = ([F(rng.randint(-40, 40), rng.randint(1, 9))
+                   for _ in range(f.degree)] for _ in range(2))
+        got = canonical(f.element(ca) * f.element(cb))
+        a = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+                for i, c in enumerate(ca))
+        b = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+                for i, c in enumerate(cb))
+        r = sympy.Poly(sympy.rem(sympy.expand(a * b), minpoly, t), t)
+        want = [F(int(c.p), int(c.q)) for c in reversed(r.all_coeffs())]
+        want += [F(0)] * (f.degree - len(want))
+        assert list(got.coords) == want

@@ -80,6 +80,24 @@ def test_complex_pow():
     assert p4.re.contains(1) and p4.im.contains(0)
 
 
+def test_complex_pow_negative():
+    def cpow(re, im, n):  # exact (re + i im)^n for n >= 0
+        out = (F(1), F(0))
+        for _ in range(n):
+            out = (out[0] * re - out[1] * im, out[0] * im + out[1] * re)
+        return out
+
+    assert ComplexBox.point(2).pow(-1).contains(F(1, 2))
+    box = ComplexBox(RatInterval(F(3, 2), F(8, 5)), RatInterval(F(-2, 5), F(1, 3)))
+    for n in (1, 3):
+        inv = box.pow(-n)
+        for re in (box.re.lo, box.re.mid, box.re.hi):
+            for im in (box.im.lo, F(0), box.im.hi):
+                pr, pi = cpow(re, im, n)
+                nrm = pr * pr + pi * pi
+                assert inv.contains(pr / nrm, -pi / nrm)
+
+
 def test_poly_complex_box():
     coeffs = [F(1), F(0), F(1)]  # z^2 + 1 at z = i is 0
     box = ComplexBox.point(0, 1)

@@ -234,6 +234,14 @@ def test_recover_examples(salem_seq, K_salem):
     assert got == beta
 
 
+def test_recover_all_powers(salem_seq, K_salem):
+    beta = K_salem.beta
+    for i in range(40):
+        assert salem_recover_exact(salem_seq, i) == beta ** i
+        window = [salem_seq.term(i + j) for j in range(4)]
+        assert salem_recover_exact(salem_seq, i, window=window) == beta ** i
+
+
 def test_recover_multiplicative(salem_seq):
     r = lambda i: salem_recover_exact(salem_seq, i)
     for i in range(8):
