@@ -3,9 +3,10 @@
 This layer handles every exact decision that leaves a single field
 embedding: sums and products across embeddings or across different fields,
 real and imaginary parts of complex embeddings, floors of such values, and
-modulus-one tests.  Defining polynomials are produced by resultants; all
-decisions refine a certified interval and settle hits with exact
-polynomial arithmetic.
+modulus-one tests.  Defining polynomials of sums and products come from
+power-sum resolvents (`polys.sum_poly`, `polys.prod_poly`); all decisions
+refine a certified interval and settle hits with exact polynomial
+arithmetic.
 """
 
 from __future__ import annotations

@@ -84,8 +84,8 @@ class ThresholdAmbiguous(GpnfError):
 
 # -- linear recurrent sequences ---------------------------------------------
 
-class DegreeMismatch(GpnfError):
-    pass
+class DegreeMismatch(GpnfError, ValueError):
+    """A polynomial, window or recurrence has the wrong degree or length."""
 
 
 class SingularSystem(GpnfError):

@@ -59,6 +59,9 @@ class LinRecSeq:
         self._trace_rep: Optional[FieldElement] = None
         self._trace_rep_inv: Optional[FieldElement] = None
         self._to_powers = None
+        self._arch: Optional[tuple] = None
+        self._vsm: Optional[dict] = None
+        self._power_pred: Optional[SetPredicate] = None
 
     @property
     def field(self) -> NumberField:
@@ -472,7 +475,7 @@ def salem_recovery_family(seq: LinRecSeq,
 
 def _archimedean_constants(seq: LinRecSeq) -> tuple:
     """(B, wlo, log_beta_lo) with |n_k| >= wlo * beta^k - B for all k."""
-    if not hasattr(seq, "_arch"):
+    if seq._arch is None:
         f = seq.field
         x = trace_representation(seq)
         bits = 48
@@ -503,7 +506,7 @@ def _index_window(seq: LinRecSeq, q: Fraction, search_bound: int) -> int:
 
 def _vsm_setup(seq: LinRecSeq) -> dict:
     """One-time constants for value-set membership queries."""
-    if hasattr(seq, "_vsm"):
+    if seq._vsm is not None:
         return seq._vsm
     f = seq.field
     beta = f.beta
@@ -580,7 +583,7 @@ def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool
 
 
 def _power_pred(seq: LinRecSeq) -> SetPredicate:
-    if not hasattr(seq, "_power_pred"):
+    if seq._power_pred is None:
         seq._power_pred = power_set_predicate(seq.field.beta)
     return seq._power_pred
 

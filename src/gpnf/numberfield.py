@@ -21,9 +21,9 @@ from operator import mul as _mul
 from typing import Optional, Sequence, Union
 
 from . import polys
-from .errors import (ComplexEmbedding, DivisionByZero, FieldMismatch,
-                     NoRealRoot, NotSquarefree, ReducibleDetected,
-                     SingularSystem)
+from .errors import (ComplexEmbedding, DegreeMismatch, DivisionByZero,
+                     FieldMismatch, NoRealRoot, NotSquarefree,
+                     ReducibleDetected, SingularSystem)
 from .intervals import ComplexBox, RatInterval, poly_complex_box, poly_interval
 from .linalg import gauss_jordan
 
@@ -160,16 +160,20 @@ def _edge_steps(p: tuple, x0, y0, x1, y1) -> int:
         return (polys._sign(polys.eval_at(u, t)),
                 polys._sign(polys.eval_at(v, t)))
 
+    # sample each gap between 0, the events and 1: neither u nor v vanishes
+    # inside one, so a single point gives its sector
     walk = [state_at(Fraction(0))]
-    for k, ((lo, hi), kind) in enumerate(events):
+    prev = Fraction(0)
+    for (lo, hi), kind in events:
+        if prev < lo:
+            walk.append(state_at((prev + lo) / 2))
         if kind == "u":
             walk.append((0, _sign_at_root(v, squ, lo, hi)))
         else:
             walk.append((_sign_at_root(u, sqv, lo, hi), 0))
-        nxt_lo = events[k + 1][0][0] if k + 1 < len(events) else Fraction(1)
-        t = (hi + nxt_lo) / 2
-        if hi < t < 1:
-            walk.append(state_at(t))
+        prev = hi
+    if prev < 1:
+        walk.append(state_at((prev + 1) / 2))
     walk.append(state_at(Fraction(1)))
 
     total = 0
@@ -373,7 +377,7 @@ class NumberField:
                  check_reducible: bool = True):
         p = polys.mk([Fraction(c) for c in coeffs])
         if polys.degree(p) < 1:
-            raise ValueError("defining polynomial must have degree >= 1")
+            raise DegreeMismatch("defining polynomial must have degree >= 1")
         if not polys.is_squarefree(p):
             raise NotSquarefree("defining polynomial has a repeated root")
         self.minpoly_int, _ = polys.to_int_primitive(p)
@@ -387,8 +391,7 @@ class NumberField:
                 raise ReducibleDetected(f"found factor with coefficients {list(f)}")
 
         m = self.degree
-        self._sqfree = self.monic_minpoly
-        self._chain = polys.sturm_chain(self._sqfree)
+        self._sum2 = None
         real_ivs = polys.isolate_real_roots(self.monic_minpoly)
         r1 = len(real_ivs)
         r2 = (m - r1) // 2
@@ -455,13 +458,20 @@ class NumberField:
                                 return g
         return None
 
+    def _sum_resolvent(self) -> tuple:
+        """(S, chain): the squarefree polynomial of the sums r_i + r_j of
+        conjugates (i == j allowed) and its Sturm chain, built once."""
+        if self._sum2 is None:
+            S = polys.squarefree_part(
+                polys.sum_poly(self.monic_minpoly, self.monic_minpoly))
+            self._sum2 = S, polys.sturm_chain(S)
+        return self._sum2
+
     def _sort_uppers(self, uppers: list) -> list:
         if len(uppers) <= 1:
             return uppers
         p = self.minpoly_int
-        sum2 = polys.squarefree_part(
-            polys.sum_poly(self.monic_minpoly, self.monic_minpoly))
-        chain2 = polys.sturm_chain(sum2)
+        sum2, chain2 = self._sum_resolvent()
 
         def count2(lo, hi):
             return polys.count_roots(chain2, *polys.off_roots(sum2, lo, hi))
@@ -517,8 +527,7 @@ class NumberField:
         if r1 == 1:
             return 0
         # real root of largest |.|; exact ties prefer the positive root
-        S = polys.squarefree_part(polys.sum_poly(self._sqfree, self._sqfree))
-        chainS = polys.sturm_chain(S)
+        S, chainS = self._sum_resolvent()
         s_at_0 = polys.eval_at(S, Fraction(0)) == 0
 
         def sum_is_zero(i, j, width):
@@ -586,7 +595,7 @@ class NumberField:
         with self._lock:
             lo, hi = r.interval
             if hi - lo > width:
-                r.interval = polys.refine_root(self._sqfree, lo, hi, width)
+                r.interval = polys.refine_root(self.monic_minpoly, lo, hi, width)
         return r.interval
 
     def _refine_complex(self, j: int, width: Fraction) -> tuple:
@@ -662,17 +671,7 @@ class NumberField:
 
     def power_sums(self, upto: int) -> list:
         """Traces of beta^k for 0 <= k <= upto, by Newton's identities."""
-        m, a = self.degree, self.monic_minpoly
-        ps = [Fraction(m)]
-        for k in range(1, upto + 1):
-            acc = Fraction(0)
-            for i in range(1, min(k - 1, m) + 1):
-                acc += a[m - i] * ps[k - i]
-            if k <= m:
-                ps.append(-k * a[m - k] - acc)
-            else:
-                ps.append(-acc)
-        return ps
+        return polys.power_sums(self.monic_minpoly, upto)
 
     def __eq__(self, other):
         return (isinstance(other, NumberField)

@@ -2,14 +2,15 @@
 
 Polynomials are tuples of Fractions in ascending order of power; the zero
 polynomial is the empty tuple.  Everything here is exact: Sturm chains,
-root counting, isolation and refinement of real roots, resultants
-(including resultants with polynomial coefficients, used to build defining
-polynomials for sums and products of algebraic numbers).
+root counting, isolation and refinement of real roots, resultants over Q,
+and the polynomials vanishing at sums and products of roots, built from
+power sums by Newton's identities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 Poly = tuple  # tuple[Fraction, ...], ascending powers
@@ -42,10 +43,6 @@ def constant(c) -> Poly:
     return mk([c])
 
 
-def monomial(c, k: int) -> Poly:
-    return mk([0] * k + [c])
-
-
 def add(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     return mk([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
@@ -76,17 +73,6 @@ def scale(p: Poly, c) -> Poly:
     if c == 0:
         return ZERO
     return tuple(a * c for a in p)
-
-
-def pow_(p: Poly, n: int) -> Poly:
-    out = ONE
-    base = p
-    while n:
-        if n & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        n >>= 1
-    return out
 
 
 def divmod_(p: Poly, q: Poly) -> tuple:
@@ -284,9 +270,11 @@ def isolate_real_roots(p: Poly) -> list:
         mid = (lo + hi) / 2
         if eval_at(p, mid) == 0:
             out_mid = (mid, mid)
-            # shrink around mid so the flanks have clean endpoints
+            # shrink around mid until the gap holds mid alone and the flanks
+            # have clean endpoints
             eps = (hi - lo) / 4
-            while eval_at(p, mid - eps) == 0 or eval_at(p, mid + eps) == 0:
+            while (eval_at(p, mid - eps) == 0 or eval_at(p, mid + eps) == 0
+                   or total(mid - eps, mid + eps) != 1):
                 eps /= 2
             nl = total(lo, mid - eps)
             walk(lo, mid - eps, nl)
@@ -410,95 +398,52 @@ def discriminant(p: Poly) -> Fraction:
     return (-1) ** (n * (n - 1) // 2) * r / lead(p)
 
 
-# Polynomials with polynomial coefficients: a BiPoly is a tuple of Poly,
-# ascending in the main variable z; coefficients are Polys in s.
+# -- composed sums and products ----------------------------------------------
+# The power sums of the roots determine a monic polynomial (Newton's
+# identities), and those of the sums and products of roots follow from the
+# operands' power sums; see Bostan, Flajolet, Salvy and Schost, "Fast
+# computation of special resultants", J. Symbolic Comput. 41 (2006).
 
-def _bi_mk(coeffs: list) -> tuple:
-    while coeffs and is_zero(coeffs[-1]):
-        coeffs.pop()
-    return tuple(coeffs)
+def power_sums(p: Poly, upto: int) -> list:
+    """Sums of the k-th powers of the roots of p, with multiplicity, for
+    0 <= k <= upto (Newton's identities)."""
+    m, a = degree(p), monic(p)
+    ps = [Fraction(m)]
+    for k in range(1, upto + 1):
+        acc = -k * a[m - k] if k <= m else Fraction(0)
+        for i in range(1, min(k - 1, m) + 1):
+            acc -= a[m - i] * ps[k - i]
+        ps.append(acc)
+    return ps
 
 
-def _bi_from_const(p: Poly) -> tuple:
-    """Embed p(z) as a BiPoly in z with constant coefficients."""
-    return _bi_mk([constant(c) for c in p])
-
-
-def _sylvester_resultant_bi(A: tuple, B: tuple) -> Poly:
-    """Res_z(A, B) where A, B are BiPolys in z over Q[s]; returns a Poly in s.
-
-    Bareiss fraction-free elimination over the polynomial ring.
-    """
-    n, m = len(A) - 1, len(B) - 1
-    if n < 0 or m < 0:
-        return ZERO
-    if n == 0 and m == 0:
-        return ONE
-    if n == 0:
-        return pow_(A[0], m)
-    if m == 0:
-        return pow_(B[0], n)
-    size = n + m
-    M = [[ZERO] * size for _ in range(size)]
-    for i in range(m):
-        for j, c in enumerate(A):
-            M[i][i + (n - j)] = c
-    for i in range(n):
-        for j, c in enumerate(B):
-            M[m + i][i + (m - j)] = c
-    # Bareiss
-    sign = 1
-    prev = ONE
-    for k in range(size - 1):
-        if is_zero(M[k][k]):
-            piv = next((r for r in range(k + 1, size) if not is_zero(M[r][k])), None)
-            if piv is None:
-                return ZERO
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = sub(mul(M[i][j], M[k][k]), mul(M[i][k], M[k][j]))
-                M[i][j] = divexact(num, prev)
-            M[i][k] = ZERO
-        prev = M[k][k]
-    det = M[size - 1][size - 1]
-    return neg(det) if sign < 0 else det
+def _from_power_sums(ps: list, n: int) -> Poly:
+    """The monic degree-n polynomial whose roots have power sums ps[k]."""
+    a = [Fraction(0)] * n + [Fraction(1)]
+    for k in range(1, n + 1):
+        acc = ps[k]
+        for i in range(1, k):
+            acc += a[n - i] * ps[k - i]
+        a[n - k] = -acc / k
+    return tuple(a)
 
 
 def sum_poly(A: Poly, B: Poly) -> Poly:
-    """A polynomial vanishing at every a + b with A(a) = 0, B(b) = 0."""
-    # Res_z(A(z), B(s - z)):  B(s - z) expanded as a BiPoly in z over Q[s].
-    m = degree(B)
-    acc = [ZERO] * (m + 1)
-    # (s - z)^k coefficients in z: sum_j C(k,j) s^(k-j) (-1)^j z^j
-    from math import comb
-    for k, bk in enumerate(B):
-        if bk == 0:
-            continue
-        for j in range(k + 1):
-            term = monomial(bk * comb(k, j) * (-1) ** j, k - j)
-            acc[j] = add(acc[j], term)
-    return _sylvester_resultant_bi(_bi_from_const(A), _bi_mk(acc))
+    """prod (s - a - b) over the roots a of A and b of B, with multiplicity:
+    Res_z(A(z), B(s - z)) made monic."""
+    n = degree(A) * degree(B)
+    pa, pb = power_sums(A, n), power_sums(B, n)
+    return _from_power_sums(
+        [sum(comb(k, j) * pa[j] * pb[k - j] for j in range(k + 1))
+         for k in range(n + 1)], n)
 
 
 def prod_poly(A: Poly, B: Poly) -> Poly:
-    """A polynomial vanishing at every a * b with A(a) = 0, B(b) = 0.
-
-    Requires B(0) != 0 or handles the zero root separately.
-    """
-    m = degree(B)
-    b0_zero = B[0] == 0 if B else True
-    # Res_z(A(z), z^m B(s/z)) = Res_z(A(z), sum_k b_k s^k z^(m-k))
-    acc = [ZERO] * (m + 1)
-    for k, bk in enumerate(B):
-        if bk == 0:
-            continue
-        acc[m - k] = add(acc[m - k], monomial(bk, k))
-    res = _sylvester_resultant_bi(_bi_from_const(A), _bi_mk(acc))
-    if b0_zero and not is_zero(res) and eval_at(res, 0) != 0:
-        res = mul(res, mk([0, 1]))
-    return res
+    """prod (s - a * b) over the roots a of A and b of B, with
+    multiplicity; zero roots need no special case."""
+    n = degree(A) * degree(B)
+    return _from_power_sums(
+        [x * y for x, y in zip(power_sums(A, n), power_sums(B, n))], n)
 
 
 def scale_roots(p: Poly, c) -> Poly:

@@ -165,6 +165,19 @@ def test_domain_error_exit_code(capsys):
     assert code == 1
 
 
+def test_field_command_x4_plus_1(capsys):
+    code, out = run(capsys, "field", "--minpoly", "1,0,0,0,1", "--json")
+    assert code == 0
+    assert json.loads(out)["signature"] == [0, 2]
+
+
+def test_field_command_constant_minpoly(capsys):
+    code, out = run(capsys, "field", "--minpoly", "2", "--json")
+    assert code == 1
+    d = json.loads(out)
+    assert d["schema"] == 1 and d["error"] == "DegreeMismatch"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         dispatch(["linrec", "--charpoly", "1,-1,-1"])   # missing --init

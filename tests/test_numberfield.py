@@ -5,8 +5,9 @@ import pytest
 
 from conftest import durand_kerner, embed_floats, random_element
 from gpnf import polys
-from gpnf.errors import (ComplexEmbedding, DivisionByZero, FieldMismatch,
-                         NoRealRoot, NotSquarefree, ReducibleDetected)
+from gpnf.errors import (ComplexEmbedding, DegreeMismatch, DivisionByZero,
+                         FieldMismatch, NoRealRoot, NotSquarefree,
+                         ReducibleDetected)
 from gpnf.numberfield import (NumberField, certified_ceil, certified_dist,
                               certified_floor, certified_frac, certified_nint,
                               compare_elements)
@@ -28,6 +29,31 @@ def test_create_gaussian():
     K = NumberField([1, 0, 1])
     assert K.signature == (0, 1)
     assert not K.is_real_root(0)
+
+
+def test_create_x4_plus_1():
+    # p(2 + 2i) = -63 is real at a corner of the first counting rectangle
+    import sympy
+    K = NumberField([1, 0, 0, 0, 1])
+    assert K.signature == (0, 2)
+    x = sympy.symbols("x")
+    p = sympy.Poly(x ** 4 + 1, x)
+    boxes = [K.root_box(j, F(1, 2 ** 20)) for j in range(4)]
+    for b in boxes:
+        lo = sympy.Rational(b.re.lo) + sympy.I * sympy.Rational(b.im.lo)
+        hi = sympy.Rational(b.re.hi) + sympy.I * sympy.Rational(b.im.hi)
+        assert p.count_roots(lo, hi) == 1
+    for i in range(4):
+        for j in range(i):
+            assert not (boxes[i].re.overlaps(boxes[j].re)
+                        and boxes[i].im.overlaps(boxes[j].im))
+
+
+def test_constant_minpoly_rejected():
+    with pytest.raises(DegreeMismatch):
+        NumberField([2])
+    with pytest.raises(ValueError):
+        NumberField([0, 0])
 
 
 def test_not_squarefree():

@@ -136,6 +136,80 @@ def test_prod_poly_zero_root():
     assert P.eval_at(Q, F(0)) == 0
 
 
+def test_isolate_rational_midpoint_root():
+    # 2x^3 - 3x^2 + x has roots 0, 1/2, 1; the first midpoint is the root 0
+    p = P.mk([0, 1, -3, 2])
+    ivs = P.isolate_real_roots(p)
+    assert len(ivs) == 3
+    for (lo, hi), r in zip(ivs, (F(0), F(1, 2), F(1))):
+        assert lo <= r <= hi
+        assert lo == hi or P.eval_at(p, lo) != 0 != P.eval_at(p, hi)
+
+
+def _random_poly(rng, zero_root):
+    """Degree 1-4, rational, usually non-monic; a zero root on request."""
+    d = rng.randint(1, 4)
+    cs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
+    cs.append(F(rng.choice([1, 2, -3, 5]), rng.randint(1, 2)))
+    if zero_root:
+        cs[0] = F(0)
+    return P.mk(cs)
+
+
+def _random_pairs(seed, count):
+    rng = random.Random(seed)
+    pairs = [(_random_poly(rng, k % 5 == 1), _random_poly(rng, k % 5 == 3))
+             for k in range(count)]
+    assert any(a[0] == 0 for a, _b in pairs)
+    assert any(b[0] == 0 for _a, b in pairs)
+    assert any(P.lead(a) != 1 for a, _b in pairs)
+    return pairs
+
+
+def _sympy_expr(p, z):
+    import sympy
+    return sum(sympy.Rational(c.numerator, c.denominator) * z ** i
+               for i, c in enumerate(p))
+
+
+def _from_sympy(expr, s):
+    import sympy
+    return P.mk([F(int(c.p), int(c.q))
+                 for c in reversed(sympy.Poly(expr, s).all_coeffs())])
+
+
+@pytest.mark.parametrize("name,seed", [("sum_poly", 31), ("prod_poly", 32),
+                                       ("diff_poly", 33)])
+def test_resolvents_vs_sympy_resultant(name, seed):
+    import sympy
+    s, z = sympy.symbols("s z")
+    for A, B in _random_pairs(seed, 60):
+        if name == "sum_poly":
+            c = _sympy_expr(B, s - z)
+        elif name == "diff_poly":
+            c = _sympy_expr(B, z - s)
+        else:
+            c = sympy.expand(z ** P.degree(B) * _sympy_expr(B, s / z))
+        expected = _from_sympy(sympy.resultant(_sympy_expr(A, z), c, z), s)
+        got = getattr(P, name)(A, B)
+        assert P.squarefree_part(got) == P.squarefree_part(expected), (A, B)
+
+
+def test_power_sums_vs_sympy():
+    import sympy
+    x = sympy.symbols("x")
+    rng = random.Random(34)
+    for k in range(25):
+        p = _random_poly(rng, k % 4 == 0)
+        C = sympy.Matrix.companion(sympy.Poly(_sympy_expr(p, x), x).monic())
+        M = sympy.eye(P.degree(p))
+        expected = []
+        for _ in range(9):
+            expected.append(F(str(M.trace())))
+            M = M * C
+        assert P.power_sums(p, 8) == expected, p
+
+
 def test_discriminant():
     assert P.discriminant(P.mk([-1, -1, 1])) == 5
     assert P.discriminant(P.mk([-2, 0, 1])) == 8
