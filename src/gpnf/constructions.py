@@ -544,7 +544,7 @@ def hereditary_predicate(spec: PisotSetSpec) -> SetPredicate:
         box = distS.embed(None, 40)
         tail = spec.tail_error(depth)
         from .intervals import RatInterval
-        score = RatInterval(max(box.lo - tail, 0), box.hi + tail)
+        score = RatInterval(max(box.lo - tail, Fraction(0)), box.hi + tail)
         thr = spec.threshold.embed(None, 40)
         out.update(value=1 if xi_test(a, j) else 0,
                    exponent=a + j * m,

@@ -2,7 +2,8 @@
 
 A NumberField is built from a squarefree defining polynomial.  Real
 conjugates are isolated by Sturm bisection; complex conjugates by rectangle
-subdivision with an exact winding-number count on rectangle boundaries (no
+subdivision with an exact winding-number count on rectangle boundaries, which
+isolates the edge roots on (0, 1) by Descartes bisection over the integers (no
 floating point anywhere).  Elements are coordinate vectors in the power
 basis; floor / nearest-integer / fractional-part of real embeddings are
 decided exactly: intervals are refined until they exclude all integers, and
@@ -68,35 +69,6 @@ def _edge_uv(p: tuple, x0, y0, x1, y1) -> tuple:
     return polys.mk(accR), polys.mk(accI)
 
 
-def _roots_in_open_unit(sq: tuple) -> list:
-    """Isolating intervals for the roots of squarefree sq in the open (0,1);
-    exact rational roots appear as point pairs (r, r)."""
-    out = []
-    at0 = polys.eval_at(sq, Fraction(0)) == 0
-    at1 = polys.eval_at(sq, Fraction(1)) == 0
-    for lo, hi in polys.isolate_real_roots(sq):
-        if lo == hi:
-            if 0 < lo < 1:
-                out.append((lo, hi))
-            continue
-        if hi <= 0 or lo >= 1:
-            continue
-        while True:
-            if lo >= 0 and hi <= 1:
-                out.append((lo, hi))
-                break
-            if hi <= 0 or lo >= 1:
-                break
-            if (at0 and lo < 0 < hi) or (at1 and lo < 1 < hi):
-                break  # the isolated root is exactly 0 or 1
-            lo, hi = polys.refine_root(sq, lo, hi, (hi - lo) / 4)
-            if lo == hi:
-                if 0 < lo < 1:
-                    out.append((lo, hi))
-                break
-    return out
-
-
 def _sign_at_root(other: tuple, defining: tuple, lo, hi) -> int:
     """Sign of other(r) for r the unique root of squarefree `defining` in
     [lo, hi]; requires other(r) != 0."""
@@ -119,23 +91,19 @@ def _edge_steps(p: tuple, x0, y0, x1, y1) -> int:
     u, v = _edge_uv(p, x0, y0, x1, y1)
     if polys.is_zero(u) and polys.is_zero(v):
         raise _BoundaryRoot
+    # p vanishes exactly at the real roots of gcd(u, v), which is the nonzero
+    # one of u and v, made monic, when the other is zero
+    gs = polys.squarefree_part(polys.gcd(u, v))
+    if polys.degree(gs) >= 1 and (polys.eval_at(gs, Fraction(0)) == 0 or
+                                  polys.eval_at(gs, Fraction(1)) == 0 or
+                                  polys.unit_roots(gs)):
+        raise _BoundaryRoot
     if polys.is_zero(u) or polys.is_zero(v):
-        w = v if polys.is_zero(u) else u
-        sq = polys.squarefree_part(w)
-        if polys.eval_at(sq, Fraction(0)) == 0 or \
-                polys.eval_at(sq, Fraction(1)) == 0 or _roots_in_open_unit(sq):
-            raise _BoundaryRoot
         return 0
-    g = polys.gcd(u, v)
-    if polys.degree(g) >= 1:
-        gs = polys.squarefree_part(g)
-        if polys.eval_at(gs, Fraction(0)) == 0 or \
-                polys.eval_at(gs, Fraction(1)) == 0 or _roots_in_open_unit(gs):
-            raise _BoundaryRoot
 
     squ, sqv = polys.squarefree_part(u), polys.squarefree_part(v)
-    events = [[iv, "u"] for iv in _roots_in_open_unit(squ)] + \
-             [[iv, "v"] for iv in _roots_in_open_unit(sqv)]
+    events = [[iv, "u"] for iv in polys.unit_roots(squ)] + \
+             [[iv, "v"] for iv in polys.unit_roots(sqv)]
 
     # refine until the event intervals are pairwise disjoint (they never
     # share a root: gcd was checked above), then order them

@@ -2,9 +2,10 @@
 
 Polynomials are tuples of Fractions in ascending order of power; the zero
 polynomial is the empty tuple.  Everything here is exact: Sturm chains,
-root counting, isolation and refinement of real roots, resultants over Q,
-and the polynomials vanishing at sums and products of roots, built from
-power sums by Newton's identities.
+root counting, isolation and refinement of real roots, isolation of the
+roots in (0, 1) by Descartes bisection over the integers (the edge roots of
+winding counts), resultants over Q, and the polynomials vanishing at sums
+and products of roots, built from power sums by Newton's identities.
 """
 
 from __future__ import annotations
@@ -287,6 +288,56 @@ def isolate_real_roots(p: Poly) -> list:
 
     lo, hi = off_roots(p, -bound, bound)
     walk(lo, hi, total(lo, hi))
+    return out
+
+
+# -- Descartes bisection on (0, 1), over the integers --------------------------
+# Vincent-Collins-Akritas: the sign variations of (x+1)^n q(1/(x+1)) bound
+# the roots of q in (0, 1) from above and agree with them in parity (Collins
+# and Akritas, SYMSAC 1976; Rouillier and Zimmermann, J. Comput. Appl. Math.
+# 162, 2004).  The integer lists below never reach the Fraction routines.
+
+def _taylor1(a: list) -> list:
+    """Coefficients of a(x + 1), ascending."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def unit_roots(p: Poly) -> list:
+    """Isolating intervals for the roots of squarefree p in the open (0, 1),
+    ascending, by Descartes bisection over the integers.
+
+    Every pair satisfies 0 < lo <= hi < 1.  Exact dyadic roots appear as
+    point pairs (r, r); any other pair has p(lo) != 0 != p(hi) and exactly
+    one root inside.  Adjacent pairs may share an endpoint.
+    """
+    out = []
+    # (q, c, k, lo_bad, hi_bad): the roots of q in (0, 1) are those of p in
+    # (c/2^k, (c+1)/2^k); an endpoint is bad when it is 0, 1 or a root of p.
+    # A root of q at 0 or 1 multiplies the transformed polynomial by +-x, so
+    # it is never counted and needs no dividing out.
+    todo = [([c.numerator for c in to_int_primitive(p)[0]], 0, 0, True, True)]
+    while todo:
+        q, c, k, lo_bad, hi_bad = todo.pop()
+        if q is None:
+            out.append((Fraction(c, 1 << k),) * 2)
+            continue
+        v = _variations([_sign(x) for x in _taylor1(q[::-1])])
+        if v == 0:
+            continue
+        if v == 1 and not (lo_bad or hi_bad):
+            out.append((Fraction(c, 1 << k), Fraction(c + 1, 1 << k)))
+            continue
+        n = len(q) - 1
+        left = [x << (n - i) for i, x in enumerate(q)]  # 2^n q(x/2)
+        mid_root = sum(left) == 0
+        todo.append((_taylor1(left), 2 * c + 1, k + 1, mid_root, hi_bad))
+        if mid_root:
+            todo.append((None, 2 * c + 1, k + 1, True, True))
+        todo.append((left, 2 * c, k + 1, lo_bad, mid_root))
     return out
 
 

@@ -124,6 +124,26 @@ def test_pisot_set_command(capsys):
     assert "0,1 -> 0" in out
 
 
+@pytest.mark.parametrize("query,value,exponent", [("0,1", 0, 1),
+                                                  ("1,2", 0, 3),
+                                                  ("1,1", 1, 2)])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_pisot_set_explain(capsys, query, value, exponent, as_json):
+    # a non-member's score interval is clipped at 0
+    code, out = run(capsys, "pisot-set", "--minpoly", "1,-1,-1",
+                    "--indices-mod", "2,0", "--rho", "3/2", "--query", query,
+                    "--explain", *(["--json"] if as_json else []))
+    assert code == 0
+    if as_json:
+        [res] = json.loads(out)["results"]
+        assert (res["value"], res["exponent"]) == (value, exponent)
+        lo, hi = (F(s) for s in res["score_interval"])
+        assert 0 <= lo <= hi and (lo == 0) == (value == 0)
+    else:
+        assert out.splitlines()[1].startswith(f"  {query} -> {{")
+        assert f"'value': {value}, 'exponent': {exponent}," in out
+
+
 def test_salem_recover_command(capsys):
     code, out = run(capsys, "salem-recover", "--charpoly", "1,-1,-1,-1,1",
                     "--init", "4,1,3,7", "--i", "2")

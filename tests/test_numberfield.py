@@ -49,6 +49,35 @@ def test_create_x4_plus_1():
                         and boxes[i].im.overlaps(boxes[j].im))
 
 
+def test_count_roots_in_rect_vs_sympy():
+    import sympy
+    from gpnf.numberfield import _BoundaryRoot, count_roots_in_rect
+    x = sympy.symbols("x")
+    rng = random.Random(43)
+    compared = 0
+    for coeffs in ([-1, -1, 1], [-1, -1, 0, 1], [-1, -1, -1, 1],
+                   [1, -1, -1, -1, 1], [1, 0, -1, -1, -1, 0, 1],
+                   [1, 0, 0, 0, 1]):
+        p = polys.mk(coeffs)
+        sp = sympy.Poly(list(reversed(coeffs)), x)
+        for _ in range(25):
+            xlo, xhi = sorted(rng.sample(range(-16, 17), 2))
+            ylo, yhi = sorted(rng.sample(range(-16, 17), 2))
+            rect = [F(c, 8) for c in (xlo, xhi, ylo, yhi)]
+            try:
+                got = count_roots_in_rect(p, *rect)
+            except _BoundaryRoot:
+                continue
+            q = [sympy.Rational(c.numerator, c.denominator) for c in rect]
+            assert got == sp.count_roots(q[0] + sympy.I * q[2],
+                                         q[1] + sympy.I * q[3]), (coeffs, rect)
+            compared += 1
+    assert compared >= 50
+    # Im p vanishes at the corner 2 + 2i of this rectangle's right edge
+    assert count_roots_in_rect(polys.mk([1, 0, 0, 0, 1]),
+                               -2, 2, F(1, 16), 2) == 2
+
+
 def test_constant_minpoly_rejected():
     with pytest.raises(DegreeMismatch):
         NumberField([2])

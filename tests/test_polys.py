@@ -220,3 +220,54 @@ def test_cauchy_bound_contains_roots():
     b = P.cauchy_bound(p)
     for lo, hi in P.isolate_real_roots(p):
         assert -b <= lo and hi <= b
+
+
+def _unit_case(rng, k):
+    """A squarefree rational polynomial of degree 1-10: some cases have roots
+    at 0, 1/4, 3/8, 1/2 or 1, some an irrational root pair about 1.4e-6
+    apart, the rest random factors."""
+    d = rng.randint(1, 10)
+    p = P.ONE
+    if k % 3 == 0:
+        for r in rng.sample([F(0), F(1, 4), F(3, 8), F(1, 2), F(1)],
+                            rng.randint(1, min(d, 3))):
+            p = P.mul(p, P.mk([-r, 1]))
+    if k % 4 == 1 and P.degree(p) + 2 <= d:
+        a = F(rng.randint(1, 999), 1000)
+        p = P.mul(p, P.mk([a * a - F(1, 2 * 10 ** 12), -2 * a, 1]))
+    while P.degree(p) < d:
+        e = rng.randint(1, min(3, d - P.degree(p)))
+        f = P.mk([F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(e)]
+                 + [rng.choice([1, -2, 3, 7])])
+        p = P.mul(p, f)
+    return P.scale(P.squarefree_part(p), F(rng.choice([-3, 1, 5]),
+                                          rng.randint(1, 4)))
+
+
+def test_unit_roots_vs_sympy():
+    import sympy
+    x = sympy.symbols("x")
+    rng = random.Random(41)
+    for k in range(200):
+        p = _unit_case(rng, k)
+        roots = [r for r in sympy.real_roots(sympy.Poly(_sympy_expr(p, x), x))
+                 if 0 < r < 1]
+        ivs = P.unit_roots(p)
+        assert len(ivs) == len(roots), p
+        for (lo, hi), nxt in zip(ivs, ivs[1:] + [(F(1), F(1))]):
+            assert 0 < lo <= hi < 1 and hi <= nxt[0], (p, ivs)
+            if lo == hi:
+                assert P.eval_at(p, lo) == 0, (p, lo)
+            else:
+                assert P.eval_at(p, lo) != 0 != P.eval_at(p, hi), (p, lo, hi)
+                assert sum(1 for r in roots if lo < r < hi) == 1, (p, lo, hi)
+
+
+def test_unit_roots_edge_cases():
+    # roots exactly at 0, 1/2 and 1: only the midpoint is inside (0, 1)
+    assert P.unit_roots(P.mk([0, 1, -3, 2])) == [(F(1, 2), F(1, 2))]
+    assert P.unit_roots(P.mk([-1, 1])) == []
+    assert P.unit_roots(P.mk([3])) == []
+    # one root, at 1/3, near neither end nor a dyadic midpoint
+    [(lo, hi)] = P.unit_roots(P.mk([-1, 3]))
+    assert 0 < lo < F(1, 3) < hi < 1
