@@ -2,13 +2,13 @@
 
 A NumberField is built from a squarefree defining polynomial.  Real
 conjugates are isolated by Sturm bisection; complex conjugates by rectangle
-subdivision with an exact winding-number count on rectangle boundaries, which
-isolates the edge roots on (0, 1) by Descartes bisection over the integers (no
-floating point anywhere).  Elements are coordinate vectors in the power
-basis; floor / nearest-integer / fractional-part of real embeddings are
-decided exactly: intervals are refined until they exclude all integers, and
-an exact field-equality test settles integer hits, so ties are never
-guessed from numerics.
+subdivision with an exact winding-number count on rectangle boundaries: one
+integer Sturm chain of Re p and Im p per edge gives its Cauchy index (Wilf;
+Eisermann), with no root isolation and no floating point anywhere.  Elements
+are coordinate vectors in the power basis; floor / nearest-integer /
+fractional-part of real embeddings are decided exactly: intervals are
+refined until they exclude all integers, and an exact field-equality test
+settles integer hits, so ties are never guessed from numerics.
 """
 
 from __future__ import annotations
@@ -39,136 +39,75 @@ class _BoundaryRoot(Exception):
 # winding-number root counting in rectangles
 # ---------------------------------------------------------------------------
 
-_SECTOR = {
-    (1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
-    (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7,
-}
+def _line_uv(P: list, c: Fraction, vertical: bool) -> tuple:
+    """Integer real and imaginary parts of d^m P(z) on the line Re z = c
+    (vertical) or Im z = c (horizontal), as polynomials in the moving
+    coordinate; P has integer coefficients, m = deg P and d is the
+    denominator of c."""
+    n, d = c.numerator, c.denominator
+    m = len(P) - 1
+    # Q(X) = d^m P(X/d) shifted by n (vertical) or i n (horizontal), by
+    # Horner over the Gaussian integers
+    sr, si = (n, 0) if vertical else (0, n)
+    re: list = []
+    im: list = []
+    for k in range(m, -1, -1):
+        nre, nim = [0] + re, [0] + im
+        for j, (a, b) in enumerate(zip(re, im)):
+            nre[j] += a * sr - b * si
+            nim[j] += a * si + b * sr
+        nre[0] += P[k] * d ** (m - k)
+        re, im = nre, nim
+    # substitute X = d t (horizontal) or X = i d t (vertical)
+    u, v, dl = [], [], 1
+    for l, (a, b) in enumerate(zip(re, im)):
+        a, b = a * dl, b * dl
+        if vertical:
+            for _ in range(l % 4):
+                a, b = -b, a
+        u.append(a)
+        v.append(b)
+        dl *= d
+    while u and u[-1] == 0:
+        u.pop()
+    while v and v[-1] == 0:
+        v.pop()
+    return u, v
 
 
-def _edge_uv(p: tuple, x0, y0, x1, y1) -> tuple:
-    """Real and imaginary parts of p((x0+iy0) + t*((x1-x0)+i(y1-y0))) as
-    polynomials in t."""
-    cr, ci = Fraction(x0), Fraction(y0)
-    dr, di = Fraction(x1) - cr, Fraction(y1) - ci
-    accR: list = []
-    accI: list = []
-    for a in reversed(p):
-        n = len(accR)
-        newR = [Fraction(0)] * (n + 1)
-        newI = [Fraction(0)] * (n + 1)
-        for k in range(n):
-            A, B = accR[k], accI[k]
-            newR[k] += A * cr - B * ci
-            newI[k] += A * ci + B * cr
-            newR[k + 1] += A * dr - B * di
-            newI[k + 1] += A * di + B * dr
-        if not newR:
-            newR, newI = [Fraction(0)], [Fraction(0)]
-        newR[0] += Fraction(a)
-        accR, accI = newR, newI
-    return polys.mk(accR), polys.mk(accI)
+def _edge_index2(P: list, c: Fraction, vertical: bool, a, b) -> int:
+    """Twice the Cauchy index of Im p / Re p along the edge of the line
+    through c (see `_line_uv`) from coordinate a to b.
 
-
-def _sign_at_root(other: tuple, defining: tuple, lo, hi) -> int:
-    """Sign of other(r) for r the unique root of squarefree `defining` in
-    [lo, hi]; requires other(r) != 0."""
-    if lo == hi:
-        return polys._sign(polys.eval_at(other, lo))
-    while True:
-        s = poly_interval(other, RatInterval(lo, hi)).sign()
-        if s:
-            return s
-        lo, hi = polys.refine_root(defining, lo, hi, (hi - lo) / 16)
-        if lo == hi:
-            return polys._sign(polys.eval_at(other, lo))
-
-
-def _edge_steps(p: tuple, x0, y0, x1, y1) -> int:
-    """Total signed eighth-turns of arg p(z) along the directed segment.
-
-    Raises _BoundaryRoot if p vanishes somewhere on the segment.
+    Raises _BoundaryRoot if p vanishes on the closed edge.
     """
-    u, v = _edge_uv(p, x0, y0, x1, y1)
-    if polys.is_zero(u) and polys.is_zero(v):
-        raise _BoundaryRoot
-    # p vanishes exactly at the real roots of gcd(u, v), which is the nonzero
-    # one of u and v, made monic, when the other is zero
-    gs = polys.squarefree_part(polys.gcd(u, v))
-    if polys.degree(gs) >= 1 and (polys.eval_at(gs, Fraction(0)) == 0 or
-                                  polys.eval_at(gs, Fraction(1)) == 0 or
-                                  polys.unit_roots(gs)):
-        raise _BoundaryRoot
-    if polys.is_zero(u) or polys.is_zero(v):
-        return 0
-
-    squ, sqv = polys.squarefree_part(u), polys.squarefree_part(v)
-    events = [[iv, "u"] for iv in polys.unit_roots(squ)] + \
-             [[iv, "v"] for iv in polys.unit_roots(sqv)]
-
-    # refine until the event intervals are pairwise disjoint (they never
-    # share a root: gcd was checked above), then order them
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(events)):
-            for b in range(a + 1, len(events)):
-                (lo1, hi1), k1 = events[a]
-                (lo2, hi2), k2 = events[b]
-                if hi1 < lo2 or hi2 < lo1:
-                    continue
-                changed = True
-                for ev in (events[a], events[b]):
-                    (lo, hi), kind = ev
-                    if lo != hi:
-                        own = squ if kind == "u" else sqv
-                        ev[0] = polys.refine_root(own, lo, hi, (hi - lo) / 16)
-    events.sort(key=lambda e: e[0][0])
-
-    def state_at(t: Fraction) -> tuple:
-        return (polys._sign(polys.eval_at(u, t)),
-                polys._sign(polys.eval_at(v, t)))
-
-    # sample each gap between 0, the events and 1: neither u nor v vanishes
-    # inside one, so a single point gives its sector
-    walk = [state_at(Fraction(0))]
-    prev = Fraction(0)
-    for (lo, hi), kind in events:
-        if prev < lo:
-            walk.append(state_at((prev + lo) / 2))
-        if kind == "u":
-            walk.append((0, _sign_at_root(v, squ, lo, hi)))
-        else:
-            walk.append((_sign_at_root(u, sqv, lo, hi), 0))
-        prev = hi
-    if prev < 1:
-        walk.append(state_at((prev + 1) / 2))
-    walk.append(state_at(Fraction(1)))
-
-    total = 0
-    prev = _SECTOR[walk[0]]
-    for st in walk[1:]:
-        cur = _SECTOR[st]
-        d = (cur - prev + 4) % 8 - 4
-        if abs(d) > 1:
-            raise _BoundaryRoot  # degenerate sampling; caller perturbs
-        total += d
-        prev = cur
-    return total
+    chain = polys.cauchy_chain(*_line_uv(P, c, vertical))
+    # p vanishes on the line exactly at the real roots of gcd(u, v)
+    g = chain[-1]
+    if len(g) > 1:
+        lo, hi = min(a, b), max(a, b)
+        if (polys.int_sign_at(g, lo) == 0 or polys.int_sign_at(g, hi) == 0
+                or polys.count_roots(polys.sturm_chain(polys.mk(g)), lo, hi)):
+            raise _BoundaryRoot
+    return polys.cauchy_index2(chain, a, b)
 
 
 def count_roots_in_rect(p: tuple, xlo, xhi, ylo, yhi) -> int:
-    """Exact number of roots of squarefree p strictly inside the rectangle
-    (argument principle, rational arithmetic only).
+    """Exact number of roots of squarefree p strictly inside the rectangle:
+    the winding number of p along its boundary is minus half the Cauchy
+    index of Im p / Re p, taken counter-clockwise (Wilf, J. ACM 25, 1978;
+    Eisermann, Amer. Math. Monthly 119, 2012).  Integer arithmetic only.
 
     Raises _BoundaryRoot if a root lies on the boundary.
     """
-    steps = (_edge_steps(p, xlo, ylo, xhi, ylo)
-             + _edge_steps(p, xhi, ylo, xhi, yhi)
-             + _edge_steps(p, xhi, yhi, xlo, yhi)
-             + _edge_steps(p, xlo, yhi, xlo, ylo))
-    if steps % 8 != 0:
+    P = [c.numerator for c in polys.to_int_primitive(p)[0]]
+    total = (_edge_index2(P, ylo, False, xlo, xhi)
+             + _edge_index2(P, xhi, True, ylo, yhi)
+             + _edge_index2(P, yhi, False, xhi, xlo)
+             + _edge_index2(P, xlo, True, yhi, ylo))
+    if total % 4:
         raise _BoundaryRoot
-    return steps // 8
+    return -total // 4
 
 
 def _split_candidates(lo: Fraction, hi: Fraction):

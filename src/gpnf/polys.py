@@ -2,16 +2,16 @@
 
 Polynomials are tuples of Fractions in ascending order of power; the zero
 polynomial is the empty tuple.  Everything here is exact: Sturm chains,
-root counting, isolation and refinement of real roots, isolation of the
-roots in (0, 1) by Descartes bisection over the integers (the edge roots of
-winding counts), resultants over Q, and the polynomials vanishing at sums
-and products of roots, built from power sums by Newton's identities.
+root counting, isolation and refinement of real roots, integer Sturm chains
+of a pair (u, v) and the doubled Cauchy index of v/u they give (the edge
+terms of winding counts), resultants over Q, and the polynomials vanishing
+at sums and products of roots, built from power sums by Newton's identities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd as igcd, lcm
 from typing import Iterable, Sequence
 
 Poly = tuple  # tuple[Fraction, ...], ascending powers
@@ -156,7 +156,6 @@ def to_int_primitive(p: Poly) -> tuple:
     with p = s * primitive.  Leading coefficient sign is preserved."""
     if is_zero(p):
         return ZERO, Fraction(1)
-    from math import gcd as igcd, lcm
     den = lcm(*[c.denominator for c in p]) if len(p) > 1 else p[0].denominator
     ints = [int(c * den) for c in p]
     g = 0
@@ -291,54 +290,71 @@ def isolate_real_roots(p: Poly) -> list:
     return out
 
 
-# -- Descartes bisection on (0, 1), over the integers --------------------------
-# Vincent-Collins-Akritas: the sign variations of (x+1)^n q(1/(x+1)) bound
-# the roots of q in (0, 1) from above and agree with them in parity (Collins
-# and Akritas, SYMSAC 1976; Rouillier and Zimmermann, J. Comput. Appl. Math.
-# 162, 2004).  The integer lists below never reach the Fraction routines.
+# -- integer Sturm chains of a pair (u, v) -----------------------------------
+# The signed remainder chain u, v, -rem(u, v), ... gives twice the Cauchy
+# index of v/u as a difference of sign variations, with Eisermann's
+# convention that a zero next to a nonzero sign counts 1/2 (M. Eisermann,
+# Amer. Math. Monthly 119, 2012).  Polynomials here are lists of ints,
+# ascending; every step scales by a positive integer, which keeps all signs.
 
-def _taylor1(a: list) -> list:
-    """Coefficients of a(x + 1), ascending."""
-    a = list(a)
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] += a[j + 1]
+def _int_primitive(f: list) -> list:
+    g = 0
+    for c in f:
+        g = igcd(g, c)
+    return [c // g for c in f] if g > 1 else f
+
+
+def _int_prem(a: list, b: list) -> list:
+    """A positive multiple of the remainder of a by b; b nonzero."""
+    a, lb, db = list(a), b[-1], len(b) - 1
+    m, s = abs(lb), (lb > 0) - (lb < 0)
+    while len(a) > db:
+        k, c = len(a) - 1 - db, s * a[-1]
+        a = [m * x for x in a]
+        for i in range(db):
+            a[k + i] -= c * b[i]
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
     return a
 
 
-def unit_roots(p: Poly) -> list:
-    """Isolating intervals for the roots of squarefree p in the open (0, 1),
-    ascending, by Descartes bisection over the integers.
+def cauchy_chain(u: list, v: list) -> list:
+    """Signed remainder chain u, v, -rem, ... of integer polynomials, each
+    made primitive; its last entry is gcd(u, v) up to a nonzero factor.
+    A zero v ends the chain at u."""
+    chain = [_int_primitive(u)] + ([_int_primitive(v)] if v else [])
+    while len(chain) >= 2:
+        r = _int_prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in _int_primitive(r)])
+    return chain
 
-    Every pair satisfies 0 < lo <= hi < 1.  Exact dyadic roots appear as
-    point pairs (r, r); any other pair has p(lo) != 0 != p(hi) and exactly
-    one root inside.  Adjacent pairs may share an endpoint.
-    """
-    out = []
-    # (q, c, k, lo_bad, hi_bad): the roots of q in (0, 1) are those of p in
-    # (c/2^k, (c+1)/2^k); an endpoint is bad when it is 0, 1 or a root of p.
-    # A root of q at 0 or 1 multiplies the transformed polynomial by +-x, so
-    # it is never counted and needs no dividing out.
-    todo = [([c.numerator for c in to_int_primitive(p)[0]], 0, 0, True, True)]
-    while todo:
-        q, c, k, lo_bad, hi_bad = todo.pop()
-        if q is None:
-            out.append((Fraction(c, 1 << k),) * 2)
-            continue
-        v = _variations([_sign(x) for x in _taylor1(q[::-1])])
-        if v == 0:
-            continue
-        if v == 1 and not (lo_bad or hi_bad):
-            out.append((Fraction(c, 1 << k), Fraction(c + 1, 1 << k)))
-            continue
-        n = len(q) - 1
-        left = [x << (n - i) for i, x in enumerate(q)]  # 2^n q(x/2)
-        mid_root = sum(left) == 0
-        todo.append((_taylor1(left), 2 * c + 1, k + 1, mid_root, hi_bad))
-        if mid_root:
-            todo.append((None, 2 * c + 1, k + 1, True, True))
-        todo.append((left, 2 * c, k + 1, lo_bad, mid_root))
-    return out
+
+def int_sign_at(f: list, x: Fraction) -> int:
+    """Sign of the integer polynomial f at the rational x, by homogeneous
+    Horner in the numerator and (positive) denominator of x."""
+    a, b = x.numerator, x.denominator
+    acc, bp = 0, 1
+    for c in reversed(f):
+        acc = acc * a + c * bp
+        bp *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _variations2(chain: list, x: Fraction) -> int:
+    """Twice the sign variations of the chain at x; a zero next to a
+    nonzero sign counts 1."""
+    signs = [int_sign_at(f, x) for f in chain]
+    return sum(abs(s - t) for s, t in zip(signs, signs[1:]))
+
+
+def cauchy_index2(chain: list, a: Fraction, b: Fraction) -> int:
+    """Twice the Cauchy index of chain[1]/chain[0] from a to b, with half
+    jumps at endpoints where chain[0] vanishes; requires the chain's last
+    entry not to vanish at a or b."""
+    return _variations2(chain, a) - _variations2(chain, b)
 
 
 def _interval_eval(p: Poly, lo: Fraction, hi: Fraction) -> tuple:

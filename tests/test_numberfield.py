@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import durand_kerner, embed_floats, random_element
 from gpnf import polys
@@ -49,6 +50,36 @@ def test_create_x4_plus_1():
                         and boxes[i].im.overlaps(boxes[j].im))
 
 
+_SALEM8 = [1, 0, 0, -1, -1, -1, 0, 0, 1]               # x^8-x^5-x^4-x^3+1
+_LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+_NONMONIC = [F(1, 3), -2, F(5, 7), 0, 3]                # 3x^4+5/7x^2-2x+1/3
+
+
+def _sympy_poly(p, x):
+    import sympy
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p)], x)
+
+
+def _count_or_boundary(p, rect):
+    """sympy's count of the roots of p in the closed rectangle, or None when
+    a root lies on its boundary (checked at 60 digits)."""
+    import sympy
+    x = sympy.symbols("x")
+    sp = _sympy_poly(p, x)
+    xlo, xhi, ylo, yhi = [sympy.Rational(c.numerator, c.denominator)
+                          for c in map(F, rect)]
+    tol = sympy.Rational(1, 10 ** 40)
+    for r in sp.nroots(n=60):
+        re, im = sympy.re(r), sympy.im(r)
+        inside_x = xlo - tol <= re <= xhi + tol
+        inside_y = ylo - tol <= im <= yhi + tol
+        if ((inside_y and min(abs(re - xlo), abs(re - xhi)) < tol)
+                or (inside_x and min(abs(im - ylo), abs(im - yhi)) < tol)):
+            return None
+    return sp.count_roots(xlo + sympy.I * ylo, xhi + sympy.I * yhi)
+
+
 def test_count_roots_in_rect_vs_sympy():
     import sympy
     from gpnf.numberfield import _BoundaryRoot, count_roots_in_rect
@@ -57,9 +88,9 @@ def test_count_roots_in_rect_vs_sympy():
     compared = 0
     for coeffs in ([-1, -1, 1], [-1, -1, 0, 1], [-1, -1, -1, 1],
                    [1, -1, -1, -1, 1], [1, 0, -1, -1, -1, 0, 1],
-                   [1, 0, 0, 0, 1]):
+                   [1, 0, 0, 0, 1], _SALEM8, _LEHMER, _NONMONIC):
         p = polys.mk(coeffs)
-        sp = sympy.Poly(list(reversed(coeffs)), x)
+        sp = _sympy_poly(p, x)
         for _ in range(25):
             xlo, xhi = sorted(rng.sample(range(-16, 17), 2))
             ylo, yhi = sorted(rng.sample(range(-16, 17), 2))
@@ -76,6 +107,101 @@ def test_count_roots_in_rect_vs_sympy():
     # Im p vanishes at the corner 2 + 2i of this rectangle's right edge
     assert count_roots_in_rect(polys.mk([1, 0, 0, 0, 1]),
                                -2, 2, F(1, 16), 2) == 2
+
+
+def test_count_roots_in_rect_corners_where_re_or_im_vanish():
+    # p is real or purely imaginary at a corner, or along a whole edge, but
+    # has no root on the boundary: Eisermann's half counts settle it without
+    # a retry
+    from gpnf.numberfield import count_roots_in_rect
+    cases = [
+        ([1, 0, 1], (F(3, 4), 2, F(5, 4), 2)),         # Re p(3/4+5i/4) = 0
+        ([1, 0, 1], (-2, F(3, 4), -2, F(5, 4))),
+        ([1, 0, 1], (0, 2, F(3, 2), 2)),               # Re z = 0: p real
+        ([1, 0, 1], (-1, 1, 0, 2)),                    # Im z = 0: p real
+        ([-1, -1, 1], (F(1, 2), 2, -1, 1)),            # Re z = 1/2: p real
+        ([-1, -1, 1], (-1, F(1, 2), -1, 1)),
+        ([1, 0, 0, 0, 1], (0, 2, 0, 2)),               # Im p = 0 on both axes
+        ([1, 0, 0, 0, 1], (-2, 0, -2, 0)),
+        ([1, 0, 0, 0, 1], (-1, 1, -1, 1)),
+        ([1, -1, -1, -1, 1], (-1, F(1, 2), 0, 2)),     # real on Im z = 0
+        (_SALEM8, (-2, 0, 0, 2)),
+        (_LEHMER, (-2, 0, 0, 2)),
+        (_NONMONIC, (-1, 0, 0, 1)),
+    ]
+    for coeffs, rect in cases:
+        p = polys.mk(coeffs)
+        expected = _count_or_boundary(p, rect)
+        assert expected is not None, (coeffs, rect)
+        assert count_roots_in_rect(p, *rect) == expected, (coeffs, rect)
+
+
+def test_count_roots_in_rect_grid_corners_vs_sympy():
+    # seeded rectangles with corners on the quarter grid of [-1, 1]^2, at
+    # one corner of which Re p or Im p vanishes; boundary roots must raise
+    from gpnf.numberfield import (_BoundaryRoot, _gauss_eval,
+                                  count_roots_in_rect)
+    grid = [F(k, 4) for k in range(-4, 5)]
+    rng = random.Random(44)
+    counted = 0
+    for coeffs in ([1, 0, 1], [-1, -1, 1], [1, 0, 0, 0, 1], _NONMONIC):
+        p = polys.mk(coeffs)
+        drawn = 0
+        while drawn < 12:
+            xlo, xhi = sorted(rng.sample(grid, 2))
+            ylo, yhi = sorted(rng.sample(grid, 2))
+            rect = (xlo, xhi, ylo, yhi)
+            if all(re * im for re, im in (_gauss_eval(p, x, y) for x in rect[:2]
+                                          for y in rect[2:])):
+                continue
+            drawn += 1
+            expected = _count_or_boundary(p, rect)
+            if expected is None:
+                with pytest.raises(_BoundaryRoot):
+                    count_roots_in_rect(p, *rect)
+            else:
+                assert count_roots_in_rect(p, *rect) == expected, (coeffs, rect)
+                counted += 1
+    assert counted >= 30
+
+
+def test_count_roots_in_rect_edge_through_root_raises():
+    from gpnf.numberfield import _BoundaryRoot, count_roots_in_rect
+    # x^2 + 1 with top edge y = 1 through i, and with left edge x = 0
+    for rect in ((-1, 1, F(1, 2), 1), (0, 1, -2, 2), (-1, 1, -1, 1),
+                 (-1, 0, F(-3, 2), F(-1, 2))):
+        with pytest.raises(_BoundaryRoot):
+            count_roots_in_rect(polys.mk([1, 0, 1]), *rect)
+    # x^2 - 1 has a root at the corner 1; x^2 - 2 one on the bottom edge
+    with pytest.raises(_BoundaryRoot):
+        count_roots_in_rect(polys.mk([-1, 0, 1]), 1, 2, 0, 1)
+    with pytest.raises(_BoundaryRoot):
+        count_roots_in_rect(polys.mk([-2, 0, 1]), 1, 2, 0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([[1, 0, 1], [-1, -1, 1], [1, -1, -1, -1, 1],
+                        [1, 0, 0, 0, 1], _NONMONIC]),
+       st.lists(st.integers(-16, 16), min_size=4, max_size=4, unique=True),
+       st.integers(1, 15), st.booleans())
+def test_count_roots_in_rect_additive(coeffs, ends, cut, vertical):
+    # count(R) is the sum of the counts of the two halves of any split
+    from gpnf.numberfield import _BoundaryRoot, count_roots_in_rect
+    p = polys.mk(coeffs)
+    xlo, xhi = sorted(F(c, 8) for c in ends[:2])
+    ylo, yhi = sorted(F(c, 8) for c in ends[2:])
+    if vertical:
+        c = xlo + (xhi - xlo) * F(cut, 16)
+        halves = ((xlo, c, ylo, yhi), (c, xhi, ylo, yhi))
+    else:
+        c = ylo + (yhi - ylo) * F(cut, 16)
+        halves = ((xlo, xhi, ylo, c), (xlo, xhi, c, yhi))
+    try:
+        whole = count_roots_in_rect(p, xlo, xhi, ylo, yhi)
+        parts = [count_roots_in_rect(p, *h) for h in halves]
+    except _BoundaryRoot:
+        return
+    assert whole == sum(parts), (coeffs, (xlo, xhi, ylo, yhi), c)
 
 
 def test_constant_minpoly_rejected():

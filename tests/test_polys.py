@@ -222,52 +222,93 @@ def test_cauchy_bound_contains_roots():
         assert -b <= lo and hi <= b
 
 
-def _unit_case(rng, k):
-    """A squarefree rational polynomial of degree 1-10: some cases have roots
-    at 0, 1/4, 3/8, 1/2 or 1, some an irrational root pair about 1.4e-6
-    apart, the rest random factors."""
-    d = rng.randint(1, 10)
-    p = P.ONE
-    if k % 3 == 0:
-        for r in rng.sample([F(0), F(1, 4), F(3, 8), F(1, 2), F(1)],
-                            rng.randint(1, min(d, 3))):
-            p = P.mul(p, P.mk([-r, 1]))
-    if k % 4 == 1 and P.degree(p) + 2 <= d:
-        a = F(rng.randint(1, 999), 1000)
-        p = P.mul(p, P.mk([a * a - F(1, 2 * 10 ** 12), -2 * a, 1]))
-    while P.degree(p) < d:
-        e = rng.randint(1, min(3, d - P.degree(p)))
-        f = P.mk([F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(e)]
-                 + [rng.choice([1, -2, 3, 7])])
-        p = P.mul(p, f)
-    return P.scale(P.squarefree_part(p), F(rng.choice([-3, 1, 5]),
-                                          rng.randint(1, 4)))
+def _chain_case(rng, k):
+    """A rational interval [a, b] and an integer pair (u, v) of degree 1-10
+    with u squarefree and coprime to v.  Every third u vanishes at a or b
+    (or both), every other one has a negative leading coefficient."""
+    while True:
+        a = F(rng.randint(-40, 40), rng.randint(1, 9))
+        b = a + F(rng.randint(1, 60), rng.randint(1, 9))
+        d = rng.randint(1, 10)
+        u = P.ONE
+        if k % 3 == 0:
+            for r in rng.sample([a, b], rng.randint(1, min(d, 2))):
+                u = P.mul(u, P.mk([-r.numerator, r.denominator]))
+        while P.degree(u) < d:
+            e = rng.randint(1, min(3, d - P.degree(u)))
+            u = P.mul(u, P.mk([rng.randint(-9, 9) for _ in range(e)]
+                               + [rng.choice([1, -2, 3, -5])]))
+        v = P.mk([rng.randint(-9, 9) for _ in range(rng.randint(1, 10))]
+                 + [rng.choice([1, -1, 4, -7])])
+        if k % 2:
+            u = P.neg(u)
+        if P.is_squarefree(u) and P.degree(P.gcd(u, v)) == 0:
+            return a, b, [int(c) for c in u], [int(c) for c in v]
 
 
-def test_unit_roots_vs_sympy():
+def test_cauchy_index2_vs_sympy():
+    # twice the Cauchy index of v/u on [a, b]: 2 sign(v u') at each root of
+    # u inside, and the half jump sign(v u') at a root on either end
     import sympy
     x = sympy.symbols("x")
-    rng = random.Random(41)
-    for k in range(200):
-        p = _unit_case(rng, k)
-        roots = [r for r in sympy.real_roots(sympy.Poly(_sympy_expr(p, x), x))
-                 if 0 < r < 1]
-        ivs = P.unit_roots(p)
-        assert len(ivs) == len(roots), p
-        for (lo, hi), nxt in zip(ivs, ivs[1:] + [(F(1), F(1))]):
-            assert 0 < lo <= hi < 1 and hi <= nxt[0], (p, ivs)
-            if lo == hi:
-                assert P.eval_at(p, lo) == 0, (p, lo)
-            else:
-                assert P.eval_at(p, lo) != 0 != P.eval_at(p, hi), (p, lo, hi)
-                assert sum(1 for r in roots if lo < r < hi) == 1, (p, lo, hi)
+    rng = random.Random(47)
+    ends = 0
+    for k in range(150):
+        a, b, u, v = _chain_case(rng, k)
+        su = sympy.Poly(list(reversed(u)), x)
+        sv = sympy.Poly(list(reversed(v)), x)
+        w = sv * su.diff(x)
+        expected = 0
+        for (lo, hi), _mult in su.intervals():
+            # shrink the isolating interval off a, b and the roots of w
+            while lo < hi and (lo < a < hi or lo < b < hi
+                               or w.count_roots(lo, hi)):
+                lo, hi = su.refine_root(lo, hi, eps=(hi - lo) / 4)
+            if a <= lo and hi <= b:
+                s = 1 if w.eval(lo) > 0 else -1
+                expected += s if lo == hi and lo in (a, b) else 2 * s
+                ends += lo == hi and lo in (a, b)
+        chain = P.cauchy_chain(u, v)
+        assert P.cauchy_index2(chain, a, b) == expected, (u, v, a, b)
+        assert P.cauchy_index2(chain, b, a) == -expected, (u, v, a, b)
+    assert ends >= 40
 
 
-def test_unit_roots_edge_cases():
-    # roots exactly at 0, 1/2 and 1: only the midpoint is inside (0, 1)
-    assert P.unit_roots(P.mk([0, 1, -3, 2])) == [(F(1, 2), F(1, 2))]
-    assert P.unit_roots(P.mk([-1, 1])) == []
-    assert P.unit_roots(P.mk([3])) == []
-    # one root, at 1/3, near neither end nor a dyadic midpoint
-    [(lo, hi)] = P.unit_roots(P.mk([-1, 3]))
-    assert 0 < lo < F(1, 3) < hi < 1
+def test_cauchy_chain_signs_match_rational_remainders():
+    # each entry is a positive multiple of the rational remainder sequence
+    # u, v, -rem(u, v), ...: positive pseudo-remainder multipliers keep signs
+    rng = random.Random(48)
+    for k in range(150):
+        _a, _b, u, v = _chain_case(rng, k)
+        rat = [P.mk(u), P.mk(v)]
+        while True:
+            r = P.divmod_(rat[-2], rat[-1])[1]
+            if P.is_zero(r):
+                break
+            rat.append(P.neg(r))
+        chain = P.cauchy_chain(u, v)
+        assert len(chain) == len(rat), (u, v)
+        for f, g in zip(chain, rat):
+            ratio = F(f[-1]) / g[-1]
+            assert ratio > 0 and P.scale(g, ratio) == P.mk(f), (u, v)
+
+
+def test_cauchy_index2_small_cases():
+    # u = x, v = 1 on [0, 1]: the root of u sits on the left end (half jump)
+    chain = P.cauchy_chain([0, 1], [1])
+    assert P.cauchy_index2(chain, F(0), F(1)) == 1
+    assert P.cauchy_index2(chain, F(-1), F(0)) == 1
+    assert P.cauchy_index2(chain, F(-1), F(1)) == 2
+    # v = -1 turns each jump around; a negative leading u does as well
+    assert P.cauchy_index2(P.cauchy_chain([0, 1], [-1]), F(-1), F(1)) == -2
+    assert P.cauchy_index2(P.cauchy_chain([0, -1], [1]), F(-1), F(1)) == -2
+    # u = x^2 - 2 with v = u' = 2x: one full jump per root, in Sturm's way
+    chain = P.cauchy_chain([-2, 0, 1], [0, 2])
+    assert P.cauchy_index2(chain, F(-2), F(2)) == 4
+    assert P.cauchy_index2(chain, F(0), F(2)) == 2
+    # a zero u or v has index 0; the chain ends at gcd(u, v)
+    assert P.cauchy_index2(P.cauchy_chain([], [1, 1]), F(0), F(1)) == 0
+    assert P.cauchy_chain([-1, 1], []) == [[-1, 1]]
+    assert P.cauchy_chain([-2, 0, 2], [-3, 3])[-1] in ([-1, 1], [1, -1])
+    assert P.int_sign_at([-1, 3], F(1, 3)) == 0
+    assert P.int_sign_at([-1, 3], F(-1, 3)) == -1
