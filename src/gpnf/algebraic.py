@@ -202,15 +202,16 @@ class RealAlg:
 
 def _try_isolate(sq: tuple, box: RatInterval) -> Optional[RealAlg]:
     """Wrap box as an isolating interval for a root of squarefree sq, or
-    return None when the box does not yet isolate."""
+    return None when the box does not yet isolate; a lone root on an end
+    of the box is that rational itself."""
     lo, hi = box.lo, box.hi
     if lo == hi:
         return RealAlg.from_rational(lo)
-    lo, hi = polys.off_roots(sq, lo, hi)
     chain = polys.sturm_chain(sq)
-    n = polys.count_roots(chain, lo, hi)
+    ends = [x for x in (lo, hi) if polys.int_sign_at(chain[0], x) == 0]
+    n = polys.count_roots(chain, lo, hi) + len(ends)
     if n == 1:
-        return RealAlg(sq, lo, hi)
+        return RealAlg.from_rational(ends[0]) if ends else RealAlg(sq, lo, hi)
     if n == 0:
         raise ArithmeticError("certified enclosure contains no root")
     return None

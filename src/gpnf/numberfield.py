@@ -82,13 +82,13 @@ def _edge_index2(P: list, c: Fraction, vertical: bool, a, b) -> int:
     Raises _BoundaryRoot if p vanishes on the closed edge.
     """
     chain = polys.cauchy_chain(*_line_uv(P, c, vertical))
-    # p vanishes on the line exactly at the real roots of gcd(u, v)
+    # p vanishes on the line exactly at the real roots of g = gcd(u, v),
+    # which are simple since p is squarefree: the doubled index of g'/g
+    # is nonzero exactly when one lies on the closed edge
     g = chain[-1]
-    if len(g) > 1:
-        lo, hi = min(a, b), max(a, b)
-        if (polys.int_sign_at(g, lo) == 0 or polys.int_sign_at(g, hi) == 0
-                or polys.count_roots(polys.sturm_chain(polys.mk(g)), lo, hi)):
-            raise _BoundaryRoot
+    if len(g) > 1 and polys.cauchy_index2(polys.sturm_chain(g), min(a, b),
+                                          max(a, b)):
+        raise _BoundaryRoot
     return polys.cauchy_index2(chain, a, b)
 
 
@@ -110,11 +110,20 @@ def count_roots_in_rect(p: tuple, xlo, xhi, ylo, yhi) -> int:
     return -total // 4
 
 
-def _split_candidates(lo: Fraction, hi: Fraction):
-    w = hi - lo
+def _splits(rect: tuple):
+    """The two halves (r1, r2) of rect cut across its longer side, at the
+    middle first and then at nearby points, for cuts through a root."""
+    xlo, xhi, ylo, yhi = rect
+    vertical = (xhi - xlo) >= (yhi - ylo)
     for num, den in ((1, 2), (17, 32), (15, 32), (9, 16), (7, 16), (19, 32),
                      (13, 32), (5, 8), (3, 8), (21, 32), (11, 32), (23, 32)):
-        yield lo + w * Fraction(num, den)
+        t = Fraction(num, den)
+        if vertical:
+            c = xlo + (xhi - xlo) * t
+            yield (xlo, c, ylo, yhi), (c, xhi, ylo, yhi)
+        else:
+            c = ylo + (yhi - ylo) * t
+            yield (xlo, xhi, ylo, c), (xlo, xhi, c, yhi)
 
 
 @functools.lru_cache(maxsize=256)
@@ -152,14 +161,7 @@ def _isolate_complex_upper(p: tuple, expected: int) -> list:
         if n == 1:
             done.append(r)
             continue
-        xlo, xhi, ylo, yhi = r
-        vertical = (xhi - xlo) >= (yhi - ylo)
-        cands = _split_candidates(xlo, xhi) if vertical else _split_candidates(ylo, yhi)
-        for c in cands:
-            if vertical:
-                r1, r2 = (xlo, c, ylo, yhi), (c, xhi, ylo, yhi)
-            else:
-                r1, r2 = (xlo, xhi, ylo, c), (xlo, xhi, c, yhi)
+        for r1, r2 in _splits(r):
             try:
                 n1 = count_roots_in_rect(p, *r1)
                 n2 = count_roots_in_rect(p, *r2)
@@ -225,8 +227,11 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
 
     Coarse rectangles are bisected with exact winding counts; once small,
     Krawczyk contraction converges quadratically (with bisection as the
-    fallback whenever the contraction test fails)."""
+    fallback whenever the contraction test fails).  A width <= 0 raises
+    ValueError unless the rectangle is already a point."""
     xlo, xhi, ylo, yhi = rect
+    if width <= 0 < max(xhi - xlo, yhi - ylo):
+        raise ValueError(f"cannot refine {rect} to width {width}")
     dp = polys.derivative(p)
     coarse = Fraction(1, 2 ** 8)
     while max(xhi - xlo, yhi - ylo) > width:
@@ -235,13 +240,7 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
             if step is not None:
                 xlo, xhi, ylo, yhi = step
                 continue
-        vertical = (xhi - xlo) >= (yhi - ylo)
-        cands = _split_candidates(xlo, xhi) if vertical else _split_candidates(ylo, yhi)
-        for c in cands:
-            if vertical:
-                r1, r2 = (xlo, c, ylo, yhi), (c, xhi, ylo, yhi)
-            else:
-                r1, r2 = (xlo, xhi, ylo, c), (xlo, xhi, c, yhi)
+        for r1, r2 in _splits((xlo, xhi, ylo, yhi)):
             try:
                 n1 = count_roots_in_rect(p, *r1)
             except _BoundaryRoot:
@@ -378,10 +377,7 @@ class NumberField:
         if len(uppers) <= 1:
             return uppers
         p = self.minpoly_int
-        sum2, chain2 = self._sum_resolvent()
-
-        def count2(lo, hi):
-            return polys.count_roots(chain2, *polys.off_roots(sum2, lo, hi))
+        chain2 = self._sum_resolvent()[1]
 
         def cmp(ra, rb):
             while True:
@@ -389,12 +385,14 @@ class NumberField:
                     return -1
                 if rb[1] < ra[0]:
                     return 1
-                # the real parts overlap; 2*Re values are roots of sum2
+                # the real parts overlap; 2*Re values are roots of the
+                # sum resolvent
                 a2 = (2 * ra[0], 2 * ra[1])
                 b2 = (2 * rb[0], 2 * rb[1])
-                if count2(*a2) == 1 and count2(*b2) == 1:
+                if (polys.count_roots(chain2, *a2) == 1
+                        and polys.count_roots(chain2, *b2) == 1):
                     ilo, ihi = max(a2[0], b2[0]), min(a2[1], b2[1])
-                    if ilo < ihi and count2(ilo, ihi) >= 1:
+                    if ilo < ihi and polys.count_roots(chain2, ilo, ihi) >= 1:
                         # equal real parts: order by imaginary part
                         while not (ra[3] < rb[2] or rb[3] < ra[2]):
                             ra = _refine_rect(p, ra, (ra[3] - ra[2]) / 4)
@@ -448,7 +446,7 @@ class NumberField:
                 if hi < 0:
                     return -1
                 if s_at_0 and lo < 0 < hi:
-                    if polys.count_roots(chainS, *polys.off_roots(S, lo, hi)) == 1:
+                    if polys.count_roots(chainS, lo, hi) == 1:
                         return 0  # the unique enclosed root of S is 0 itself
                 width /= 16
 

@@ -1,18 +1,24 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 Polynomials are tuples of Fractions in ascending order of power; the zero
-polynomial is the empty tuple.  Everything here is exact: Sturm chains,
-root counting, isolation and refinement of real roots, integer Sturm chains
-of a pair (u, v) and the doubled Cauchy index of v/u they give (the edge
-terms of winding counts), resultants over Q, and the polynomials vanishing
-at sums and products of roots, built from power sums by Newton's identities.
+polynomial is the empty tuple.  Everything here is exact.  One integer
+Sturm chain counts real roots: the signed remainder chain of an integer pair
+(u, v) gives twice the Cauchy index of v/u, with a root at an end counted
+1/2.  For (u, v) = (P, P') that is an exact count of the distinct roots of
+p in an open interval, ends that are roots included, which drives isolation
+and refinement of real roots; for (Re p, Im p) on a line it gives the edge
+terms of winding counts.  Also here: resultants over Q, and the polynomials
+vanishing at sums and products of roots, built from power sums by Newton's
+identities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd as igcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
+
+from .intervals import RatInterval, poly_interval
 
 Poly = tuple  # tuple[Fraction, ...], ascending powers
 
@@ -173,123 +179,6 @@ def cauchy_bound(p: Poly) -> Fraction:
     return 1 + max(abs(c) / lc for c in p[:-1]) if len(p) > 1 else Fraction(1)
 
 
-# -- Sturm machinery ---------------------------------------------------------
-
-def sturm_chain(p: Poly) -> list:
-    """Standard Sturm chain of the squarefree part of p."""
-    p = squarefree_part(p)
-    chain = [p]
-    if degree(p) >= 1:
-        chain.append(derivative(p))
-        while degree(chain[-1]) >= 1:
-            rem = divmod_(chain[-2], chain[-1])[1]
-            if is_zero(rem):
-                break
-            chain.append(neg(rem))
-    return chain
-
-
-def _variations(signs: Sequence[int]) -> int:
-    v, prev = 0, 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            v += 1
-        prev = s
-    return v
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def variations_at(chain: list, x) -> int:
-    return _variations([_sign(eval_at(f, x)) for f in chain])
-
-
-def variations_at_inf(chain: list, positive: bool) -> int:
-    signs = []
-    for f in chain:
-        if is_zero(f):
-            signs.append(0)
-        else:
-            s = _sign(lead(f))
-            if not positive and degree(f) % 2 == 1:
-                s = -s
-            signs.append(s)
-    return _variations(signs)
-
-
-def count_roots(chain: list, lo, hi) -> int:
-    """Number of distinct real roots in (lo, hi]; endpoints are Fractions.
-    The chain's first entry must not vanish at lo or hi for the open-interval
-    reading; callers arrange that with `off_roots`."""
-    return variations_at(chain, lo) - variations_at(chain, hi)
-
-
-def off_roots(p: Poly, lo: Fraction, hi: Fraction) -> tuple:
-    """Widen [lo, hi] by 1/64 of its width (of 1 for a point) at each end
-    that is a root of p until neither end is one."""
-    pad = (hi - lo) / 64 or Fraction(1, 64)
-    while eval_at(p, lo) == 0:
-        lo -= pad
-    while eval_at(p, hi) == 0:
-        hi += pad
-    return lo, hi
-
-
-def count_real_roots(p: Poly) -> int:
-    chain = sturm_chain(p)
-    return variations_at_inf(chain, False) - variations_at_inf(chain, True)
-
-
-def isolate_real_roots(p: Poly) -> list:
-    """Isolating intervals for the distinct real roots of p, ascending.
-
-    Returns a list of (lo, hi) pairs with lo < hi, p(lo) != 0 != p(hi), and
-    exactly one root in each open interval -- except that exact rational
-    roots appear as point pairs (r, r).
-    """
-    p = squarefree_part(p)
-    if degree(p) < 1:
-        return []
-    chain = [p] + sturm_chain(p)[1:]
-    bound = cauchy_bound(p)
-    out = []
-
-    def total(lo, hi):
-        return variations_at(chain, lo) - variations_at(chain, hi)
-
-    def walk(lo, hi, n):
-        if n == 0:
-            return
-        if n == 1:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if eval_at(p, mid) == 0:
-            out_mid = (mid, mid)
-            # shrink around mid until the gap holds mid alone and the flanks
-            # have clean endpoints
-            eps = (hi - lo) / 4
-            while (eval_at(p, mid - eps) == 0 or eval_at(p, mid + eps) == 0
-                   or total(mid - eps, mid + eps) != 1):
-                eps /= 2
-            nl = total(lo, mid - eps)
-            walk(lo, mid - eps, nl)
-            out.append(out_mid)
-            walk(mid + eps, hi, n - 1 - nl)
-        else:
-            nl = total(lo, mid)
-            walk(lo, mid, nl)
-            walk(mid, hi, n - nl)
-
-    lo, hi = off_roots(p, -bound, bound)
-    walk(lo, hi, total(lo, hi))
-    return out
-
-
 # -- integer Sturm chains of a pair (u, v) -----------------------------------
 # The signed remainder chain u, v, -rem(u, v), ... gives twice the Cauchy
 # index of v/u as a difference of sign variations, with Eisermann's
@@ -357,13 +246,79 @@ def cauchy_index2(chain: list, a: Fraction, b: Fraction) -> int:
     return _variations2(chain, a) - _variations2(chain, b)
 
 
-def _interval_eval(p: Poly, lo: Fraction, hi: Fraction) -> tuple:
-    """Enclosure of p over [lo, hi] by interval Horner."""
-    alo = ahi = Fraction(0)
-    for c in reversed(p):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+# -- real roots ---------------------------------------------------------------
+# The Sturm chain of p is the chain of (P, P'), P the primitive integer form
+# of p.  Twice the Cauchy index of P'/P on [lo, hi] is twice the number of
+# distinct roots of p inside plus one for each end that is a root, whenever
+# gcd(P, P') does not vanish at lo or hi.
+
+def sturm_chain(p: Poly) -> list:
+    """Integer Sturm chain P, P', -rem, ... of p (P the primitive integer
+    form of p); its last entry is gcd(P, P')."""
+    P = [int(c) for c in to_int_primitive(p)[0]]
+    return cauchy_chain(P, [i * c for i, c in enumerate(P)][1:])
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def count_roots(chain: list, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of nonzero p in the open interval
+    (lo, hi), lo < hi, for chain = sturm_chain(p); exact whenever gcd(P, P')
+    does not vanish at lo or hi, so for every squarefree p."""
+    P = chain[0]
+    return (cauchy_index2(chain, lo, hi) - (int_sign_at(P, lo) == 0)
+            - (int_sign_at(P, hi) == 0)) // 2
+
+
+def count_real_roots(p: Poly) -> int:
+    """Number of distinct real roots of nonzero p."""
+    bound = cauchy_bound(p)
+    return count_roots(sturm_chain(p), -bound, bound)
+
+
+def isolate_real_roots(p: Poly) -> list:
+    """Isolating intervals for the distinct real roots of p, ascending.
+
+    Returns a list of (lo, hi) pairs with lo < hi, p(lo) != 0 != p(hi), and
+    exactly one root in each open interval -- except that exact rational
+    roots appear as point pairs (r, r).
+    """
+    if degree(p) < 1:
+        return []
+    chain = sturm_chain(p)
+    out = []
+
+    def is_root(x):
+        return int_sign_at(chain[0], x) == 0
+
+    def walk(lo, hi, n):
+        if n == 0:
+            return
+        if n == 1:
+            out.append((lo, hi))
+            return
+        mid = (lo + hi) / 2
+        if is_root(mid):
+            # shrink around mid until the gap holds mid alone and the flanks
+            # have clean endpoints
+            eps = (hi - lo) / 4
+            while (is_root(mid - eps) or is_root(mid + eps)
+                   or count_roots(chain, mid - eps, mid + eps) != 1):
+                eps /= 2
+            nl = count_roots(chain, lo, mid - eps)
+            walk(lo, mid - eps, nl)
+            out.append((mid, mid))
+            walk(mid + eps, hi, n - 1 - nl)
+        else:
+            nl = count_roots(chain, lo, mid)
+            walk(lo, mid, nl)
+            walk(mid, hi, n - nl)
+
+    bound = cauchy_bound(p)
+    walk(-bound, bound, count_roots(chain, -bound, bound))
+    return out
 
 
 def dyadic_down(q: Fraction, t: int) -> Fraction:
@@ -389,10 +344,13 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
     Interval Newton steps give quadratic convergence once the enclosure is
     tight; bisection on the sign change is the fallback.  Point intervals
     pass through unchanged; a midpoint that hits the root exactly collapses
-    the interval to a point.
+    the interval to a point.  A width <= 0 raises ValueError unless the
+    interval is already a point.
     """
     if lo == hi:
         return lo, hi
+    if width <= 0:
+        raise ValueError(f"cannot refine [{lo}, {hi}] to width {width}")
     slo = _sign(eval_at(p, lo))
     shi = _sign(eval_at(p, hi))
     if slo == shi or slo == 0 or shi == 0:
@@ -400,7 +358,7 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
         chain = sturm_chain(p)
         while hi - lo > width:
             mid = (lo + hi) / 2
-            if eval_at(p, mid) == 0:
+            if int_sign_at(chain[0], mid) == 0:
                 return mid, mid
             if count_roots(chain, lo, mid) == 1:
                 hi = mid
@@ -413,13 +371,13 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
         fm = eval_at(p, mid)
         if fm == 0:
             return mid, mid
-        dlo, dhi = _interval_eval(dp, lo, hi)
-        if dlo > 0 or dhi < 0:
-            # Newton: the root lies in mid - fm / [dlo, dhi]; round the
+        d = poly_interval(dp, RatInterval(lo, hi))
+        if d.lo > 0 or d.hi < 0:
+            # Newton: the root lies in mid - fm / d; round the
             # result outward to dyadics so denominators stay linear in the
             # precision instead of doubling every step
             t = 2 * _width_bits(hi - lo) + 8
-            q1, q2 = fm / dlo, fm / dhi
+            q1, q2 = fm / d.lo, fm / d.hi
             nlo = max(lo, dyadic_down(mid - max(q1, q2), t))
             nhi = min(hi, dyadic_up(mid - min(q1, q2), t))
             if nlo <= nhi and (nhi - nlo) <= (hi - lo) * Fraction(7, 8):

@@ -53,6 +53,15 @@ def test_cross_field_product(K_phi, K_sqrt2):
     assert sq.add(twice.mul_rational(-1)).eq_rational(0)
 
 
+def test_refine_zero_width_raises(K_sqrt2):
+    r2 = RealAlg.from_embedding(K_sqrt2.beta)
+    with pytest.raises(ValueError):
+        r2.refine(F(0))
+    r2.refine(F(1, 2 ** 40))
+    assert r2.hi - r2.lo <= F(1, 2 ** 40)
+    RealAlg.from_rational(F(1, 3)).refine(F(0))
+
+
 def test_negation_and_scaling(K_sqrt2):
     r2 = RealAlg.from_embedding(K_sqrt2.beta)
     assert (-r2).floor() == -2

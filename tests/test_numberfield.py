@@ -32,6 +32,25 @@ def test_create_gaussian():
     assert not K.is_real_root(0)
 
 
+@pytest.mark.parametrize("coeffs,j", [([-1, -1, 1], 1), ([1, 0, 1], 0),
+                                      ([1, 0, 1], 1)])
+def test_root_box_zero_width_raises(coeffs, j):
+    # a real root (golden ratio) and both complex roots of x^2 + 1
+    K = NumberField(coeffs)
+    for width in (F(0), F(-1, 8)):
+        with pytest.raises(ValueError):
+            K.root_box(j, width)
+    assert K.root_box(j, F(1, 2 ** 20)).width <= F(1, 2 ** 20)
+
+
+def test_root_box_zero_width_rational_root():
+    # once refinement has collapsed a rational root's enclosure to a point,
+    # width 0 asks for nothing more
+    K = NumberField([-2, 1])
+    assert K.root_box(0, F(1, 2)).lo == K.root_box(0, F(1, 2)).hi == 2
+    assert K.root_box(0, F(0)).lo == K.root_box(0, F(0)).hi == 2
+
+
 def test_create_x4_plus_1():
     # p(2 + 2i) = -63 is real at a corner of the first counting rectangle
     import sympy

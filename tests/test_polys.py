@@ -56,9 +56,18 @@ def test_eval_and_compose():
     ([1, 0, 1], 0),            # x^2 + 1
     ([-1, -1, 0, 1], 1),       # plastic cubic
     ([1, -1, -1, -1, 1], 2),   # Salem quartic
+    # not squarefree: distinct roots are counted
+    ([2, -3, 0, 1], 2),        # (x-1)^2 (x+2)
+    ([-8, 0, 12, 0, -6, 0, 1], 2),                 # (x^2-2)^3
+    ([0, 1, 0, 2, 0, 1], 1),   # x (x^2+1)^2
+    ([F(1, 81), F(-4, 27), F(2, 3), F(-4, 3), 1], 1),  # (x-1/3)^4
+    ([1, 3, 6, 7, 6, 3, 1], 0),                    # (x^2+x+1)^3
 ])
 def test_count_real_roots(coeffs, expected):
-    assert P.count_real_roots(P.mk(coeffs)) == expected
+    p = P.mk(coeffs)
+    assert P.count_real_roots(p) == expected
+    assert P.count_real_roots(P.scale(p, F(-7, 3))) == expected
+    assert len(P.isolate_real_roots(p)) == expected
 
 
 def test_isolation_brackets_roots():
@@ -312,3 +321,45 @@ def test_cauchy_index2_small_cases():
     assert P.cauchy_chain([-2, 0, 2], [-3, 3])[-1] in ([-1, 1], [1, -1])
     assert P.int_sign_at([-1, 3], F(1, 3)) == 0
     assert P.int_sign_at([-1, 3], F(-1, 3)) == -1
+
+
+def test_count_roots_vs_sympy():
+    # open count: sympy's count on the closed [lo, hi] minus roots at the ends
+    import sympy
+    x = sympy.symbols("x")
+    rng = random.Random(49)
+    ends = 0
+    for k in range(150):
+        lo, hi, u, _v = _chain_case(rng, k)
+        p = P.scale(P.mk(u), F(rng.choice([1, -3, 5]), rng.randint(2, 7)))
+        sp = sympy.Poly(_sympy_expr(p, x), x)
+        on_ends = sum(P.eval_at(p, e) == 0 for e in (lo, hi))
+        expected = sp.count_roots(sympy.Rational(lo), sympy.Rational(hi)) - on_ends
+        ends += on_ends > 0
+        assert P.count_roots(P.sturm_chain(p), lo, hi) == expected, (p, lo, hi)
+    assert ends >= 50
+
+
+def test_try_isolate_root_on_box_end():
+    from gpnf.algebraic import _try_isolate
+    from gpnf.intervals import RatInterval
+    sq = P.mul(P.mk([F(-1, 2), 1]), P.mk([-3, 0, 1]))   # (x-1/2)(x^2-3)
+    for lo, hi in ((F(1, 2), F(1)), (F(-1), F(1, 2))):
+        r = _try_isolate(sq, RatInterval(lo, hi))
+        assert r.rat == F(1, 2) and r.compare_rational(F(1, 2)) == 0
+    # a second root inside as well: not isolated yet
+    assert _try_isolate(sq, RatInterval(F(1, 2), F(2))) is None
+    r = _try_isolate(sq, RatInterval(F(1), F(2)))
+    assert r.rat is None and (r.lo, r.hi) == (1, 2)
+    with pytest.raises(ArithmeticError):
+        _try_isolate(sq, RatInterval(F(2), F(3)))
+
+
+def test_refine_root_zero_width():
+    p = P.mk([-2, 0, 1])
+    lo, hi = P.isolate_real_roots(p)[1]
+    with pytest.raises(ValueError):
+        P.refine_root(p, lo, hi, F(0))
+    with pytest.raises(ValueError):
+        P.refine_root(p, lo, hi, F(-1))
+    assert P.refine_root(P.mk([-4, 0, 1]), F(2), F(2), F(0)) == (2, 2)
