@@ -2,10 +2,9 @@
 
 One kernel serves the exact rational systems (inverses, ranks,
 determinants, the trace and transfer systems, whose right-hand sides may
-be field elements) and the complex interval system of Salem recovery (the
-inverse of the conjugate matrix).  Only the pivot test differs: an exact
-entry is a pivot when it is nonzero, an interval entry when its box
-excludes zero.  Private to the package.
+be field elements).  The pivot test is a parameter: an exact entry is a
+pivot when it is nonzero, an interval entry when its box excludes zero.
+Private to the package.
 """
 
 from __future__ import annotations

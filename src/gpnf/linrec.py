@@ -332,9 +332,11 @@ class SalemRecoveryFamily:
     indexed by integer correction tuples |c_j| <= C_j.
 
     gamma_j are the beta-row entries of the inverse of the conjugate
-    matrix (w_alpha alpha^j), carried as certified complex boxes; every
-    recovery is confirmed exactly through the window solve, so the boxes
-    never decide anything alone.
+    matrix (w_alpha alpha^j), kept as exact elements of Q(beta): by the
+    Lagrange form of the inverse Vandermonde matrix, gamma_j =
+    q_j(beta) / (p'(beta) x) where p(X) / (X - beta) = sum_j q_j(beta) X^j
+    and x is the trace representation.  Every value g_c(n) is computed
+    exactly; only the returned enclosure is approximate.
     """
 
     def __init__(self, seq: LinRecSeq, verify_range: range = range(0, 51)):
@@ -366,40 +368,21 @@ class SalemRecoveryFamily:
             self.bounds.append(int(a_j.numerator // a_j.denominator) + 1)
         self.candidate_count = math.prod(2 * c + 1 for c in self.bounds)
 
-        self._x = x
-        self._gamma_bits = 0
-        self._gamma = None
-        self._gamma_at(96)
-
-    # -- interval solve for the gamma row ------------------------------------
+        # synthetic division of the monic minimal polynomial by X - beta:
+        # q_{m-1} = 1, q_{j-1} = p_j + beta q_j; then p'(beta) = q(beta)
+        p, beta = f.monic_minpoly, f.beta
+        q = [f.one]
+        for j in range(m - 1, 0, -1):
+            q.append(q[-1] * beta + p[j])
+        q.reverse()
+        dp = f.zero
+        for qj in reversed(q):
+            dp = dp * beta + qj
+        scale = (dp * x).inverse()
+        self._gamma = [qj * scale for qj in q]
 
     def _gamma_at(self, bits: int) -> list:
-        if self._gamma is not None and self._gamma_bits >= bits:
-            return self._gamma
-        f, x, m = self.field, self._x, self.field.degree
-        attempt = bits
-        while attempt <= 4000:
-            boxes_w = [x.embed(j, attempt) for j in range(m)]
-            boxes_a = [f.root_box(j, Fraction(1, 2 ** attempt)) for j in range(m)]
-            cboxes_w = [b if isinstance(b, ComplexBox)
-                        else ComplexBox(b, RatInterval.point(0)) for b in boxes_w]
-            cboxes_a = [b if isinstance(b, ComplexBox)
-                        else ComplexBox(b, RatInterval.point(0)) for b in boxes_a]
-            if any(bw.abs_sq().contains(0) for bw in cboxes_w):
-                attempt *= 2
-                continue  # w_alpha = 0 impossible for x != 0; refine
-            A = [[cboxes_w[a] * cboxes_a[a].pow(j) for a in range(m)]
-                 + [ComplexBox.point(int(j == k)) for k in range(m)]
-                 for j in range(m)]
-            if gauss_jordan(A, m, lambda b: not b.abs_sq().contains(0))[0] < m:
-                attempt *= 2
-                continue  # a pivot box straddles zero; refine
-            inv = [row[m:] for row in A]
-            self.gamma_all = inv          # row alpha solves for alpha^i
-            self._gamma = inv[self.field.distinguished]
-            self._gamma_bits = attempt
-            return self._gamma
-        raise VandermondeSingular("conjugate matrix could not be certified invertible")
+        return [g.embed(None, bits) for g in self._gamma]
 
     def candidates(self):
         """Iterate the correction tuples (c_j) with |c_j| <= C_j; the count
@@ -417,45 +400,43 @@ class SalemRecoveryFamily:
             out.append(Fraction(fl) - seq.term(i + j))
         return tuple(out)
 
+    def _check_length(self, c: Sequence) -> None:
+        if len(c) != self.field.degree:
+            raise DegreeMismatch(
+                f"correction tuple needs {self.field.degree} entries, got {len(c)}")
+
     def contains(self, c: Sequence) -> bool:
+        self._check_length(c)
         return all(abs(Fraction(cj)) <= Cj for cj, Cj in zip(c, self.bounds))
 
-    def g_value(self, n, c: Sequence, bits: int = 96) -> ComplexBox:
-        """Certified enclosure of g_c(n)."""
+    def _g(self, n, c: Sequence) -> FieldElement:
+        """g_c(n) as an exact element of Q(beta)."""
+        self._check_length(c)
         n = Fraction(n)
-        gamma = self._gamma_at(bits)
-        acc = ComplexBox.point(0)
-        for j, (gj, cj) in enumerate(zip(gamma, c)):
+        acc = self.field.zero
+        for j, (gj, cj) in enumerate(zip(self._gamma, c)):
             fl = certified_floor(self.field.beta ** j * n)
             acc = acc + gj * (Fraction(fl) - Fraction(cj))
         return acc
 
+    def g_value(self, n, c: Sequence, bits: int = 96) -> RatInterval:
+        """Certified enclosure of g_c(n), of width at most 2**(1-bits)."""
+        return self._g(n, c).embed(None, bits)
+
     def recover(self, i: int) -> tuple:
-        """(c, enclosure) with g_c(n_i) certified consistent with beta^i and
-        the window solve confirming beta^i exactly."""
+        """(c, enclosure) with g_c(n_i) == beta^i exactly, confirmed again
+        by the window solve."""
         c = self.correction_tuple(i)
         if not self.contains(c):
             raise VandermondeSingular(
                 f"audit failure: correction tuple at i={i} exceeds its bound")
-        exact = salem_recover_exact(self.seq, i)
-        if exact != self.field.beta ** i:
-            raise VandermondeSingular(f"window solve failed at i={i}")  # alarm
-        bits = 96
         beta_i = self.field.beta ** i
-        while True:
-            enc = self.g_value(self.seq.term(i), c, bits)
-            target = beta_i.embed(None, bits)
-            tbox = (target if isinstance(target, ComplexBox)
-                    else ComplexBox(target, RatInterval.point(0)))
-            # enclosure must meet the exact value's box...
-            if (enc.re.overlaps(tbox.re) and enc.im.overlaps(tbox.im)):
-                # ... and be narrower than the gap to the neighbours
-                gap = (self.field.beta ** (i + 1) - beta_i).embed(None, 20)
-                if enc.width * 4 < abs(gap.lo):
-                    return c, enc
-            bits *= 2
-            if bits > 4000:
-                raise VandermondeSingular("recovery enclosure will not converge")
+        if salem_recover_exact(self.seq, i) != beta_i:
+            raise VandermondeSingular(f"window solve failed at i={i}")  # alarm
+        g = self._g(self.seq.term(i), c)
+        if g != beta_i:
+            raise VandermondeSingular(f"g_c(n_i) != beta^i at i={i}")  # alarm
+        return c, g.embed(None, 96)
 
     def verify(self) -> None:
         for i in self.verify_range:

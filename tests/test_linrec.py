@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_element
+from gpnf import polys
 from gpnf.errors import (DegreeMismatch, NotPisot, NotSquarefree, RankNotOne,
                          SearchBoundExceeded, ZeroSourceSequence, ZeroTraceRep)
 from gpnf.linrec import (LinRecSeq, pisot_step, salem_recover_exact,
@@ -266,6 +267,68 @@ def test_recovery_family(salem_seq, K_salem):
     assert fam.candidate_count == __import__("math").prod(2 * c + 1 for c in fam.bounds)
     # audited bound: every verified correction stays within C_j
     for i in range(25):
+        assert fam.contains(fam.correction_tuple(i))
+
+
+def test_recovery_family_gamma_identity(salem_seq, K_salem):
+    # sum_j gamma_j n_{i+j} == beta^i holds exactly in Q(beta)
+    fam = salem_recovery_family(salem_seq, range(0, 3))
+    beta = K_salem.beta
+    for i in range(51):
+        g = sum((gj * salem_seq.term(i + j) for j, gj in enumerate(fam._gamma)),
+                K_salem.zero)
+        assert g == beta ** i
+
+
+def test_recovery_family_gamma_against_sympy(salem_seq):
+    # independent oracle: the beta-row of the inverse of the conjugate matrix
+    # (w_a a^j), from sympy's 50-digit roots a and the w solving
+    # sum_a w_a a^j = n_j
+    import sympy
+    fam = salem_recovery_family(salem_seq, range(0, 3))
+    t = sympy.Symbol("t")
+    roots = sympy.Poly(t ** 4 - t ** 3 - t ** 2 - t + 1, t).nroots(n=50)
+    b = max(range(4), key=lambda a: sympy.re(roots[a]))
+    V = sympy.Matrix(4, 4, lambda j, a: roots[a] ** j)
+    w = V.LUsolve(sympy.Matrix([int(salem_seq.term(j)) for j in range(4)]))
+    M = sympy.Matrix(4, 4, lambda j, a: w[a] * roots[a] ** j)
+    oracle = M.inv()[b, :]
+    tol = F(1, 10 ** 40)    # the oracle's own rounding error
+    for box, v in zip(fam._gamma_at(96), oracle):
+        v = sympy.expand(v)
+        assert abs(sympy.im(v)) < 1e-40
+        re = F(str(sympy.re(v)))
+        assert box.width <= F(2, 2 ** 96)
+        assert box.lo - tol <= re <= box.hi + tol
+
+
+def test_recovery_family_rejects_wrong_length(salem_seq):
+    fam = salem_recovery_family(salem_seq, range(0, 3))
+    for c in [(), (0,), (0, 0, 0, 0, 99)]:
+        with pytest.raises(DegreeMismatch):
+            fam.contains(c)
+        with pytest.raises(DegreeMismatch):
+            fam.g_value(4, c)
+
+
+def test_recovery_family_enclosure_is_small(salem_seq):
+    # the enclosure repr works and its endpoints stay small at 96 bits
+    fam = salem_recovery_family(salem_seq, range(0, 3))
+    for i in range(6):
+        enc = fam.g_value(salem_seq.term(i), fam.correction_tuple(i))
+        assert repr(enc)
+        for end in (enc.lo, enc.hi):
+            assert end.numerator.bit_length() < 1000
+            assert end.denominator.bit_length() < 1000
+
+
+def test_recovery_family_degree_six():
+    # power sums of the degree-6 Salem polynomial x^6 - x^4 - x^3 - x^2 + 1
+    p = [1, 0, -1, -1, -1, 0, 1]
+    seq = LinRecSeq(p, polys.power_sums(polys.mk([F(c) for c in p]), 5))
+    fam = salem_recovery_family(seq, range(0, 21))   # verifies every index
+    assert len(fam.bounds) == 6
+    for i in range(21):
         assert fam.contains(fam.correction_tuple(i))
 
 
