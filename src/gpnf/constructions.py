@@ -162,8 +162,7 @@ def unit_indicator(field: NumberField) -> SetPredicate:
     """Indicator of the unit group: algebraic integers of norm +-1."""
 
     def fn(x: FieldElement) -> bool:
-        x = field.element(x)
-        return x.is_algebraic_integer() and abs(x.norm()) == 1
+        return field.element(x).is_unit()
 
     return SetPredicate("units", field, fn)
 

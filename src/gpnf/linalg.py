@@ -1,46 +1,37 @@
 """Gauss-Jordan elimination shared by every linear solve in the package.
 
-One kernel serves the exact rational systems (inverses, ranks,
+One exact kernel serves the rational systems (inverses, ranks,
 determinants, the trace and transfer systems, whose right-hand sides may
-be field elements).  The pivot test is a parameter: an exact entry is a
-pivot when it is nonzero, an interval entry when its box excludes zero.
-Private to the package.
+be field elements).  Private to the package.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 
-def _nonzero(x) -> bool:
-    return x != 0
-
-
-def gauss_jordan(A: list, n: int, nonzero: Callable = _nonzero) -> tuple:
+def gauss_jordan(A: list, n: int) -> tuple:
     """Reduce the augmented matrix A (a list of row lists) in place over its
     first n columns, to reduced row echelon form.  Rows of A are replaced,
     never mutated, so A may share row lists with another matrix.
 
-    Column c takes as pivot the first row at or below the current rank
-    whose entry passes `nonzero`.  That row is moved up, scaled to a
-    leading 1 and subtracted from every other row whose entry in column c
-    is not exactly zero; the pivot test never decides that, because an
-    interval entry that merely straddles zero must still be eliminated for
-    the result to stay an enclosure.  A column without a pivot is skipped.
-    The carried columns (index n and up) may hold anything that the pivot
-    entries scale: Fractions, FieldElements or ComplexBoxes.
+    Column c takes as pivot the first nonzero entry at or below the current
+    rank.  That row is moved up, scaled to a leading 1 and subtracted from
+    every other row whose entry in column c is nonzero.  A column without a
+    pivot is skipped.  The carried columns (index n and up) may hold
+    anything that the pivot entries scale, such as Fractions or
+    FieldElements.
 
     Returns (rank, det).  When rank == n the carried columns hold the
     solution (the inverse, if they started as the identity).  det() is the
     determinant of a square leading block, 0 when rank < n; it is computed
-    on demand, so a caller that never reads it, such as the interval
-    inverse, pays for no product of pivots.
+    on demand, so a caller that never reads it pays for no product of
+    pivots.
     """
     rows = len(A)
     rank, sign, pivots = 0, 1, []
     for c in range(n):
-        piv = next((r for r in range(rank, rows) if nonzero(A[r][c])), None)
+        piv = next((r for r in range(rank, rows) if A[r][c] != 0), None)
         if piv is None:
             continue
         if piv != rank:

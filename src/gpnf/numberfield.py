@@ -5,7 +5,10 @@ conjugates are isolated by Sturm bisection; complex conjugates by rectangle
 subdivision with an exact winding-number count on rectangle boundaries: one
 integer Sturm chain of Re p and Im p per edge gives its Cauchy index (Wilf;
 Eisermann), with no root isolation and no floating point anywhere.  Elements
-are coordinate vectors in the power basis; floor / nearest-integer /
+are coordinate vectors in the power basis.  Their invariants come from
+power sums: the trace from the stored Tr(beta^i), the characteristic
+polynomial from Tr(x^k) by Newton's identities, the norm from its constant
+term and the inverse from Cayley-Hamilton.  Floor / nearest-integer /
 fractional-part of real embeddings are decided exactly: intervals are
 refined until they exclude all integers, and an exact field-equality test
 settles integer hits, so ties are never guessed from numerics.
@@ -100,7 +103,7 @@ def count_roots_in_rect(p: tuple, xlo, xhi, ylo, yhi) -> int:
 
     Raises _BoundaryRoot if a root lies on the boundary.
     """
-    P = [c.numerator for c in polys.to_int_primitive(p)[0]]
+    P = polys._int_form(p)
     total = (_edge_index2(P, ylo, False, xlo, xhi)
              + _edge_index2(P, xhi, True, ylo, yhi)
              + _edge_index2(P, yhi, False, xhi, xlo)
@@ -311,6 +314,7 @@ class NumberField:
 
         self._lock = threading.RLock()
         self._red, self._red_den = self._reduction_table()
+        (self._tr,), self._tr_den = _common_den([self.power_sums(m - 1)])
         self.distinguished = self._pick_distinguished(
             distinguished, require_real_distinguished)
         self._hash = hash((self.minpoly_int, self.distinguished))
@@ -445,6 +449,8 @@ class NumberField:
                     return 1
                 if hi < 0:
                     return -1
+                if lo == hi:
+                    return 0  # both roots are rational and the sum is 0
                 if s_at_0 and lo < 0 < hi:
                     if polys.count_roots(chainS, lo, hi) == 1:
                         return 0  # the unique enclosed root of S is 0 itself
@@ -718,25 +724,20 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
+        """1/x by Cayley-Hamilton: with char poly X^m + ... + c_1 X + c_0,
+        x^-1 = -(x^(m-1) + c_(m-1) x^(m-2) + ... + c_1) / c_0."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.is_rational():
             return self.field.element(1 / self.as_rational())
-        a = polys.mk(self.coords)
-        b = self.field.monic_minpoly
-        s0, s1 = polys.ONE, polys.ZERO
-        r0, r1 = a, b
-        while not polys.is_zero(r1):
-            q, r = polys.divmod_(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, polys.sub(s0, polys.mul(q, s1))
-        if polys.degree(r0) != 0:
-            # a nontrivial gcd with the defining polynomial exposes a factor
+        pw, cp = self._powers_char_poly()
+        if cp[0] == 0:
+            # a zero divisor: its gcd with the defining polynomial is a factor
+            g = polys.gcd(polys.mk(self.coords), self.field.monic_minpoly)
             raise ReducibleDetected(
-                f"element exposes factor with coefficients {list(r0)}")
-        inv = polys.scale(s0, 1 / r0[0])
-        rem = polys.divmod_(inv, b)[1]
-        return self.field.element(list(rem) + [0] * (self.field.degree - len(rem)))
+                f"element exposes factor with coefficients {list(g)}")
+        acc = sum((y * c for c, y in zip(cp[1:], pw) if c), self.field.zero)
+        return acc * (-1 / cp[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -785,42 +786,28 @@ class FieldElement:
 
     # -- invariants -------------------------------------------------------
 
-    def mult_matrix(self) -> list:
-        """Matrix of multiplication by self in the power basis."""
-        m = self.field.degree
-        cols = []
-        cur = self
-        beta = self.field.beta
-        for k in range(m):
-            cols.append(cur.coords)
-            if k < m - 1:
-                cur = cur * beta
-        return [[cols[j][i] for j in range(m)] for i in range(m)]
-
     def trace(self) -> Fraction:
-        M = self.mult_matrix()
-        return sum(M[i][i] for i in range(len(M)))
+        """Tr(x) = sum_i x_i Tr(beta^i), from the field's power sums."""
+        f = self.field
+        return Fraction(sum(map(_mul, self.num, f._tr)), self.den * f._tr_den)
 
     def norm(self) -> Fraction:
-        return Fraction(gauss_jordan(self.mult_matrix(), self.field.degree)[1]())
+        return (-1) ** self.field.degree * self.char_poly()[0]
+
+    def _powers_char_poly(self) -> tuple:
+        """([1, x, ..., x^(m-1)], char poly): the characteristic polynomial
+        of multiplication by x, monic of degree m, ascending, from the
+        traces of x^k for k <= m by Newton's identities."""
+        m = self.field.degree
+        pw = [self.field.one]
+        for _ in range(m):
+            pw.append(pw[-1] * self)
+        return pw[:m], polys._from_power_sums([y.trace() for y in pw], m)
 
     def char_poly(self) -> tuple:
-        """Characteristic polynomial of the multiplication matrix, monic of
-        degree m, ascending coefficients (Faddeev-LeVerrier)."""
-        M = self.mult_matrix()
-        m = len(M)
-        coeffs = [Fraction(0)] * (m + 1)
-        coeffs[m] = Fraction(1)
-        N = [row[:] for row in M]
-        for k in range(1, m + 1):
-            c = -sum(N[i][i] for i in range(m)) / k
-            coeffs[m - k] = c
-            if k < m:
-                for i in range(m):
-                    N[i][i] += c
-                N = [[sum(M[i][t] * N[t][j] for t in range(m)) for j in range(m)]
-                     for i in range(m)]
-        return polys.mk(coeffs)
+        """Characteristic polynomial of multiplication by x, monic of degree
+        m, ascending coefficients."""
+        return self._powers_char_poly()[1]
 
     def minimal_poly(self) -> tuple:
         """Monic minimal polynomial over Q."""
@@ -830,7 +817,9 @@ class FieldElement:
         return all(c.denominator == 1 for c in self.char_poly())
 
     def is_unit(self) -> bool:
-        return self.is_algebraic_integer() and abs(self.norm()) == 1
+        """An algebraic integer of norm +-1."""
+        cp = self.char_poly()
+        return all(c.denominator == 1 for c in cp) and abs(cp[0]) == 1
 
     # -- embeddings ---------------------------------------------------------
 

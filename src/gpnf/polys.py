@@ -7,9 +7,10 @@ Sturm chain counts real roots: the signed remainder chain of an integer pair
 1/2.  For (u, v) = (P, P') that is an exact count of the distinct roots of
 p in an open interval, ends that are roots included, which drives isolation
 and refinement of real roots; for (Re p, Im p) on a line it gives the edge
-terms of winding counts.  Also here: resultants over Q, and the polynomials
-vanishing at sums and products of roots, built from power sums by Newton's
-identities.
+terms of winding counts; the last entry of the chain of (p, q) is their
+gcd, which gives squarefree parts and tests.  Also here: resultants over Q,
+and the polynomials vanishing at sums and products of roots, built from
+power sums by Newton's identities.
 """
 
 from __future__ import annotations
@@ -117,10 +118,9 @@ def monic(p: Poly) -> Poly:
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    a, b = p, q
-    while not is_zero(b):
-        a, b = b, divmod_(a, b)[1]
-    return monic(a) if not is_zero(a) else ZERO
+    """Monic gcd of p and q (zero when both are zero): the last entry of
+    the integer remainder chain of their primitive integer forms."""
+    return monic(mk(cauchy_chain(_int_form(p), _int_form(q))[-1]))
 
 
 def derivative(p: Poly) -> Poly:
@@ -169,6 +169,11 @@ def to_int_primitive(p: Poly) -> tuple:
         g = igcd(g, abs(v))
     ints = [v // g for v in ints]
     return tuple(Fraction(v) for v in ints), Fraction(g, den)
+
+
+def _int_form(p: Poly) -> list:
+    """The primitive integer form of p as a list of ints."""
+    return [c.numerator for c in to_int_primitive(p)[0]]
 
 
 def cauchy_bound(p: Poly) -> Fraction:
@@ -255,7 +260,7 @@ def cauchy_index2(chain: list, a: Fraction, b: Fraction) -> int:
 def sturm_chain(p: Poly) -> list:
     """Integer Sturm chain P, P', -rem, ... of p (P the primitive integer
     form of p); its last entry is gcd(P, P')."""
-    P = [int(c) for c in to_int_primitive(p)[0]]
+    P = _int_form(p)
     return cauchy_chain(P, [i * c for i, c in enumerate(P)][1:])
 
 

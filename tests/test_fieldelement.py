@@ -142,3 +142,53 @@ def test_mul_against_sympy_rem(name):
         want = [F(int(c.p), int(c.q)) for c in reversed(r.all_coeffs())]
         want += [F(0)] * (f.degree - len(want))
         assert list(got.coords) == want
+
+
+# degree 1-8: 2x - 3, 2x^2 - 3, 3x^3 - 2x + 5, the Salem quartic, x^5 - x - 1,
+# x^6 - x^4 - x^3 - x^2 + 1, x^7 - x - 1 and x^8 - x^5 - x^4 - x^3 + 1 (all
+# irreducible, so the factor search is skipped)
+INVARIANT_FIELDS = {
+    1: [-3, 2], 2: [-3, 0, 2], 3: [5, -2, 0, 3], 4: [1, -1, -1, -1, 1],
+    5: [-1, -1, 0, 0, 0, 1], 6: [1, 0, -1, -1, -1, 0, 1],
+    7: [-1, -1, 0, 0, 0, 0, 0, 1], 8: [1, 0, 0, -1, -1, -1, 0, 0, 1],
+}
+
+
+def _sym_coeffs(p, t):
+    """Ascending Fractions of a sympy polynomial in t."""
+    return [F(int(c.p), int(c.q))
+            for c in reversed(sympy.Poly(p, t, domain="QQ").all_coeffs())]
+
+
+@pytest.mark.parametrize("m", sorted(INVARIANT_FIELDS))
+def test_invariants_against_sympy_mult_matrix(m):
+    """trace, norm, char_poly, minimal_poly and inverse against the sympy
+    matrix of multiplication modulo f, its trace, det and charpoly, and
+    sympy.invert, on seeded elements (zero, rationals, powers of beta and
+    random vectors)."""
+    f = NumberField(INVARIANT_FIELDS[m], check_reducible=False)
+    t, lam = sympy.symbols("t lam")
+    minpoly = sum(int(c) * t ** i for i, c in enumerate(f.minpoly_int))
+    rng = random.Random(40 + m)
+    xs = [f.zero, f.element(F(-7, 3)), f.beta, f.beta ** m + 1]
+    xs += [f.element([F(rng.randint(-9, 9), rng.randint(1, 4))
+                      for _ in range(m)]) for _ in range(6)]
+    for x in xs:
+        a = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+                for i, c in enumerate(x.coords))
+        cols = [_sym_coeffs(sympy.rem(sympy.expand(a * t ** j), minpoly, t), t)
+                for j in range(m)]
+        M = sympy.Matrix(m, m, lambda i, j: (cols[j] + [0] * m)[i])
+        cpoly = sympy.Poly(M.charpoly(lam).as_expr(), lam, domain="QQ")
+        cp = _sym_coeffs(cpoly, lam)
+        assert x.trace() == F(str(M.trace()))
+        assert x.norm() == F(str(M.det()))
+        assert x.char_poly() == tuple(cp)
+        assert x.minimal_poly() == tuple(
+            _sym_coeffs(sympy.sqf_part(cpoly).monic(), lam))
+        assert x.is_unit() == (all(c.denominator == 1 for c in cp)
+                               and abs(cp[0]) == 1)
+        if x.is_zero():
+            continue
+        want = _sym_coeffs(sympy.invert(a, minpoly, t), t)
+        assert list(canonical(x.inverse()).coords) == want + [F(0)] * (m - len(want))

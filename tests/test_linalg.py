@@ -1,6 +1,6 @@
 """The Gauss-Jordan kernel against sympy.Matrix: rank, determinant,
 reduced row echelon form, inverse and solve on seeded random rational
-matrices, and the enclosure property of the complex interval inverse."""
+matrices."""
 
 import random
 from fractions import Fraction as F
@@ -9,12 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from gpnf.intervals import ComplexBox, RatInterval
 from gpnf.linalg import gauss_jordan
-
-
-def _box_nonzero(b):
-    return not b.abs_sq().contains(0)
 
 
 def _rand_matrix(rng, rows, cols, zeros=0.3):
@@ -126,46 +121,6 @@ def test_rank_deficient_field_rhs(seed, K_plastic):
     for i, row in enumerate(A):
         assert row[:n] == [_frac(R[i, j]) for j in range(n)]
         assert list(row[n].coords) == [_frac(R[i, n + k]) for k in range(m)]
-
-
-def _gaussian_matrix(rng, n, zeros):
-    """Random Gaussian-rational n x n matrix, zero off the diagonal with
-    probability `zeros`."""
-    return [[(F(0), F(0)) if i != j and rng.random() < zeros
-             else (F(rng.randint(-9, 9), rng.randint(1, 5)),
-                   F(rng.randint(-9, 9), rng.randint(1, 5)))
-             for j in range(n)] for i in range(n)]
-
-
-@pytest.mark.parametrize("pad", [F(0), F(1, 2 ** 30)])
-@pytest.mark.parametrize("seed", range(8))
-def test_box_inverse_encloses_exact_inverse(seed, pad):
-    """The zero entries of a Gaussian-rational matrix widen to boxes of
-    half-width `pad`; the inverse boxes must hold the exact inverse of the
-    corner matrix that puts pad + pad*i in those places.  With pad > 0 the
-    widened entries straddle 0 and must still be eliminated."""
-    rng = random.Random(500 + seed)
-    n = rng.randint(2, 4)
-    S = sympy.zeros(n, n)
-    while S.det() == 0:
-        Z = _gaussian_matrix(rng, n, zeros=0.5)
-        corner = [[(re, im) if re or im else (pad, pad) for re, im in row]
-                  for row in Z]
-        S = sympy.Matrix([[sympy.Rational(re.numerator, re.denominator)
-                           + sympy.I * sympy.Rational(im.numerator, im.denominator)
-                           for re, im in row] for row in corner])
-    inv = S.inv()
-    box = [[ComplexBox(RatInterval(re, re), RatInterval(im, im)) if re or im
-            else ComplexBox(RatInterval(-pad, pad), RatInterval(-pad, pad))
-            for re, im in row] for row in Z]
-    A = [row + [ComplexBox.point(int(i == k)) for k in range(n)]
-         for i, row in enumerate(box)]
-    rank, _det = gauss_jordan(A, n, _box_nonzero)
-    assert rank == n
-    for i in range(n):
-        for j in range(n):
-            e = sympy.expand(inv[i, j])
-            assert A[i][n + j].contains(_frac(sympy.re(e)), _frac(sympy.im(e)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

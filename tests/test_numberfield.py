@@ -242,6 +242,15 @@ def test_reducible_detected():
         NumberField([2, 3, 1])    # (x+1)(x+2)
 
 
+def test_unchecked_reducible_field_with_rational_roots():
+    # roots +-1 refine to points, so the tie |-1| = |1| is an exact zero sum
+    K = NumberField([-1, 0, 1], check_reducible=False)
+    assert K.signature == (2, 0)
+    assert K.distinguished == 1
+    with pytest.raises(ReducibleDetected, match=r"factor with coefficients"):
+        (K.beta - 1).inverse()       # a zero divisor: beta - 1 divides 0
+
+
 def test_no_real_root_error():
     with pytest.raises(NoRealRoot):
         NumberField([1, 0, 1], require_real_distinguished=True)

@@ -363,3 +363,48 @@ def test_refine_root_zero_width():
     with pytest.raises(ValueError):
         P.refine_root(p, lo, hi, F(-1))
     assert P.refine_root(P.mk([-4, 0, 1]), F(2), F(2), F(0)) == (2, 2)
+
+
+def _gcd_case(rng, k):
+    """A pair (p, q) of rational polynomials sharing a factor with repeats:
+    zero and constants on some cases, usually non-monic."""
+    def rand(d):
+        return P.mk([F(rng.randint(-6, 6), rng.randint(1, 4))
+                     for _ in range(d + 1)])
+
+    if k % 10 == 0:
+        return P.ZERO, rand(rng.randint(0, 4))
+    if k % 10 == 1:
+        return rand(0), rand(rng.randint(1, 4))
+    common = P.ONE
+    for _ in range(rng.randint(0, 2)):
+        common = P.mul(common, rand(rng.randint(1, 2)))
+    e = rng.randint(1, 3)
+    p = P.mul(rand(rng.randint(0, 4)), common)
+    for _ in range(e - 1):
+        p = P.mul(p, common)
+    q = P.mul(rand(rng.randint(0, 4)), common)
+    return (p, q) if k % 3 else (q, p)
+
+
+def test_gcd_and_squarefree_part_vs_sympy():
+    import sympy
+    x = sympy.symbols("x")
+    rng = random.Random(61)
+    seen = set()
+    for k in range(120):
+        p, q = _gcd_case(rng, k)
+        sp, sq = (sympy.Poly(_sympy_expr(f, x), x, domain="QQ") for f in (p, q))
+        g = sp.gcd(sq)
+        want = () if g.is_zero else _from_sympy(g.monic().as_expr(), x)
+        assert P.gcd(p, q) == want == P.gcd(q, p), (p, q)
+        if not P.is_zero(p):
+            sf = sympy.sqf_part(sp).monic()
+            assert P.squarefree_part(p) == _from_sympy(sf.as_expr(), x)
+            assert P.is_squarefree(p) == sp.is_sqf
+        seen.add((P.degree(p), P.degree(P.gcd(p, q)) > 0, P.is_squarefree(p)))
+    assert P.gcd(P.ZERO, P.ZERO) == P.ZERO
+    assert P.squarefree_part(P.ZERO) == P.ZERO
+    # zero, constants, nontrivial gcds and repeated factors all occur
+    assert {d for d, _g, _s in seen} >= {-1, 0}
+    assert any(g for _d, g, _s in seen) and not all(s for _d, _g, s in seen)
