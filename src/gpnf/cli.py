@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import fileformats as ff
 from .analysis import (non_hereditary_construct, sturmian, subword_complexity,
@@ -261,7 +262,8 @@ def _cmd_nonhereditary(args) -> int:
     if args.h_preset == "half":
         h = lambda L: Fraction(1, 2)
     else:
-        h = lambda L: 1.0 / (L ** 0.5)
+        # ceil(sqrt(L)) / L: the block occupancy ceil(h(L) L) of 1/sqrt(L)
+        h = lambda L: Fraction(isqrt(L - 1) + 1, L)
     plan = non_hereditary_construct(E, h, args.l_max)
     report = {
         "levels": [{

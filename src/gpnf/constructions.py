@@ -5,23 +5,24 @@ detectors, the predicate for the powers of a Pisot unit in a rank-one
 field, and the hereditary predicate deciding membership in {beta^i : i in I}
 for an arbitrary index set I with a decidability certificate.
 
-Membership in the cyclic group generated by beta is decided by rounding a
-certified logarithm to a candidate exponent and confirming with an exact
-power comparison; the congruence-subgroup route this replaces is
+Membership in the cyclic group generated by beta is decided by an exact
+index bracket: the integer trace of x confines its exponent to the k with
+|Tr(x) - beta^k| <= m - 1, found by exact integer comparisons, and an exact
+power comparison confirms; the congruence-subgroup route this replaces is
 nonconstructive but extensionally identical on the field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .algebraic import abs_sq_of_embedding
 from .errors import (DependentBasis, InvalidRho, RankNotOne,
-                     ThresholdAmbiguous)
+                     SearchBoundExceeded, ThresholdAmbiguous)
 from .linalg import gauss_jordan
 from .numberfield import FieldElement, NumberField, certified_dist
 from . import polys
@@ -264,57 +265,92 @@ def salem_test(x: FieldElement) -> bool:
 # powers of a Pisot unit
 # ---------------------------------------------------------------------------
 
-def _flog(q: Fraction) -> float:
-    if q <= 0:
-        raise ValueError("log of a nonpositive rational")
-    return math.log(q.numerator) - math.log(q.denominator)
+class _IndexBracket:
+    """Candidate indices k >= 0 of |v - w beta^k| <= B for rational v.
+
+    Built from rationals 1 < blo <= beta <= bhi, 0 < wlo <= |w| <= whi and
+    B >= 0.  A call returns the range of k >= 0 with
+    wlo blo^k - B <= |v| <= whi bhi^k + B, which holds every such k; each
+    end is estimated from bit lengths and settled by exact integer
+    comparisons, with blo and bhi rounded outward to multiples of 2^-P.
+    Given a bound, the call raises SearchBoundExceeded instead, exactly
+    when wlo blo^(bound+1) <= |v| + B: when the range reaches past it.
+    """
+
+    P = 64
+
+    def __init__(self, blo, bhi, wlo, whi, B):
+        P = self.P
+        self._a = (blo.numerator << P) // blo.denominator
+        self._b = -((-bhi.numerator << P) // bhi.denominator)
+        wlo, whi, B = Fraction(wlo), Fraction(whi), Fraction(B)
+        if self._a <= 1 << P or not 0 < wlo <= whi or B < 0:
+            raise ValueError("need 1 < blo, 0 < wlo <= whi and B >= 0")
+        # wlo, whi and B as integers over one denominator d
+        self._d = math.lcm(wlo.denominator, whi.denominator, B.denominator)
+        self._wlo, self._whi, self._B = (int(t * self._d) for t in (wlo, whi, B))
+        # 256 log2(blo), rounded down, from one bit length
+        self._lg = (self._a ** 256).bit_length() - 1 - 256 * P
+        self._caps: dict = {}   # a^(bound+1) for each bound asked about
+
+    def _last(self, L: int, R: int, base: int, strict: int) -> int:
+        """The largest k >= 0 with L base^k <= R 2^(Pk) (< if strict), or -1."""
+        if R <= 0:
+            return -1
+        P = self.P
+        k = max(0, (R.bit_length() - L.bit_length()) * 256 // max(1, self._lg))
+        X, Y = L * base ** k, R << (P * k)
+        while X + strict > Y:
+            if k == 0:
+                return -1
+            k, X, Y = k - 1, X // base, Y >> P
+        while (X := X * base) + strict <= (Y := Y << P):
+            k += 1
+        return k
+
+    def _reaches(self, L: int, R: int, k: int) -> bool:
+        """L a^k <= R 2^(Pk).  Bit lengths clear small queries alone: then
+        L a^k >= 2^(bits(L) - 1 + Pk + k lg/256) >= 2^(bits(R) + Pk)."""
+        if 256 * (L.bit_length() - 1 - R.bit_length()) + k * self._lg >= 0:
+            return False
+        if k not in self._caps:
+            self._caps[k] = self._a ** k
+        return L * self._caps[k] <= R << (self.P * k)
+
+    def __call__(self, v, bound: Optional[int] = None) -> range:
+        vd = v.denominator
+        n, e = abs(v.numerator) * self._d, self._B * vd
+        L, R = self._wlo * vd, n + e
+        if bound is not None and self._reaches(L, R, bound + 1):
+            raise SearchBoundExceeded(
+                f"the query's index bracket reaches past {bound}")
+        top = self._last(L, R, self._a, 0)
+        if top < 0:
+            return range(0)
+        return range(self._last(self._whi * vd, n - e, self._b, 1) + 1, top + 1)
 
 
 def power_set_predicate(beta: FieldElement) -> SetPredicate:
     """Indicator of {beta^i : i >= 0} for a Pisot unit beta in a rank-one
-    field.  Membership is decided by rounding a certified logarithm to at
-    most three candidate exponents and confirming by an exact power
-    comparison."""
+    field.  The other conjugates of beta lie in the open unit disc, so
+    |Tr(beta^k) - beta^k| <= m - 1: the index bracket of the integer Tr(x)
+    nominates the exponents, and an exact power comparison decides."""
     f = beta.field
     if not f.has_rank_one_units:
         raise RankNotOne(f"unit rank is {f.unit_rank}, need 1")
     if not pisot_unit_test(beta):
         raise ValueError("beta must be a Pisot unit")
-    log_beta = _flog(beta.embed(None, 40).mid)
-    root_f = float(f.root_box(f.distinguished, Fraction(1, 2 ** 52)).mid)
-    root_pows = [root_f ** t for t in range(f.degree)]
-    powers = {0: f.one, 1: beta}
-
-    def power(k: int) -> FieldElement:
-        if k not in powers:
-            powers[k] = beta ** k
-        return powers[k]
+    box = beta.embed(None, _IndexBracket.P)
+    bracket = _IndexBracket(box.lo, box.hi, 1, 1, f.degree - 1)
+    power = functools.lru_cache(maxsize=None)(beta.__pow__)
 
     def exponent_of(x) -> Optional[int]:
         x = f.element(x)
-        if x == 1:
-            return 0
-        if x.is_rational():
-            return None
-        # float estimate only nominates candidate exponents; the exact
-        # power comparison is what decides
-        k_est = None
-        try:
-            val = sum(map(operator.mul, x.num, root_pows)) / x.den
-            if math.isfinite(val) and val > 1:
-                k_est = round(math.log(val) / log_beta)
-        except OverflowError:
-            pass
-        if k_est is None:
-            if x.compare_rational(1) <= 0:
-                return None
-            box = x.embed(None, 40)
-            if box.lo <= 0:
-                return None
-            k_est = round(_flog(box.mid) / log_beta)
-        for k in (k_est, k_est - 1, k_est + 1):
-            if k >= 1 and x == power(k):
-                return k
+        t = x.trace()
+        if t.denominator == 1:      # else x is no algebraic integer
+            for k in bracket(t):
+                if x == power(k):
+                    return k
         return None
 
     def fn(x) -> bool:

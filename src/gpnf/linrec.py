@@ -4,7 +4,9 @@ Exact term generation, the trace representation n_i = Tr(beta^i x),
 certified nearest-integer stepping with a sound onset index, transfer maps
 between sequences sharing a recurrence, exact Salem power recovery with
 the floor-correction family, value-set membership, and a desk-scale zero
-scanner.
+scanner.  Membership confines the index of a value q to the exact index
+bracket of |q - w beta^k| <= B and confirms candidates exactly; there is
+no floating point on any path.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import polys
-from .constructions import (SetPredicate, _flog, _sqrt_upper,
+from .constructions import (_IndexBracket, _sqrt_upper,
                             pisot_unit_test, power_set_predicate, salem_test)
-from .errors import (DegreeMismatch, NotPisot, RankNotOne, SearchBoundExceeded,
-                     SingularSystem, VandermondeSingular, ZeroSourceSequence,
-                     ZeroTraceRep)
+from .errors import (DegreeMismatch, NotPisot, RankNotOne, SingularSystem,
+                     VandermondeSingular, ZeroSourceSequence, ZeroTraceRep)
 from .intervals import ComplexBox, RatInterval
 from .linalg import gauss_jordan
 from .numberfield import (FieldElement, NumberField, certified_floor,
@@ -59,9 +60,7 @@ class LinRecSeq:
         self._trace_rep: Optional[FieldElement] = None
         self._trace_rep_inv: Optional[FieldElement] = None
         self._to_powers = None
-        self._arch: Optional[tuple] = None
         self._vsm: Optional[dict] = None
-        self._power_pred: Optional[SetPredicate] = None
 
     @property
     def field(self) -> NumberField:
@@ -242,7 +241,8 @@ class TransferMap:
     _nints: list
 
     def apply(self, q) -> Union[Fraction, FieldElement]:
-        z = Fraction(q) * self.scale
+        z = (q * self.scale.numerator if isinstance(q, int)
+             else Fraction(q) * self.scale)
         if z.denominator == 1:
             z = z.numerator
         acc = None
@@ -454,35 +454,19 @@ def salem_recovery_family(seq: LinRecSeq,
 # value-set membership
 # ---------------------------------------------------------------------------
 
-def _archimedean_constants(seq: LinRecSeq) -> tuple:
-    """(B, wlo, log_beta_lo) with |n_k| >= wlo * beta^k - B for all k."""
-    if seq._arch is None:
-        f = seq.field
-        x = trace_representation(seq)
-        bits = 48
-        data = _conjugate_data(seq, bits)
-        B = sum(uw for _j, _ua, uw in data)  # |alpha| <= 1: Pisot and Salem
+def _archimedean_constants(seq: LinRecSeq) -> _IndexBracket:
+    """The index bracket of the sequence: n_k = w beta^k + sum_a w_a a^k
+    with every other root |a| <= 1 (Pisot and Salem), so every k with
+    n_k = q has |q - w beta^k| <= B = sum |w_a|."""
+    x = trace_representation(seq)
+    bits = 48
+    B = sum(uw for _j, _ua, uw in _conjugate_data(seq, bits))
+    wbox = x.embed(None, bits)
+    while wbox.lo <= 0 <= wbox.hi:
+        bits *= 2
         wbox = x.embed(None, bits)
-        while wbox.lo <= 0 <= wbox.hi:
-            bits *= 2
-            wbox = x.embed(None, bits)
-        blo = f.beta.embed(None, 48).lo
-        seq._arch = (B, wbox.mig, _flog(blo))
-    return seq._arch
-
-
-def _index_window(seq: LinRecSeq, q: Fraction, search_bound: int) -> int:
-    """A certified k_hi: any index k with n_k = q satisfies k <= k_hi."""
-    B, wlo, log_blo = _archimedean_constants(seq)
-    lim = (abs(q) + B) / wlo
-    if lim <= 1:
-        k_hi = 0
-    else:
-        k_hi = int(_flog(lim) / log_blo) + 2
-    if k_hi > search_bound:
-        raise SearchBoundExceeded(
-            f"query size requires scanning up to index {k_hi} > bound {search_bound}")
-    return k_hi
+    bbox = seq.field.beta.embed(None, _IndexBracket.P)
+    return _IndexBracket(bbox.lo, bbox.hi, wbox.mig, wbox.mag, B)
 
 
 def _vsm_setup(seq: LinRecSeq) -> dict:
@@ -493,8 +477,7 @@ def _vsm_setup(seq: LinRecSeq) -> dict:
     beta = f.beta
     cache = {"zero": seq.is_zero_sequence()}
     if not cache["zero"]:
-        B, wlo, log_blo = _archimedean_constants(seq)
-        cache.update(Bf=float(B), wlof=float(wlo), log_blo=log_blo)
+        cache["bracket"] = _archimedean_constants(seq)
         if salem_test(beta):
             cache["kind"] = "salem"
             cache["x"] = trace_representation(seq)
@@ -508,44 +491,31 @@ def _vsm_setup(seq: LinRecSeq) -> dict:
             cache["tm"] = tm
             cache["pre"] = {seq.term(i): i
                             for i in range(tm.onset + 2 * seq.order)}
-            cache["pred"] = _power_pred(seq)
+            cache["pred"] = power_set_predicate(beta)
     seq._vsm = cache
     return cache
-
-
-def _float_index_bound(cache: dict, q: Fraction) -> float:
-    try:
-        qa = abs(float(q))
-    except OverflowError:
-        return (_flog(abs(q)) + 1.0) / cache["log_blo"]
-    lim = (qa + cache["Bf"]) / cache["wlof"]
-    if lim <= 1.0:
-        return 0.0
-    return math.log(lim) / cache["log_blo"]
 
 
 def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool:
     """Is q a value of the sequence?  Exact.
 
-    Pisot route: push q through the transfer map onto a candidate power
-    beta^k, read off k with the power-set predicate, and confirm n_k = q
-    exactly.  Salem route: bound the candidate index window through the
-    archimedean size of q and confirm candidates with the exact window
-    solve.  Small pre-onset indices are checked directly either way.
+    Every k with n_k = q lies in the index bracket of q: a bracket reaching
+    past `search_bound` raises SearchBoundExceeded, an empty one answers
+    False.  Pisot route: pre-onset terms are looked up, else the transfer
+    map sends q to a candidate beta^k, the power-set predicate reads off k
+    and n_k = q is confirmed.  Salem route: each index of the bracket with
+    n_k = q is confirmed by the exact window solve.
     """
-    q = Fraction(q)
+    q = q if isinstance(q, int) else Fraction(q)
     cache = _vsm_setup(seq)
     if cache["zero"]:
         return q == 0
-    f = seq.field
-    beta = f.beta
-    if _float_index_bound(cache, q) > search_bound - 4:
-        raise SearchBoundExceeded(
-            f"query size requires an index search beyond {search_bound}")
+    ks = cache["bracket"](q, search_bound)
+    if not ks:
+        return False
     if cache["kind"] == "salem":
-        k_hi = _index_window(seq, q, search_bound)
-        x = cache["x"]
-        for k in range(0, k_hi + 1):
+        beta, x = seq.field.beta, cache["x"]
+        for k in ks:
             if seq.term(k) == q:
                 # confirm through the recovery route: the window solve must
                 # return exactly beta^k and the trace close the loop
@@ -555,18 +525,9 @@ def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool
         return False
     if q in cache["pre"]:
         return True
-    tm = cache["tm"]
-    y = tm.apply(q)
+    y = cache["tm"].apply(q)
     k = cache["pred"].exponent_of(y)
-    if k is not None and seq.term(k) == q:
-        return True
-    return False
-
-
-def _power_pred(seq: LinRecSeq) -> SetPredicate:
-    if seq._power_pred is None:
-        seq._power_pred = power_set_predicate(seq.field.beta)
-    return seq._power_pred
+    return k is not None and seq.term(k) == q
 
 
 # ---------------------------------------------------------------------------

@@ -294,14 +294,14 @@ class NumberField:
             self.minpoly_int = polys.neg(self.minpoly_int)
         self.monic_minpoly = polys.monic(self.minpoly_int)
         self.degree = polys.degree(p)
-        if check_reducible:
-            f = self._cheap_factor_search()
-            if f is not None:
-                raise ReducibleDetected(f"found factor with coefficients {list(f)}")
 
         m = self.degree
         self._sum2 = None
         real_ivs = polys.isolate_real_roots(self.monic_minpoly)
+        if check_reducible:
+            f = self._cheap_factor_search(real_ivs)
+            if f is not None:
+                raise ReducibleDetected(f"found factor with coefficients {list(f)}")
         r1 = len(real_ivs)
         r2 = (m - r1) // 2
         self.signature = (r1, r2)
@@ -321,18 +321,22 @@ class NumberField:
 
     # -- construction helpers -----------------------------------------------
 
-    def _cheap_factor_search(self) -> Optional[tuple]:
-        """Bounded search for an integer polynomial factor of degree <= m/2.
-
-        Silence is not a proof of irreducibility; the caller asserts that.
-        """
+    def _cheap_factor_search(self, real_ivs: list) -> Optional[tuple]:
+        """A linear factor from a rational root, else a bounded search for
+        an integer factor of degree 2..m/2 (silence there is no proof of
+        irreducibility; the caller asserts that).  A rational root r has
+        lead * r integral: each real root, refined to width below 1/lead,
+        leaves one candidate n / lead to test exactly."""
         p = self.minpoly_int
         m = polys.degree(p)
         if m == 1:
             return None
-        if p[0] == 0:
-            return polys.mk([0, 1])
         lead = int(polys.lead(p))
+        for lo, hi in real_ivs:
+            lo, hi = polys.refine_root(p, lo, hi, Fraction(1, 2 * lead))
+            n = -(-lo * lead // 1)
+            if n <= hi * lead and polys.eval_at(p, Fraction(n, lead)) == 0:
+                return polys.to_int_primitive(polys.mk([-n, lead]))[0]
         const = int(p[0])
 
         def divisors(n):
@@ -342,11 +346,6 @@ class NumberField:
                 out.append(n)
             return out
 
-        for c in divisors(const):
-            for l in divisors(lead):
-                for sc in (c, -c):
-                    if polys.eval_at(p, Fraction(sc, l)) == 0:
-                        return polys.mk([-sc, l])
         b2 = isqrt(int(sum(c * c for c in p))) + 1
         cap = 200000
         for d in range(2, m // 2 + 1):

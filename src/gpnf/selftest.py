@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from .analysis import (non_hereditary_construct, sturmian, subword_complexity,
                        surrogate_slow_decay_set)
@@ -163,23 +164,23 @@ def check_sturmian_expression(fast=False):
         assert v in (0, 1)
         ones += v
     dens = Fraction(ones, N)
-    assert abs(dens - Fraction(414214, 10 ** 6)) < Fraction(3, int(N ** 0.5))
+    assert abs(dens - Fraction(414214, 10 ** 6)) < Fraction(3, isqrt(N))
 
 
 def check_parse_roundtrip(fast=False):
     rng = random.Random(8)
 
     def gen(depth):
-        if depth == 0 or rng.random() < 0.3:
+        if depth == 0 or rng.randrange(10) < 3:
             return rng.choice([RationalConst(Fraction(rng.randint(0, 9))),
                                Var(rng.choice("xyz")),
                                Embed(rng.choice("xy"), rng.randint(0, 3))])
-        k = rng.random()
-        if k < 0.3:
+        k = rng.randrange(10)
+        if k < 3:
             return Add(gen(depth - 1), gen(depth - 1))
-        if k < 0.5:
+        if k < 5:
             return Mul(gen(depth - 1), gen(depth - 1))
-        if k < 0.6:
+        if k < 6:
             return Neg(gen(depth - 1))
         return rng.choice([Floor, Frac, Nint, Dist])(gen(depth - 1))
 

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import embed_floats, random_element
 from gpnf.constructions import (IndexSet, PisotSetSpec, choose_m, default_rho,
@@ -149,6 +151,44 @@ def test_power_set_exhaustive(K_phi):
         assert pred((phi ** i) * (phi - 1)) == (1 if i >= 1 else 0)
         assert pred((phi ** i) * 2) == 0
         assert pred(-(phi ** i)) == 0
+
+
+PISOT_UNITS = {"golden": [-1, -1, 1], "plastic": [-1, -1, 0, 1],
+               "tribonacci": [-1, -1, -1, 1]}
+TOP = 5000
+
+
+@lru_cache(maxsize=None)
+def _powers(name):
+    """(predicate, [beta^0, ..., beta^(TOP+3)], {beta^j: j})."""
+    beta = NumberField(PISOT_UNITS[name]).beta
+    pows = [beta ** 0]
+    for _ in range(TOP + 3):
+        pows.append(pows[-1] * beta)
+    return power_set_predicate(beta), pows, {p: j for j, p in enumerate(pows)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(PISOT_UNITS)), st.integers(0, TOP),
+       st.sampled_from([0, 1, -1, 2]))
+def test_exponent_of_matches_exact_power_oracle(name, k, d):
+    pred, pows, index = _powers(name)
+    x = pows[k] + d
+    j = index.get(x)
+    expected = j if j is not None and j <= k + 3 else None
+    assert pred.exponent_of(x) == expected
+    if d == 0:
+        assert expected == k
+
+
+def test_exponent_of_near_powers_all_small_k():
+    for name in PISOT_UNITS:
+        pred, pows, index = _powers(name)
+        for k in range(60):
+            for d in (0, 1, -1, 2, -2):
+                x = pows[k] + d
+                for y in (x, -x, 2 * x, x / 2):
+                    assert pred.exponent_of(y) == index.get(y), (name, k, d)
 
 
 def test_power_set_rank_check(K_salem):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,8 @@ from conftest import random_element
 from gpnf import polys
 from gpnf.errors import (DegreeMismatch, NotPisot, NotSquarefree, RankNotOne,
                          SearchBoundExceeded, ZeroSourceSequence, ZeroTraceRep)
-from gpnf.linrec import (LinRecSeq, pisot_step, salem_recover_exact,
+from gpnf.linrec import (LinRecSeq, _vsm_setup, pisot_step,
+                         salem_recover_exact,
                          salem_recovery_family, sml_zeros, trace_representation,
                          transfer_map, transfer_to_powers, true_onset,
                          value_set_membership, verified_i0)
@@ -371,6 +373,70 @@ def test_membership_rank_check(K_sqrt2):
 def test_membership_search_bound(fib):
     with pytest.raises(SearchBoundExceeded):
         value_set_membership(fib, 10 ** 40, search_bound=20)
+
+
+MEMBERSHIP_SEQS = {"fibonacci": ([-1, -1, 1], [0, 1]),
+                   "perrin": ([-1, -1, 0, 1], [3, 0, 2]),
+                   "salem": ([1, -1, -1, -1, 1], [4, 1, 3, 7])}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_SEQS))
+def test_membership_differential_near_terms(name):
+    seq = LinRecSeq(*MEMBERSHIP_SEQS[name])
+    near = [int(seq.term(k)) for k in range(400)]
+    queries = {t + d for t in near for d in range(-3, 4)}
+    queries |= {-q for q in queries} | set(range(-40, 40))
+    # the terms from index 440 on exceed every query, so the first 440
+    # terms hold every value a query can hit
+    assert min(seq.term(k) for k in range(440, 480)) > max(queries)
+    values = {int(seq.term(k)) for k in range(440)}
+    wrong = [q for q in sorted(queries)
+             if value_set_membership(seq, q) != (q in values)]
+    assert wrong == []
+    for q in near[::37]:
+        assert value_set_membership(seq, F(2 * q + 1, 2)) is False
+
+
+def _top_index(seq, q):
+    return _vsm_setup(seq)["bracket"](q).stop - 1
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "salem"])
+@pytest.mark.parametrize("bound", [5, 9, 60])
+def test_search_bound_exact_at_the_bracket_top(name, bound):
+    seq = LinRecSeq(*MEMBERSHIP_SEQS[name])
+    value_set_membership(seq, 1)
+    lo, hi = 0, 1
+    while _top_index(seq, hi) <= bound:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:      # the least q >= 0 whose bracket reaches past bound
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _top_index(seq, mid) <= bound else (lo, mid)
+    assert _top_index(seq, hi - 1) <= bound < _top_index(seq, hi)
+    for q in (hi, -hi, hi - 1, 1 - hi, hi + 1, 3 * hi,
+              F(2 * hi - 1, 2), F(4 * hi - 1, 4), F(-4 * hi + 1, 4)):
+        if _top_index(seq, q) > bound:
+            with pytest.raises(SearchBoundExceeded):
+                value_set_membership(seq, q, search_bound=bound)
+        else:
+            assert abs(q) < hi
+            value_set_membership(seq, q, search_bound=bound)
+    k = bound // 2
+    assert value_set_membership(seq, seq.term(k), search_bound=bound) is True
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "salem"])
+def test_search_bound_large_queries_are_quick(name):
+    seq = LinRecSeq(*MEMBERSHIP_SEQS[name])
+    value_set_membership(seq, 1, search_bound=100)
+    t0 = time.perf_counter()
+    with pytest.raises(SearchBoundExceeded):
+        value_set_membership(seq, 10 ** 5000, search_bound=10 ** 4)
+    assert time.perf_counter() - t0 < 0.1
+    q = int(seq.term(3000))
+    t0 = time.perf_counter()
+    assert value_set_membership(seq, q) is True
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_membership_zero_sequence():

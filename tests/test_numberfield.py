@@ -242,6 +242,23 @@ def test_reducible_detected():
         NumberField([2, 3, 1])    # (x+1)(x+2)
 
 
+@pytest.mark.parametrize("coeffs, factor", [
+    ([-1018081, 0, 1], [1009, 1]),          # (x - 1009)(x + 1009)
+    ([-1022117, -4, 1], [1009, 1]),         # (x - 1013)(x + 1009)
+    ([-1022117, 6082, 7], [1013, 1]),       # (7x - 1009)(x + 1013)
+    ([0, -2, 0, 1], [0, 1]),                # x (x^2 - 2)
+])
+def test_reducible_rational_root_beyond_small_divisors(coeffs, factor):
+    with pytest.raises(ReducibleDetected) as exc:
+        NumberField(coeffs)
+    assert str([F(c) for c in factor]) in str(exc.value)
+
+
+def test_irreducible_with_large_constant_builds():
+    K = NumberField([-2 * 1018081, 0, 1])   # x^2 - 2036162: no rational root
+    assert K.signature == (2, 0)
+
+
 def test_unchecked_reducible_field_with_rational_roots():
     # roots +-1 refine to points, so the tie |-1| = |1| is an exact zero sum
     K = NumberField([-1, 0, 1], check_reducible=False)
