@@ -20,8 +20,10 @@ class NoRealRoot(GpnfError):
 
 
 class ReducibleDetected(GpnfError):
-    """The bounded factor search found a nontrivial factor of the minimal
-    polynomial, contradicting the caller's irreducibility assertion."""
+    """The defining polynomial has a nontrivial rational factor.  Field
+    construction raises it with an exact integer factor in the message;
+    arithmetic in a field built with check_reducible=False raises it when an
+    element turns out to be a zero divisor."""
 
 
 class DivisionByZero(GpnfError):

@@ -1,9 +1,11 @@
 """Exact arithmetic in a number field Q(beta) with certified embeddings.
 
-A NumberField is built from a squarefree defining polynomial.  Real
-conjugates are isolated by Sturm bisection; complex conjugates by rectangle
-subdivision with an exact winding-number count on rectangle boundaries: one
-integer Sturm chain of Re p and Im p per edge gives its Cauchy index (Wilf;
+A NumberField is built from an irreducible defining polynomial, and proves
+it irreducible: factor degrees modulo primes first, then recombination of
+certified root enclosures for the degrees they leave.  Real conjugates are
+isolated by Sturm bisection; complex conjugates by rectangle subdivision
+with an exact winding-number count on rectangle boundaries: one integer
+Sturm chain of Re p and Im p per edge gives its Cauchy index (Wilf;
 Eisermann), with no root isolation and no floating point anywhere.  Elements
 are coordinate vectors in the power basis.  Their invariants come from
 power sums: the trace from the stored Tr(beta^i), the characteristic
@@ -19,8 +21,8 @@ from __future__ import annotations
 import functools
 import threading
 from fractions import Fraction
-from itertools import product as _iproduct
-from math import comb, gcd, isqrt, lcm
+from itertools import combinations
+from math import ceil, gcd, lcm
 from operator import mul as _mul
 from typing import Optional, Sequence, Union
 
@@ -255,6 +257,68 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
     return xlo, xhi, ylo, yhi
 
 
+def _find_factor(p: tuple, degrees: list, reals: list,
+                 uppers: list) -> Optional[tuple]:
+    """A primitive integer factor of the integer polynomial p with degree in
+    `degrees`, else None, given isolating intervals of its real roots
+    (ascending) and rectangles of its upper-half-plane roots.
+
+    Zassenhaus's recombination over certified root enclosures instead of a
+    p-adic lift: the roots of a factor g of degree d form a set S of d roots
+    closed under complex conjugation, and lead(p) * prod_S (x - r) =
+    (lead(p) / lead(g)) g has integer coefficients.  For each such S, copies
+    of the enclosures are refined until some coefficient of that product
+    encloses no integer, or all are enclosed in intervals narrower than 1;
+    then its one integer candidate is tested by exact division.  For d = 1
+    this is the rational-root test, over the real roots in ascending order.
+    """
+    lead, m, r1 = int(polys.lead(p)), polys.degree(p), len(reals)
+    encl = list(reals) + list(uppers)
+    one = RatInterval.point(1)
+
+    def root_factor(j: int, width: Fraction) -> list:
+        """x - r for a real root, (x - r)(x - conj r) for an upper one, as
+        interval coefficients, with the root enclosed below `width`."""
+        e = encl[j]
+        if j < r1:
+            if e[1] - e[0] > width:
+                e = encl[j] = polys.refine_root(p, *e, width)
+            return [RatInterval(-e[1], -e[0]), one]
+        if max(e[1] - e[0], e[3] - e[2]) > width:
+            e = encl[j] = _refine_rect(p, e, width)
+        re, im = RatInterval(e[0], e[1]), RatInterval(e[2], e[3])
+        return [re.sq() + im.sq(), re * -2, one]
+
+    def candidate(S: tuple) -> Optional[tuple]:
+        width = Fraction(1, 2 * lead)
+        while True:
+            cs = [RatInterval.point(lead)]
+            for j in S:
+                f = root_factor(j, width)
+                out = [RatInterval.point(0)] * (len(cs) + len(f) - 1)
+                for i, x in enumerate(cs):
+                    for k, y in enumerate(f):
+                        out[i + k] = out[i + k] + x * y
+                cs = out
+            ns = [ceil(c.lo) for c in cs]
+            if any(n > c.hi for n, c in zip(ns, cs)):
+                return None
+            if all(c.width < 1 for c in cs):
+                return polys.mk(ns)
+            width /= 2
+
+    for d in degrees:
+        for S in (rs + us for a in range(d % 2, min(d, r1) + 1, 2)
+                  for rs in combinations(range(r1), a)
+                  for us in combinations(range(r1, len(encl)), (d - a) // 2)):
+            if 2 * d == m and 0 not in S:
+                continue  # a factor of degree m/2 or its cofactor has root 0
+            g = candidate(S)
+            if g is not None and not polys.divmod_(p, g)[1]:
+                return polys.to_int_primitive(g)[0]
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the field
 # ---------------------------------------------------------------------------
@@ -270,7 +334,13 @@ class _Root:
 
 
 class NumberField:
-    """Q(beta) for beta a root of a squarefree rational polynomial.
+    """Q(beta) for beta a root of an irreducible rational polynomial.
+
+    Construction proves irreducibility: factor degrees modulo a few primes
+    rule out most factor degrees, and the rest are settled by recombining
+    certified root enclosures; a factor raises ReducibleDetected naming it.
+    check_reducible=False skips that proof, for a polynomial the caller
+    knows to be irreducible; it must still be squarefree.
 
     Conjugates are ordered canonically: real roots ascending, then complex
     pairs by ascending real part (exact ties broken by imaginary part),
@@ -297,17 +367,21 @@ class NumberField:
 
         m = self.degree
         self._sum2 = None
+        degrees = (polys._factor_degree_candidates(
+            [c.numerator for c in self.minpoly_int]) if check_reducible else [])
         real_ivs = polys.isolate_real_roots(self.monic_minpoly)
-        if check_reducible:
-            f = self._cheap_factor_search(real_ivs)
-            if f is not None:
-                raise ReducibleDetected(f"found factor with coefficients {list(f)}")
         r1 = len(real_ivs)
         r2 = (m - r1) // 2
         self.signature = (r1, r2)
 
+        uppers = _isolate_complex_upper(self.minpoly_int, r2)
+        if degrees:
+            f = _find_factor(self.minpoly_int, degrees, real_ivs, uppers)
+            if f is not None:
+                raise ReducibleDetected(f"found factor with coefficients {list(f)}")
+
         self._roots = [_Root("real", interval=iv) for iv in real_ivs]
-        for rect in self._sort_uppers(_isolate_complex_upper(self.minpoly_int, r2)):
+        for rect in self._sort_uppers(uppers):
             k = len(self._roots)
             self._roots.append(_Root("upper", rect=rect, pair=k + 1))
             self._roots.append(_Root("lower", rect=rect, pair=k))
@@ -320,52 +394,6 @@ class NumberField:
         self._hash = hash((self.minpoly_int, self.distinguished))
 
     # -- construction helpers -----------------------------------------------
-
-    def _cheap_factor_search(self, real_ivs: list) -> Optional[tuple]:
-        """A linear factor from a rational root, else a bounded search for
-        an integer factor of degree 2..m/2 (silence there is no proof of
-        irreducibility; the caller asserts that).  A rational root r has
-        lead * r integral: each real root, refined to width below 1/lead,
-        leaves one candidate n / lead to test exactly."""
-        p = self.minpoly_int
-        m = polys.degree(p)
-        if m == 1:
-            return None
-        lead = int(polys.lead(p))
-        for lo, hi in real_ivs:
-            lo, hi = polys.refine_root(p, lo, hi, Fraction(1, 2 * lead))
-            n = -(-lo * lead // 1)
-            if n <= hi * lead and polys.eval_at(p, Fraction(n, lead)) == 0:
-                return polys.to_int_primitive(polys.mk([-n, lead]))[0]
-        const = int(p[0])
-
-        def divisors(n):
-            n = abs(int(n))
-            out = [d for d in range(1, min(n, 1000) + 1) if n % d == 0]
-            if n > 1000:
-                out.append(n)
-            return out
-
-        b2 = isqrt(int(sum(c * c for c in p))) + 1
-        cap = 200000
-        for d in range(2, m // 2 + 1):
-            bound = comb(d, d // 2) * b2
-            if bound > 40:
-                continue  # bounded search only
-            total = (len(divisors(lead)) * len(divisors(const)) * 2
-                     * (2 * bound + 1) ** (d - 1))
-            if total > cap:
-                continue
-            for lc in divisors(lead):
-                for cst in divisors(const):
-                    for sc in (cst, -cst):
-                        for mid in _iproduct(range(-bound, bound + 1), repeat=d - 1):
-                            g = polys.mk([sc, *mid, lc])
-                            if polys.degree(g) != d:
-                                continue
-                            if polys.is_zero(polys.divmod_(p, g)[1]):
-                                return g
-        return None
 
     def _sum_resolvent(self) -> tuple:
         """(S, chain): the squarefree polynomial of the sums r_i + r_j of

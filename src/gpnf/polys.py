@@ -8,15 +8,16 @@ Sturm chain counts real roots: the signed remainder chain of an integer pair
 p in an open interval, ends that are roots included, which drives isolation
 and refinement of real roots; for (Re p, Im p) on a line it gives the edge
 terms of winding counts; the last entry of the chain of (p, q) is their
-gcd, which gives squarefree parts and tests.  Also here: resultants over Q,
-and the polynomials vanishing at sums and products of roots, built from
-power sums by Newton's identities.
+gcd, which gives squarefree parts and tests.  Also here: the factor
+degrees an integer polynomial can have, from distinct-degree factorisation
+modulo primes; resultants over Q; and the polynomials vanishing at sums and
+products of roots, built from power sums by Newton's identities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd as igcd, lcm
+from math import comb, gcd as igcd, isqrt, lcm
 from typing import Iterable
 
 from .intervals import RatInterval, poly_interval
@@ -324,6 +325,111 @@ def isolate_real_roots(p: Poly) -> list:
     bound = cauchy_bound(p)
     walk(-bound, bound, count_roots(chain, -bound, bound))
     return out
+
+
+# -- factor degrees modulo primes ---------------------------------------------
+# Modulo a prime p that divides neither the leading coefficient nor the
+# discriminant, an integer factor of degree d of P reduces to a product of
+# some of the irreducible factors of P mod p, so d is a sum of their degrees.
+# Distinct-degree factorisation gives those degrees (Cohen, "A Course in
+# Computational Algebraic Number Theory", Algorithm 3.4.3).  Polynomials over
+# GF(p) are lists of ints in [0, p), ascending, without trailing zeros.
+
+_DEGREE_PRIMES = 8  # good primes tried before the degrees left go to recombination
+
+
+def _gfp_divmod(a: list, b: list, p: int) -> tuple:
+    """(quotient, remainder) of a by monic b over GF(p)."""
+    r, db = list(a), len(b) - 1
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = q[k] = r[k + db]
+        if c:
+            for i in range(db):
+                r[k + i] = (r[k + i] - c * b[i]) % p
+    r = r[:db]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _gfp_monic(a: list, p: int) -> list:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gfp_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd over GF(p); a nonzero."""
+    while b:
+        b = _gfp_monic(b, p)
+        a, b = b, _gfp_divmod(a, b, p)[1]
+    return _gfp_monic(a, p)
+
+
+def _gfp_mulmod(a: list, b: list, f: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _gfp_divmod([c % p for c in out], f, p)[1]
+
+
+def _gfp_factor_degrees(f: list, p: int) -> list:
+    """Degrees of the irreducible factors of squarefree monic f over GF(p):
+    once the factors of degree below i are divided out, the product of those
+    of degree i is gcd(x^(p^i) - x, f)."""
+    out, h, i = [], [0, 1], 0
+    while 2 * (i + 1) <= len(f) - 1:
+        i += 1
+        e, base, h = p, h, [1]
+        while e:  # h <- h^p mod f
+            if e & 1:
+                h = _gfp_mulmod(h, base, f, p)
+            e >>= 1
+            if e:
+                base = _gfp_mulmod(base, base, f, p)
+        hx = h + [0] * (2 - len(h))
+        hx[1] = (hx[1] - 1) % p
+        while hx and hx[-1] == 0:
+            hx.pop()
+        g = _gfp_gcd(f, hx, p)
+        if len(g) > 1:
+            out += [i] * ((len(g) - 1) // i)
+            f = _gfp_divmod(f, g, p)[0]
+            h = _gfp_divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append(len(f) - 1)
+    return out
+
+
+def _factor_degree_candidates(P: list) -> list:
+    """The degrees d with 1 <= d <= m/2 that a factor of the squarefree
+    integer polynomial P of degree m can still have: the intersection, over
+    the first few primes p dividing neither the leading coefficient nor the
+    discriminant, of the sums of factor degrees of P mod p.  An empty list
+    proves P irreducible over Q."""
+    m = len(P) - 1
+    full = 1 | 1 << m
+    mask, good, p = (1 << (m + 1)) - 1, 0, 1
+    while good < _DEGREE_PRIMES and mask != full:
+        p += 1
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)) or P[-1] % p == 0:
+            continue
+        f = _gfp_monic([c % p for c in P], p)
+        df = [i * c % p for i, c in enumerate(f)][1:]
+        while df and df[-1] == 0:
+            df.pop()
+        if len(_gfp_gcd(f, df, p)) > 1:  # p divides the discriminant
+            continue
+        good += 1
+        sums = 1
+        for e in _gfp_factor_degrees(f, p):
+            sums |= sums << e
+        mask &= sums
+    return [d for d in range(1, m // 2 + 1) if mask >> d & 1]
 
 
 def dyadic_down(q: Fraction, t: int) -> Fraction:

@@ -191,6 +191,14 @@ def test_field_command_x4_plus_1(capsys):
     assert json.loads(out)["signature"] == [0, 2]
 
 
+def test_field_command_reducible_quartic(capsys):
+    # (x^2 - 1009x - 1)(x^2 + 1013x - 1): no rational root, large factors
+    code, out = run(capsys, "field", "--minpoly", "1,4,-1022119,-4,1", "--json")
+    assert code == 1
+    d = json.loads(out)
+    assert d["schema"] == 1 and d["error"] == "ReducibleDetected"
+
+
 def test_field_command_constant_minpoly(capsys):
     code, out = run(capsys, "field", "--minpoly", "2", "--json")
     assert code == 1

@@ -145,8 +145,9 @@ def test_mul_against_sympy_rem(name):
 
 
 # degree 1-8: 2x - 3, 2x^2 - 3, 3x^3 - 2x + 5, the Salem quartic, x^5 - x - 1,
-# x^6 - x^4 - x^3 - x^2 + 1, x^7 - x - 1 and x^8 - x^5 - x^4 - x^3 + 1 (all
-# irreducible, so the factor search is skipped)
+# x^6 - x^4 - x^3 - x^2 + 1, x^7 - x - 1 and x^8 - x^5 - x^4 - x^3 + 1, built
+# with the irreducibility proof on (the non-monic ones skip the primes that
+# divide their leading coefficient)
 INVARIANT_FIELDS = {
     1: [-3, 2], 2: [-3, 0, 2], 3: [5, -2, 0, 3], 4: [1, -1, -1, -1, 1],
     5: [-1, -1, 0, 0, 0, 1], 6: [1, 0, -1, -1, -1, 0, 1],
@@ -166,7 +167,7 @@ def test_invariants_against_sympy_mult_matrix(m):
     matrix of multiplication modulo f, its trace, det and charpoly, and
     sympy.invert, on seeded elements (zero, rationals, powers of beta and
     random vectors)."""
-    f = NumberField(INVARIANT_FIELDS[m], check_reducible=False)
+    f = NumberField(INVARIANT_FIELDS[m])
     t, lam = sympy.symbols("t lam")
     minpoly = sum(int(c) * t ** i for i, c in enumerate(f.minpoly_int))
     rng = random.Random(40 + m)

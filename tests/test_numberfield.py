@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -252,6 +253,102 @@ def test_reducible_rational_root_beyond_small_divisors(coeffs, factor):
     with pytest.raises(ReducibleDetected) as exc:
         NumberField(coeffs)
     assert str([F(c) for c in factor]) in str(exc.value)
+
+
+def _reported_factor(exc) -> tuple:
+    """The integer factor named in a ReducibleDetected message."""
+    pairs = re.findall(r"Fraction\((-?\d+), (\d+)\)", str(exc.value))
+    assert pairs and all(d == "1" for _n, d in pairs)
+    return polys.mk(int(n) for n, _d in pairs)
+
+
+def _divides(g: tuple, p: list) -> bool:
+    return 1 <= polys.degree(g) < len(p) - 1 and not polys.divmod_(
+        polys.mk(p), g)[1]
+
+
+def test_reducible_quadratic_factors_with_large_coefficients():
+    p = [1, -4, -1022119, 4, 1]   # (x^2 - 1009x - 1)(x^2 + 1013x - 1)
+    with pytest.raises(ReducibleDetected) as exc:
+        NumberField(p)
+    g = _reported_factor(exc)
+    assert _divides(g, p)
+    assert g in (polys.mk([-1, -1009, 1]), polys.mk([-1, 1013, 1]))
+
+
+def test_reducible_product_of_salem_quartics():
+    p = [1, -3, 2, -2, 5, -2, 2, -3, 1]  # (x^4-x^3-x^2-x+1)(x^4-2x^3+x^2-2x+1)
+    assert polys._factor_degree_candidates(p) == [4]
+    with pytest.raises(ReducibleDetected) as exc:
+        NumberField(p)
+    assert _divides(_reported_factor(exc), p)
+
+
+@pytest.mark.parametrize("coeffs, signature", [
+    ([1, 0, 0, 0, 1], (0, 2)),                  # x^4 + 1
+    ([1, 0, 0, 0, 0, 0, 0, 0, 1], (0, 4)),      # x^8 + 1
+    ([1, 0, -10, 0, 1], (4, 0)),                # x^4 - 10x^2 + 1
+])
+def test_irreducible_but_reducible_modulo_every_prime(coeffs, signature):
+    # no prime rules out every factor degree, so recombination over the root
+    # enclosures decides
+    assert polys._factor_degree_candidates(coeffs)
+    assert NumberField(coeffs).signature == signature
+
+
+def test_irreducible_by_factor_degrees_modulo_primes():
+    coeffs = [5, 0, 5, 0, 1]                    # x^4 + 5x^2 + 5, cyclic Galois group
+    assert polys._factor_degree_candidates(coeffs) == []
+    assert NumberField(coeffs).signature == (0, 2)
+
+
+def _random_int_poly(rng, d: int, big: bool) -> list:
+    bound = 10 ** rng.randint(4, 9) if big else rng.choice((1, 3, 9))
+    return ([rng.randint(-bound, bound) for _ in range(d)]
+            + [rng.choice((1, 1, -1, 2, 3, -5))])
+
+
+def _differential_case(rng, k: int) -> list:
+    """A squarefree integer polynomial of degree 2-12: for odd k a product of
+    two random factors, else one random polynomial of degree at most 8 (a
+    full field build of degree 9-12 costs seconds); every fifth has
+    coefficients up to 10^9, at degree at most 6."""
+    big = k % 5 == 0
+    while True:
+        m = rng.randint(2, 6 if big else 12 if k % 2 else 8)
+        if k % 2:
+            d = rng.randint(1, m - 1)
+            a, b = _random_int_poly(rng, d, big), _random_int_poly(rng, m - d, False)
+            p = [sum(a[i] * b[j - i] for i in range(max(0, j - m + d), min(j, d) + 1))
+                 for j in range(m + 1)]
+        else:
+            p = _random_int_poly(rng, m, big)
+        if polys.is_squarefree(polys.mk(p)):
+            return p
+
+
+def test_reducible_detected_matches_sympy_factor_list():
+    """ReducibleDetected is raised exactly when sympy finds two or more
+    nonconstant factors, and the factor it names divides the polynomial."""
+    import sympy
+    x = sympy.symbols("x")
+    rng = random.Random(2024)
+    seen = set()
+    for k in range(200):
+        p = _differential_case(rng, k)
+        _c, factors = sympy.factor_list(sum(c * x ** i for i, c in enumerate(p)))
+        reducible = sum(e for f, e in factors if sympy.degree(f, x) > 0) >= 2
+        if reducible:
+            with pytest.raises(ReducibleDetected) as exc:
+                NumberField(p)
+            assert _divides(_reported_factor(exc), p), p
+        else:
+            assert NumberField(p).degree == len(p) - 1
+        seen.add((reducible, len(p) - 1 > 8, abs(p[-1]) > 1,
+                  max(map(abs, p)) > 10 ** 4))
+    # both answers, degrees above 8, non-monic and large coefficients occur
+    assert {r for r, *_ in seen} == {False, True}
+    assert all(any(t[i] for t in seen) for i in range(1, 4))
 
 
 def test_irreducible_with_large_constant_builds():

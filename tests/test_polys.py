@@ -408,3 +408,64 @@ def test_gcd_and_squarefree_part_vs_sympy():
     # zero, constants, nontrivial gcds and repeated factors all occur
     assert {d for d, _g, _s in seen} >= {-1, 0}
     assert any(g for _d, g, _s in seen) and not all(s for _d, _g, s in seen)
+
+
+def _sympy_degree_sums(coeffs, p, x):
+    """Subset sums of the degrees of the irreducible factors of the integer
+    polynomial mod p, from sympy, or None when p divides the leading
+    coefficient or the polynomial is not squarefree mod p."""
+    import sympy
+    f = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
+    factors = f.factor_list()[1]
+    if f.degree() != len(coeffs) - 1 or any(e > 1 for _g, e in factors):
+        return None
+    sums = {0}
+    for g, _e in factors:
+        sums |= {s + g.degree() for s in sums}
+    return sums
+
+
+def test_factor_degrees_mod_p_vs_sympy():
+    import sympy
+    x = sympy.symbols("x")
+    rng = random.Random(71)
+    for _ in range(60):
+        m = rng.randint(1, 12)
+        coeffs = [rng.randint(-50, 50) for _ in range(m)] + [rng.randint(1, 9)]
+        for p in (2, 3, 5, 7, 13, 101):
+            want = _sympy_degree_sums(coeffs, p, x)
+            if want is None:
+                continue
+            got = {0}
+            for e in P._gfp_factor_degrees(
+                    P._gfp_monic([c % p for c in coeffs], p), p):
+                got |= {s + e for s in got}
+            assert got == want, (coeffs, p)
+
+
+def test_factor_degree_candidates_vs_sympy():
+    """The candidate degrees are the intersection of the factor-degree sums
+    modulo the first P._DEGREE_PRIMES good primes, cut short once only 0 and
+    m remain; irreducible catalogue polynomials need no recombination."""
+    import sympy
+    x = sympy.symbols("x")
+    rng = random.Random(72)
+    cases = [[rng.randint(-9, 9) for _ in range(rng.randint(2, 10))] + [1]
+             for _ in range(40)]
+    cases += [[1, -3, 2, -2, 5, -2, 2, -3, 1], [1, 0, 0, 0, 0, 0, 0, 0, 1]]
+    for coeffs in cases:
+        if not P.is_squarefree(P.mk(coeffs)):
+            continue
+        m, keep, good, p = len(coeffs) - 1, set(range(len(coeffs))), 0, 1
+        while good < P._DEGREE_PRIMES and keep != {0, m}:
+            p = sympy.nextprime(p)
+            sums = _sympy_degree_sums(coeffs, p, x)
+            if sums is not None:
+                good += 1
+                keep &= sums
+        want = sorted(d for d in keep if 1 <= d <= m // 2)
+        assert P._factor_degree_candidates(coeffs) == want, coeffs
+    for coeffs in ([-1, -1, 1], [-1, -1, 0, 1], [-1, -1, -1, -1, -1, -1, 1],
+                   [1, 0, -1, -1, -1, 0, 1], [1, 0, 0, -1, -1, -1, 0, 0, 1],
+                   [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1], [-1, -1] + [0] * 14 + [1]):
+        assert P._factor_degree_candidates(coeffs) == []
