@@ -4,20 +4,25 @@ This layer handles every exact decision that leaves a single field
 embedding: sums and products across embeddings or across different fields,
 real and imaginary parts of complex embeddings, floors of such values, and
 modulus-one tests.  Defining polynomials of sums and products come from
-power-sum resolvents (`polys.sum_poly`, `polys.prod_poly`); all decisions
-refine a certified interval and settle hits with exact polynomial
-arithmetic.
+power-sum resolvents (`polys.sum_poly`, `polys.prod_poly`).  Each value is
+built by `_isolate`, which reads a stream of enclosures (a field
+element's `enclosures`, or two `RealAlg.enclosures` zipped) until one box
+holds a single root of the resolvent; signs and floors then read the
+value's own stream through `intervals.sign_vs` and `intervals.floor_of`,
+and settle hits with exact polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, count
+from operator import add, mul
 from typing import Optional
 
 from . import polys
 from .errors import RealEmbedding
-from .intervals import RatInterval
+from .intervals import RatInterval, floor_of, sign_vs
 from .numberfield import FieldElement, _min_sep_sq
 
 
@@ -40,11 +45,14 @@ class RealAlg:
     """A real algebraic number: squarefree defining polynomial plus an open
     isolating interval, or an exact rational.
 
-    Binary add/mul build resolvent polynomials whose degree is the product
-    of the operand degrees; they are meant for low-degree operands (the
-    expression evaluator keeps values inside a single field whenever it
-    can).  The per-embedding helpers below (re/im/|.|^2) use dedicated
-    resolvents and stay one resultant deep.
+    Decisions read the stream `enclosures(width)` of ever narrower
+    isolating intervals: `compare_rational` through `intervals.sign_vs`,
+    `floor` through `intervals.floor_of`, which settles a straddled integer
+    by an exact comparison.  Binary add/mul build a sum or product
+    resolvent, whose degree is the product of the operand degrees, and
+    isolate the result from the operands' zipped streams; they are meant
+    for low-degree operands (the expression evaluator keeps values inside a
+    single field whenever it can).
     """
 
     __slots__ = ("poly", "lo", "hi", "rat")
@@ -71,14 +79,7 @@ class RealAlg:
             raise ValueError("from_embedding needs a real root index")
         if x.is_rational():
             return RealAlg.from_rational(x.as_rational())
-        c = x.minimal_poly()
-        prec = 8
-        while True:
-            box = x.embed(j, prec)
-            r = _try_isolate(c, box)
-            if r is not None:
-                return r
-            prec *= 2
+        return _isolate(x.minimal_poly(), x.enclosures(j))
 
     # -- basic state ----------------------------------------------------------
 
@@ -97,33 +98,22 @@ class RealAlg:
         self.refine(width)
         return self.interval()
 
+    def enclosures(self, width: Fraction):
+        """The intervals refined_interval(width / 16**k), k = 0, 1, 2, ..."""
+        return (self.refined_interval(width / 16 ** k) for k in count())
+
     # -- exact decisions -------------------------------------------------------
 
     def compare_rational(self, q) -> int:
         """Exact sign of self - q."""
         q = Fraction(q)
-        if self.rat is not None:
-            return (self.rat > q) - (self.rat < q)
-        if q <= self.lo:
-            return 1
-        if q >= self.hi:
-            return -1
-        if polys.eval_at(self.poly, q) == 0:
+        if self.lo < q < self.hi and polys.eval_at(self.poly, q) == 0:
             # q is a root strictly inside the isolating interval, hence
             # it is the unique root there: the value itself
             self.rat = q
             self.lo = self.hi = q
-            return 0
-        width = (self.hi - self.lo) / 4
-        while True:
-            self.refine(width)
-            if self.rat is not None:
-                return (self.rat > q) - (self.rat < q)
-            if q <= self.lo:
-                return 1
-            if q >= self.hi:
-                return -1
-            width /= 16
+        return sign_vs(chain([self.interval()],
+                             self.enclosures((self.hi - self.lo) / 4)), q)
 
     def eq_rational(self, q) -> bool:
         return self.compare_rational(q) == 0
@@ -132,20 +122,8 @@ class RealAlg:
         return self.compare_rational(0)
 
     def floor(self) -> int:
-        if self.rat is not None:
-            return self.rat.numerator // self.rat.denominator
-        width = Fraction(1, 4)
-        while True:
-            self.refine(width)
-            if self.rat is not None:
-                return self.rat.numerator // self.rat.denominator
-            flo = self.lo.numerator // self.lo.denominator
-            fhi = self.hi.numerator // self.hi.denominator
-            if flo == fhi:
-                return flo
-            if fhi - flo == 1:
-                return fhi if self.compare_rational(fhi) >= 0 else flo
-            width /= 16
+        return floor_of(self.enclosures(Fraction(1, 4)),
+                        lambda n: n if self.compare_rational(n) >= 0 else n - 1)
 
     def nint(self) -> int:
         """Nearest integer, halves rounding up."""
@@ -181,18 +159,18 @@ class RealAlg:
             return self.add_rational(other.rat)
         if self.rat is not None:
             return other.add_rational(self.rat)
-        target = _sum_poly_sq(self.poly, other.poly)
-        return _isolate_binary(target, self, other,
-                               lambda a, b: a + b)
+        w = Fraction(1, 64)  # map() pulls the two streams in step
+        return _isolate(_sum_poly_sq(self.poly, other.poly),
+                        map(add, self.enclosures(w), other.enclosures(w)))
 
     def mul(self, other: "RealAlg") -> "RealAlg":
         if other.rat is not None:
             return self.mul_rational(other.rat)
         if self.rat is not None:
             return other.mul_rational(self.rat)
-        target = _prod_poly_sq(self.poly, other.poly)
-        return _isolate_binary(target, self, other,
-                               lambda a, b: a * b)
+        w = Fraction(1, 64)
+        return _isolate(_prod_poly_sq(self.poly, other.poly),
+                        map(mul, self.enclosures(w), other.enclosures(w)))
 
     def __repr__(self):
         if self.rat is not None:
@@ -200,33 +178,23 @@ class RealAlg:
         return f"RealAlg(deg {polys.degree(self.poly)} in [{self.lo}, {self.hi}])"
 
 
-def _try_isolate(sq: tuple, box: RatInterval) -> Optional[RealAlg]:
-    """Wrap box as an isolating interval for a root of squarefree sq, or
-    return None when the box does not yet isolate; a lone root on an end
-    of the box is that rational itself."""
-    lo, hi = box.lo, box.hi
-    if lo == hi:
-        return RealAlg.from_rational(lo)
-    chain = polys.sturm_chain(sq)
-    ends = [x for x in (lo, hi) if polys.int_sign_at(chain[0], x) == 0]
-    n = polys.count_roots(chain, lo, hi) + len(ends)
-    if n == 1:
-        return RealAlg.from_rational(ends[0]) if ends else RealAlg(sq, lo, hi)
-    if n == 0:
-        raise ArithmeticError("certified enclosure contains no root")
+def _isolate(sq: tuple, boxes) -> Optional[RealAlg]:
+    """The root of squarefree sq that the boxes enclose, from the first box
+    holding exactly one root of sq (counted on one Sturm chain); a lone
+    root on an end of a box, or a point box, is that rational itself.
+    None when a finite iterable of boxes runs out first."""
+    sturm = polys.sturm_chain(sq)
+    for box in boxes:
+        lo, hi = box.lo, box.hi
+        if lo == hi:
+            return RealAlg.from_rational(lo)
+        ends = [x for x in (lo, hi) if polys.int_sign_at(sturm[0], x) == 0]
+        n = polys.count_roots(sturm, lo, hi) + len(ends)
+        if n == 1:
+            return RealAlg.from_rational(ends[0]) if ends else RealAlg(sq, lo, hi)
+        if n == 0:
+            raise ArithmeticError("certified enclosure contains no root")
     return None
-
-
-def _isolate_binary(target: tuple, a: RealAlg, b: RealAlg, op) -> RealAlg:
-    """Isolate op(a, b) among the roots of its resolvent polynomial."""
-    width = Fraction(1, 64)
-    while True:
-        ia = a.refined_interval(width)
-        ib = b.refined_interval(width)
-        r = _try_isolate(target, op(ia, ib))
-        if r is not None:
-            return r
-        width /= 16
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +210,12 @@ def embedding_is_real(x: FieldElement, root_index: int) -> bool:
         return True
     if x.is_rational():
         return True
-    c = x.minimal_poly()
-    sep_sq = _min_sep_sq(c)
-    prec = 8
-    while True:
-        box = x.embed(root_index, prec)
-        im = box.im
-        if not im.contains(0):
+    sep_sq = _min_sep_sq(x.minimal_poly())
+    for box in x.enclosures(root_index):
+        if not box.im.contains(0):
             return False
-        if 4 * im.mag ** 2 < sep_sq:
+        if 4 * box.im.mag ** 2 < sep_sq:
             return True
-        prec *= 2
 
 
 def re_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAlg:
@@ -266,21 +229,11 @@ def re_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAl
     c = x.minimal_poly()
     if embedding_is_real(x, j):
         # the embedded value is itself a real root of c
-        prec = 8
-        while True:
-            box = x.embed(j, prec)
-            r = _try_isolate(c, box.re + RatInterval(-box.im.mag, box.im.mag))
-            if r is not None:
-                return r
-            prec *= 2
+        return _isolate(c, (b.re + RatInterval(-b.im.mag, b.im.mag)
+                            for b in x.enclosures(j)))
     twice = _sum_poly_sq(c, c)  # roots include tau + conj(tau) = 2 Re
-    prec = 8
-    while True:
-        box = x.embed(j, prec)
-        r = _try_isolate(twice, box.re * 2)
-        if r is not None:
-            return r.mul_rational(Fraction(1, 2))
-        prec *= 2
+    return _isolate(twice, (b.re * 2 for b in x.enclosures(j))).mul_rational(
+        Fraction(1, 2))
 
 
 def im_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAlg:
@@ -300,13 +253,7 @@ def im_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAl
         raise ArithmeticError("difference resolvent is not odd-symmetric")
     # tau - conj(tau) = 2 i Im, so (2 i Im)^2 = -4 Im^2 is a root of G
     H = polys.squarefree_part(polys.compose(G, polys.mk([0, 0, -4])))
-    prec = 8
-    while True:
-        box = x.embed(j, prec)
-        r = _try_isolate(H, box.im)
-        if r is not None:
-            return r
-        prec *= 2
+    return _isolate(H, (b.im for b in x.enclosures(j)))
 
 
 def abs_sq_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAlg:
@@ -319,13 +266,7 @@ def abs_sq_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> Re
         return RealAlg.from_embedding(x * x, j)
     c = x.minimal_poly()
     pp = _prod_poly_sq(c, c)  # roots alpha_a * alpha_b, includes tau * conj(tau)
-    prec = 8
-    while True:
-        box = x.embed(j, prec)
-        r = _try_isolate(pp, box.abs_sq())
-        if r is not None:
-            return r
-        prec *= 2
+    return _isolate(pp, (b.abs_sq() for b in x.enclosures(j)))
 
 
 def complex_floor(x: FieldElement, root_index: Optional[int] = None) -> tuple:

@@ -178,16 +178,14 @@ def _abs_lt_one(x: FieldElement, j: int) -> bool:
     if f.is_real_root(j):
         return (x.compare_rational(1, j) < 0 and
                 x.compare_rational(-1, j) > 0)
-    prec = 12
-    while True:
-        a = x.embed(j, prec).abs_sq()
+    for box in x.enclosures(j, 12):
+        a = box.abs_sq()
         if a.hi < 1:
             return True
         if a.lo > 1:
             return False
         if abs_sq_of_embedding(x, j).compare_rational(1) == 0:
             return False
-        prec *= 2
 
 
 def pisot_unit_test(x: FieldElement) -> bool:

@@ -459,12 +459,8 @@ def _archimedean_constants(seq: LinRecSeq) -> _IndexBracket:
     with every other root |a| <= 1 (Pisot and Salem), so every k with
     n_k = q has |q - w beta^k| <= B = sum |w_a|."""
     x = trace_representation(seq)
-    bits = 48
-    B = sum(uw for _j, _ua, uw in _conjugate_data(seq, bits))
-    wbox = x.embed(None, bits)
-    while wbox.lo <= 0 <= wbox.hi:
-        bits *= 2
-        wbox = x.embed(None, bits)
+    B = sum(uw for _j, _ua, uw in _conjugate_data(seq, 48))
+    wbox = next(b for b in x.enclosures(None, 48) if not b.contains(0))
     bbox = seq.field.beta.embed(None, _IndexBracket.P)
     return _IndexBracket(bbox.lo, bbox.hi, wbox.mig, wbox.mag, B)
 

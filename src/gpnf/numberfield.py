@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import threading
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import ceil, gcd, lcm
 from operator import mul as _mul
 from typing import Optional, Sequence, Union
@@ -30,7 +30,8 @@ from . import polys
 from .errors import (ComplexEmbedding, DegreeMismatch, DivisionByZero,
                      FieldMismatch, NoRealRoot, NotSquarefree,
                      ReducibleDetected, SingularSystem)
-from .intervals import ComplexBox, RatInterval, poly_complex_box, poly_interval
+from .intervals import (ComplexBox, RatInterval, floor_of, poly_complex_box,
+                        poly_interval, sign_vs)
 from .linalg import gauss_jordan
 
 Rationalish = Union[int, Fraction, str]
@@ -870,6 +871,11 @@ class FieldElement:
                 return out
             width /= 2 ** 6
 
+    def enclosures(self, root_index: Optional[int] = None, prec_bits: int = 8):
+        """The boxes embed(j, prec_bits << k) for k = 0, 1, 2, ...: every
+        refinement loop over sigma_j(self) reads this one stream."""
+        return (self.embed(root_index, prec_bits << k) for k in count())
+
     def compare_rational(self, q, root_index: Optional[int] = None) -> int:
         """Exact sign of sigma_j(self) - q at a real embedding."""
         f = self.field
@@ -881,14 +887,7 @@ class FieldElement:
             return polys._sign(self.as_rational() - q)
         if self == q:
             return 0
-        prec = 8
-        while True:
-            box = self.embed(j, prec)
-            if box.lo > q:
-                return 1
-            if box.hi < q:
-                return -1
-            prec *= 2
+        return sign_vs(self.enclosures(j), q)
 
     def __repr__(self):
         return f"FieldElement{self.coords}"
@@ -901,8 +900,8 @@ class FieldElement:
 def certified_floor(x: FieldElement, root_index: Optional[int] = None) -> int:
     """Exact floor of sigma_j(x) at a real embedding.
 
-    The enclosure is refined until it pins a single unit interval; when it
-    keeps straddling an integer n, the exact test x == n settles the hit.
+    The enclosures narrow until one pins a single unit interval; one that
+    straddles an integer n is settled by the exact test x == n.
     """
     f = x.field
     j = f.distinguished if root_index is None else root_index
@@ -910,16 +909,7 @@ def certified_floor(x: FieldElement, root_index: Optional[int] = None) -> int:
         raise ComplexEmbedding("floor needs a real embedding")
     if x.is_rational():
         return x.num[0] // x.den
-    prec = 8
-    while True:
-        box = x.embed(j, prec)
-        flo = box.lo.numerator // box.lo.denominator
-        fhi = box.hi.numerator // box.hi.denominator
-        if flo == fhi:
-            return flo
-        if fhi - flo == 1 and x == fhi:
-            return fhi
-        prec *= 2
+    return floor_of(x.enclosures(j), lambda n: n if x == n else None)
 
 
 def certified_ceil(x: FieldElement, root_index: Optional[int] = None) -> int:

@@ -341,18 +341,23 @@ def test_count_roots_vs_sympy():
 
 
 def test_try_isolate_root_on_box_end():
-    from gpnf.algebraic import _try_isolate
+    from gpnf.algebraic import _isolate
     from gpnf.intervals import RatInterval
     sq = P.mul(P.mk([F(-1, 2), 1]), P.mk([-3, 0, 1]))   # (x-1/2)(x^2-3)
     for lo, hi in ((F(1, 2), F(1)), (F(-1), F(1, 2))):
-        r = _try_isolate(sq, RatInterval(lo, hi))
+        r = _isolate(sq, [RatInterval(lo, hi)])
         assert r.rat == F(1, 2) and r.compare_rational(F(1, 2)) == 0
     # a second root inside as well: not isolated yet
-    assert _try_isolate(sq, RatInterval(F(1, 2), F(2))) is None
-    r = _try_isolate(sq, RatInterval(F(1), F(2)))
+    assert _isolate(sq, [RatInterval(F(1, 2), F(2))]) is None
+    r = _isolate(sq, [RatInterval(F(1), F(2))])
     assert r.rat is None and (r.lo, r.hi) == (1, 2)
     with pytest.raises(ArithmeticError):
-        _try_isolate(sq, RatInterval(F(2), F(3)))
+        _isolate(sq, [RatInterval(F(2), F(3))])
+    # the first box that isolates decides
+    boxes = [RatInterval(F(-2), F(2)), RatInterval(F(1, 2), F(2)),
+             RatInterval(F(3, 2), F(7, 4)), RatInterval(F(0), F(9))]
+    r = _isolate(sq, boxes)
+    assert (r.lo, r.hi) == (F(3, 2), F(7, 4)) and r.compare_rational(F(17, 10)) == 1
 
 
 def test_refine_root_zero_width():
