@@ -205,10 +205,7 @@ def embedding_is_real(x: FieldElement, root_index: int) -> bool:
     """Exact test: is tau_j(x) a real number?  (The value is a root of the
     minimal polynomial of x; nonreal roots have |Im| bounded below by half
     the root-separation bound, so refining the box decides.)"""
-    f = x.field
-    if f.is_real_root(root_index):
-        return True
-    if x.is_rational():
+    if x.field.is_real_root(root_index) or x.is_rational():
         return True
     sep_sq = _min_sep_sq(x.minimal_poly())
     for box in x.enclosures(root_index):
@@ -244,10 +241,9 @@ def im_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAl
         return RealAlg.from_rational(0)
     c = x.minimal_poly()
     diff = _diff_poly_sq(c, c)          # roots alpha_a - alpha_b, odd symmetric
-    # strip the zero root, keep the even-function structure: E(w) = w G(w^2)
-    dp = list(diff)
-    while dp and dp[0] == 0:
-        dp.pop(0)
+    # strip the simple zero root, keep the even-function structure:
+    # E(w) = w G(w^2)
+    dp = diff[1:]
     G = polys.mk(dp[0::2])
     if any(c2 != 0 for c2 in dp[1::2]):
         raise ArithmeticError("difference resolvent is not odd-symmetric")

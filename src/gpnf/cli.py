@@ -85,27 +85,39 @@ def _cmd_eval(args) -> int:
             expr = parse(fh.read())
     env = ff.load_env(args.env) if args.env else {}
     val = eval_expr(expr, env)
-    q = val.as_rational()
-    payload: dict = {}
-    lines = []
-    if q is not None:
-        payload["value"] = ff.rat_str(q)
-        lines.append(ff.rat_str(q))
-    elif val.kind == "emb":
-        elem, j = val.payload
-        payload["coords"] = ff.element_to_list(elem)
-        payload["root_index"] = j
-        lines.append(",".join(payload["coords"]) + f"  (embedding {j})")
+    if val.kind != "cpx":
+        payload, lines = _value_out(val, args.approx)
     else:
-        box = val.certified_interval(max(args.approx or 48, 48))
-        payload["enclosure"] = [ff.rat_str(box.lo), ff.rat_str(box.hi)]
-        lines.append(f"in [{box.lo}, {box.hi}]")
-    if args.approx:
-        box = val.certified_interval(args.approx)
-        payload["approx"] = _approx(box, args.approx)
-        lines.append(f"~ {payload['approx']}")
+        payload, lines = {}, []
+        for part, v in zip(("re", "im"), val.payload):
+            payload[part], sub = _value_out(v, args.approx)
+            lines += [f"{part}: {line}" for line in sub]
     _out(payload, args, lines)
     return 0
+
+
+def _value_out(val, approx) -> tuple:
+    """(payload, lines) of a value that is not a re/im pair: a rational,
+    a field element's coordinates with its embedding index, or an
+    enclosure of a real algebraic number."""
+    q = val.as_rational()
+    if q is not None:
+        payload = {"value": ff.rat_str(q)}
+        lines = [payload["value"]]
+    elif val.kind in ("emb", "cemb"):
+        payload = {"coords": ff.element_to_list(val.payload[0]),
+                   "root_index": val.payload[1]}
+        lines = [",".join(payload["coords"]) + f"  (embedding {val.payload[1]})"]
+    else:
+        box = val.certified_interval(max(approx or 48, 48))
+        payload = {"enclosure": [ff.rat_str(box.lo), ff.rat_str(box.hi)]}
+        lines = [f"in [{box.lo}, {box.hi}]"]
+    if approx:
+        box = (val.payload[0].embed(val.payload[1], approx)
+               if val.kind == "cemb" else val.certified_interval(approx))
+        payload["approx"] = _approx(box, approx)
+        lines.append(f"~ {payload['approx']}")
+    return payload, lines
 
 
 # -- pisot-set ---------------------------------------------------------------

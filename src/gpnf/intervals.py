@@ -4,11 +4,9 @@ A RatInterval [lo, hi] always contains the true value; operations produce
 intervals containing every possible result, so enclosure is preserved with
 no rounding anywhere.  ComplexBox is a rectangle (pair of intervals).
 
-Exact values (`FieldElement` embeddings, `algebraic.RealAlg`) hand out
-their enclosures as a stream of ever narrower boxes.  The two rules that
-read such a stream live here: `sign_vs` (the sign of v - q) and `floor_of`
-(the floor of v, with a caller-supplied exact test for a straddled
-integer).
+Exact values (field embeddings, `algebraic.RealAlg`) hand out streams of
+ever narrower enclosures; `sign_vs` and `floor_of` are the sign and floor
+rules that read them.
 """
 
 from __future__ import annotations
@@ -227,17 +225,12 @@ def poly_complex_box(coeffs, z: ComplexBox) -> ComplexBox:
     return acc
 
 
-# ---------------------------------------------------------------------------
-# decisions read off a stream of enclosures
-# ---------------------------------------------------------------------------
 
 def sign_vs(boxes, q) -> int:
-    """Exact sign of v - q, from an iterable of intervals that enclose v.
-
-    A point box is v itself.  Otherwise the first box with q on or beyond
-    one of its ends decides, so v == q must already be ruled out: by an
-    exact test, or because the boxes are open isolating intervals.
-    """
+    """Exact sign of v - q from intervals that enclose v.  A point box is v
+    itself; otherwise the first box with q on or beyond an end decides, so
+    v == q must already be ruled out (by an exact test, or because the
+    boxes are open isolating intervals)."""
     for box in boxes:
         if box.lo == box.hi:
             return (box.lo > q) - (box.lo < q)
@@ -248,12 +241,9 @@ def sign_vs(boxes, q) -> int:
 
 
 def floor_of(boxes, settle) -> int:
-    """Exact floor of v, from an iterable of intervals that enclose v.
-
-    The first box inside one unit interval [n, n + 1) decides.  A box that
-    straddles a single integer n asks settle(n), which returns the floor
-    or None to go on to the next, narrower box.
-    """
+    """Exact floor of v from intervals that enclose v.  The first box inside
+    one [n, n + 1) decides; a box straddling a single integer n asks
+    settle(n), which returns the floor or None for the next, finer box."""
     for box in boxes:
         flo = box.lo.numerator // box.lo.denominator
         fhi = box.hi.numerator // box.hi.denominator

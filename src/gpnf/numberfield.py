@@ -259,7 +259,7 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
 
 
 def _find_factor(p: tuple, degrees: list, reals: list,
-                 uppers: list) -> Optional[tuple]:
+                 uppers: list) -> Optional[list]:
     """A primitive integer factor of the integer polynomial p with degree in
     `degrees`, else None, given isolating intervals of its real roots
     (ascending) and rectangles of its upper-half-plane roots.
@@ -316,7 +316,7 @@ def _find_factor(p: tuple, degrees: list, reals: list,
                 continue  # a factor of degree m/2 or its cofactor has root 0
             g = candidate(S)
             if g is not None and not polys.divmod_(p, g)[1]:
-                return polys.to_int_primitive(g)[0]
+                return polys._int_form(g)
     return None
 
 
@@ -379,7 +379,7 @@ class NumberField:
         if degrees:
             f = _find_factor(self.minpoly_int, degrees, real_ivs, uppers)
             if f is not None:
-                raise ReducibleDetected(f"found factor with coefficients {list(f)}")
+                raise ReducibleDetected(f"found factor with coefficients {f}")
 
         self._roots = [_Root("real", interval=iv) for iv in real_ivs]
         for rect in self._sort_uppers(uppers):
@@ -762,8 +762,8 @@ class FieldElement:
         if cp[0] == 0:
             # a zero divisor: its gcd with the defining polynomial is a factor
             g = polys.gcd(polys.mk(self.coords), self.field.monic_minpoly)
-            raise ReducibleDetected(
-                f"element exposes factor with coefficients {list(g)}")
+            raise ReducibleDetected("element exposes factor with coefficients "
+                                    f"{polys._int_form(g)}")
         acc = sum((y * c for c, y in zip(cp[1:], pw) if c), self.field.zero)
         return acc * (-1 / cp[0])
 

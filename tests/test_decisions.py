@@ -1,4 +1,5 @@
-"""Differential tests of the exact decisions against sympy at 60 digits.
+"""Differential tests of the exact decisions against sympy at 60 digits,
+and properties of the enclosure streams those decisions read.
 
 Every decision below refines a certified enclosure until it decides and
 settles ties exactly: floors and rational comparisons of real embeddings
@@ -17,10 +18,12 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from gpnf.algebraic import (RealAlg, embedding_is_real, im_of_embedding,
                             re_of_embedding)
 from gpnf.constructions import _abs_lt_one
+from gpnf.intervals import RatInterval as I, floor_of, sign_vs
 from gpnf.numberfield import NumberField, certified_floor
 
 DPS = 60
@@ -96,6 +99,26 @@ def sign_of(v, q) -> int:
     d = v - sympy.Rational(q.numerator, q.denominator)
     assert abs(d) > sympy.Float(10) ** -50
     return 1 if d > 0 else -1
+
+
+def test_stream_rules_on_hand_made_boxes():
+    # a point box is the value itself; an end at q decides (v != q)
+    assert sign_vs([I(F(2), F(2))], 2) == 0
+    assert sign_vs([I(F(2), F(2))], 1) == 1
+    assert sign_vs([I(F(1), F(3)), I(F(2), F(5, 2))], 2) == 1
+    assert sign_vs([I(F(1), F(3)), I(F(3, 2), F(2))], 2) == -1
+    # a box straddling one integer asks settle; None asks for the next box
+    asked = []
+
+    def settle(n):
+        asked.append(n)
+        return None if len(asked) == 1 else n - 1
+
+    boxes = [I(F(0), F(5, 2)), I(F(3, 2), F(5, 2)), I(F(7, 4), F(9, 4)),
+             I(F(15, 8), F(17, 8))]
+    assert floor_of(boxes, settle) == 1 and asked == [2, 2]
+    assert floor_of([I(F(1), F(7, 4))], settle) == 1
+    assert floor_of([I(F(-1, 2), F(-1, 4))], None) == -1
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
@@ -189,3 +212,62 @@ def test_floor_of_integer_shifts(name):
             for n in (-5, 3, 10 ** 6):
                 assert certified_floor(x + n, j) == fl + n
                 assert RealAlg.from_embedding(x, j).add_rational(n).floor() == fl + n
+
+
+def _encloses(box, v) -> bool:
+    """box holds v, up to the 60-digit error of v."""
+    eps = sympy.Rational(1, 10 ** 50)
+    lo, hi = (sympy.Rational(e.numerator, e.denominator) for e in (box.lo, box.hi))
+    return lo - eps <= v <= hi + eps
+
+
+def _nested(inner, outer) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+_elements = st.tuples(
+    st.sampled_from(list(FIELDS)), st.integers(0, 5),
+    st.lists(st.tuples(st.integers(-9, 9), st.sampled_from((1, 2, 3, 7))),
+             min_size=6, max_size=6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_elements)
+def test_field_element_stream_narrows_around_the_value(case):
+    # box k of x.enclosures(j) is embed(j, 8 * 2^k): width <= 2^(1 - 8 * 2^k)
+    name, jj, coords = case
+    K, roots = field(name)
+    x = K.element([F(n, d) for n, d in coords[:K.degree]])
+    j = jj % K.degree
+    v = value(x, roots, j)
+    prev = None
+    for k, box in zip(range(4), x.enclosures(j)):
+        parts = ((box, v),) if K.is_real_root(j) else \
+            ((box.re, sympy.re(v)), (box.im, sympy.im(v)))
+        for k_box, (iv, part) in enumerate(parts):
+            assert iv.width <= F(2) ** (1 - 8 * 2 ** k)
+            assert _encloses(iv, part), (name, x, j, k)
+            if prev is not None:
+                assert _nested(iv, prev[k_box])
+        prev = [iv for iv, _part in parts]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_elements)
+def test_real_alg_stream_narrows_around_the_value(case):
+    # box k of a.enclosures(w) is refined_interval(w / 16^k)
+    name, jj, coords = case
+    K, roots = field(name)
+    x = K.element([F(n, d) for n, d in coords[:K.degree]])
+    j = K.real_root_indices()[jj % len(K.real_root_indices())] \
+        if K.real_root_indices() else None
+    if j is None or x.is_rational():
+        return
+    v = value(x, roots, j)
+    a = RealAlg.from_embedding(x, j)
+    prev = a.interval()
+    for k, box in zip(range(4), a.enclosures(F(1, 4))):
+        assert box.width <= F(1, 4) / 16 ** k
+        assert _encloses(box, v) and _nested(box, prev)
+        prev = box
+
