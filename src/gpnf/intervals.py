@@ -225,7 +225,6 @@ def poly_complex_box(coeffs, z: ComplexBox) -> ComplexBox:
     return acc
 
 
-
 def sign_vs(boxes, q) -> int:
     """Exact sign of v - q from intervals that enclose v.  A point box is v
     itself; otherwise the first box with q on or beyond an end decides, so
