@@ -184,8 +184,8 @@ def _abs_lt_one(x: FieldElement, j: int) -> bool:
             return True
         if a.lo > 1:
             return False
-        if abs_sq_of_embedding(x, j).compare_rational(1) == 0:
-            return False
+        # the box straddles 1: one exact comparison decides
+        return abs_sq_of_embedding(x, j).compare_rational(1) < 0
 
 
 def pisot_unit_test(x: FieldElement) -> bool:

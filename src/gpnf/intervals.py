@@ -4,6 +4,13 @@ A RatInterval [lo, hi] always contains the true value; operations produce
 intervals containing every possible result, so enclosure is preserved with
 no rounding anywhere.  ComplexBox is a rectangle (pair of intervals).
 
+The Horner kernels `horner_interval` and `horner_box` (behind
+`poly_interval` and `poly_complex_box`) run on Python ints: coefficients
+and box ends are written over one common denominator each (`common_den`),
+every step is integer products, a min/max and an add, and the Fractions
+are built once at the end.  All scalings are by positive integers, so the
+result is the same rational box as the rational Horner `acc * x + c`.
+
 Exact values (field embeddings, `algebraic.RealAlg`) hand out streams of
 ever narrower enclosures; `sign_vs` and `floor_of` are the sign and floor
 rules that read them.
@@ -13,6 +20,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
+
+def common_den(rows: list) -> tuple:
+    """(int_rows, den): rows of rationals (ints or Fractions) as integer
+    tuples over the least common denominator of all their entries."""
+    den = lcm(1, *(c.denominator for row in rows for c in row))
+    return [tuple(c.numerator * (den // c.denominator) for c in row)
+            for row in rows], den
+
+
+def _rational(v) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    raise TypeError(f"interval ends must be int or Fraction, not "
+                    f"{type(v).__name__}")
 
 
 @dataclass(frozen=True)
@@ -21,6 +46,9 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self):
+        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
+            object.__setattr__(self, "lo", _rational(self.lo))
+            object.__setattr__(self, "hi", _rational(self.hi))
         if self.lo > self.hi:
             raise ValueError("empty interval")
 
@@ -138,10 +166,27 @@ class RatInterval:
 
 def poly_interval(coeffs, x: RatInterval) -> RatInterval:
     """Enclosure of p(x) over the box, by interval Horner evaluation."""
-    acc = RatInterval.point(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    (num,), den = common_den([coeffs])
+    return horner_interval(num, den, x)
+
+
+def horner_interval(num, den: int, x: RatInterval) -> RatInterval:
+    """Enclosure of sum_i num[i] x^i / den over the box, for integers num
+    and den > 0.  With x = [a, b] / D the accumulator after k steps is
+    [lo, hi] / (den D^k), and a step is lo, hi = min/max of the four
+    products with a, b, plus n D^k."""
+    if not num:
+        return RatInterval.point(0)
+    ((a, b),), d = common_den([(x.lo, x.hi)])
+    lo = hi = num[-1]
+    dk = 1
+    for n in num[-2::-1]:
+        dk *= d
+        t = n * dk
+        p, q, r, s = lo * a, lo * b, hi * a, hi * b
+        lo, hi = min(p, q, r, s) + t, max(p, q, r, s) + t
+    den *= dk
+    return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 @dataclass(frozen=True)
@@ -219,10 +264,33 @@ class ComplexBox:
 
 
 def poly_complex_box(coeffs, z: ComplexBox) -> ComplexBox:
-    acc = ComplexBox.point(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+    """Enclosure of p(z) over the box, by complex interval Horner."""
+    (num,), den = common_den([coeffs])
+    return horner_box(num, den, z)
+
+
+def horner_box(num, den: int, z: ComplexBox) -> ComplexBox:
+    """Enclosure of sum_i num[i] z^i / den over the box, for integers num
+    and den > 0: `horner_interval` on the rectangle, with the real and
+    imaginary parts [rl, rh], [il, ih] over den D^k after k steps."""
+    if not num:
+        return ComplexBox.point(0)
+    ((a, b, e, f),), d = common_den([(z.re.lo, z.re.hi, z.im.lo, z.im.hi)])
+    rl = rh = num[-1]
+    il = ih = 0
+    dk = 1
+    for n in num[-2::-1]:
+        dk *= d
+        t = n * dk
+        p = (rl * a, rl * b, rh * a, rh * b)  # re * re
+        q = (il * e, il * f, ih * e, ih * f)  # im * im
+        r = (rl * e, rl * f, rh * e, rh * f)  # re * im
+        s = (il * a, il * b, ih * a, ih * b)  # im * re
+        rl, rh, il, ih = (min(p) - max(q) + t, max(p) - min(q) + t,
+                          min(r) + min(s), max(r) + max(s))
+    den *= dk
+    return ComplexBox(RatInterval(Fraction(rl, den), Fraction(rh, den)),
+                      RatInterval(Fraction(il, den), Fraction(ih, den)))
 
 
 def sign_vs(boxes, q) -> int:

@@ -22,7 +22,7 @@ import functools
 import threading
 from fractions import Fraction
 from itertools import combinations, count
-from math import ceil, gcd, lcm
+from math import ceil, gcd
 from operator import mul as _mul
 from typing import Optional, Sequence, Union
 
@@ -30,8 +30,9 @@ from . import polys
 from .errors import (ComplexEmbedding, DegreeMismatch, DivisionByZero,
                      FieldMismatch, NoRealRoot, NotSquarefree,
                      ReducibleDetected, SingularSystem)
-from .intervals import (ComplexBox, RatInterval, floor_of, poly_complex_box,
-                        poly_interval, sign_vs)
+from .intervals import (ComplexBox, RatInterval, common_den, floor_of,
+                        horner_box, horner_interval, poly_complex_box,
+                        sign_vs)
 from .linalg import gauss_jordan
 
 Rationalish = Union[int, Fraction, str]
@@ -184,11 +185,18 @@ def _isolate_complex_upper(p: tuple, expected: int) -> list:
 
 
 def _gauss_eval(p: tuple, re: Fraction, im: Fraction) -> tuple:
-    """p(re + i*im) for exact rationals: (real, imaginary)."""
-    ar, ai = Fraction(0), Fraction(0)
-    for c in reversed(p):
-        ar, ai = ar * re - ai * im + c, ar * im + ai * re
-    return ar, ai
+    """p(re + i*im) for exact rationals: (real, imaginary), by Horner on
+    integers over den(p) d^k, with re and im over one denominator d."""
+    if not p:
+        return Fraction(0), Fraction(0)
+    (num,), den = common_den([p])
+    ((a, b),), d = common_den([(re, im)])
+    ar, ai, dk = num[-1], 0, 1
+    for n in num[-2::-1]:
+        dk *= d
+        ar, ai = ar * a - ai * b + n * dk, ar * b + ai * a
+    den *= dk
+    return Fraction(ar, den), Fraction(ai, den)
 
 
 def _krawczyk_step(p: tuple, dp: tuple, rect: tuple):
@@ -389,7 +397,7 @@ class NumberField:
 
         self._lock = threading.RLock()
         self._red, self._red_den = self._reduction_table()
-        (self._tr,), self._tr_den = _common_den([self.power_sums(m - 1)])
+        (self._tr,), self._tr_den = common_den([self.power_sums(m - 1)])
         self.distinguished = self._pick_distinguished(
             distinguished, require_real_distinguished)
         self._hash = hash((self.minpoly_int, self.distinguished))
@@ -447,7 +455,7 @@ class NumberField:
             carry = cur[m - 1]
             cur = [carry * t + c for c, t in zip([Fraction(0)] + cur[:-1], top)]
             fracs.append(cur)
-        return _common_den(fracs)
+        return common_den(fracs)
 
     def _pick_distinguished(self, distinguished, require_real) -> int:
         r1 = self.signature[0]
@@ -572,7 +580,7 @@ class NumberField:
         if len(v) != self.degree:
             raise ValueError("coordinate vector has wrong length")
         # over the lcm of the denominators the vector is already canonical
-        (num,), den = _common_den([v])
+        (num,), den = common_den([v])
         return _raw(self, num, den)
 
     @property
@@ -595,7 +603,7 @@ class NumberField:
         if len(traces) != self.degree:
             raise ValueError("trace vector has wrong length")
         rows, den = _trace_dual(self)
-        (z,), d = _common_den([traces])
+        (z,), d = common_den([traces])
         return _elem(self, tuple(sum(map(_mul, row, z)) for row in rows),
                      den * d)
 
@@ -627,14 +635,6 @@ class NumberField:
         return f"NumberField({terms}, signature={self.signature})"
 
 
-def _common_den(rows: list) -> tuple:
-    """(int_rows, den): rows of Fractions as integer tuples over the least
-    common denominator of all their entries."""
-    den = lcm(1, *(c.denominator for row in rows for c in row))
-    return [tuple(c.numerator * (den // c.denominator) for c in row)
-            for row in rows], den
-
-
 @functools.lru_cache(maxsize=64)
 def _trace_dual(f: NumberField) -> tuple:
     """(rows, den): the inverse of the power-sum Hankel matrix
@@ -645,7 +645,7 @@ def _trace_dual(f: NumberField) -> tuple:
          for j in range(m)]
     if gauss_jordan(A, m)[0] < m:
         raise SingularSystem("trace system is singular")
-    return _common_den([row[m:] for row in A])
+    return common_den([row[m:] for row in A])
 
 
 def _raw(field: NumberField, num: tuple, den: int) -> FieldElement:
@@ -863,10 +863,10 @@ class FieldElement:
         width = Fraction(1, 2 ** 8)
         while True:
             if f.is_real_root(j):
-                out = poly_interval(self.coords,
-                                    RatInterval(*f._refine_real(j, width)))
+                out = horner_interval(self.num, self.den,
+                                      RatInterval(*f._refine_real(j, width)))
             else:
-                out = poly_complex_box(self.coords, f.root_box(j, width))
+                out = horner_box(self.num, self.den, f.root_box(j, width))
             if out.width <= 2 * target:
                 return out
             width /= 2 ** 6

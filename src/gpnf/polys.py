@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, gcd as igcd, isqrt, lcm
 from typing import Iterable
 
-from .intervals import RatInterval, poly_interval
+from .intervals import RatInterval, common_den, poly_interval
 
 Poly = tuple  # tuple[Fraction, ...], ascending powers
 
@@ -143,11 +143,18 @@ def is_squarefree(p: Poly) -> bool:
 
 
 def eval_at(p: Poly, x) -> Fraction:
+    """p(x), by homogeneous Horner on integers: with x = a / d, the
+    accumulator after k steps is the rational Horner's times den(p) d^k."""
     x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    if not p:
+        return Fraction(0)
+    (num,), den = common_den([p])
+    a, d = x.numerator, x.denominator
+    acc, dk = num[-1], 1
+    for n in num[-2::-1]:
+        dk *= d
+        acc = acc * a + n * dk
+    return Fraction(acc, den * dk)
 
 
 def compose(p: Poly, q: Poly) -> Poly:

@@ -20,8 +20,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from gpnf.algebraic import (RealAlg, embedding_is_real, im_of_embedding,
-                            re_of_embedding)
+import gpnf.constructions
+from gpnf.algebraic import (RealAlg, abs_sq_of_embedding, embedding_is_real,
+                            im_of_embedding, re_of_embedding)
 from gpnf.constructions import _abs_lt_one
 from gpnf.intervals import RatInterval as I, floor_of, sign_vs
 from gpnf.numberfield import NumberField, certified_floor
@@ -172,6 +173,26 @@ def test_modulus_one_conjugates_are_not_below_one():
     for j in range(4):
         assert not _abs_lt_one(K.beta, j)
         assert _abs_lt_one(K.beta * F(99, 100), j)
+
+
+@pytest.mark.parametrize("scale, below", [(1 + F(1, 2 ** 400), False),
+                                          (1 - F(1, 2 ** 400), True)])
+def test_abs_lt_one_settles_a_straddle_with_one_exact_comparison(
+        monkeypatch, scale, below):
+    # |sigma_j(x)|^2 = scale^2 is within 2^-399 of 1, so many boxes
+    # straddle 1; the first straddle builds |sigma_j(x)|^2 exactly once.
+    # A fresh field, so no earlier test has narrowed its root boxes.
+    K = NumberField(FIELDS["salem4"])
+    j = K.upper_root_indices()[0]
+    builds = []
+
+    def counted(x, k):
+        builds.append(k)
+        return abs_sq_of_embedding(x, k)
+
+    monkeypatch.setattr(gpnf.constructions, "abs_sq_of_embedding", counted)
+    assert _abs_lt_one(K.beta * scale, j) is below
+    assert builds == [j]
 
 
 def test_exact_integers_and_real_values_at_complex_embeddings():

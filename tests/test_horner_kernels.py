@@ -1,0 +1,100 @@
+"""Differential test of the integer Horner kernels.
+
+`intervals.poly_interval`, `intervals.poly_complex_box`, `polys.eval_at`
+and `numberfield._gauss_eval` run on integers over common denominators.
+The oracle is the plain rational Horner `acc = acc * x + c` on Fractions,
+with interval products written out as the min and max of the four end
+products.  Every kernel result must be the same rational as the oracle's,
+end for end, for int and Fraction coefficients and ends, empty and constant
+polynomials, point boxes and non-dyadic denominators.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings, strategies as st
+
+from gpnf.intervals import ComplexBox, RatInterval, poly_complex_box, poly_interval
+from gpnf.numberfield import _gauss_eval
+from gpnf.polys import eval_at
+
+rationals = st.one_of(st.integers(-40, 40),
+                      st.fractions(-40, 40, max_denominator=45))
+coefficients = st.lists(rationals, max_size=8)
+widths = st.one_of(st.just(0), st.fractions(0, 6, max_denominator=35))
+
+
+def imul(x: tuple, y: tuple) -> tuple:
+    p = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return min(p), max(p)
+
+
+def ref_interval(coeffs, x: tuple) -> tuple:
+    acc = (F(0), F(0))
+    for c in reversed(coeffs):
+        lo, hi = imul(acc, x)
+        acc = (lo + c, hi + c)
+    return acc
+
+
+def ref_box(coeffs, re: tuple, im: tuple) -> tuple:
+    ar, ai = (F(0), F(0)), (F(0), F(0))
+    for c in reversed(coeffs):
+        p, q = imul(ar, re), imul(ai, im)
+        r, s = imul(ar, im), imul(ai, re)
+        ar, ai = (p[0] - q[1] + c, p[1] - q[0] + c), (r[0] + s[0], r[1] + s[1])
+    return ar, ai
+
+
+def ref_point(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def ends(iv: RatInterval) -> tuple:
+    assert type(iv.lo) is F and type(iv.hi) is F
+    return iv.lo, iv.hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients, rationals, widths)
+@example([], F(1, 3), F(2, 7))
+@example([F(5, 6)], -3, F(1, 9))
+@example([1, F(-2, 3), 3], F(-1, 5), 0)
+def test_poly_interval_matches_rational_horner(coeffs, lo, w):
+    x = RatInterval(lo, lo + w)
+    assert ends(poly_interval(coeffs, x)) == ref_interval(coeffs, (x.lo, x.hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients, rationals, widths, rationals, widths)
+@example([], 1, 0, 2, 0)
+@example([7], F(1, 3), F(1, 3), -2, 1)
+@example([1, F(2, 9), -4, F(1, 7)], F(-2, 3), F(5, 11), F(1, 6), F(2, 15))
+def test_poly_complex_box_matches_rational_horner(coeffs, rlo, rw, ilo, iw):
+    z = ComplexBox(RatInterval(rlo, rlo + rw), RatInterval(ilo, ilo + iw))
+    out = poly_complex_box(coeffs, z)
+    assert (ends(out.re), ends(out.im)) == ref_box(
+        coeffs, (z.re.lo, z.re.hi), (z.im.lo, z.im.hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients, rationals)
+@example([], F(3, 7))
+@example([F(-4, 9)], 5)
+def test_eval_at_matches_rational_horner(coeffs, x):
+    v = eval_at(coeffs, x)
+    assert type(v) is F and v == ref_point(coeffs, F(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients, rationals, rationals)
+@example([], F(1, 3), 2)
+@example([F(2, 5)], 0, F(-1, 6))
+def test_gauss_eval_matches_rational_horner(coeffs, re, im):
+    ar, ai = F(0), F(0)
+    for c in reversed(coeffs):
+        ar, ai = ar * re - ai * im + c, ar * im + ai * re
+    out = _gauss_eval(tuple(coeffs), re, im)
+    assert all(type(v) is F for v in out) and out == (ar, ai)

@@ -108,3 +108,20 @@ def test_poly_complex_box():
 def test_approx_str():
     s = RatInterval.point(F(1, 3)).approx_str(6)
     assert s.startswith("0.333333")
+
+
+def test_int_ends_become_fractions():
+    iv = RatInterval(1, 2)
+    assert type(iv.lo) is F and type(iv.hi) is F
+    assert iv.mid == F(3, 2) and type(iv.mid) is F
+    r = iv.recip()
+    assert (r.lo, r.hi) == (F(1, 2), F(1))
+    assert type(r.lo) is F and type(r.hi) is F
+    assert iv.approx_str(3) == "1.500"
+    assert RatInterval(F(1, 3), 1).approx_str(6) == "0.666667"
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 1), (F(0), 1.5), ("1", "2"), (None, 1)])
+def test_non_rational_ends_rejected(lo, hi):
+    with pytest.raises(TypeError):
+        RatInterval(lo, hi)
