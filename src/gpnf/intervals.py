@@ -54,7 +54,6 @@ class RatInterval:
 
     @staticmethod
     def point(x) -> "RatInterval":
-        x = Fraction(x)
         return RatInterval(x, x)
 
     @property

@@ -121,7 +121,9 @@ def test_int_ends_become_fractions():
     assert RatInterval(F(1, 3), 1).approx_str(6) == "0.666667"
 
 
-@pytest.mark.parametrize("lo, hi", [(0.5, 1), (F(0), 1.5), ("1", "2"), (None, 1)])
-def test_non_rational_ends_rejected(lo, hi):
-    with pytest.raises(TypeError):
-        RatInterval(lo, hi)
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+def test_non_rational_ends_rejected(bad):
+    for make in (lambda: RatInterval(bad, 2), lambda: RatInterval(F(-1), bad),
+                 lambda: RatInterval.point(bad)):
+        with pytest.raises(TypeError):
+            make()
