@@ -134,7 +134,7 @@ class RealAlg:
     def __neg__(self) -> "RealAlg":
         if self.rat is not None:
             return RealAlg.from_rational(-self.rat)
-        return RealAlg(polys.squarefree_part(polys.scale_roots(self.poly, -1)),
+        return RealAlg(polys.monic(polys.scale_roots(self.poly, -1)),
                        -self.hi, -self.lo)
 
     def add_rational(self, q) -> "RealAlg":
@@ -151,7 +151,7 @@ class RealAlg:
         if q == 0:
             return RealAlg.from_rational(0)
         a, b = self.lo * q, self.hi * q
-        return RealAlg(polys.squarefree_part(polys.scale_roots(self.poly, q)),
+        return RealAlg(polys.monic(polys.scale_roots(self.poly, q)),
                        min(a, b), max(a, b))
 
     def add(self, other: "RealAlg") -> "RealAlg":

@@ -11,7 +11,9 @@ terms of winding counts; the last entry of the chain of (p, q) is their
 gcd, which gives squarefree parts and tests.  Also here: the factor
 degrees an integer polynomial can have, from distinct-degree factorisation
 modulo primes; resultants over Q; and the polynomials vanishing at sums and
-products of roots, built from power sums by Newton's identities.
+products of roots, built from power sums by Newton's identities.  Those
+resolvents and squarefree parts run on integers over one scaling factor,
+and their results equal the rational code's exactly.
 """
 
 from __future__ import annotations
@@ -105,13 +107,6 @@ def divmod_(p: Poly, q: Poly) -> tuple:
     return mk(quo), mk(r)
 
 
-def divexact(p: Poly, q: Poly) -> Poly:
-    quo, rem = divmod_(p, q)
-    if not is_zero(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return quo
-
-
 def monic(p: Poly) -> Poly:
     if is_zero(p):
         return p
@@ -129,13 +124,16 @@ def derivative(p: Poly) -> Poly:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'); monic."""
+    """p divided by gcd(p, p'); monic.  The division runs on the primitive
+    integer forms, whose quotient is an integer polynomial (Gauss's lemma),
+    and the result is made monic once."""
     if degree(p) <= 0:
         return monic(p) if p else ZERO
     g = gcd(p, derivative(p))
     if degree(g) == 0:
         return monic(p)
-    return monic(divexact(p, g))
+    q = _int_divexact(_int_form(p), _int_form(g))
+    return tuple(Fraction(c, q[-1]) for c in q)
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -170,18 +168,31 @@ def to_int_primitive(p: Poly) -> tuple:
     with p = s * primitive.  Leading coefficient sign is preserved."""
     if is_zero(p):
         return ZERO, Fraction(1)
-    den = lcm(*[c.denominator for c in p]) if len(p) > 1 else p[0].denominator
-    ints = [int(c * den) for c in p]
-    g = 0
-    for v in ints:
-        g = igcd(g, abs(v))
-    ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints), Fraction(g, den)
+    ints = _int_form(p)
+    return tuple(map(Fraction, ints)), Fraction(p[-1]) / ints[-1]
 
 
 def _int_form(p: Poly) -> list:
-    """The primitive integer form of p as a list of ints."""
-    return [c.numerator for c in to_int_primitive(p)[0]]
+    """The primitive integer form of p as a list of ints, leading sign kept."""
+    den = lcm(*[c.denominator for c in p])
+    return _int_primitive([c.numerator * (den // c.denominator) for c in p])
+
+
+def _int_divexact(a: list, b: list) -> list:
+    """a / b for integer polynomials (lists of ints, ascending) whose
+    quotient has integer coefficients; ArithmeticError otherwise."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + db], lb)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q[k] = c
+        for i in range(db):
+            r[k + i] -= c * b[i]
+    if any(r[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 def cauchy_bound(p: Poly) -> Fraction:
@@ -200,9 +211,7 @@ def cauchy_bound(p: Poly) -> Fraction:
 # ascending; every step scales by a positive integer, which keeps all signs.
 
 def _int_primitive(f: list) -> list:
-    g = 0
-    for c in f:
-        g = igcd(g, c)
+    g = igcd(*f)
     return [c // g for c in f] if g > 1 else f
 
 
@@ -545,19 +554,61 @@ def discriminant(p: Poly) -> Fraction:
 # The power sums of the roots determine a monic polynomial (Newton's
 # identities), and those of the sums and products of roots follow from the
 # operands' power sums; see Bostan, Flajolet, Salvy and Schost, "Fast
-# computation of special resultants", J. Symbolic Comput. 41 (2006).
+# computation of special resultants", J. Symbolic Comput. 41 (2006).  All of
+# it runs on integers: scaled by c = |lead| of its primitive integer form,
+# each operand's roots are algebraic integers, and so are their sums and
+# products, whose power sums are integers and whose polynomial has integer
+# coefficients; its roots are scaled back by one factor at the end.
+
+def _scaled_roots(p: Poly) -> tuple:
+    """(F, c): c = |a_m| for the primitive integer form a_m x^m + ... + a_0
+    of p, and F the monic integer polynomial whose roots are c times the
+    roots of p, y^m + sum sgn(a_m) a_i c^(m-1-i) y^i."""
+    a = _int_form(p)
+    m, c = len(a) - 1, abs(a[-1])
+    s = 1 if a[-1] > 0 else -1
+    return [s * a[i] * c ** (m - 1 - i) for i in range(m)] + [1], c
+
+
+def _int_power_sums(F: list, upto: int) -> list:
+    """Sums of the k-th powers of the roots of the monic integer polynomial
+    F, with multiplicity, for 0 <= k <= upto (Newton's identities)."""
+    m = len(F) - 1
+    ps = [m]
+    for k in range(1, upto + 1):
+        acc = -k * F[m - k] if k <= m else 0
+        for i in range(1, min(k - 1, m) + 1):
+            acc -= F[m - i] * ps[k - i]
+        ps.append(acc)
+    return ps
+
+
+def _int_from_power_sums(ps: list, n: int) -> list:
+    """The monic integer polynomial of degree n whose roots, algebraic
+    integers, have the power sums ps[k]; each step divides exactly by k, and
+    ArithmeticError reports a step that does not."""
+    g = [0] * n + [1]
+    for k in range(1, n + 1):
+        acc = ps[k]
+        for i in range(1, k):
+            acc += g[n - i] * ps[k - i]
+        g[n - k], rem = divmod(-acc, k)
+        if rem:
+            raise ArithmeticError("power sums of algebraic integers expected")
+    return g
+
+
+def _unscale_roots(g: list, C: int) -> Poly:
+    """The monic rational polynomial whose roots are those of the monic
+    integer polynomial g divided by C: coefficient i is g_i / C^(n-i)."""
+    return tuple(Fraction(c, C ** (len(g) - 1 - i)) for i, c in enumerate(g))
+
 
 def power_sums(p: Poly, upto: int) -> list:
     """Sums of the k-th powers of the roots of p, with multiplicity, for
     0 <= k <= upto (Newton's identities)."""
-    m, a = degree(p), monic(p)
-    ps = [Fraction(m)]
-    for k in range(1, upto + 1):
-        acc = -k * a[m - k] if k <= m else Fraction(0)
-        for i in range(1, min(k - 1, m) + 1):
-            acc -= a[m - i] * ps[k - i]
-        ps.append(acc)
-    return ps
+    F, c = _scaled_roots(p)
+    return [Fraction(s, c ** k) for k, s in enumerate(_int_power_sums(F, upto))]
 
 
 def _from_power_sums(ps: list, n: int) -> Poly:
@@ -573,20 +624,26 @@ def _from_power_sums(ps: list, n: int) -> Poly:
 
 def sum_poly(A: Poly, B: Poly) -> Poly:
     """prod (s - a - b) over the roots a of A and b of B, with multiplicity:
-    Res_z(A(z), B(s - z)) made monic."""
+    Res_z(A(z), B(s - z)) made monic.  With c_A, c_B the scalings of
+    `_scaled_roots`, the roots C(a + b), C = c_A c_B, have the power sums
+    sum_j binom(k, j) c_B^j P_j(F_A) c_A^(k-j) P_(k-j)(F_B)."""
     n = degree(A) * degree(B)
-    pa, pb = power_sums(A, n), power_sums(B, n)
-    return _from_power_sums(
-        [sum(comb(k, j) * pa[j] * pb[k - j] for j in range(k + 1))
-         for k in range(n + 1)], n)
+    (FA, ca), (FB, cb) = _scaled_roots(A), _scaled_roots(B)
+    x = [s * cb ** j for j, s in enumerate(_int_power_sums(FA, n))]
+    y = [s * ca ** j for j, s in enumerate(_int_power_sums(FB, n))]
+    ps = [sum(comb(k, j) * x[j] * y[k - j] for j in range(k + 1))
+          for k in range(n + 1)]
+    return _unscale_roots(_int_from_power_sums(ps, n), ca * cb)
 
 
 def prod_poly(A: Poly, B: Poly) -> Poly:
     """prod (s - a * b) over the roots a of A and b of B, with
-    multiplicity; zero roots need no special case."""
+    multiplicity; zero roots need no special case.  The roots C a b,
+    C = c_A c_B, have the power sums P_k(F_A) P_k(F_B)."""
     n = degree(A) * degree(B)
-    return _from_power_sums(
-        [x * y for x, y in zip(power_sums(A, n), power_sums(B, n))], n)
+    (FA, ca), (FB, cb) = _scaled_roots(A), _scaled_roots(B)
+    ps = [x * y for x, y in zip(_int_power_sums(FA, n), _int_power_sums(FB, n))]
+    return _unscale_roots(_int_from_power_sums(ps, n), ca * cb)
 
 
 def scale_roots(p: Poly, c) -> Poly:
