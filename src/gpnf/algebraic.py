@@ -3,13 +3,17 @@
 This layer handles every exact decision that leaves a single field
 embedding: sums and products across embeddings or across different fields,
 real and imaginary parts of complex embeddings, floors of such values, and
-modulus-one tests.  Defining polynomials of sums and products come from
-power-sum resolvents (`polys.sum_poly`, `polys.prod_poly`).  Each value is
-built by `_isolate`, which reads a stream of enclosures (a field
-element's `enclosures`, or two `RealAlg.enclosures` zipped) until one box
-holds a single root of the resolvent; signs and floors then read the
-value's own stream through `intervals.sign_vs` and `intervals.floor_of`,
-and settle hits with exact polynomial arithmetic.
+modulus-one tests.  A value's defining polynomial is a canonical integer
+polynomial (ints, content 1, positive leading coefficient).  Those of sums
+and products come from power-sum resolvents (`polys.sum_poly`,
+`polys.prod_poly`) and their squarefree parts; a rational shift or scaling
+is an integer Taylor shift or root scaling (`polys.shift_roots`,
+`polys.scale_roots`).  Each value is built by `_isolate`, which reads a
+stream of enclosures (a field element's `enclosures`, or two
+`RealAlg.enclosures` zipped) until one box holds a single root of the
+resolvent; signs and floors then read the value's own stream through
+`intervals.sign_vs` and `intervals.floor_of`, and settle hits with exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ def _diff_poly_sq(a: tuple, b: tuple) -> tuple:
 
 
 class RealAlg:
-    """A real algebraic number: squarefree defining polynomial plus an open
-    isolating interval, or an exact rational.
+    """A real algebraic number: squarefree defining polynomial `poly`, a
+    canonical tuple of ints, plus an open isolating interval; or an exact
+    rational `rat`.
 
     Decisions read the stream `enclosures(width)` of ever narrower
     isolating intervals: `compare_rational` through `intervals.sign_vs`,
@@ -107,7 +112,7 @@ class RealAlg:
     def compare_rational(self, q) -> int:
         """Exact sign of self - q."""
         q = Fraction(q)
-        if self.lo < q < self.hi and polys.eval_at(self.poly, q) == 0:
+        if self.lo < q < self.hi and polys.int_sign_at(self.poly, q) == 0:
             # q is a root strictly inside the isolating interval, hence
             # it is the unique root there: the value itself
             self.rat = q
@@ -134,15 +139,13 @@ class RealAlg:
     def __neg__(self) -> "RealAlg":
         if self.rat is not None:
             return RealAlg.from_rational(-self.rat)
-        return RealAlg(polys.monic(polys.scale_roots(self.poly, -1)),
-                       -self.hi, -self.lo)
+        return RealAlg(polys.scale_roots(self.poly, -1), -self.hi, -self.lo)
 
     def add_rational(self, q) -> "RealAlg":
         q = Fraction(q)
         if self.rat is not None:
             return RealAlg.from_rational(self.rat + q)
-        shifted = polys.compose(self.poly, polys.mk([-q, 1]))
-        return RealAlg(shifted, self.lo + q, self.hi + q)
+        return RealAlg(polys.shift_roots(self.poly, q), self.lo + q, self.hi + q)
 
     def mul_rational(self, q) -> "RealAlg":
         q = Fraction(q)
@@ -151,8 +154,7 @@ class RealAlg:
         if q == 0:
             return RealAlg.from_rational(0)
         a, b = self.lo * q, self.hi * q
-        return RealAlg(polys.monic(polys.scale_roots(self.poly, q)),
-                       min(a, b), max(a, b))
+        return RealAlg(polys.scale_roots(self.poly, q), min(a, b), max(a, b))
 
     def add(self, other: "RealAlg") -> "RealAlg":
         if other.rat is not None:
@@ -179,10 +181,11 @@ class RealAlg:
 
 
 def _isolate(sq: tuple, boxes) -> Optional[RealAlg]:
-    """The root of squarefree sq that the boxes enclose, from the first box
-    holding exactly one root of sq (counted on one Sturm chain); a lone
-    root on an end of a box, or a point box, is that rational itself.
-    None when a finite iterable of boxes runs out first."""
+    """The root of squarefree sq, leading coefficient positive, that the
+    boxes enclose, from the first box holding exactly one root of sq
+    (counted on one Sturm chain, whose first entry is the canonical form of
+    sq); a lone root on an end of a box, or a point box, is that rational
+    itself.  None when a finite iterable of boxes runs out first."""
     sturm = polys.sturm_chain(sq)
     for box in boxes:
         lo, hi = box.lo, box.hi
@@ -191,7 +194,8 @@ def _isolate(sq: tuple, boxes) -> Optional[RealAlg]:
         ends = [x for x in (lo, hi) if polys.int_sign_at(sturm[0], x) == 0]
         n = polys.count_roots(sturm, lo, hi) + len(ends)
         if n == 1:
-            return RealAlg.from_rational(ends[0]) if ends else RealAlg(sq, lo, hi)
+            return (RealAlg.from_rational(ends[0]) if ends
+                    else RealAlg(tuple(sturm[0]), lo, hi))
         if n == 0:
             raise ArithmeticError("certified enclosure contains no root")
     return None
@@ -244,12 +248,13 @@ def im_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAl
     # strip the simple zero root, keep the even-function structure:
     # E(w) = w G(w^2)
     dp = diff[1:]
-    G = polys.mk(dp[0::2])
-    if any(c2 != 0 for c2 in dp[1::2]):
+    if any(dp[1::2]):
         raise ArithmeticError("difference resolvent is not odd-symmetric")
-    # tau - conj(tau) = 2 i Im, so (2 i Im)^2 = -4 Im^2 is a root of G
-    H = polys.squarefree_part(polys.compose(G, polys.mk([0, 0, -4])))
-    return _isolate(H, (b.im for b in x.enclosures(j)))
+    # tau - conj(tau) = 2 i Im, so (2 i Im)^2 = -4 Im^2 is a root of G and
+    # Im one of H(y) = G(-4 y^2)
+    H = [0] * len(dp)
+    H[0::2] = [g * (-4) ** k for k, g in enumerate(dp[0::2])]
+    return _isolate(polys.squarefree_part(H), (b.im for b in x.enclosures(j)))
 
 
 def abs_sq_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAlg:

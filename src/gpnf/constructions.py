@@ -246,7 +246,7 @@ def salem_test(x: FieldElement) -> bool:
     d = polys.degree(mp)
     if d != f.degree or d < 4 or d % 2 != 0:
         return False
-    mpi, _ = polys.to_int_primitive(mp)
+    mpi = polys.mk(polys._int_form(mp))
     if any(mpi[i] != mpi[d - i] for i in range(d + 1)):
         return False  # 1/x is conjugate to x iff the minimal poly is reciprocal
     T = _trace_polynomial(mpi)

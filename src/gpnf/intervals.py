@@ -157,10 +157,15 @@ class RatInterval:
         return f"[{self.lo}, {self.hi}]"
 
     def approx_str(self, digits: int = 12) -> str:
-        from decimal import Decimal, getcontext
-        getcontext().prec = digits + 4
-        d = Decimal(self.mid.numerator) / Decimal(self.mid.denominator)
-        return str(+d.quantize(Decimal(1).scaleb(-digits)))
+        """The midpoint to `digits` decimals, in a local decimal context."""
+        from decimal import Decimal, localcontext
+        m = self.mid
+        whole = len(str(abs(m.numerator) // m.denominator))
+        with localcontext() as ctx:
+            ctx.prec = digits + 4 + max(0, whole - 4)
+            d = Decimal(m.numerator) / Decimal(m.denominator)
+            ctx.prec += 1  # room for a carry into a new integer digit
+            return str(+d.quantize(Decimal(1).scaleb(-digits)))
 
 
 def poly_interval(coeffs, x: RatInterval) -> RatInterval:
@@ -171,12 +176,19 @@ def poly_interval(coeffs, x: RatInterval) -> RatInterval:
 
 def horner_interval(num, den: int, x: RatInterval) -> RatInterval:
     """Enclosure of sum_i num[i] x^i / den over the box, for integers num
-    and den > 0.  With x = [a, b] / D the accumulator after k steps is
-    [lo, hi] / (den D^k), and a step is lo, hi = min/max of the four
-    products with a, b, plus n D^k."""
+    and den > 0, by `horner_ints` on x over a common denominator."""
     if not num:
         return RatInterval.point(0)
     ((a, b),), d = common_den([(x.lo, x.hi)])
+    lo, hi, dk = horner_ints(num, a, b, d)
+    den *= dk
+    return RatInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+def horner_ints(num, a: int, b: int, d: int) -> tuple:
+    """(lo, hi, d^k): sum_i num[i] x^i, k = len(num) - 1 >= 0, lies in
+    [lo, hi] / d^k for x in [a, b] / d, all ints and d > 0.  A step is lo,
+    hi = min/max of the four products with a, b, plus the next num d^k."""
     lo = hi = num[-1]
     dk = 1
     for n in num[-2::-1]:
@@ -184,8 +196,7 @@ def horner_interval(num, den: int, x: RatInterval) -> RatInterval:
         t = n * dk
         p, q, r, s = lo * a, lo * b, hi * a, hi * b
         lo, hi = min(p, q, r, s) + t, max(p, q, r, s) + t
-    den *= dk
-    return RatInterval(Fraction(lo, den), Fraction(hi, den))
+    return lo, hi, dk
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .errors import (ComplexEmbedding, DegreeMismatch, DivisionByZero,
                      FieldMismatch, NoRealRoot, NotSquarefree,
                      ReducibleDetected, SingularSystem)
 from .intervals import (ComplexBox, RatInterval, common_den, floor_of,
-                        horner_box, horner_interval, poly_complex_box,
-                        sign_vs)
+                        horner_box, horner_interval, horner_ints,
+                        poly_complex_box, sign_vs)
 from .linalg import gauss_jordan
 
 Rationalish = Union[int, Fraction, str]
@@ -137,7 +137,7 @@ def _splits(rect: tuple):
 def _min_sep_sq(c: tuple) -> Fraction:
     """A positive rational lower bound for the squared distance between
     distinct roots of squarefree c (Mahler's separation bound)."""
-    ip, _ = polys.to_int_primitive(c)
+    ip = polys.mk(polys._int_form(c))
     m = polys.degree(ip)
     if m < 2:
         return Fraction(1)
@@ -366,11 +366,9 @@ class NumberField:
         p = polys.mk([Fraction(c) for c in coeffs])
         if polys.degree(p) < 1:
             raise DegreeMismatch("defining polynomial must have degree >= 1")
-        if not polys.is_squarefree(p):
+        self.minpoly_int = polys.mk(polys.squarefree_part(p))
+        if len(self.minpoly_int) < len(p):
             raise NotSquarefree("defining polynomial has a repeated root")
-        self.minpoly_int, _ = polys.to_int_primitive(p)
-        if polys.lead(self.minpoly_int) < 0:
-            self.minpoly_int = polys.neg(self.minpoly_int)
         self.monic_minpoly = polys.monic(self.minpoly_int)
         self.degree = polys.degree(p)
 
@@ -839,7 +837,7 @@ class FieldElement:
 
     def minimal_poly(self) -> tuple:
         """Monic minimal polynomial over Q."""
-        return polys.squarefree_part(self.char_poly())
+        return polys.monic(polys.squarefree_part(self.char_poly()))
 
     def is_algebraic_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.char_poly())
@@ -876,6 +874,14 @@ class FieldElement:
         refinement loop over sigma_j(self) reads this one stream."""
         return (self.embed(root_index, prec_bits << k) for k in count())
 
+    def _first_look(self, j: int) -> tuple:
+        """(lo, hi, den): sigma_j(self) lies in [lo, hi] / den, by integer
+        Horner on root j's current enclosure.  That tuple is read once, and
+        every tuple stored there is an enclosure, so no lock is needed."""
+        ((a, b),), d = common_den([self.field._roots[j].interval])
+        lo, hi, dk = horner_ints(self.num, a, b, d)
+        return lo, hi, self.den * dk
+
     def compare_rational(self, q, root_index: Optional[int] = None) -> int:
         """Exact sign of sigma_j(self) - q at a real embedding."""
         f = self.field
@@ -900,8 +906,10 @@ class FieldElement:
 def certified_floor(x: FieldElement, root_index: Optional[int] = None) -> int:
     """Exact floor of sigma_j(x) at a real embedding.
 
-    The enclosures narrow until one pins a single unit interval; one that
-    straddles an integer n is settled by the exact test x == n.
+    A first look at root j's current enclosure (`FieldElement._first_look`)
+    decides when it pins a single unit interval.  Otherwise the enclosures
+    narrow until one does; one that straddles an integer n is settled by the
+    exact test x == n.
     """
     f = x.field
     j = f.distinguished if root_index is None else root_index
@@ -909,6 +917,9 @@ def certified_floor(x: FieldElement, root_index: Optional[int] = None) -> int:
         raise ComplexEmbedding("floor needs a real embedding")
     if x.is_rational():
         return x.num[0] // x.den
+    lo, hi, den = x._first_look(j)
+    if lo // den == hi // den:
+        return lo // den
     return floor_of(x.enclosures(j), lambda n: n if x == n else None)
 
 

@@ -1,8 +1,8 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Polynomials are tuples of Fractions in ascending order of power; the zero
-polynomial is the empty tuple.  Everything here is exact.  One integer
-Sturm chain counts real roots: the signed remainder chain of an integer pair
+Polynomials are tuples of rationals (Fractions or ints) in ascending order
+of power; the zero polynomial is the empty tuple.  One integer Sturm chain
+counts real roots: the signed remainder chain of an integer pair
 (u, v) gives twice the Cauchy index of v/u, with a root at an end counted
 1/2.  For (u, v) = (P, P') that is an exact count of the distinct roots of
 p in an open interval, ends that are roots included, which drives isolation
@@ -12,8 +12,9 @@ gcd, which gives squarefree parts and tests.  Also here: the factor
 degrees an integer polynomial can have, from distinct-degree factorisation
 modulo primes; resultants over Q; and the polynomials vanishing at sums and
 products of roots, built from power sums by Newton's identities.  Those
-resolvents and squarefree parts run on integers over one scaling factor,
-and their results equal the rational code's exactly.
+resolvents, gcds, squarefree parts and the shifts and scalings of roots run
+on integers and return canonical forms: tuples of ints with content 1 and a
+positive leading coefficient.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from fractions import Fraction
 from math import comb, gcd as igcd, isqrt, lcm
 from typing import Iterable
 
-from .intervals import RatInterval, common_den, poly_interval
+from .intervals import RatInterval, common_den, horner_interval
 
-Poly = tuple  # tuple[Fraction, ...], ascending powers
+Poly = tuple  # rationals (Fractions or ints), ascending powers
 
 ZERO = ()
 ONE = (Fraction(1),)
@@ -48,10 +49,6 @@ def is_zero(p: Poly) -> bool:
 
 def lead(p: Poly) -> Fraction:
     return p[-1]
-
-
-def constant(c) -> Poly:
-    return mk([c])
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -110,30 +107,26 @@ def divmod_(p: Poly, q: Poly) -> tuple:
 def monic(p: Poly) -> Poly:
     if is_zero(p):
         return p
-    return scale(p, 1 / lead(p))
+    return scale(p, Fraction(1) / lead(p))
 
 
-def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd of p and q (zero when both are zero): the last entry of
-    the integer remainder chain of their primitive integer forms."""
-    return monic(mk(cauchy_chain(_int_form(p), _int_form(q))[-1]))
+def gcd(p: Poly, q: Poly) -> tuple:
+    """Canonical gcd of p and q (zero when both are zero): the last entry
+    of the integer remainder chain of their primitive integer forms."""
+    return _canonical(cauchy_chain(_int_form(p), _int_form(q))[-1])
 
 
 def derivative(p: Poly) -> Poly:
     return mk([i * p[i] for i in range(1, len(p))])
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'); monic.  The division runs on the primitive
-    integer forms, whose quotient is an integer polynomial (Gauss's lemma),
-    and the result is made monic once."""
-    if degree(p) <= 0:
-        return monic(p) if p else ZERO
-    g = gcd(p, derivative(p))
-    if degree(g) == 0:
-        return monic(p)
-    q = _int_divexact(_int_form(p), _int_form(g))
-    return tuple(Fraction(c, q[-1]) for c in q)
+def squarefree_part(p: Poly) -> tuple:
+    """p divided by gcd(p, p'), in canonical form.  The division runs on
+    the primitive integer forms, whose quotient is an integer polynomial
+    (Gauss's lemma)."""
+    P = _int_form(p)
+    g = gcd(P, [i * c for i, c in enumerate(P)][1:])
+    return _canonical(_int_divexact(P, g) if len(g) > 1 else P)
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -155,27 +148,19 @@ def eval_at(p: Poly, x) -> Fraction:
     return Fraction(acc, den * dk)
 
 
-def compose(p: Poly, q: Poly) -> Poly:
-    """p(q(x))."""
-    acc = ZERO
-    for c in reversed(p):
-        acc = add(mul(acc, q), constant(c))
-    return acc
-
-
-def to_int_primitive(p: Poly) -> tuple:
-    """Return (integer-coefficient primitive polynomial, positive scalar s)
-    with p = s * primitive.  Leading coefficient sign is preserved."""
-    if is_zero(p):
-        return ZERO, Fraction(1)
-    ints = _int_form(p)
-    return tuple(map(Fraction, ints)), Fraction(p[-1]) / ints[-1]
-
-
 def _int_form(p: Poly) -> list:
     """The primitive integer form of p as a list of ints, leading sign kept."""
     den = lcm(*[c.denominator for c in p])
     return _int_primitive([c.numerator * (den // c.denominator) for c in p])
+
+
+def _canonical(f: list) -> tuple:
+    """The integer polynomial f divided by its content, signed so that the
+    leading coefficient is positive."""
+    g = igcd(*f)
+    if f and f[-1] < 0:
+        g = -g
+    return tuple(c // g for c in f) if g not in (0, 1) else tuple(f)
 
 
 def _int_divexact(a: list, b: list) -> list:
@@ -472,17 +457,20 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
     tight; bisection on the sign change is the fallback.  Point intervals
     pass through unchanged; a midpoint that hits the root exactly collapses
     the interval to a point.  A width <= 0 raises ValueError unless the
-    interval is already a point.
+    interval is already a point.  The steps run on the primitive integer
+    form of p, a positive multiple that keeps signs and Newton quotients.
     """
     if lo == hi:
         return lo, hi
     if width <= 0:
         raise ValueError(f"cannot refine [{lo}, {hi}] to width {width}")
-    slo = _sign(eval_at(p, lo))
-    shi = _sign(eval_at(p, hi))
+    if hi - lo <= width:
+        return lo, hi
+    P = _int_form(p)
+    slo, shi = int_sign_at(P, lo), int_sign_at(P, hi)
     if slo == shi or slo == 0 or shi == 0:
         # no sign change: fall back to Sturm bisection
-        chain = sturm_chain(p)
+        chain = sturm_chain(P)
         while hi - lo > width:
             mid = (lo + hi) / 2
             if int_sign_at(chain[0], mid) == 0:
@@ -492,13 +480,13 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
             else:
                 lo = mid
         return lo, hi
-    dp = derivative(p)
+    dP = [i * c for i, c in enumerate(P)][1:]
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fm = eval_at(p, mid)
+        fm = eval_at(P, mid)
         if fm == 0:
             return mid, mid
-        d = poly_interval(dp, RatInterval(lo, hi))
+        d = horner_interval(dP, 1, RatInterval(lo, hi))
         if d.lo > 0 or d.hi < 0:
             # Newton: the root lies in mid - fm / d; round the
             # result outward to dyadics so denominators stay linear in the
@@ -508,8 +496,7 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
             nlo = max(lo, dyadic_down(mid - max(q1, q2), t))
             nhi = min(hi, dyadic_up(mid - min(q1, q2), t))
             if nlo <= nhi and (nhi - nlo) <= (hi - lo) * Fraction(7, 8):
-                flo = _sign(eval_at(p, nlo))
-                fhi = _sign(eval_at(p, nhi))
+                flo, fhi = int_sign_at(P, nlo), int_sign_at(P, nhi)
                 if flo == 0:
                     return nlo, nlo
                 if fhi == 0:
@@ -598,12 +585,6 @@ def _int_from_power_sums(ps: list, n: int) -> list:
     return g
 
 
-def _unscale_roots(g: list, C: int) -> Poly:
-    """The monic rational polynomial whose roots are those of the monic
-    integer polynomial g divided by C: coefficient i is g_i / C^(n-i)."""
-    return tuple(Fraction(c, C ** (len(g) - 1 - i)) for i, c in enumerate(g))
-
-
 def power_sums(p: Poly, upto: int) -> list:
     """Sums of the k-th powers of the roots of p, with multiplicity, for
     0 <= k <= upto (Newton's identities)."""
@@ -622,37 +603,57 @@ def _from_power_sums(ps: list, n: int) -> Poly:
     return tuple(a)
 
 
-def sum_poly(A: Poly, B: Poly) -> Poly:
-    """prod (s - a - b) over the roots a of A and b of B, with multiplicity:
-    Res_z(A(z), B(s - z)) made monic.  With c_A, c_B the scalings of
-    `_scaled_roots`, the roots C(a + b), C = c_A c_B, have the power sums
-    sum_j binom(k, j) c_B^j P_j(F_A) c_A^(k-j) P_(k-j)(F_B)."""
+def sum_poly(A: Poly, B: Poly) -> tuple:
+    """prod (s - a - b) over the roots a of A and b of B, with multiplicity,
+    in canonical form.  With c_A, c_B the scalings of `_scaled_roots`, the
+    roots C(a + b), C = c_A c_B, of the monic integer g have the power sums
+    sum_j binom(k, j) c_B^j P_j(F_A) c_A^(k-j) P_(k-j)(F_B); g(C s) has
+    coefficients g_i C^i."""
     n = degree(A) * degree(B)
     (FA, ca), (FB, cb) = _scaled_roots(A), _scaled_roots(B)
     x = [s * cb ** j for j, s in enumerate(_int_power_sums(FA, n))]
     y = [s * ca ** j for j, s in enumerate(_int_power_sums(FB, n))]
     ps = [sum(comb(k, j) * x[j] * y[k - j] for j in range(k + 1))
           for k in range(n + 1)]
-    return _unscale_roots(_int_from_power_sums(ps, n), ca * cb)
+    g, C = _int_from_power_sums(ps, n), ca * cb
+    return _canonical([c * C ** i for i, c in enumerate(g)])
 
 
-def prod_poly(A: Poly, B: Poly) -> Poly:
+def prod_poly(A: Poly, B: Poly) -> tuple:
     """prod (s - a * b) over the roots a of A and b of B, with
-    multiplicity; zero roots need no special case.  The roots C a b,
-    C = c_A c_B, have the power sums P_k(F_A) P_k(F_B)."""
+    multiplicity, in canonical form; zero roots need no special case.  The
+    roots C a b, C = c_A c_B, have the power sums P_k(F_A) P_k(F_B)."""
     n = degree(A) * degree(B)
     (FA, ca), (FB, cb) = _scaled_roots(A), _scaled_roots(B)
     ps = [x * y for x, y in zip(_int_power_sums(FA, n), _int_power_sums(FB, n))]
-    return _unscale_roots(_int_from_power_sums(ps, n), ca * cb)
+    g, C = _int_from_power_sums(ps, n), ca * cb
+    return _canonical([c * C ** i for i, c in enumerate(g)])
 
 
-def scale_roots(p: Poly, c) -> Poly:
-    """Polynomial whose roots are c * (roots of p); c a nonzero rational."""
-    c = Fraction(c)
-    n = degree(p)
-    return mk([p[i] * c ** (n - i) for i in range(n + 1)])
+def scale_roots(p: Poly, q) -> tuple:
+    """The canonical polynomial whose roots are q times those of p, for a
+    nonzero rational q = a / b: a^n p(b x / a), coefficient i
+    p_i a^(n-i) b^i."""
+    q = Fraction(q)
+    a, b = q.numerator, q.denominator
+    P = _int_form(p)
+    n = len(P) - 1
+    return _canonical([c * a ** (n - i) * b ** i for i, c in enumerate(P)])
 
 
-def diff_poly(A: Poly, B: Poly) -> Poly:
+def shift_roots(p: Poly, q) -> tuple:
+    """The canonical polynomial whose roots are those of p plus the
+    rational q = a / b: the integer Taylor shift by -a of the polynomial of
+    the roots b r (von zur Gathen and Gerhard, ISSAC 1997), whose roots
+    b r + a are then scaled by 1 / b."""
+    q = Fraction(q)
+    c = list(scale_roots(p, q.denominator))
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] -= q.numerator * c[k + 1]
+    return scale_roots(c, Fraction(1, q.denominator))
+
+
+def diff_poly(A: Poly, B: Poly) -> tuple:
     """A polynomial vanishing at every a - b with A(a) = 0, B(b) = 0."""
     return sum_poly(A, scale_roots(B, -1))

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpnf.algebraic import (RealAlg, abs_sq_of_embedding, complex_floor,
                             embedding_is_real, im_of_embedding,
@@ -143,3 +144,30 @@ def test_floor_near_integer(K_phi):
     b = RealAlg.from_embedding(y)
     assert b.floor() == 5778
     assert b.eq_rational(5778)
+
+
+_PHI, _SQRT2 = NumberField([-1, -1, 1]), NumberField([-2, 0, 1])
+_small = st.fractions(-9, 9, max_denominator=7)
+_steps = st.lists(st.tuples(
+    st.sampled_from(["add", "mul", "neg", "add_rational", "mul_rational"]),
+    _small, st.sampled_from([_PHI, _SQRT2])), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small, _small.filter(bool), _steps)
+def test_poly_stays_canonical(c0, c1, steps):
+    """After every operation an irrational value's defining polynomial is a
+    tuple of ints with content 1 and a positive leading coefficient."""
+    a = RealAlg.from_embedding(_PHI.element([c0, c1]))
+    for op, q, field in steps:
+        if op in ("add", "mul"):
+            b = RealAlg.from_embedding(field.element([q, 1]))
+            a = a.add(b) if op == "add" else a.mul(b)
+        elif op == "neg":
+            a = -a
+        else:
+            a = getattr(a, op)(q)
+        if a.rat is None:
+            assert all(type(c) is int for c in a.poly)
+            assert math.gcd(*a.poly) == 1 and a.poly[-1] > 0
+            assert a.lo < a.hi

@@ -212,6 +212,15 @@ def test_usage_error_exit_code():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_approx_of_a_large_value(capsys, json_flag):
+    # 21 decimals of a value with six integer digits
+    code, out = run(capsys, "eval", "--text", "sqrt2*100000", "--approx", "64",
+                    *json_flag)
+    assert code == 0
+    assert "141421.356237309504880168872" in out
+
+
 def test_approx_floor_validated():
     with pytest.raises(SystemExit) as e:
         dispatch(["field", "--minpoly", "1,-1,-1", "--approx", "8"])

@@ -110,6 +110,23 @@ def test_approx_str():
     assert s.startswith("0.333333")
 
 
+def test_approx_str_beyond_four_integer_digits():
+    assert RatInterval.point(F(123456789, 7)).approx_str(6) == "17636684.142857"
+    assert RatInterval.point(F(-10 ** 30, 3)).approx_str(2) == \
+        "-333333333333333333333333333333.33"
+    # a carry into a fifth integer digit
+    assert RatInterval.point(F(99999999, 10000)).approx_str(3) == "10000.000"
+    assert RatInterval.point(F(0)).approx_str(21) == "0E-21"
+
+
+def test_approx_str_keeps_the_callers_decimal_context():
+    import decimal
+    before = decimal.getcontext().prec
+    RatInterval(F(1, 3), F(2, 3)).approx_str(50)
+    RatInterval.point(F(10 ** 9, 7)).approx_str(50)
+    assert decimal.getcontext().prec == before
+
+
 def test_int_ends_become_fractions():
     iv = RatInterval(1, 2)
     assert type(iv.lo) is F and type(iv.hi) is F

@@ -47,7 +47,8 @@ def test_gcd_and_squarefree():
 def test_eval_and_compose():
     p = P.mk([1, 2, 3])                    # 3x^2 + 2x + 1
     assert P.eval_at(p, F(2)) == 17
-    q = P.compose(p, P.mk([1, 1]))         # p(x+1)
+    q = P.shift_roots(p, -1)               # p(x+1), canonical
+    assert q == (6, 8, 3)
     assert P.eval_at(q, F(1)) == P.eval_at(p, F(2))
 
 
@@ -402,10 +403,10 @@ def test_gcd_and_squarefree_part_vs_sympy():
         sp, sq = (sympy.Poly(_sympy_expr(f, x), x, domain="QQ") for f in (p, q))
         g = sp.gcd(sq)
         want = () if g.is_zero else _from_sympy(g.monic().as_expr(), x)
-        assert P.gcd(p, q) == want == P.gcd(q, p), (p, q)
+        assert P.monic(P.gcd(p, q)) == want == P.monic(P.gcd(q, p)), (p, q)
         if not P.is_zero(p):
             sf = sympy.sqf_part(sp).monic()
-            assert P.squarefree_part(p) == _from_sympy(sf.as_expr(), x)
+            assert P.monic(P.squarefree_part(p)) == _from_sympy(sf.as_expr(), x)
             assert P.is_squarefree(p) == sp.is_sqf
         seen.add((P.degree(p), P.degree(P.gcd(p, q)) > 0, P.is_squarefree(p)))
     assert P.gcd(P.ZERO, P.ZERO) == P.ZERO

@@ -1,19 +1,24 @@
-"""Differential test of the integer resolvent kernels.
+"""Differential test of the integer resolvent and root-map kernels.
 
 `polys.sum_poly`, `prod_poly`, `diff_poly`, `power_sums` and
 `squarefree_part` run on integers: the roots are scaled to algebraic
 integers by one factor per operand, Newton's identities run on integer
 power sums with exact divisions, and the roots are scaled back at the end.
-The oracle is the rational code they replace, written out below: Newton's
-identities on `Fraction` power sums of the monic operands, and the
-squarefree part as p divided by gcd(p, p') with `Fraction` long division.
-Every kernel result must be the same tuple of Fractions as the oracle's,
-coefficient for coefficient, for degrees 0-5, rational and non-monic
-inputs, negative leading coefficients, zero roots and repeated factors.
+`shift_roots` is an integer Taylor shift and `scale_roots` an integer root
+scaling.  The oracle is the rational code they replace, written out below:
+Newton's identities on `Fraction` power sums of the monic operands, the
+squarefree part as p divided by gcd(p, p') with `Fraction` long division,
+and the shift and scaling as `Fraction` composition and coefficient
+scaling.  Power sums must be the same Fractions as the oracle's; every
+polynomial kernel must return the canonical form of the oracle's monic
+polynomial (ints with content 1 and a positive leading coefficient), for
+degrees 0-8, rational and non-monic inputs, negative leading coefficients,
+zero roots, repeated factors and negative or large-denominator shifts and
+scalings.
 """
 
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -67,9 +72,25 @@ def ref_diff_poly(A, B):
 def ref_squarefree_part(p):
     if len(p) <= 1:
         return tuple(c / p[-1] for c in p)
-    quo, rem = P.divmod_(p, P.gcd(p, P.derivative(p)))
+    quo, rem = P.divmod_(p, P.monic(P.gcd(p, P.derivative(p))))
     assert rem == P.ZERO
     return tuple(c / quo[-1] for c in quo)
+
+
+def ref_compose(p, q):
+    acc = P.ZERO
+    for c in reversed(p):
+        acc = P.add(P.mul(acc, q), P.mk([c]))
+    return acc
+
+
+def ref_shift_roots(p, q):
+    return P.monic(ref_compose(p, P.mk([-q, 1])))
+
+
+def ref_scale_roots(p, q):
+    n = P.degree(p)
+    return P.monic(P.mk([p[i] * q ** (n - i) for i in range(n + 1)]))
 
 
 # -- inputs: lead * product of factors, some repeated -------------------------
@@ -96,6 +117,13 @@ def same(got, want):
     assert got == want
 
 
+def same_monic(got, want):
+    """got is the canonical form of the monic polynomial want."""
+    assert all(type(c) is int for c in got)
+    assert gcd(*got) == 1 and got[-1] > 0
+    assert P.monic(got) == want
+
+
 NONMONIC = (F(-3), F(0), F(2))                 # 2x^2 - 3
 NEG_LEAD = (F(2, 3), F(-1, 5), F(0), F(-7, 4))  # leading coefficient -7/4
 ZERO_ROOTS = (F(0), F(0), F(-1, 2), F(3))       # x^2 (3x - 1/2)
@@ -109,7 +137,7 @@ REPEATED = P.mul(P.mul((F(1), F(2, 3)), (F(1), F(2, 3))), (F(-5), F(0), F(1)))
 @example(ZERO_ROOTS, REPEATED)
 @example(NEG_LEAD, (F(-1, 3), F(1, 2)))
 def test_sum_poly_matches_rational_newton(A, B):
-    same(P.sum_poly(A, B), ref_sum_poly(A, B))
+    same_monic(P.sum_poly(A, B), ref_sum_poly(A, B))
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,7 +146,7 @@ def test_sum_poly_matches_rational_newton(A, B):
 @example(NONMONIC, NEG_LEAD)
 @example(ZERO_ROOTS, REPEATED)
 def test_prod_poly_matches_rational_newton(A, B):
-    same(P.prod_poly(A, B), ref_prod_poly(A, B))
+    same_monic(P.prod_poly(A, B), ref_prod_poly(A, B))
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,7 +154,7 @@ def test_prod_poly_matches_rational_newton(A, B):
 @example(NONMONIC, NONMONIC)
 @example(REPEATED, NEG_LEAD)
 def test_diff_poly_matches_rational_newton(A, B):
-    same(P.diff_poly(A, B), ref_diff_poly(A, B))
+    same_monic(P.diff_poly(A, B), ref_diff_poly(A, B))
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,7 +172,31 @@ def test_power_sums_match_rational_newton(p, upto):
 @example(P.mul(ZERO_ROOTS, ZERO_ROOTS))
 @example(P.mul(NEG_LEAD, P.mul(NEG_LEAD, NONMONIC)))
 def test_squarefree_part_matches_rational_division(p):
-    same(P.squarefree_part(p), ref_squarefree_part(p))
+    same_monic(P.squarefree_part(p), ref_squarefree_part(p))
+
+
+shifts = st.one_of(rationals, st.fractions(-10 ** 6, 10 ** 6,
+                                          max_denominator=10 ** 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(max_degree=8), shifts)
+@example((F(-5, 2),), F(3))
+@example(ZERO_ROOTS, F(-7, 10 ** 9))
+@example(NEG_LEAD, F(0))
+@example(REPEATED, F(-1, 3))
+def test_shift_roots_matches_composition(p, q):
+    same_monic(P.shift_roots(p, q), ref_shift_roots(p, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(max_degree=8), shifts.filter(bool))
+@example((F(-5, 2),), F(3))
+@example(ZERO_ROOTS, F(-7, 10 ** 9))
+@example(NEG_LEAD, F(-1))
+@example(NONMONIC, F(2, 3))
+def test_scale_roots_matches_rational_scaling(p, q):
+    same_monic(P.scale_roots(p, q), ref_scale_roots(p, q))
 
 
 def test_inexact_steps_raise():
