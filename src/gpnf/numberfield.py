@@ -199,61 +199,82 @@ def _gauss_eval(p: tuple, re: Fraction, im: Fraction) -> tuple:
     return Fraction(ar, den), Fraction(ai, den)
 
 
-def _krawczyk_step(p: tuple, dp: tuple, rect: tuple):
-    """One Krawczyk contraction of an isolating rectangle; returns a
-    strictly smaller isolating rectangle or None when the test fails.
+def _newton(P: list, cx: Fraction, cy: Fraction, t: int) -> tuple:
+    """Bounded Newton iteration for the integer polynomial P from cx + i cy
+    in Gaussian-integer fixed point: each iterate is a Gaussian integer
+    (a, b) over 2^s, P and P' come exactly from one integer Horner pass over
+    2^(s deg P), and only the step is rounded to 2^-s.  The grid starts at
+    s = 32 bits and doubles, up to t, whenever the step falls to 2^-s.
+    Returns the last iterate over 2^t."""
+    s = min(t, 32)
+    a, b = ((q.numerator << s) // q.denominator for q in (cx, cy))
+    for _ in range(2 * t.bit_length() + 8):
+        pr, pi, dr, di, sh = P[-1], 0, 0, 0, 0
+        for c in P[-2::-1]:
+            sh += s
+            dr, di = dr * a - di * b + (pr << s), dr * b + di * a + (pi << s)
+            pr, pi = pr * a - pi * b + (c << sh), pr * b + pi * a
+        nrm = dr * dr + di * di
+        if nrm == 0:
+            break
+        sr = ((pr * dr + pi * di) << s) // nrm
+        si = ((pi * dr - pr * di) << s) // nrm
+        a, b = a - sr, b - si
+        if -2 <= sr <= 1 and -2 <= si <= 1:
+            if s == t:
+                break
+            u = min(2 * s, t)
+            a, b, s = a << (u - s), b << (u - s), u
+    return a << (t - s), b << (t - s)
 
-    With Z the box, m its midpoint: any root in Z lies in
-    m - p(m)/p'(m) + (1 - p'(Z)/p'(m)) (Z - m), so intersecting with Z
-    keeps a valid enclosure.
-    """
-    xlo, xhi, ylo, yhi = rect
-    Z = ComplexBox(RatInterval(xlo, xhi), RatInterval(ylo, yhi))
-    mx, my = (xlo + xhi) / 2, (ylo + yhi) / 2
-    fr, fi = _gauss_eval(p, mx, my)
-    dr, di = _gauss_eval(dp, mx, my)
+
+def _krawczyk_proves(p: tuple, dp: tuple, Z: ComplexBox, t: int) -> bool:
+    """Whether the box Z holds exactly one root of p: with m its centre and
+    Y a dyadic point near 1/p'(m), the Krawczyk operator
+    K = m - Y p(m) + (1 - Y p'(Z)) (Z - m), in exact box arithmetic, lies
+    strictly inside Z (Krawczyk, Computing 4, 1969; Rump, J. Comput. Appl.
+    Math. 156, 2003)."""
+    m = ComplexBox.point(Z.re.mid, Z.im.mid)
+    fr, fi = _gauss_eval(p, Z.re.mid, Z.im.mid)
+    dr, di = _gauss_eval(dp, Z.re.mid, Z.im.mid)
     nrm = dr * dr + di * di
     if nrm == 0:
-        return None
-    # 1/p'(m) exactly
-    ir, ii = dr / nrm, -di / nrm
-    inv = ComplexBox.point(ir, ii)
-    newton = ComplexBox.point(mx - (fr * ir - fi * ii), my - (fr * ii + fi * ir))
-    dpz = poly_complex_box(dp, Z)
-    contraction = ComplexBox.point(1) - dpz * inv
-    K = newton + contraction * (Z - ComplexBox.point(mx, my))
-    # round outward to dyadics: keeps the enclosure while stopping the
-    # denominators from doubling at every contraction
-    t = 2 * polys._width_bits(max(xhi - xlo, yhi - ylo)) + 8
-    nxlo = max(polys.dyadic_down(K.re.lo, t), xlo)
-    nxhi = min(polys.dyadic_up(K.re.hi, t), xhi)
-    nylo = max(polys.dyadic_down(K.im.lo, t), ylo)
-    nyhi = min(polys.dyadic_up(K.im.hi, t), yhi)
-    if nxlo > nxhi or nylo > nyhi:
-        return None
-    if max(nxhi - nxlo, nyhi - nylo) > max(xhi - xlo, yhi - ylo) * Fraction(7, 8):
-        return None
-    return nxlo, nxhi, nylo, nyhi
+        return False
+    # K encloses the root for any Y; 1/p'(m) to about 2^-t relative, as a
+    # dyadic, keeps the box products small
+    t += max(0, nrm.numerator.bit_length() - nrm.denominator.bit_length())
+    Y = ComplexBox.point(polys.dyadic_down(dr / nrm, t),
+                         polys.dyadic_down(-di / nrm, t))
+    K = (m - Y * ComplexBox.point(fr, fi)
+         + (ComplexBox.point(1) - Y * poly_complex_box(dp, Z)) * (Z - m))
+    return (Z.re.lo < K.re.lo and K.re.hi < Z.re.hi
+            and Z.im.lo < K.im.lo and K.im.hi < Z.im.hi)
 
 
 def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
-    """Shrink an isolating rectangle of p below the given side length.
+    """Shrink an isolating rectangle of squarefree p below the given side.
 
-    Coarse rectangles are bisected with exact winding counts; once small,
-    Krawczyk contraction converges quadratically (with bisection as the
-    fallback whenever the contraction test fails).  A width <= 0 raises
-    ValueError unless the rectangle is already a point."""
+    Approximate, then prove.  Newton in fixed point (`_newton`) runs from
+    the centre of the rectangle on the grid 2^-t, t = bits(width) +
+    bits(deg p) + 8, and the square B of half-side 16 * 2^-t around its
+    result is returned when B lies in the rectangle and one Krawczyk
+    inclusion proves a root of p in B: that root is then the isolated one.
+    Otherwise one bisection by exact winding counts shrinks the rectangle
+    and Newton runs again.  A width <= 0 raises ValueError unless the
+    rectangle is already a point."""
     xlo, xhi, ylo, yhi = rect
     if width <= 0 < max(xhi - xlo, yhi - ylo):
         raise ValueError(f"cannot refine {rect} to width {width}")
+    P = polys._int_form(p)
     dp = polys.derivative(p)
-    coarse = Fraction(1, 2 ** 8)
+    t = polys._width_bits(width) + (len(P) - 1).bit_length() + 8
+    h = RatInterval(Fraction(-16, 1 << t), Fraction(16, 1 << t))
     while max(xhi - xlo, yhi - ylo) > width:
-        if max(xhi - xlo, yhi - ylo) <= coarse:
-            step = _krawczyk_step(p, dp, (xlo, xhi, ylo, yhi))
-            if step is not None:
-                xlo, xhi, ylo, yhi = step
-                continue
+        a, b = _newton(P, (xlo + xhi) / 2, (ylo + yhi) / 2, t)
+        B = ComplexBox(h + Fraction(a, 1 << t), h + Fraction(b, 1 << t))
+        if (xlo <= B.re.lo and B.re.hi <= xhi and ylo <= B.im.lo
+                and B.im.hi <= yhi and _krawczyk_proves(p, dp, B, t)):
+            return B.re.lo, B.re.hi, B.im.lo, B.im.hi
         for r1, r2 in _splits((xlo, xhi, ylo, yhi)):
             try:
                 n1 = count_roots_in_rect(p, *r1)
