@@ -5,10 +5,10 @@ intervals containing every possible result, so enclosure is preserved with
 no rounding anywhere.  ComplexBox is a rectangle (pair of intervals).
 
 The Horner kernels `horner_interval` and `horner_box` (behind
-`poly_interval` and `poly_complex_box`) run on Python ints: coefficients
-and box ends are written over one common denominator each (`common_den`),
-every step is integer products, a min/max and an add, and the Fractions
-are built once at the end.  All scalings are by positive integers, so the
+`poly_complex_box`) run on Python ints: coefficients and box ends are
+written over one common denominator each (`common_den`), every step is
+integer products, a min/max and an add, and the Fractions are built once
+at the end.  All scalings are by positive integers, so the
 result is the same rational box as the rational Horner `acc * x + c`.
 
 Exact values (field embeddings, `algebraic.RealAlg`) hand out streams of
@@ -166,12 +166,6 @@ class RatInterval:
             d = Decimal(m.numerator) / Decimal(m.denominator)
             ctx.prec += 1  # room for a carry into a new integer digit
             return str(+d.quantize(Decimal(1).scaleb(-digits)))
-
-
-def poly_interval(coeffs, x: RatInterval) -> RatInterval:
-    """Enclosure of p(x) over the box, by interval Horner evaluation."""
-    (num,), den = common_den([coeffs])
-    return horner_interval(num, den, x)
 
 
 def horner_interval(num, den: int, x: RatInterval) -> RatInterval:

@@ -1,7 +1,8 @@
 """Differential test of the integer Horner kernels.
 
-`intervals.poly_interval`, `intervals.poly_complex_box`, `polys.eval_at`
-and `numberfield._gauss_eval` run on integers over common denominators.
+`intervals.horner_interval` (over a common denominator),
+`intervals.poly_complex_box`, `polys.eval_at` and `numberfield._gauss_eval`
+run on integers over common denominators.
 The oracle is the plain rational Horner `acc = acc * x + c` on Fractions,
 with interval products written out as the min and max of the four end
 products.  Every kernel result must be the same rational as the oracle's,
@@ -13,7 +14,8 @@ from fractions import Fraction as F
 
 from hypothesis import example, given, settings, strategies as st
 
-from gpnf.intervals import ComplexBox, RatInterval, poly_complex_box, poly_interval
+from gpnf.intervals import (ComplexBox, RatInterval, common_den, horner_interval,
+                            poly_complex_box)
 from gpnf.numberfield import _gauss_eval
 from gpnf.polys import eval_at
 
@@ -64,7 +66,8 @@ def ends(iv: RatInterval) -> tuple:
 @example([1, F(-2, 3), 3], F(-1, 5), 0)
 def test_poly_interval_matches_rational_horner(coeffs, lo, w):
     x = RatInterval(lo, lo + w)
-    assert ends(poly_interval(coeffs, x)) == ref_interval(coeffs, (x.lo, x.hi))
+    (num,), den = common_den([coeffs])
+    assert ends(horner_interval(num, den, x)) == ref_interval(coeffs, (x.lo, x.hi))
 
 
 @settings(max_examples=200, deadline=None)
