@@ -185,7 +185,7 @@ def cauchy_bound(p: Poly) -> Fraction:
     if degree(p) < 1:
         return Fraction(1)
     lc = abs(lead(p))
-    return 1 + max(abs(c) / lc for c in p[:-1]) if len(p) > 1 else Fraction(1)
+    return 1 + max(Fraction(abs(c), lc) for c in p[:-1]) if len(p) > 1 else Fraction(1)
 
 
 # -- integer Sturm chains of a pair (u, v) -----------------------------------

@@ -224,6 +224,137 @@ def test_count_roots_in_rect_additive(coeffs, ends, cut, vertical):
     assert whole == sum(parts), (coeffs, (xlo, xhi, ylo, yhi), c)
 
 
+# -- complex root refinement: fixed-point Newton, one Krawczyk proof -----------
+
+# the field-build catalogue, then x^16+1, x^12-x-1, Lehmer's polynomial and
+# x^8 - 2(101x - 1)^2, whose Newton starts often leave their rectangles
+_CATALOGUE = ([-1, -1, 1], [-1, -2, 1], [-1, -1, 0, 1], [-1, -1, -1, 1],
+              [-1, -1, -1, -1, 1], [-1, -1, -1, -1, -1, 1],
+              [-1, -1, -1, -1, -1, -1, 1], [1, -1, -1, -1, 1],
+              [1, 0, -1, -1, -1, 0, 1])
+_X16 = [1] + [0] * 15 + [1]
+_X12 = [-1, -1] + [0] * 10 + [1]
+_CLOSE = [-2, 404, -20402, 0, 0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("coeffs", _CATALOGUE + (_X16, _X12, _LEHMER, _CLOSE),
+                         ids=lambda c: ",".join(map(str, c)))
+def test_conjugate_boxes_hold_polyroots_roots(coeffs):
+    # every conjugate box at 2^-128 and 2^-512 holds exactly one root found
+    # by mpmath at 200 digits, and no two boxes hold the same root
+    mpmath = pytest.importorskip("mpmath")
+    K = NumberField(coeffs)
+    with mpmath.workdps(200):
+        roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=400,
+                                 extraprec=800)
+
+        def inside(q, r, lo, hi):
+            return (mpmath.mpf(lo.numerator) / lo.denominator <= q
+                    <= mpmath.mpf(hi.numerator) / hi.denominator)
+
+        for bits in (128, 512):
+            hits = []
+            for j in range(K.degree):
+                box = K.root_box(j, F(1, 2 ** bits))
+                if K.is_real_root(j):
+                    assert box.width <= F(1, 2 ** bits)
+                    hit = [i for i, r in enumerate(roots)
+                           if abs(mpmath.im(r)) < mpmath.mpf(10) ** -150
+                           and inside(mpmath.re(r), r, box.lo, box.hi)]
+                else:
+                    assert box.re.width <= F(1, 2 ** bits)
+                    assert box.im.width <= F(1, 2 ** bits)
+                    hit = [i for i, r in enumerate(roots)
+                           if inside(mpmath.re(r), r, box.re.lo, box.re.hi)
+                           and inside(mpmath.im(r), r, box.im.lo, box.im.hi)]
+                assert len(hit) == 1, (coeffs, bits, j)
+                hits += hit
+            assert sorted(hits) == list(range(K.degree))
+
+
+def _upper_rects(p: tuple) -> list:
+    from gpnf.numberfield import _isolate_complex_upper
+    upper = (polys.degree(p) - polys.count_real_roots(p)) // 2
+    return _isolate_complex_upper(p, upper)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=8),
+       st.integers(1, 9), st.integers(1, 160))
+def test_refine_rect_returns_isolating_box_inside_input(coeffs, lead, bits):
+    # degree 2-8; the squarefree part keeps every distinct root
+    from gpnf.numberfield import _refine_rect, count_roots_in_rect
+    p = polys.squarefree_part(polys.mk(coeffs + [lead]))
+    width = F(1, 2 ** bits)
+    for rect in _upper_rects(p):
+        box = _refine_rect(p, rect, width)
+        assert rect[0] <= box[0] < box[1] <= rect[1]
+        assert rect[2] <= box[2] < box[3] <= rect[3]
+        assert max(box[1] - box[0], box[3] - box[2]) <= width
+        assert count_roots_in_rect(p, *box) == 1
+
+
+def _fallbacks(monkeypatch, coeffs, most: int) -> int:
+    """Winding counts made while the isolating rectangles of coeffs are
+    refined to 2^-128 and then 2^-512; fails at once past `most`."""
+    from gpnf import numberfield
+    p = polys.mk(coeffs)
+    rects = _upper_rects(p)
+    counted = numberfield.count_roots_in_rect
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        assert len(calls) <= most, "Newton keeps failing; bisection took over"
+        return counted(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(numberfield, "count_roots_in_rect", count)
+        for bits in (128, 512):
+            rects = [numberfield._refine_rect(p, r, F(1, 2 ** bits))
+                     for r in rects]
+    return len(calls)
+
+
+@pytest.mark.parametrize("coeffs", [_X16, _CLOSE], ids=["x16+1", "close"])
+def test_refine_rect_falls_back_to_bisection(monkeypatch, coeffs):
+    # Newton from the centre of some isolating rectangles of these fields
+    # stops outside them or unconverged, so winding bisection runs
+    assert 0 < _fallbacks(monkeypatch, coeffs, 100)
+
+
+def test_refine_rect_catalogue_needs_few_bisections(monkeypatch):
+    assert sum(_fallbacks(monkeypatch, c, 4) for c in _CATALOGUE) <= 4
+
+
+def test_fixed_point_newton_lands_on_the_grid_root():
+    from gpnf.numberfield import _newton
+    t = 200
+    # x^2 + 1 from 0.1 + 1.1i, and x^4 - x^3 - x^2 - x + 1 near its root
+    # on the unit circle, -0.2367 + 0.9716i
+    a, b = _newton([1, 0, 1], F(1, 10), F(11, 10), t)
+    assert abs(a) <= 2 and abs(b - 2 ** t) <= 2
+    a, b = _newton([1, -1, -1, -1, 1], F(-1, 4), F(97, 100), t)
+    z = complex(a / 2 ** t, b / 2 ** t)
+    assert abs(z ** 4 - z ** 3 - z ** 2 - z + 1) < 1e-12
+
+
+def test_krawczyk_proves_only_boxes_holding_one_root():
+    from gpnf.intervals import ComplexBox, RatInterval
+    from gpnf.numberfield import _krawczyk_proves
+    p = polys.mk([1, 0, 1])
+    dp = polys.derivative(p)
+    h = F(1, 2 ** 20)
+
+    def box(x, y, r=h):
+        return ComplexBox(RatInterval(x - r, x + r), RatInterval(y - r, y + r))
+
+    assert _krawczyk_proves(p, dp, box(F(0), F(1)), 20)
+    assert _krawczyk_proves(p, dp, box(F(1, 2 ** 22), F(1)), 20)
+    assert not _krawczyk_proves(p, dp, box(F(0), F(1) + 2 * h), 20)
+    assert not _krawczyk_proves(p, dp, box(F(0), F(0), F(2)), 20)
+
+
 def test_constant_minpoly_rejected():
     with pytest.raises(DegreeMismatch):
         NumberField([2])
