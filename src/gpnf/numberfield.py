@@ -6,7 +6,10 @@ certified root enclosures for the degrees they leave.  Real conjugates are
 isolated by Sturm bisection; complex conjugates by rectangle subdivision
 with an exact winding-number count on rectangle boundaries: one integer
 Sturm chain of Re p and Im p per edge gives its Cauchy index (Wilf;
-Eisermann), with no root isolation and no floating point anywhere.  Elements
+Eisermann), with no root isolation and no floating point anywhere.  Complex
+boxes are refined by approximating, then proving: Newton in Gaussian-integer
+fixed point, then one Krawczyk inclusion in exact box arithmetic, with a
+winding-count bisection only where the proof fails.  Elements
 are coordinate vectors in the power basis.  Their invariants come from
 power sums: the trace from the stored Tr(beta^i), the characteristic
 polynomial from Tr(x^k) by Newton's identities, the norm from its constant
