@@ -205,30 +205,25 @@ def _gauss_eval(p: tuple, re: Fraction, im: Fraction) -> tuple:
 def _newton(P: list, cx: Fraction, cy: Fraction, t: int) -> tuple:
     """Bounded Newton iteration for the integer polynomial P from cx + i cy
     in Gaussian-integer fixed point: each iterate is a Gaussian integer
-    (a, b) over 2^s, P and P' come exactly from one integer Horner pass over
-    2^(s deg P), and only the step is rounded to 2^-s.  The grid starts at
-    s = 32 bits and doubles, up to t, whenever the step falls to 2^-s.
-    Returns the last iterate over 2^t."""
-    s = min(t, 32)
-    a, b = ((q.numerator << s) // q.denominator for q in (cx, cy))
+    (a, b) over 2^t, P and P' come exactly from one integer Horner pass over
+    2^(t deg P), and only the step is rounded to 2^-t.  Returns the last
+    iterate (a, b)."""
+    a, b = ((q.numerator << t) // q.denominator for q in (cx, cy))
     for _ in range(2 * t.bit_length() + 8):
         pr, pi, dr, di, sh = P[-1], 0, 0, 0, 0
         for c in P[-2::-1]:
-            sh += s
-            dr, di = dr * a - di * b + (pr << s), dr * b + di * a + (pi << s)
+            sh += t
+            dr, di = dr * a - di * b + (pr << t), dr * b + di * a + (pi << t)
             pr, pi = pr * a - pi * b + (c << sh), pr * b + pi * a
         nrm = dr * dr + di * di
         if nrm == 0:
             break
-        sr = ((pr * dr + pi * di) << s) // nrm
-        si = ((pi * dr - pr * di) << s) // nrm
+        sr = ((pr * dr + pi * di) << t) // nrm
+        si = ((pi * dr - pr * di) << t) // nrm
         a, b = a - sr, b - si
         if -2 <= sr <= 1 and -2 <= si <= 1:
-            if s == t:
-                break
-            u = min(2 * s, t)
-            a, b, s = a << (u - s), b << (u - s), u
-    return a << (t - s), b << (t - s)
+            break
+    return a, b
 
 
 def _krawczyk_proves(p: tuple, dp: tuple, Z: ComplexBox, t: int) -> bool:

@@ -242,13 +242,13 @@ _CLOSE = [-2, 404, -20402, 0, 0, 0, 0, 0, 1]
 def test_conjugate_boxes_hold_polyroots_roots(coeffs):
     # every conjugate box at 2^-128 and 2^-512 holds exactly one root found
     # by mpmath at 200 digits, and no two boxes hold the same root
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
     K = NumberField(coeffs)
     with mpmath.workdps(200):
         roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=400,
                                  extraprec=800)
 
-        def inside(q, r, lo, hi):
+        def inside(q, lo, hi):
             return (mpmath.mpf(lo.numerator) / lo.denominator <= q
                     <= mpmath.mpf(hi.numerator) / hi.denominator)
 
@@ -260,13 +260,13 @@ def test_conjugate_boxes_hold_polyroots_roots(coeffs):
                     assert box.width <= F(1, 2 ** bits)
                     hit = [i for i, r in enumerate(roots)
                            if abs(mpmath.im(r)) < mpmath.mpf(10) ** -150
-                           and inside(mpmath.re(r), r, box.lo, box.hi)]
+                           and inside(mpmath.re(r), box.lo, box.hi)]
                 else:
                     assert box.re.width <= F(1, 2 ** bits)
                     assert box.im.width <= F(1, 2 ** bits)
                     hit = [i for i, r in enumerate(roots)
-                           if inside(mpmath.re(r), r, box.re.lo, box.re.hi)
-                           and inside(mpmath.im(r), r, box.im.lo, box.im.hi)]
+                           if inside(mpmath.re(r), box.re.lo, box.re.hi)
+                           and inside(mpmath.im(r), box.im.lo, box.im.hi)]
                 assert len(hit) == 1, (coeffs, bits, j)
                 hits += hit
             assert sorted(hits) == list(range(K.degree))
