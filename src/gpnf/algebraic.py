@@ -8,12 +8,15 @@ polynomial (ints, content 1, positive leading coefficient).  Those of sums
 and products come from power-sum resolvents (`polys.sum_poly`,
 `polys.prod_poly`) and their squarefree parts; a rational shift or scaling
 is an integer Taylor shift or root scaling (`polys.shift_roots`,
-`polys.scale_roots`).  Each value is built by `_isolate`, which reads a
-stream of enclosures (a field element's `enclosures`, or two
-`RealAlg.enclosures` zipped) until one box holds a single root of the
-resolvent; signs and floors then read the value's own stream through
-`intervals.sign_vs` and `intervals.floor_of`, and settle hits with exact
-integer arithmetic.
+`polys.scale_roots`); that of a field element is its canonical integer
+minimal polynomial, from the integer traces of an algebraic-integer
+multiple.  Each value is built by `_isolate` from a stream of enclosures
+(a field element's `enclosures`, or two `RealAlg.enclosures` zipped): the
+first box settles it when P' keeps one sign there, so P is monotone on it,
+and otherwise the boxes are read until one holds a single root of the
+resolvent, counted on its Sturm chain.  Signs and floors then read the
+value's own stream through `intervals.sign_vs` and `intervals.floor_of`,
+and settle hits with exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional
 
 from . import polys
 from .errors import RealEmbedding
-from .intervals import RatInterval, floor_of, sign_vs
+from .intervals import RatInterval, floor_of, horner_interval, sign_vs
 from .numberfield import FieldElement, _min_sep_sq
 
 
@@ -84,7 +87,7 @@ class RealAlg:
             raise ValueError("from_embedding needs a real root index")
         if x.is_rational():
             return RealAlg.from_rational(x.as_rational())
-        return _isolate(x.minimal_poly(), x.enclosures(j))
+        return _isolate(x._minimal_poly_int(), x.enclosures(j))
 
     # -- basic state ----------------------------------------------------------
 
@@ -182,20 +185,33 @@ class RealAlg:
 
 def _isolate(sq: tuple, boxes) -> Optional[RealAlg]:
     """The root of squarefree sq, leading coefficient positive, that the
-    boxes enclose, from the first box holding exactly one root of sq
-    (counted on one Sturm chain, whose first entry is the canonical form of
-    sq); a lone root on an end of a box, or a point box, is that rational
-    itself.  None when a finite iterable of boxes runs out first."""
-    sturm = polys.sturm_chain(sq)
+    boxes enclose, with the canonical form P of sq as defining polynomial;
+    a lone root on an end of a box, or a point box, is that rational
+    itself.  None when a finite iterable of boxes runs out first.
+
+    The first box X is tried without a remainder chain: when one integer
+    Horner pass of P' over X leaves out 0, P is monotone on X, so the root
+    that X holds is its only one there, and the signs of P at the ends of
+    X give it (an interval Newton certificate, after R. E. Moore,
+    "Interval Analysis", 1966).  Otherwise the boxes are read until one
+    holds exactly one root, counted on the Sturm chain of P."""
+    P = polys._int_form(sq)
+    dP = [i * c for i, c in enumerate(P)][1:] or [0]  # [0]: P is constant
+    sturm = None
     for box in boxes:
         lo, hi = box.lo, box.hi
         if lo == hi:
             return RealAlg.from_rational(lo)
-        ends = [x for x in (lo, hi) if polys.int_sign_at(sturm[0], x) == 0]
-        n = polys.count_roots(sturm, lo, hi) + len(ends)
+        slo, shi = polys.int_sign_at(P, lo), polys.int_sign_at(P, hi)
+        if sturm is None and not horner_interval(dP, 1, box).contains(0):
+            n = int(slo != shi)  # P is monotone on the box
+        else:
+            sturm = sturm or polys.sturm_chain(P)
+            n = polys.count_roots(sturm, lo, hi) + (slo == 0) + (shi == 0)
         if n == 1:
-            return (RealAlg.from_rational(ends[0]) if ends
-                    else RealAlg(tuple(sturm[0]), lo, hi))
+            if slo == 0 or shi == 0:
+                return RealAlg.from_rational(lo if slo == 0 else hi)
+            return RealAlg(tuple(P), lo, hi)
         if n == 0:
             raise ArithmeticError("certified enclosure contains no root")
     return None
@@ -211,8 +227,14 @@ def embedding_is_real(x: FieldElement, root_index: int) -> bool:
     the root-separation bound, so refining the box decides.)"""
     if x.field.is_real_root(root_index) or x.is_rational():
         return True
-    sep_sq = _min_sep_sq(x.minimal_poly())
-    for box in x.enclosures(root_index):
+    return _is_real_at(x, root_index, x._minimal_poly_int())
+
+
+def _is_real_at(x: FieldElement, j: int, c: tuple) -> bool:
+    """embedding_is_real at a complex root index j, for x irrational with
+    minimal polynomial c."""
+    sep_sq = _min_sep_sq(c)
+    for box in x.enclosures(j):
         if not box.im.contains(0):
             return False
         if 4 * box.im.mag ** 2 < sep_sq:
@@ -227,8 +249,8 @@ def re_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAl
         return RealAlg.from_embedding(x, j)
     if x.is_rational():
         return RealAlg.from_rational(x.as_rational())
-    c = x.minimal_poly()
-    if embedding_is_real(x, j):
+    c = x._minimal_poly_int()
+    if _is_real_at(x, j, c):
         # the embedded value is itself a real root of c
         return _isolate(c, (b.re + RatInterval(-b.im.mag, b.im.mag)
                             for b in x.enclosures(j)))
@@ -241,9 +263,11 @@ def im_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAl
     """Im tau_j(x) as an exact real algebraic number."""
     f = x.field
     j = f.distinguished if root_index is None else root_index
-    if f.is_real_root(j) or x.is_rational() or embedding_is_real(x, j):
+    if f.is_real_root(j) or x.is_rational():
         return RealAlg.from_rational(0)
-    c = x.minimal_poly()
+    c = x._minimal_poly_int()
+    if _is_real_at(x, j, c):
+        return RealAlg.from_rational(0)
     diff = _diff_poly_sq(c, c)          # roots alpha_a - alpha_b, odd symmetric
     # strip the simple zero root, keep the even-function structure:
     # E(w) = w G(w^2)
@@ -265,7 +289,7 @@ def abs_sq_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> Re
         return RealAlg.from_rational(x.as_rational() ** 2)
     if f.is_real_root(j):
         return RealAlg.from_embedding(x * x, j)
-    c = x.minimal_poly()
+    c = x._minimal_poly_int()
     pp = _prod_poly_sq(c, c)  # roots alpha_a * alpha_b, includes tau * conj(tau)
     return _isolate(pp, (b.abs_sq() for b in x.enclosures(j)))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -242,11 +242,10 @@ def salem_test(x: FieldElement) -> bool:
         return False
     if x.compare_rational(1, f.distinguished) <= 0:
         return False
-    mp = x.minimal_poly()
-    d = polys.degree(mp)
+    mpi = polys.mk(x._minimal_poly_int())
+    d = polys.degree(mpi)
     if d != f.degree or d < 4 or d % 2 != 0:
         return False
-    mpi = polys.mk(polys._int_form(mp))
     if any(mpi[i] != mpi[d - i] for i in range(d + 1)):
         return False  # 1/x is conjugate to x iff the minimal poly is reciprocal
     T = _trace_polynomial(mpi)
@@ -450,8 +449,13 @@ def choose_m(beta: FieldElement, rho: Fraction,
     parameter is accepted for interface symmetry.
     """
     rho = Fraction(rho)
-    C = pisot_tail_constant(beta, rho)
-    target = certified_dist(beta) * Fraction(1, 3)
+    return _least_power(pisot_tail_constant(beta, rho), certified_dist(beta),
+                        rho)
+
+
+def _least_power(C: Fraction, dist_beta: FieldElement, rho: Fraction) -> int:
+    """choose_m for the tail constant C and dist(beta)."""
+    target = dist_beta * Fraction(1, 3)
     m = 1
     while m < 10 ** 6:
         err = 2 * C * rho ** (-m) / (1 - rho ** (-m))
@@ -471,15 +475,17 @@ class PisotSetSpec:
     indices: IndexSet
     threshold: FieldElement = dc_field(init=False)
     tail_constant: Fraction = dc_field(init=False)
+    # (tail constant, dist(beta)), when `create` has computed them already
+    known: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, known):
         if not self.field.has_rank_one_units:
             raise RankNotOne(f"unit rank is {self.field.unit_rank}, need 1")
         if not pisot_unit_test(self.beta):
             raise ValueError("beta must be a Pisot unit")
         self.rho = Fraction(self.rho)
-        self.tail_constant = pisot_tail_constant(self.beta, self.rho)
-        dist_beta = certified_dist(self.beta)
+        self.tail_constant, dist_beta = known or (
+            pisot_tail_constant(self.beta, self.rho), certified_dist(self.beta))
         self.threshold = dist_beta * Fraction(2, 3)
         err = self.tail_error(0)
         if (dist_beta * Fraction(1, 3) - err).compare_rational(0) <= 0:
@@ -492,9 +498,11 @@ class PisotSetSpec:
                rho: Optional[Fraction] = None,
                m: Optional[int] = None) -> "PisotSetSpec":
         rho = default_rho(beta) if rho is None else Fraction(rho)
+        known = None
         if m is None:
-            m = choose_m(beta, rho)
-        return cls(beta.field, beta, rho, m, indices)
+            known = pisot_tail_constant(beta, rho), certified_dist(beta)
+            m = _least_power(*known, rho)
+        return cls(beta.field, beta, rho, m, indices, known)
 
     def tail_error(self, depth: int) -> Fraction:
         """Bound for the distance contribution of all terms beyond the

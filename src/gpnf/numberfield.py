@@ -769,20 +769,21 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
-        """1/x by Cayley-Hamilton: with char poly X^m + ... + c_1 X + c_0,
-        x^-1 = -(x^(m-1) + c_(m-1) x^(m-2) + ... + c_1) / c_0."""
+        """1/x by Cayley-Hamilton on y = D x of `_int_char_poly`: with its
+        char poly X^m + ... + g_1 X + g_0, y^-1 = -(y^(m-1) + g_(m-1)
+        y^(m-2) + ... + g_1) / g_0, and x^-1 = D y^-1."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.is_rational():
             return self.field.element(1 / self.as_rational())
-        pw, cp = self._powers_char_poly()
-        if cp[0] == 0:
+        pw, D, g = self._int_char_poly()
+        if g[0] == 0:
             # a zero divisor: its gcd with the defining polynomial is a factor
-            g = polys.gcd(polys.mk(self.coords), self.field.monic_minpoly)
+            h = polys.gcd(polys.mk(self.coords), self.field.monic_minpoly)
             raise ReducibleDetected("element exposes factor with coefficients "
-                                    f"{polys._int_form(g)}")
-        acc = sum((y * c for c, y in zip(cp[1:], pw) if c), self.field.zero)
-        return acc * (-1 / cp[0])
+                                    f"{polys._int_form(h)}")
+        acc = sum((y * c for c, y in zip(g[1:], pw) if c), self.field.zero)
+        return acc * Fraction(-D, g[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -839,24 +840,42 @@ class FieldElement:
     def norm(self) -> Fraction:
         return (-1) ** self.field.degree * self.char_poly()[0]
 
-    def _powers_char_poly(self) -> tuple:
-        """([1, x, ..., x^(m-1)], char poly): the characteristic polynomial
-        of multiplication by x, monic of degree m, ascending, from the
-        traces of x^k for k <= m by Newton's identities."""
-        m = self.field.degree
-        pw = [self.field.one]
+    def _int_char_poly(self) -> tuple:
+        """([1, y, ..., y^(m-1)], D, g) for y = D x, D = den c^(m-1), with c
+        the leading coefficient of the field's integer defining polynomial:
+        c beta is an algebraic integer, so y is one too.  g is the
+        characteristic polynomial of multiplication by y, monic with integer
+        coefficients, ascending, from the integer traces of y^k for k <= m
+        by Newton's identities."""
+        f = self.field
+        m = f.degree
+        D = self.den * f.minpoly_int[-1].numerator ** (m - 1)
+        y = self * D
+        pw = [f.one]
         for _ in range(m):
-            pw.append(pw[-1] * self)
-        return pw[:m], polys._from_power_sums([y.trace() for y in pw], m)
+            pw.append(pw[-1] * y)
+        ps = [z.trace() for z in pw]
+        if any(t.denominator != 1 for t in ps):
+            raise ArithmeticError("integer traces expected")
+        return pw[:m], D, polys._int_from_power_sums(
+            [t.numerator for t in ps], m)
 
     def char_poly(self) -> tuple:
         """Characteristic polynomial of multiplication by x, monic of degree
-        m, ascending coefficients."""
-        return self._powers_char_poly()[1]
+        m, ascending coefficients: that of y = D x, roots divided by D."""
+        _, D, g = self._int_char_poly()
+        m = len(g) - 1
+        return tuple(Fraction(c, D ** (m - i)) for i, c in enumerate(g))
 
     def minimal_poly(self) -> tuple:
         """Monic minimal polynomial over Q."""
-        return polys.monic(polys.squarefree_part(self.char_poly()))
+        return polys.monic(self._minimal_poly_int())
+
+    def _minimal_poly_int(self) -> tuple:
+        """The minimal polynomial over Q in canonical integer form: the
+        squarefree part of the char poly of y = D x, roots divided by D."""
+        _, D, g = self._int_char_poly()
+        return polys.scale_roots(polys.squarefree_part(g), Fraction(1, D))
 
     def is_algebraic_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.char_poly())

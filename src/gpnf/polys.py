@@ -8,10 +8,11 @@ counts real roots: the signed remainder chain of an integer pair
 p in an open interval, ends that are roots included, which drives isolation
 and refinement of real roots; for (Re p, Im p) on a line it gives the edge
 terms of winding counts; the last entry of the chain of (p, q) is their
-gcd, which gives squarefree parts and tests.  Also here: the factor
-degrees an integer polynomial can have, from distinct-degree factorisation
-modulo primes; resultants over Q; and the polynomials vanishing at sums and
-products of roots, built from power sums by Newton's identities.  Those
+gcd, on which `gcd` falls back when the heuristic integer gcd fails.  Gcds
+give squarefree parts and tests.  Also here: the factor degrees an integer
+polynomial can have, from distinct-degree factorisation modulo primes;
+resultants over Q; and the polynomials vanishing at sums and products of
+roots, built from power sums by Newton's identities.  Those
 resolvents, gcds, squarefree parts and the shifts and scalings of roots run
 on integers and return canonical forms: tuples of ints with content 1 and a
 positive leading coefficient.
@@ -110,10 +111,52 @@ def monic(p: Poly) -> Poly:
     return scale(p, Fraction(1) / lead(p))
 
 
+_GCDHEU_TRIES = 4  # evaluation points tried before the remainder chain
+
+
 def gcd(p: Poly, q: Poly) -> tuple:
-    """Canonical gcd of p and q (zero when both are zero): the last entry
-    of the integer remainder chain of their primitive integer forms."""
-    return _canonical(cauchy_chain(_int_form(p), _int_form(q))[-1])
+    """Canonical gcd of p and q (zero when both are zero).
+
+    The heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput.
+    7, 1989) comes first: for the primitive integer forms A and B, both of
+    degree at least 1, one integer gcd of A(xi) and B(xi) at a large integer
+    xi is read back as a polynomial (`_heu_gcd`), and kept only when it
+    divides both exactly, which proves it is the gcd.  xi grows a few
+    times; then the last entry of the integer remainder chain of A and B
+    decides."""
+    A, B = _int_form(p), _int_form(q)
+    if len(A) > 1 and len(B) > 1:
+        xi = 2 * min(max(map(abs, A)), max(map(abs, B))) + 2
+        for _ in range(_GCDHEU_TRIES):
+            G = _heu_gcd(A, B, xi)
+            if G is not None:
+                return _canonical(G)
+            xi = xi * 73794 // 27011  # about xi times the golden ratio
+    return _canonical(cauchy_chain(A, B)[-1])
+
+
+def _heu_gcd(A: list, B: list, xi: int):
+    """gcd(A, B) for primitive integer A and B of degree at least 1 from
+    h = gcd(A(xi), B(xi)), or None.  The digits of h in base xi, each in
+    (-xi/2, xi/2], are the coefficients of a polynomial whose primitive
+    part G is returned when it divides both A and B.  For xi at least
+    2 min(|A|, |B|) + 2 (max norms), h is not 0, as xi exceeds the Cauchy
+    bound of A or of B, and such a G is the gcd."""
+    h = igcd(int(eval_at(A, xi)), int(eval_at(B, xi)))
+    G, half = [], xi // 2
+    while h:
+        d = h % xi
+        if d > half:
+            d -= xi
+        G.append(d)
+        h = (h - d) // xi
+    G = _int_primitive(G)
+    try:
+        _int_divexact(A, G)
+        _int_divexact(B, G)
+    except ArithmeticError:
+        return None
+    return G
 
 
 def derivative(p: Poly) -> Poly:
@@ -590,17 +633,6 @@ def power_sums(p: Poly, upto: int) -> list:
     0 <= k <= upto (Newton's identities)."""
     F, c = _scaled_roots(p)
     return [Fraction(s, c ** k) for k, s in enumerate(_int_power_sums(F, upto))]
-
-
-def _from_power_sums(ps: list, n: int) -> Poly:
-    """The monic degree-n polynomial whose roots have power sums ps[k]."""
-    a = [Fraction(0)] * n + [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = ps[k]
-        for i in range(1, k):
-            acc += a[n - i] * ps[k - i]
-        a[n - k] = -acc / k
-    return tuple(a)
 
 
 def sum_poly(A: Poly, B: Poly) -> tuple:
