@@ -305,7 +305,7 @@ def _cmd_nonhereditary(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_all
-    ok = run_all(fast=args.fast, verbose=not args.json)
+    ok = run_all(verbose=not args.json)
     if args.json:
         print(json.dumps({"schema": ff.SCHEMA, "ok": ok}))
     return 0 if ok else 1
@@ -427,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_nonhereditary)
 
     p = sub.add_parser("selftest", help="run the library invariant suites")
-    p.add_argument("--fast", action="store_true")
     common(p)
     p.set_defaults(fn=_cmd_selftest)
     return ap

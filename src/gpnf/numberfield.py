@@ -488,56 +488,24 @@ class NumberField:
             return 0
         if r1 == 1:
             return 0
-        # real root of largest |.|; exact ties prefer the positive root
+        # real root of largest |.|; exact ties prefer the positive root.  The
+        # real roots ascend, so it is the first or the last: the last iff
+        # r_0 + r_last >= 0
         S, chainS = self._sum_resolvent()
         s_at_0 = polys.eval_at(S, Fraction(0)) == 0
-
-        def sum_is_zero(i, j, width):
-            """Decide sign of r_i + r_j, or 0 on exact tie."""
-            while True:
-                li, hi_ = self._refine_real(i, width)
-                lj, hj = self._refine_real(j, width)
-                lo, hi = li + lj, hi_ + hj
-                if lo > 0:
-                    return 1
-                if hi < 0:
-                    return -1
-                if lo == hi:
-                    return 0  # both roots are rational and the sum is 0
-                if s_at_0 and lo < 0 < hi:
-                    if polys.count_roots(chainS, lo, hi) == 1:
-                        return 0  # the unique enclosed root of S is 0 itself
-                width /= 16
-
-        best = 0
-        for j in range(1, r1):
-            # roots are ordered ascending; compare |best| against |r_j|
-            width = Fraction(1, 16)
-            while True:
-                lb, hb = self._refine_real(best, width)
-                lj, hj = self._refine_real(j, width)
-                ab = (Fraction(0) if lb < 0 < hb else min(abs(lb), abs(hb)),
-                      max(abs(lb), abs(hb)))
-                aj = (Fraction(0) if lj < 0 < hj else min(abs(lj), abs(hj)),
-                      max(abs(lj), abs(hj)))
-                if ab[1] < aj[0]:
-                    best = j
-                    break
-                if aj[1] < ab[0]:
-                    break
-                if (hb < 0) != (hj < 0) and (lb > 0) != (lj > 0):
-                    # opposite signs: |r_best| vs |r_j| via the sign of the sum
-                    s = sum_is_zero(best, j, width)
-                    if s == 0:
-                        best = j if lj > 0 else best  # tie: take the positive
-                        break
-                    # r_best < 0 < r_j here since roots ascend
-                    if s > 0:
-                        best = j
-                        break
-                    break
-                width /= 16
-        return best
+        last = r1 - 1
+        width = Fraction(1, 16)
+        while True:
+            l0, h0 = self._refine_real(0, width)
+            ll, hl = self._refine_real(last, width)
+            lo, hi = l0 + ll, h0 + hl
+            if lo >= 0:
+                return last
+            if hi < 0:
+                return 0
+            if s_at_0 and lo < 0 < hi and polys.count_roots(chainS, lo, hi) == 1:
+                return last  # the unique enclosed root of S is 0 itself
+            width /= 16
 
     # -- root access ----------------------------------------------------------
 

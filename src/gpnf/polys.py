@@ -322,12 +322,6 @@ def count_roots(chain: list, lo: Fraction, hi: Fraction) -> int:
             - (int_sign_at(P, hi) == 0)) // 2
 
 
-def count_real_roots(p: Poly) -> int:
-    """Number of distinct real roots of nonzero p."""
-    bound = cauchy_bound(p)
-    return count_roots(sturm_chain(p), -bound, bound)
-
-
 def isolate_real_roots(p: Poly) -> list:
     """Isolating intervals for the distinct real roots of p, ascending.
 
@@ -570,14 +564,6 @@ def resultant(p: Poly, q: Poly) -> Fraction:
         res *= (-1) ** (da * db) * lead(b) ** (da - dr)
         a, b = b, r
     return res * b[0] ** degree(a)
-
-
-def discriminant(p: Poly) -> Fraction:
-    n = degree(p)
-    if n < 1:
-        return Fraction(0)
-    r = resultant(p, derivative(p))
-    return (-1) ** (n * (n - 1) // 2) * r / lead(p)
 
 
 # -- composed sums and products ----------------------------------------------

@@ -75,16 +75,6 @@ def test_complexity_window_too_short():
         subword_complexity(w, 3)
 
 
-def test_complexity_monotone_and_doubling(K_sqrt2):
-    w = sturmian(K_sqrt2.beta - 1, 0, 0, 800)
-    prev = None
-    for N in range(1, 26):
-        c = subword_complexity(w, N)
-        if prev is not None:
-            assert prev <= c <= 2 * prev
-        prev = c
-
-
 # -- density ---------------------------------------------------------------------------
 
 def test_density_profile_examples():
@@ -159,20 +149,6 @@ def test_construct_four_levels():
     # removed points were in E
     for p in plan.removed:
         assert E(p)
-
-
-def test_construct_block_equalities():
-    E = _dense_surrogate()
-    plan = non_hereditary_construct(E, lambda L: F(1, 2), 3)
-    for rec in plan.levels:
-        for mblk, Aj in zip(rec.positions, rec.chosen_subsets):
-            base = rec.N_prev + mblk * rec.level
-            trace = tuple(off for off in range(rec.level) if E(base + off))
-            assert trace == rec.block_set
-            # after carving, the block shows A \ A_j
-            got = tuple(off for off in range(rec.level)
-                        if plan.window[base + off])
-            assert got == tuple(o for o in rec.block_set if o not in Aj)
 
 
 def test_construct_distinct_factors_per_level():

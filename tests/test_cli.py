@@ -5,7 +5,6 @@ import pytest
 
 from gpnf import fileformats as ff
 from gpnf.cli import dispatch
-from gpnf.numberfield import NumberField
 
 
 def run(capsys, *argv):
@@ -225,11 +224,3 @@ def test_approx_floor_validated():
     with pytest.raises(SystemExit) as e:
         dispatch(["field", "--minpoly", "1,-1,-1", "--approx", "8"])
     assert e.value.code == 2
-
-
-def test_selftest_not_run_here():
-    # `gpnf selftest` is exercised in the acceptance suite; here only the
-    # flag surface
-    from gpnf.cli import build_parser
-    args = build_parser().parse_args(["selftest", "--fast"])
-    assert args.fast

@@ -274,7 +274,7 @@ def test_conjugate_boxes_hold_polyroots_roots(coeffs):
 
 def _upper_rects(p: tuple) -> list:
     from gpnf.numberfield import _isolate_complex_upper
-    upper = (polys.degree(p) - polys.count_real_roots(p)) // 2
+    upper = (polys.degree(p) - len(polys.isolate_real_roots(p))) // 2
     return _isolate_complex_upper(p, upper)
 
 
@@ -526,6 +526,17 @@ def test_distinguished_prefers_positive_on_tie(K_sqrt2):
     # |sqrt2| = |-sqrt2|: the positive root wins
     box = K_sqrt2.root_box(K_sqrt2.distinguished, F(1, 1000))
     assert box.lo > 0
+
+
+@pytest.mark.parametrize("coeffs,index", [
+    ([1, -3, 0, 1], 0),          # roots -1.88, 0.35, 1.53: the first end wins
+    ([1, 0, -10, 0, 1], 3),      # roots +-3.15, +-0.32: tie, positive root
+    ([5, 0, -5, 0, 1], 3),       # roots +-1.90, +-1.18: tie, positive root
+])
+def test_distinguished_is_an_end_of_the_real_roots(coeffs, index):
+    K = NumberField(coeffs)
+    assert K.signature[0] == K.degree
+    assert K.distinguished == index
 
 
 def test_root_boxes_disjoint_and_contain_roots(K_plastic, K_salem):
