@@ -85,6 +85,29 @@ def test_trace_rep_zero_sequence():
     assert trace_representation(z).is_zero()
 
 
+def test_trace_rep_reproduces_terms(fib, lucas, salem_seq, K_phi, K_salem):
+    for seq in (fib, lucas, salem_seq):
+        x = trace_representation(seq)
+        beta = seq.field.beta
+        cur = x
+        for i in range(60):
+            assert cur.trace() == seq.term(i)
+            cur = cur * beta
+
+
+def test_trace_rep_random_sequences(K_phi, K_plastic, rng):
+    for K in (K_phi, K_plastic):
+        ps = K.power_sums(220 + K.degree)
+        for _ in range(15):
+            init = [F(rng.randint(-20, 20)) for _ in range(K.degree)]
+            seq = LinRecSeq(K.monic_minpoly, init)
+            x = trace_representation(seq)
+            cur = x
+            beta = K.beta
+            for i in range(0, 200, 17):
+                assert (beta ** i * x).trace() == seq.term(i)
+
+
 # -- stepping ---------------------------------------------------------------------
 
 def test_verified_i0_examples(fib, lucas):
@@ -100,11 +123,29 @@ def test_pre_onset_counterexamples(fib, lucas, K_phi):
     assert pisot_step(phi, 1, lucas.term(4)) == lucas.term(5)
 
 
+def test_stepping_window(fib, lucas, K_phi):
+    phi = K_phi.beta
+    for seq in (fib, lucas):
+        i0 = verified_i0(seq, 1)
+        for i in range(i0, i0 + 100):
+            assert pisot_step(phi, 1, seq.term(i)) == seq.term(i + 1)
+
+
 def test_stepping_j2(fib, K_phi):
     i0 = verified_i0(fib, 2)
     phi2 = K_phi.beta ** 2
     for i in range(i0, i0 + 60):
         assert certified_nint(phi2 * fib.term(i)) == fib.term(i + 2)
+
+
+def test_stepping_perrin_and_pell():
+    perrin = LinRecSeq([-1, -1, 0, 1], [3, 0, 2])
+    pell = LinRecSeq([-1, -2, 1], [0, 1])
+    for seq in (perrin, pell):
+        i0 = verified_i0(seq, 1)
+        beta = seq.field.beta
+        for i in range(i0, i0 + 100):
+            assert certified_nint(beta * seq.term(i)) == seq.term(i + 1)
 
 
 def test_true_onset_not_above_verified(fib, lucas):
