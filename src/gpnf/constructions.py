@@ -454,15 +454,31 @@ def choose_m(beta: FieldElement, rho: Fraction,
 
 
 def _least_power(C: Fraction, dist_beta: FieldElement, rho: Fraction) -> int:
-    """choose_m for the tail constant C and dist(beta)."""
+    """choose_m for the tail constant C and dist(beta).  err(m) decreases
+    in m, so doubling, then bisection, finds it; each step is decided on
+    integers against one 2^-64 enclosure of dist(beta)/3, and exactly only
+    when err(m) lies inside that enclosure."""
     target = dist_beta * Fraction(1, 3)
-    m = 1
-    while m < 10 ** 6:
-        err = 2 * C * rho ** (-m) / (1 - rho ** (-m))
-        if (target - err).compare_rational(0) > 0:
-            return m
-        m += 1
-    raise ThresholdAmbiguous("no admissible power found below the cap")
+    box = target.embed(None, 65)
+
+    def fits(m: int) -> bool:  # err(m) = en / ed < target
+        rm = rho.denominator ** m
+        en, ed = 2 * C.numerator * rm, C.denominator * (rho.numerator ** m - rm)
+        if en * box.lo.denominator < box.lo.numerator * ed:
+            return True
+        if en * box.hi.denominator >= box.hi.numerator * ed:
+            return False
+        return target.compare_rational(Fraction(en, ed)) > 0
+
+    lo, hi, cap = 0, 1, 10 ** 6 - 1  # err(lo) >= target, or lo = 0
+    while not fits(hi):
+        if hi == cap:
+            raise ThresholdAmbiguous("no admissible power found below the cap")
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
 
 
 @dataclass

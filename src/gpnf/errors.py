@@ -9,6 +9,10 @@ class GpnfError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class MalformedRational(GpnfError, ValueError):
+    """Input text or a value that is not an exact rational number."""
+
+
 # -- number fields ----------------------------------------------------------
 
 class NotSquarefree(GpnfError):

@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
+from .errors import MalformedRational
 from .numberfield import FieldElement, NumberField
 
 SCHEMA = 1
@@ -24,8 +25,11 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, float):
-        raise ValueError(f"floats are not exact: {s!r}; write a rational string")
-    return Fraction(str(s).strip())
+        raise MalformedRational(f"floats are not exact: {s!r}; write a rational string")
+    try:
+        return Fraction(str(s).strip())
+    except (ValueError, ZeroDivisionError):
+        raise MalformedRational(f"not a rational number: {s!r}") from None
 
 
 def rat_str(q: Fraction) -> str:

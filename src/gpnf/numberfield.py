@@ -563,7 +563,7 @@ class NumberField:
                         coords.denominator)
         v = [Fraction(c) for c in coords]
         if len(v) != self.degree:
-            raise ValueError("coordinate vector has wrong length")
+            raise DegreeMismatch("coordinate vector has wrong length")
         # over the lcm of the denominators the vector is already canonical
         (num,), den = common_den([v])
         return _raw(self, num, den)
@@ -586,7 +586,7 @@ class NumberField:
         """The unique y with Tr(beta^j y) = traces[j] (int or Fraction)
         for 0 <= j < m."""
         if len(traces) != self.degree:
-            raise ValueError("trace vector has wrong length")
+            raise DegreeMismatch("trace vector has wrong length")
         rows, den = _trace_dual(self)
         (z,), d = common_den([traces])
         return _elem(self, tuple(sum(map(_mul, row, z)) for row in rows),
@@ -889,7 +889,8 @@ class FieldElement:
         return lo, hi, self.den * dk
 
     def compare_rational(self, q, root_index: Optional[int] = None) -> int:
-        """Exact sign of sigma_j(self) - q at a real embedding."""
+        """Exact sign of sigma_j(self) - q at a real embedding: by the first
+        look when q lies outside its box, else by the enclosure stream."""
         f = self.field
         j = f.distinguished if root_index is None else root_index
         if not f.is_real_root(j):
@@ -897,8 +898,11 @@ class FieldElement:
         q = Fraction(q)
         if self.is_rational():
             return polys._sign(self.as_rational() - q)
-        if self == q:
-            return 0
+        lo, hi, den = self._first_look(j)
+        if lo * q.denominator > q.numerator * den:
+            return 1
+        if hi * q.denominator < q.numerator * den:
+            return -1
         return sign_vs(self.enclosures(j), q)
 
     def __repr__(self):

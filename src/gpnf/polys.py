@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, gcd as igcd, isqrt, lcm
 from typing import Iterable
 
-from .intervals import RatInterval, common_den, horner_interval
+from .intervals import common_den, horner_ints
 
 Poly = tuple  # rationals (Fractions or ints), ascending powers
 
@@ -177,18 +177,25 @@ def is_squarefree(p: Poly) -> bool:
 
 
 def eval_at(p: Poly, x) -> Fraction:
-    """p(x), by homogeneous Horner on integers: with x = a / d, the
-    accumulator after k steps is the rational Horner's times den(p) d^k."""
+    """p(x), by `horner_at` on integers: with x = a / d, p(x) is the
+    homogeneous Horner sum over den(p) d^deg(p)."""
     x = Fraction(x)
     if not p:
         return Fraction(0)
     (num,), den = common_den([p])
-    a, d = x.numerator, x.denominator
-    acc, dk = num[-1], 1
-    for n in num[-2::-1]:
-        dk *= d
-        acc = acc * a + n * dk
+    acc, dk = horner_at(num, x.numerator, x.denominator)
     return Fraction(acc, den * dk)
+
+
+def horner_at(f: list, a: int, d: int) -> tuple:
+    """(acc, d^k): f(a / d) = acc / d^k for the ints f, ascending, with
+    k = len(f) - 1 >= 0 and d > 0, by homogeneous Horner; acc has the sign
+    of f(a / d)."""
+    acc, dk = f[-1], 1
+    for c in f[-2::-1]:
+        dk *= d
+        acc = acc * a + c * dk
+    return acc, dk
 
 
 def _int_form(p: Poly) -> list:
@@ -272,13 +279,8 @@ def cauchy_chain(u: list, v: list) -> list:
 
 
 def int_sign_at(f: list, x: Fraction) -> int:
-    """Sign of the integer polynomial f at the rational x, by homogeneous
-    Horner in the numerator and (positive) denominator of x."""
-    a, b = x.numerator, x.denominator
-    acc, bp = 0, 1
-    for c in reversed(f):
-        acc = acc * a + c * bp
-        bp *= b
+    """Sign of the integer polynomial f at the rational x."""
+    acc = horner_at(f, x.numerator, x.denominator)[0] if f else 0
     return (acc > 0) - (acc < 0)
 
 
@@ -475,11 +477,6 @@ def dyadic_down(q: Fraction, t: int) -> Fraction:
     return Fraction((q.numerator << t) // q.denominator, 1 << t)
 
 
-def dyadic_up(q: Fraction, t: int) -> Fraction:
-    """Smallest multiple of 2^-t that is >= q."""
-    return Fraction(-((-q.numerator << t) // q.denominator), 1 << t)
-
-
 def _width_bits(w: Fraction) -> int:
     """Roughly -log2(w), never underestimating by more than 1."""
     if w <= 0:
@@ -494,8 +491,10 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
     tight; bisection on the sign change is the fallback.  Point intervals
     pass through unchanged; a midpoint that hits the root exactly collapses
     the interval to a point.  A width <= 0 raises ValueError unless the
-    interval is already a point.  The steps run on the primitive integer
-    form of p, a positive multiple that keeps signs and Newton quotients.
+    interval is already a point.  The steps run on integers: the primitive
+    integer form P of p, a positive multiple that keeps signs and Newton
+    quotients, and lo = A / D, hi = B / D over one denominator D > 0.  The
+    rationals returned are those that the same steps give on Fractions.
     """
     if lo == hi:
         return lo, hi
@@ -517,35 +516,39 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
             else:
                 lo = mid
         return lo, hi
+    n = len(P) - 1
     dP = [i * c for i, c in enumerate(P)][1:]
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = eval_at(P, mid)
+    ((A, B),), D = common_den([(lo, hi)])
+    wn, wd = width.numerator, width.denominator
+    while (B - A) * wd > wn * D:
+        M, D2 = A + B, 2 * D  # mid = M / D2
+        fm = horner_at(P, M, D2)[0]
         if fm == 0:
-            return mid, mid
-        d = horner_interval(dP, 1, RatInterval(lo, hi))
-        if d.lo > 0 or d.hi < 0:
-            # Newton: the root lies in mid - fm / d; round the
-            # result outward to dyadics so denominators stay linear in the
-            # precision instead of doubling every step
-            t = 2 * _width_bits(hi - lo) + 8
-            q1, q2 = fm / d.lo, fm / d.hi
-            nlo = max(lo, dyadic_down(mid - max(q1, q2), t))
-            nhi = min(hi, dyadic_up(mid - min(q1, q2), t))
-            if nlo <= nhi and (nhi - nlo) <= (hi - lo) * Fraction(7, 8):
-                flo, fhi = int_sign_at(P, nlo), int_sign_at(P, nhi)
-                if flo == 0:
-                    return nlo, nlo
-                if fhi == 0:
-                    return nhi, nhi
-                lo, hi, slo, shi = nlo, nhi, flo, fhi
+            return Fraction(M, D2), Fraction(M, D2)
+        L, H, _ = horner_ints(dP, A, B, D)  # P' over [lo, hi] / D^(n-1)
+        if L > 0 or H < 0:
+            # Newton: the root lies in mid - P(mid) / P'[lo, hi], whose ends
+            # are (M 2^(n-1) E - fm) / (2^n D E) for E = L, H.  Round them
+            # outward to multiples of 2^-t, so denominators stay linear in
+            # the precision instead of doubling every step.
+            t = 2 * _width_bits(Fraction(B - A, D)) + 8
+            el, eh = (L, H) if fm > 0 else (H, L)
+            c = M << (n - 1)
+            nlo = ((c * el - fm) << t) // ((D * el) << n)
+            nhi = -(((fm - c * eh) << t) // ((D * eh) << n))
+            Ds = lcm(D, 1 << t)
+            k, kt = Ds // D, Ds >> t
+            nlo, nhi = max(A * k, nlo * kt), min(B * k, nhi * kt)
+            if nlo <= nhi and 8 * (nhi - nlo) <= 7 * k * (B - A):
+                slo = horner_at(P, nlo, Ds)[0]
+                if slo == 0:
+                    return Fraction(nlo, Ds), Fraction(nlo, Ds)
+                if horner_at(P, nhi, Ds)[0] == 0:
+                    return Fraction(nhi, Ds), Fraction(nhi, Ds)
+                A, B, D = nlo, nhi, Ds
                 continue
-        sm = _sign(fm)
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+        A, B, D = (M, 2 * B, D2) if (fm > 0) == (slo > 0) else (2 * A, M, D2)
+    return Fraction(A, D), Fraction(B, D)
 
 
 # -- resultants --------------------------------------------------------------

@@ -224,3 +224,34 @@ def test_approx_floor_validated():
     with pytest.raises(SystemExit) as e:
         dispatch(["field", "--minpoly", "1,-1,-1", "--approx", "8"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("query,error", [("1,1,1", "DegreeMismatch"),
+                                         ("1,abc", "MalformedRational")])
+@pytest.mark.parametrize("json_flag", [False, True])
+def test_bad_query_is_a_domain_error(capsys, query, error, json_flag):
+    code = dispatch(["pisot-set", "--minpoly", "1,-1,-1", "--indices-mod",
+                     "2,0", "--query", query] + ["--json"] * json_flag)
+    captured = capsys.readouterr()
+    assert code == 1
+    if json_flag:
+        d = json.loads(captured.out)
+        assert d["schema"] == 1 and d["error"] == error
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith(f"error [{error}]: ")
+
+
+def test_input_errors_are_value_errors(K_phi):
+    from gpnf.errors import DegreeMismatch, GpnfError, MalformedRational
+    for bad in ("abc", "1/0", "1.5.2"):
+        with pytest.raises(MalformedRational):
+            ff.parse_rational(bad)
+    with pytest.raises(MalformedRational):
+        ff.parse_rational(0.5)
+    with pytest.raises(DegreeMismatch):
+        K_phi.element([1, 2, 3])
+    with pytest.raises(DegreeMismatch):
+        K_phi.from_traces([2])
+    assert issubclass(MalformedRational, GpnfError)
+    assert issubclass(MalformedRational, ValueError)
