@@ -183,11 +183,11 @@ class RealAlg:
         return f"RealAlg(deg {polys.degree(self.poly)} in [{self.lo}, {self.hi}])"
 
 
-def _isolate(sq: tuple, boxes) -> Optional[RealAlg]:
-    """The root of squarefree sq, leading coefficient positive, that the
-    boxes enclose, with the canonical form P of sq as defining polynomial;
-    a lone root on an end of a box, or a point box, is that rational
-    itself.  None when a finite iterable of boxes runs out first.
+def _isolate(P: tuple, boxes) -> Optional[RealAlg]:
+    """The root of the squarefree canonical polynomial P that the boxes
+    enclose, with P as defining polynomial; a lone root on an end of a box,
+    or a point box, is that rational itself.  None when a finite iterable
+    of boxes runs out first.
 
     The first box X is tried without a remainder chain: when one integer
     Horner pass of P' over X leaves out 0, P is monotone on X, so the root
@@ -195,8 +195,7 @@ def _isolate(sq: tuple, boxes) -> Optional[RealAlg]:
     X give it (an interval Newton certificate, after R. E. Moore,
     "Interval Analysis", 1966).  Otherwise the boxes are read until one
     holds exactly one root, counted on the Sturm chain of P."""
-    P = polys._int_form(sq)
-    dP = [i * c for i, c in enumerate(P)][1:] or [0]  # [0]: P is constant
+    dP = polys.derivative(P) or [0]  # [0]: P is constant
     sturm = None
     for box in boxes:
         lo, hi = box.lo, box.hi
@@ -211,7 +210,7 @@ def _isolate(sq: tuple, boxes) -> Optional[RealAlg]:
         if n == 1:
             if slo == 0 or shi == 0:
                 return RealAlg.from_rational(lo if slo == 0 else hi)
-            return RealAlg(tuple(P), lo, hi)
+            return RealAlg(P, lo, hi)
         if n == 0:
             raise ArithmeticError("certified enclosure contains no root")
     return None

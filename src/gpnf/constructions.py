@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Optional
 from .algebraic import abs_sq_of_embedding
 from .errors import (DependentBasis, InvalidRho, RankNotOne,
                      SearchBoundExceeded, ThresholdAmbiguous)
+from .intervals import RatInterval
 from .linalg import gauss_jordan
 from .numberfield import FieldElement, NumberField, certified_dist
 from . import polys
@@ -216,18 +217,20 @@ def pisot_unit_test(x: FieldElement) -> bool:
     return True
 
 
-def _trace_polynomial(p: tuple) -> tuple:
-    """For palindromic p of even degree 2k, the degree-k polynomial T with
-    p(z) = z^k T(z + 1/z)."""
-    d = polys.degree(p)
-    k = d // 2
-    # z^j + z^-j in terms of y = z + 1/z: Chebyshev-like recursion
-    basis = [polys.mk([2]), polys.mk([0, 1])]
-    while len(basis) <= k:
-        basis.append(polys.sub(polys.mul(polys.mk([0, 1]), basis[-1]), basis[-2]))
-    T = polys.scale(polys.ONE, p[k])
+def _trace_polynomial(p: tuple) -> list:
+    """For palindromic integer p of even degree 2k, the degree-k integer
+    polynomial T with p(z) = z^k T(z + 1/z)."""
+    k = (len(p) - 1) // 2
+    T = [p[k]] + [0] * k
+    # z^j + z^-j = C_j(z + 1/z): C_0 = 2, C_1 = y, C_(j+1) = y C_j - C_(j-1)
+    prev, cur = [2], [0, 1]
     for j in range(1, k + 1):
-        T = polys.add(T, polys.scale(basis[j], p[k + j]))
+        for i, c in enumerate(cur):
+            T[i] += p[k + j] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
     return T
 
 
@@ -242,14 +245,14 @@ def salem_test(x: FieldElement) -> bool:
         return False
     if x.compare_rational(1, f.distinguished) <= 0:
         return False
-    mpi = polys.mk(x._minimal_poly_int())
-    d = polys.degree(mpi)
+    mpi = x._minimal_poly_int()
+    d = len(mpi) - 1
     if d != f.degree or d < 4 or d % 2 != 0:
         return False
     if any(mpi[i] != mpi[d - i] for i in range(d + 1)):
         return False  # 1/x is conjugate to x iff the minimal poly is reciprocal
     T = _trace_polynomial(mpi)
-    if polys.eval_at(T, Fraction(2)) == 0 or polys.eval_at(T, Fraction(-2)) == 0:
+    if any(polys.int_sign_at(T, Fraction(e)) == 0 for e in (2, -2)):
         return False
     chain = polys.sturm_chain(T)
     inside = polys.count_roots(chain, Fraction(-2), Fraction(2))
@@ -545,16 +548,19 @@ def hereditary_predicate(spec: PisotSetSpec) -> SetPredicate:
     beta_inv_pows = [binv ** a for a in range(m)]
     sections = [spec.indices.dilated_section(a, m) for a in range(m)]
 
+    def window_dist(a: int, j: int, depth: int) -> FieldElement:
+        """dist(S) for S the exact sum of beta gamma^(j-i) over the members
+        i of section a with |i - j| <= depth."""
+        S = f.zero
+        for i in sections[a].members_between(j - depth, j + depth):
+            e = 1 + m * (j - i)
+            S = S + (beta ** e if e >= 0 else binv ** (-e))
+        return certified_dist(S)
+
     def xi_test(a: int, j: int) -> bool:
-        section = sections[a]
         depth = 1
         while depth <= 300:
-            window = section.members_between(j - depth, j + depth)
-            S = f.zero
-            for i in window:
-                e = 1 + m * (j - i)
-                S = S + (beta ** e if e >= 0 else binv ** (-e))
-            distS = certified_dist(S)
+            distS = window_dist(a, j, depth)
             tail = spec.tail_error(depth)
             margin = distS - spec.threshold
             if margin.compare_rational(tail) > 0:
@@ -590,17 +596,9 @@ def hereditary_predicate(spec: PisotSetSpec) -> SetPredicate:
             out.update(value=0, reason="not a power of beta")
             return out
         a, j = loc
-        section = sections[a]
         depth = 4
-        window = section.members_between(j - depth, j + depth)
-        S = f.zero
-        for i in window:
-            e = 1 + m * (j - i)
-            S = S + (beta ** e if e >= 0 else binv ** (-e))
-        distS = certified_dist(S)
-        box = distS.embed(None, 40)
+        box = window_dist(a, j, depth).embed(None, 40)
         tail = spec.tail_error(depth)
-        from .intervals import RatInterval
         score = RatInterval(max(box.lo - tail, Fraction(0)), box.hi + tail)
         thr = spec.threshold.embed(None, 40)
         out.update(value=1 if xi_test(a, j) else 0,

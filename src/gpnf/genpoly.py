@@ -35,6 +35,7 @@ from .algebraic import (RealAlg, complex_floor, embedding_is_real,
                         im_of_embedding, re_of_embedding)
 from .errors import (ExprSyntaxError, FieldMismatch, NonRealFloorArgument,
                      UnboundVariable, UnknownFunction)
+from .intervals import RatInterval
 from .numberfield import (FieldElement, NumberField, certified_floor)
 
 # ---------------------------------------------------------------------------
@@ -601,7 +602,6 @@ class Value:
         """A certified enclosure of the (real) value."""
         v = self._require_real()
         if v.kind == "rat":
-            from .intervals import RatInterval
             return RatInterval.point(v.payload)
         if v.kind == "emb":
             return v.payload[0].embed(v.payload[1], prec_bits)

@@ -14,14 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import polys
-from .constructions import (_IndexBracket, _sqrt_upper,
+from .constructions import (_IndexBracket, _abs_lt_one, _sqrt_upper,
                             pisot_unit_test, power_set_predicate, salem_test)
-from .errors import (DegreeMismatch, NotPisot, RankNotOne, SingularSystem,
-                     VandermondeSingular, ZeroSourceSequence, ZeroTraceRep)
+from .errors import (DegreeMismatch, NotPisot, NotSquarefree, RankNotOne,
+                     SingularSystem, VandermondeSingular, ZeroSourceSequence,
+                     ZeroTraceRep)
 from .intervals import ComplexBox, RatInterval
 from .linalg import gauss_jordan
 from .numberfield import (FieldElement, NumberField, certified_floor,
@@ -41,21 +43,20 @@ class LinRecSeq:
     """
 
     def __init__(self, charpoly: Sequence, initial: Sequence):
-        p = polys.mk([Fraction(c) for c in charpoly])
-        if polys.degree(p) < 1:
+        P = polys.canonical([Fraction(c) for c in charpoly])
+        if len(P) < 2:
             raise DegreeMismatch("characteristic polynomial must have degree >= 1")
-        p = polys.monic(p)
-        if not polys.is_squarefree(p):
-            from .errors import NotSquarefree
+        if not polys.is_squarefree(P):
             raise NotSquarefree("characteristic polynomial has a repeated root")
-        self.charpoly = p
-        self.order = polys.degree(p)
+        self.charpoly = polys.monic(P)
+        self.order = len(P) - 1
         init = [Fraction(v) for v in initial]
         if len(init) != self.order:
             raise DegreeMismatch(
                 f"need {self.order} initial terms, got {len(init)}")
         self._terms = init
-        self._rec = [-c for c in p[:-1]]  # n_{i+m} = sum rec[j] * n_{i+j}
+        # n_{i+m} = sum rec[j] * n_{i+j}
+        self._rec = [-c for c in self.charpoly[:-1]]
         self._field: Optional[NumberField] = None
         self._trace_rep: Optional[FieldElement] = None
         self._trace_rep_inv: Optional[FieldElement] = None
@@ -122,9 +123,16 @@ def _require_pisot_charpoly(f: NumberField) -> None:
     for j in range(f.degree):
         if j == f.distinguished:
             continue
-        from .constructions import _abs_lt_one
         if not _abs_lt_one(beta, j):
             raise NotPisot(f"conjugate {j} has modulus >= 1")
+
+
+def _modulus_upper(box, bits: int) -> Fraction:
+    """An upper bound for |z| over a real interval or a complex box, the
+    latter through a 2^-bits square root."""
+    if isinstance(box, ComplexBox):
+        return _sqrt_upper(box.abs_sq().hi, bits)
+    return box.mag
 
 
 def _conjugate_data(seq: LinRecSeq, bits: int = 48) -> list:
@@ -136,13 +144,8 @@ def _conjugate_data(seq: LinRecSeq, bits: int = 48) -> list:
     for j in range(f.degree):
         if j == f.distinguished:
             continue
-        boxa = f.root_box(j, Fraction(1, 2 ** bits))
-        ua = (_sqrt_upper(boxa.abs_sq().hi, bits) if isinstance(boxa, ComplexBox)
-              else boxa.mag)
-        boxw = x.embed(j, bits)
-        uw = (_sqrt_upper(boxw.abs_sq().hi, bits) if isinstance(boxw, ComplexBox)
-              else boxw.mag)
-        out.append((j, ua, uw))
+        ua = _modulus_upper(f.root_box(j, Fraction(1, 2 ** bits)), bits)
+        out.append((j, ua, _modulus_upper(x.embed(j, bits), bits)))
     return out
 
 
@@ -262,11 +265,10 @@ def _solve_hankel(seq: LinRecSeq, rhs: list) -> list:
     return [row[m] for row in A]
 
 
-def transfer_map(src: LinRecSeq, dst: LinRecSeq) -> TransferMap:
-    """g with g(src_i) = dst_i for all i >= onset (both sequences satisfy
-    the same Pisot recurrence)."""
-    if src.charpoly != dst.charpoly:
-        raise DegreeMismatch("sequences satisfy different recurrences")
+def _build_transfer(src: LinRecSeq, target) -> TransferMap:
+    """The transfer map g with g(src_i) = target(i) for all i >= onset: the
+    Hankel solve on the integer-scaled source, the verified onset, and a
+    check of the 2m terms from the onset on."""
     if src.is_zero_sequence():
         raise ZeroSourceSequence("transfer source is identically zero")
     f = src.field
@@ -274,34 +276,28 @@ def transfer_map(src: LinRecSeq, dst: LinRecSeq) -> TransferMap:
     s = src.integer_scale()
     zsrc = LinRecSeq(src.charpoly, [s * src.term(i) for i in range(src.order)])
     m = src.order
-    w = _solve_hankel(zsrc, [dst.term(i) for i in range(m)])
+    w = _solve_hankel(zsrc, [target(i) for i in range(m)])
     onset = max(verified_i0(zsrc, j) for j in range(m))
     tm = TransferMap(f, w, onset, s, [_NintCache(f, j) for j in range(m)])
     for i in range(onset, onset + 2 * m):
-        if tm.apply(src.term(i)) != dst.term(i):
+        if tm.apply(src.term(i)) != target(i):
             raise SingularSystem("transfer verification failed")  # alarm
     return tm
+
+
+def transfer_map(src: LinRecSeq, dst: LinRecSeq) -> TransferMap:
+    """g with g(src_i) = dst_i for all i >= onset (both sequences satisfy
+    the same Pisot recurrence)."""
+    if src.charpoly != dst.charpoly:
+        raise DegreeMismatch("sequences satisfy different recurrences")
+    return _build_transfer(src, dst.term)
 
 
 def transfer_to_powers(seq: LinRecSeq) -> TransferMap:
     """g with g(n_i) = beta^i (field-valued) for all i >= onset."""
-    if seq._to_powers is not None:
-        return seq._to_powers
-    if seq.is_zero_sequence():
-        raise ZeroSourceSequence("transfer source is identically zero")
-    f = seq.field
-    _require_pisot_charpoly(f)
-    s = seq.integer_scale()
-    zsrc = LinRecSeq(seq.charpoly, [s * seq.term(i) for i in range(seq.order)])
-    m = seq.order
-    w = _solve_hankel(zsrc, [f.beta ** i for i in range(m)])
-    onset = max(verified_i0(zsrc, j) for j in range(m))
-    tm = TransferMap(f, w, onset, s, [_NintCache(f, j) for j in range(m)])
-    for i in range(onset, onset + 2 * m):
-        if tm.apply(seq.term(i)) != f.beta ** i:
-            raise SingularSystem("transfer verification failed")  # alarm
-    seq._to_powers = tm
-    return tm
+    if seq._to_powers is None:
+        seq._to_powers = _build_transfer(seq, lambda i: seq.field.beta ** i)
+    return seq._to_powers
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +354,7 @@ class SalemRecoveryFamily:
         for j in range(m):
             if j == f.distinguished:
                 continue
-            box = x.embed(j, bits)
-            wsum += (_sqrt_upper(box.abs_sq().hi, bits)
-                     if isinstance(box, ComplexBox) else box.mag)
+            wsum += _modulus_upper(x.embed(j, bits), bits)
         bhi = f.beta.embed(None, bits).hi
         self.bounds = []
         for j in range(m):
@@ -387,7 +381,6 @@ class SalemRecoveryFamily:
     def candidates(self):
         """Iterate the correction tuples (c_j) with |c_j| <= C_j; the count
         is the product of (2 C_j + 1) and is not materialized."""
-        from itertools import product
         return product(*(range(-C, C + 1) for C in self.bounds))
 
     def correction_tuple(self, i: int) -> tuple:

@@ -110,7 +110,7 @@ def count_roots_in_rect(p: tuple, xlo, xhi, ylo, yhi) -> int:
 
     Raises _BoundaryRoot if a root lies on the boundary.
     """
-    P = polys._int_form(p)
+    P = polys.canonical(p)
     total = (_edge_index2(P, ylo, False, xlo, xhi)
              + _edge_index2(P, xhi, True, ylo, yhi)
              + _edge_index2(P, yhi, False, xhi, xlo)
@@ -140,13 +140,13 @@ def _splits(rect: tuple):
 def _min_sep_sq(c: tuple) -> Fraction:
     """A positive rational lower bound for the squared distance between
     distinct roots of squarefree c (Mahler's separation bound)."""
-    ip = polys.mk(polys._int_form(c))
-    m = polys.degree(ip)
+    P = polys.canonical(c)
+    m = len(P) - 1
     if m < 2:
         return Fraction(1)
-    disc = abs(polys.resultant(ip, polys.derivative(ip)) / polys.lead(ip))
-    norm2sq = sum(Fraction(x) ** 2 for x in ip)
-    return 3 * disc / (Fraction(m) ** (m + 2) * norm2sq ** (m - 1))
+    disc = abs(polys.resultant(P, polys.derivative(P)) / P[-1])
+    norm2sq = sum(x * x for x in P)
+    return 3 * disc / (m ** (m + 2) * norm2sq ** (m - 1))
 
 
 def _isolate_complex_upper(p: tuple, expected: int) -> list:
@@ -263,8 +263,8 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
     xlo, xhi, ylo, yhi = rect
     if width <= 0 < max(xhi - xlo, yhi - ylo):
         raise ValueError(f"cannot refine {rect} to width {width}")
-    P = polys._int_form(p)
-    dp = polys.derivative(p)
+    P = polys.canonical(p)
+    dp = polys.derivative(P)
     t = polys._width_bits(width) + (len(P) - 1).bit_length() + 8
     h = RatInterval(Fraction(-16, 1 << t), Fraction(16, 1 << t))
     while max(xhi - xlo, yhi - ylo) > width:
@@ -300,7 +300,7 @@ def _find_factor(p: tuple, degrees: list, reals: list,
     then its one integer candidate is tested by exact division.  For d = 1
     this is the rational-root test, over the real roots in ascending order.
     """
-    lead, m, r1 = int(polys.lead(p)), polys.degree(p), len(reals)
+    lead, m, r1 = p[-1], len(p) - 1, len(reals)
     encl = list(reals) + list(uppers)
     one = RatInterval.point(1)
 
@@ -332,7 +332,7 @@ def _find_factor(p: tuple, degrees: list, reals: list,
             if any(n > c.hi for n, c in zip(ns, cs)):
                 return None
             if all(c.width < 1 for c in cs):
-                return polys.mk(ns)
+                return tuple(ns)
             width /= 2
 
     for d in degrees:
@@ -343,7 +343,7 @@ def _find_factor(p: tuple, degrees: list, reals: list,
                 continue  # a factor of degree m/2 or its cofactor has root 0
             g = candidate(S)
             if g is not None and not polys.divmod_(p, g)[1]:
-                return polys._int_form(g)
+                return list(polys.canonical(g))
     return None
 
 
@@ -382,20 +382,18 @@ class NumberField:
                  distinguished: Optional[int] = None,
                  require_real_distinguished: bool = False,
                  check_reducible: bool = True):
-        p = polys.mk([Fraction(c) for c in coeffs])
-        if polys.degree(p) < 1:
+        P = polys.canonical([Fraction(c) for c in coeffs])
+        if len(P) < 2:
             raise DegreeMismatch("defining polynomial must have degree >= 1")
-        self.minpoly_int = polys.mk(polys.squarefree_part(p))
-        if len(self.minpoly_int) < len(p):
+        self.minpoly_int = polys.squarefree_part(P)
+        if len(self.minpoly_int) < len(P):
             raise NotSquarefree("defining polynomial has a repeated root")
         self.monic_minpoly = polys.monic(self.minpoly_int)
-        self.degree = polys.degree(p)
-
-        m = self.degree
+        self.degree = m = len(P) - 1
         self._sum2 = None
-        degrees = (polys._factor_degree_candidates(
-            [c.numerator for c in self.minpoly_int]) if check_reducible else [])
-        real_ivs = polys.isolate_real_roots(self.monic_minpoly)
+        degrees = (polys._factor_degree_candidates(self.minpoly_int)
+                   if check_reducible else [])
+        real_ivs = polys.isolate_real_roots(self.minpoly_int)
         r1 = len(real_ivs)
         r2 = (m - r1) // 2
         self.signature = (r1, r2)
@@ -426,7 +424,7 @@ class NumberField:
         conjugates (i == j allowed) and its Sturm chain, built once."""
         if self._sum2 is None:
             S = polys.squarefree_part(
-                polys.sum_poly(self.monic_minpoly, self.monic_minpoly))
+                polys.sum_poly(self.minpoly_int, self.minpoly_int))
             self._sum2 = S, polys.sturm_chain(S)
         return self._sum2
 
@@ -492,7 +490,7 @@ class NumberField:
         # real roots ascend, so it is the first or the last: the last iff
         # r_0 + r_last >= 0
         S, chainS = self._sum_resolvent()
-        s_at_0 = polys.eval_at(S, Fraction(0)) == 0
+        s_at_0 = S[0] == 0
         last = r1 - 1
         width = Fraction(1, 16)
         while True:
@@ -527,7 +525,7 @@ class NumberField:
         with self._lock:
             lo, hi = r.interval
             if hi - lo > width:
-                r.interval = polys.refine_root(self.monic_minpoly, lo, hi, width)
+                r.interval = polys.refine_root(self.minpoly_int, lo, hi, width)
         return r.interval
 
     def _refine_complex(self, j: int, width: Fraction) -> tuple:
@@ -603,7 +601,7 @@ class NumberField:
 
     def power_sums(self, upto: int) -> list:
         """Traces of beta^k for 0 <= k <= upto, by Newton's identities."""
-        return polys.power_sums(self.monic_minpoly, upto)
+        return polys.power_sums(self.minpoly_int, upto)
 
     def __eq__(self, other):
         return (isinstance(other, NumberField)
@@ -747,9 +745,9 @@ class FieldElement:
         pw, D, g = self._int_char_poly()
         if g[0] == 0:
             # a zero divisor: its gcd with the defining polynomial is a factor
-            h = polys.gcd(polys.mk(self.coords), self.field.monic_minpoly)
+            h = polys.gcd(self.num, self.field.minpoly_int)
             raise ReducibleDetected("element exposes factor with coefficients "
-                                    f"{polys._int_form(h)}")
+                                    f"{list(h)}")
         acc = sum((y * c for c, y in zip(g[1:], pw) if c), self.field.zero)
         return acc * Fraction(-D, g[0])
 
@@ -817,7 +815,7 @@ class FieldElement:
         by Newton's identities."""
         f = self.field
         m = f.degree
-        D = self.den * f.minpoly_int[-1].numerator ** (m - 1)
+        D = self.den * f.minpoly_int[-1] ** (m - 1)
         y = self * D
         pw = [f.one]
         for _ in range(m):

@@ -1,21 +1,24 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic over the rationals, on integers.
 
-Polynomials are tuples of rationals (Fractions or ints) in ascending order
-of power; the zero polynomial is the empty tuple.  One integer Sturm chain
-counts real roots: the signed remainder chain of an integer pair
-(u, v) gives twice the Cauchy index of v/u, with a root at an end counted
-1/2.  For (u, v) = (P, P') that is an exact count of the distinct roots of
-p in an open interval, ends that are roots included, which drives isolation
-and refinement of real roots; for (Re p, Im p) on a line it gives the edge
-terms of winding counts; the last entry of the chain of (p, q) is their
-gcd, on which `gcd` falls back when the heuristic integer gcd fails.  Gcds
-give squarefree parts and tests.  Also here: the factor degrees an integer
-polynomial can have, from distinct-degree factorisation modulo primes;
-resultants over Q; and the polynomials vanishing at sums and products of
-roots, built from power sums by Newton's identities.  Those
-resolvents, gcds, squarefree parts and the shifts and scalings of roots run
-on integers and return canonical forms: tuples of ints with content 1 and a
-positive leading coefficient.
+Polynomials are tuples of ints in ascending order of power, in canonical
+form: content 1 and a positive leading coefficient; the zero polynomial is
+the empty tuple.  `canonical` brings rational coefficients (ints or
+Fractions) to that form, and every function that depends only on the roots
+of its arguments applies it to them.  `Fraction`s appear only in results
+built for a caller: bounds, power sums, root enclosures, the quotient and
+remainder of `divmod_`, the resultant and the monic view `monic`.  One
+integer Sturm chain counts real roots: the signed remainder chain of an
+integer pair (u, v) gives twice the Cauchy index of v/u, with a root at an
+end counted 1/2.  For (u, v) = (P, P') that is an exact count of the
+distinct roots of p in an open interval, ends that are roots included,
+which drives isolation and refinement of real roots; for (Re p, Im p) on a
+line it gives the edge terms of winding counts; the last entry of the chain
+of (p, q) is their gcd, on which `gcd` falls back when the heuristic
+integer gcd fails.  Gcds give squarefree parts and tests.  Also here: the
+factor degrees an integer polynomial can have, from distinct-degree
+factorisation modulo primes; resultants; and the polynomials vanishing at
+sums and products of roots, built from power sums by Newton's identities,
+and at shifts and scalings of roots.
 """
 
 from __future__ import annotations
@@ -26,89 +29,66 @@ from typing import Iterable
 
 from .intervals import common_den, horner_ints
 
-Poly = tuple  # rationals (Fractions or ints), ascending powers
-
-ZERO = ()
-ONE = (Fraction(1),)
+Poly = tuple  # ints in canonical form, ascending powers
 
 
-def mk(coeffs: Iterable) -> Poly:
-    """Normalize a coefficient iterable (ascending) into a Poly."""
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def canonical(p: Iterable) -> tuple:
+    """The canonical form of the rational polynomial p (ints or Fractions,
+    ascending): trailing zeros dropped, then scaled to ints with content 1
+    and a positive leading coefficient."""
+    f = list(p)
+    while f and f[-1] == 0:
+        f.pop()
+    den = lcm(1, *[c.denominator for c in f])
+    f = [c.numerator * (den // c.denominator) for c in f]
+    g = igcd(*f)
+    if f and f[-1] < 0:
+        g = -g
+    return tuple(c // g for c in f) if g not in (0, 1) else tuple(f)
+
+
+def monic(p: Poly) -> tuple:
+    """The monic view of a nonzero polynomial, as Fractions: the form built
+    for callers such as `minimal_poly` and `LinRecSeq.charpoly`."""
+    return tuple(Fraction(c, p[-1]) for c in p)
 
 
 def degree(p: Poly) -> int:
     return len(p) - 1  # -1 for the zero polynomial
 
 
-def is_zero(p: Poly) -> bool:
-    return not p
-
-
-def lead(p: Poly) -> Fraction:
-    return p[-1]
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return mk([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-               for i in range(n)])
-
-
-def neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return mk(out)
-
-
-def scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return ZERO
-    return tuple(a * c for a in p)
+def derivative(p: Poly) -> list:
+    """p' as a list, ascending; ints for an integer p."""
+    return [i * c for i, c in enumerate(p)][1:]
 
 
 def divmod_(p: Poly, q: Poly) -> tuple:
-    """Exact rational division with remainder."""
-    if is_zero(q):
+    """(quotient, remainder) of p by q != 0 over Q, exactly, on integers.
+    With p = A / a and q = B / b for integer A and B, c = lead(B) and
+    n = deg A - deg B + 1, c^n A = Q B + R for integer Q and R
+    (pseudo-division), so long division of c^n A by B divides exactly by c
+    at every step; b Q / (a c^n) and R / (a c^n) are returned as Fractions,
+    trailing zeros dropped."""
+    if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    dq, lq = degree(q), lead(q)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(r) >= len(q) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(q):
-            break
-        k = len(r) - len(q)
-        c = r[-1] / lq
-        quo[k] = c
-        for i in range(len(q)):
-            r[k + i] -= c * q[i]
-        r.pop()
-    return mk(quo), mk(r)
+    ((A,), a), ((B,), b) = common_den([p]), common_den([q])
+    dq, c = len(B) - 1, B[-1]
+    n = max(0, len(A) - dq)
+    cn = c ** n
+    r, quo = [x * cn for x in A], [0] * n
+    for k in range(n - 1, -1, -1):
+        quo[k] = t = r[k + dq] // c
+        for i in range(dq):
+            r[k + i] -= t * B[i]
+    return _over([x * b for x in quo], a * cn), _over(r[:dq], a * cn)
 
 
-def monic(p: Poly) -> Poly:
-    if is_zero(p):
-        return p
-    return scale(p, Fraction(1) / lead(p))
+def _over(f: list, s: int) -> tuple:
+    """The integer polynomial f divided by s, as Fractions, trailing zeros
+    dropped."""
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(Fraction(a, s) for a in f)
 
 
 _GCDHEU_TRIES = 4  # evaluation points tried before the remainder chain
@@ -118,21 +98,21 @@ def gcd(p: Poly, q: Poly) -> tuple:
     """Canonical gcd of p and q (zero when both are zero).
 
     The heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput.
-    7, 1989) comes first: for the primitive integer forms A and B, both of
+    7, 1989) comes first: for the canonical forms A and B, both of
     degree at least 1, one integer gcd of A(xi) and B(xi) at a large integer
     xi is read back as a polynomial (`_heu_gcd`), and kept only when it
     divides both exactly, which proves it is the gcd.  xi grows a few
     times; then the last entry of the integer remainder chain of A and B
     decides."""
-    A, B = _int_form(p), _int_form(q)
+    A, B = list(canonical(p)), list(canonical(q))
     if len(A) > 1 and len(B) > 1:
         xi = 2 * min(max(map(abs, A)), max(map(abs, B))) + 2
         for _ in range(_GCDHEU_TRIES):
             G = _heu_gcd(A, B, xi)
             if G is not None:
-                return _canonical(G)
+                return canonical(G)
             xi = xi * 73794 // 27011  # about xi times the golden ratio
-    return _canonical(cauchy_chain(A, B)[-1])
+    return canonical(cauchy_chain(A, B)[-1])
 
 
 def _heu_gcd(A: list, B: list, xi: int):
@@ -142,7 +122,7 @@ def _heu_gcd(A: list, B: list, xi: int):
     part G is returned when it divides both A and B.  For xi at least
     2 min(|A|, |B|) + 2 (max norms), h is not 0, as xi exceeds the Cauchy
     bound of A or of B, and such a G is the gcd."""
-    h = igcd(int(eval_at(A, xi)), int(eval_at(B, xi)))
+    h = igcd(horner_at(A, xi, 1)[0], horner_at(B, xi, 1)[0])
     G, half = [], xi // 2
     while h:
         d = h % xi
@@ -159,17 +139,13 @@ def _heu_gcd(A: list, B: list, xi: int):
     return G
 
 
-def derivative(p: Poly) -> Poly:
-    return mk([i * p[i] for i in range(1, len(p))])
-
-
 def squarefree_part(p: Poly) -> tuple:
     """p divided by gcd(p, p'), in canonical form.  The division runs on
-    the primitive integer forms, whose quotient is an integer polynomial
-    (Gauss's lemma)."""
-    P = _int_form(p)
-    g = gcd(P, [i * c for i, c in enumerate(P)][1:])
-    return _canonical(_int_divexact(P, g) if len(g) > 1 else P)
+    the canonical forms, whose quotient is an integer polynomial (Gauss's
+    lemma)."""
+    P = canonical(p)
+    g = gcd(P, derivative(P))
+    return canonical(_int_divexact(P, g)) if len(g) > 1 else P
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -198,21 +174,6 @@ def horner_at(f: list, a: int, d: int) -> tuple:
     return acc, dk
 
 
-def _int_form(p: Poly) -> list:
-    """The primitive integer form of p as a list of ints, leading sign kept."""
-    den = lcm(*[c.denominator for c in p])
-    return _int_primitive([c.numerator * (den // c.denominator) for c in p])
-
-
-def _canonical(f: list) -> tuple:
-    """The integer polynomial f divided by its content, signed so that the
-    leading coefficient is positive."""
-    g = igcd(*f)
-    if f and f[-1] < 0:
-        g = -g
-    return tuple(c // g for c in f) if g not in (0, 1) else tuple(f)
-
-
 def _int_divexact(a: list, b: list) -> list:
     """a / b for integer polynomials (lists of ints, ascending) whose
     quotient has integer coefficients; ArithmeticError otherwise."""
@@ -232,10 +193,10 @@ def _int_divexact(a: list, b: list) -> list:
 
 def cauchy_bound(p: Poly) -> Fraction:
     """All complex roots have modulus < 1 + max|a_i/lead|."""
-    if degree(p) < 1:
+    if len(p) < 2:
         return Fraction(1)
-    lc = abs(lead(p))
-    return 1 + max(Fraction(abs(c), lc) for c in p[:-1]) if len(p) > 1 else Fraction(1)
+    lc = abs(p[-1])
+    return 1 + max(Fraction(abs(c), lc) for c in p[:-1])
 
 
 # -- integer Sturm chains of a pair (u, v) -----------------------------------
@@ -299,16 +260,16 @@ def cauchy_index2(chain: list, a: Fraction, b: Fraction) -> int:
 
 
 # -- real roots ---------------------------------------------------------------
-# The Sturm chain of p is the chain of (P, P'), P the primitive integer form
-# of p.  Twice the Cauchy index of P'/P on [lo, hi] is twice the number of
-# distinct roots of p inside plus one for each end that is a root, whenever
-# gcd(P, P') does not vanish at lo or hi.
+# The Sturm chain of p is the chain of (P, P'), P the canonical form of p.
+# Twice the Cauchy index of P'/P on [lo, hi] is twice the number of distinct
+# roots of p inside plus one for each end that is a root, whenever gcd(P, P')
+# does not vanish at lo or hi.
 
 def sturm_chain(p: Poly) -> list:
-    """Integer Sturm chain P, P', -rem, ... of p (P the primitive integer
-    form of p); its last entry is gcd(P, P')."""
-    P = _int_form(p)
-    return cauchy_chain(P, [i * c for i, c in enumerate(P)][1:])
+    """Integer Sturm chain P, P', -rem, ... of p (P the canonical form of
+    p, as a list); its last entry is gcd(P, P')."""
+    P = list(canonical(p))
+    return cauchy_chain(P, derivative(P))
 
 
 def _sign(x: Fraction) -> int:
@@ -362,7 +323,7 @@ def isolate_real_roots(p: Poly) -> list:
             walk(lo, mid, nl)
             walk(mid, hi, n - nl)
 
-    bound = cauchy_bound(p)
+    bound = cauchy_bound(chain[0])
     walk(-bound, bound, count_roots(chain, -bound, bound))
     return out
 
@@ -491,9 +452,9 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
     tight; bisection on the sign change is the fallback.  Point intervals
     pass through unchanged; a midpoint that hits the root exactly collapses
     the interval to a point.  A width <= 0 raises ValueError unless the
-    interval is already a point.  The steps run on integers: the primitive
-    integer form P of p, a positive multiple that keeps signs and Newton
-    quotients, and lo = A / D, hi = B / D over one denominator D > 0.  The
+    interval is already a point.  The steps run on integers: the canonical
+    form P of p, a rational multiple that keeps roots and Newton quotients,
+    and lo = A / D, hi = B / D over one denominator D > 0.  The
     rationals returned are those that the same steps give on Fractions.
     """
     if lo == hi:
@@ -502,7 +463,7 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
         raise ValueError(f"cannot refine [{lo}, {hi}] to width {width}")
     if hi - lo <= width:
         return lo, hi
-    P = _int_form(p)
+    P = canonical(p)
     slo, shi = int_sign_at(P, lo), int_sign_at(P, hi)
     if slo == shi or slo == 0 or shi == 0:
         # no sign change: fall back to Sturm bisection
@@ -517,7 +478,7 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
                 lo = mid
         return lo, hi
     n = len(P) - 1
-    dP = [i * c for i, c in enumerate(P)][1:]
+    dP = derivative(P)
     ((A, B),), D = common_den([(lo, hi)])
     wn, wd = width.numerator, width.denominator
     while (B - A) * wd > wn * D:
@@ -554,19 +515,23 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
 # -- resultants --------------------------------------------------------------
 
 def resultant(p: Poly, q: Poly) -> Fraction:
-    """Res(p, q) over the rationals, by the Euclidean update rules."""
-    if is_zero(p) or is_zero(q):
+    """Res(p, q), exactly, as a Fraction: by the Euclidean rules Res(a, b) =
+    (-1)^(deg a deg b) lead(b)^(deg a - deg r) Res(b, r) for the remainder r
+    of a by b (`divmod_`) and Res(b, k R) = k^(deg b) Res(b, R) for r = k R
+    with R canonical, so that every remainder is taken on integers."""
+    if not p or not q:
         return Fraction(0)
     a, b = p, q
     res = Fraction(1)
-    while degree(b) > 0:
+    while len(b) > 1:
         r = divmod_(a, b)[1]
-        if is_zero(r):
+        if not r:
             return Fraction(0)
-        da, db, dr = degree(a), degree(b), degree(r)
-        res *= (-1) ** (da * db) * lead(b) ** (da - dr)
-        a, b = b, r
-    return res * b[0] ** degree(a)
+        R = canonical(r)
+        da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1
+        res *= (-1) ** (da * db) * b[-1] ** (da - dr) * (r[-1] / R[-1]) ** db
+        a, b = b, R
+    return res * b[0] ** (len(a) - 1)
 
 
 # -- composed sums and products ----------------------------------------------
@@ -574,19 +539,18 @@ def resultant(p: Poly, q: Poly) -> Fraction:
 # identities), and those of the sums and products of roots follow from the
 # operands' power sums; see Bostan, Flajolet, Salvy and Schost, "Fast
 # computation of special resultants", J. Symbolic Comput. 41 (2006).  All of
-# it runs on integers: scaled by c = |lead| of its primitive integer form,
+# it runs on integers: scaled by c = lead of its canonical form,
 # each operand's roots are algebraic integers, and so are their sums and
 # products, whose power sums are integers and whose polynomial has integer
 # coefficients; its roots are scaled back by one factor at the end.
 
 def _scaled_roots(p: Poly) -> tuple:
-    """(F, c): c = |a_m| for the primitive integer form a_m x^m + ... + a_0
-    of p, and F the monic integer polynomial whose roots are c times the
-    roots of p, y^m + sum sgn(a_m) a_i c^(m-1-i) y^i."""
-    a = _int_form(p)
-    m, c = len(a) - 1, abs(a[-1])
-    s = 1 if a[-1] > 0 else -1
-    return [s * a[i] * c ** (m - 1 - i) for i in range(m)] + [1], c
+    """(F, c): c = a_m for the canonical form a_m x^m + ... + a_0 of p, and
+    F the monic integer polynomial whose roots are c times the roots of p,
+    y^m + sum a_i c^(m-1-i) y^i."""
+    a = canonical(p)
+    m, c = len(a) - 1, a[-1]
+    return [a[i] * c ** (m - 1 - i) for i in range(m)] + [1], c
 
 
 def _int_power_sums(F: list, upto: int) -> list:
@@ -637,7 +601,7 @@ def sum_poly(A: Poly, B: Poly) -> tuple:
     ps = [sum(comb(k, j) * x[j] * y[k - j] for j in range(k + 1))
           for k in range(n + 1)]
     g, C = _int_from_power_sums(ps, n), ca * cb
-    return _canonical([c * C ** i for i, c in enumerate(g)])
+    return canonical([c * C ** i for i, c in enumerate(g)])
 
 
 def prod_poly(A: Poly, B: Poly) -> tuple:
@@ -648,7 +612,7 @@ def prod_poly(A: Poly, B: Poly) -> tuple:
     (FA, ca), (FB, cb) = _scaled_roots(A), _scaled_roots(B)
     ps = [x * y for x, y in zip(_int_power_sums(FA, n), _int_power_sums(FB, n))]
     g, C = _int_from_power_sums(ps, n), ca * cb
-    return _canonical([c * C ** i for i, c in enumerate(g)])
+    return canonical([c * C ** i for i, c in enumerate(g)])
 
 
 def scale_roots(p: Poly, q) -> tuple:
@@ -657,9 +621,9 @@ def scale_roots(p: Poly, q) -> tuple:
     p_i a^(n-i) b^i."""
     q = Fraction(q)
     a, b = q.numerator, q.denominator
-    P = _int_form(p)
+    P = canonical(p)
     n = len(P) - 1
-    return _canonical([c * a ** (n - i) * b ** i for i, c in enumerate(P)])
+    return canonical([c * a ** (n - i) * b ** i for i, c in enumerate(P)])
 
 
 def shift_roots(p: Poly, q) -> tuple:

@@ -3,8 +3,37 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from gpnf.numberfield import NumberField
+
+
+X = sympy.Symbol("x")
+
+
+def qq(p):
+    """The sympy polynomial over QQ with the ascending rational (int or
+    Fraction) coefficients p: the reference arithmetic of the tests."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p)] or [0], X, domain="QQ")
+
+
+def from_qq(poly):
+    """The ascending Fraction coefficients of a sympy polynomial; () for
+    zero."""
+    if poly.is_zero:
+        return ()
+    return tuple(Fraction(int(c.p), int(c.q))
+                 for c in reversed(poly.all_coeffs()))
+
+
+def poly_mul(*ps):
+    """The product of rational polynomials given by ascending coefficients,
+    by sympy, as Fractions."""
+    out = qq((1,))
+    for p in ps:
+        out *= qq(p)
+    return from_qq(out)
 
 
 @pytest.fixture(scope="session")

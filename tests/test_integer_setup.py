@@ -16,6 +16,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import poly_mul
 from gpnf import polys as P
 from gpnf.constructions import _least_power, default_rho, pisot_tail_constant
 from gpnf.errors import ThresholdAmbiguous
@@ -39,7 +40,7 @@ def ref_refine_root(p, lo, hi, width):
         raise ValueError(f"cannot refine [{lo}, {hi}] to width {width}")
     if hi - lo <= width:
         return lo, hi
-    Pi = P._int_form(p)
+    Pi = P.canonical(p)
     slo, shi = P.int_sign_at(Pi, lo), P.int_sign_at(Pi, hi)
     if slo == shi or slo == 0 or shi == 0:
         chain = P.sturm_chain(Pi)
@@ -114,16 +115,16 @@ def isolated_roots(draw):
     deg = draw(st.integers(1, 7))
     coeffs = draw(st.lists(st.integers(-30, 30), min_size=deg, max_size=deg))
     coeffs.append(draw(st.sampled_from([1, -1, 2, -3, 5, 12])))
-    p = P.squarefree_part(P.mk(coeffs))
+    p = P.squarefree_part(coeffs)
     ivs = [iv for iv in P.isolate_real_roots(p) if iv[0] != iv[1]]
     if not ivs:
-        p = P.mk([-2, 0, 1])
+        p = (-2, 0, 1)
         ivs = P.isolate_real_roots(p)
     lo, hi = draw(st.sampled_from(ivs))
     k = draw(st.sampled_from([1, 3, 5, 7, 9, 11, 13]))
     a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
     nlo, nhi = lo + (hi - lo) * F(a, 3 * k), hi - (hi - lo) * F(b, 3 * k)
-    Pi = P._int_form(p)
+    Pi = P.canonical(p)
     if (P.int_sign_at(Pi, nlo) * P.int_sign_at(Pi, nhi) < 0
             and P.count_roots(P.sturm_chain(p), nlo, nhi) == 1):
         lo, hi = nlo, nhi
@@ -132,8 +133,8 @@ def isolated_roots(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(isolated_roots(), st.integers(1, 300), st.integers(1, 9))
-@example((P.mk([-3, 0, 1]), F(1, 3), F(17, 7)), 300, 1)
-@example((P.mk([-2, 0, 1]), F(4, 3), F(3, 2)), 128, 5)
+@example(((-3, 0, 1), F(1, 3), F(17, 7)), 300, 1)
+@example(((-2, 0, 1), F(4, 3), F(3, 2)), 128, 5)
 def test_refine_root_matches_fraction_steps(root, bits, scale):
     p, lo, hi = root
     _same(p, lo, hi, F(scale, 2 ** bits))
@@ -147,25 +148,25 @@ def test_refine_root_rational_roots(num, den, cofactor, k, bits):
     # p = (den x - num) g(x): on [r - 1/k, r + 1/k] the first midpoint is r
     # itself; on [r - 1/k, r + 2/k] the linear p has Newton ends exactly at r
     r = F(num, den)
-    p = P.squarefree_part(P.mul(P.mk([-num, den]), P.mk(cofactor + [1])))
+    p = P.squarefree_part(poly_mul((-num, den), cofactor + [1]))
     for lo, hi in ((r - F(1, k), r + F(1, k)), (r - F(1, k), r + F(2, k))):
         if P.count_roots(P.sturm_chain(p), lo, hi) == 1 and all(
-                P.int_sign_at(P._int_form(p), e) for e in (lo, hi)):
+                P.int_sign_at(P.canonical(p), e) for e in (lo, hi)):
             _same(p, lo, hi, F(1, 2 ** bits))
-    _same(P.mk([-num, den]), r - F(1, k), r + F(2, k), F(1, 2 ** bits))
+    _same((-num, den), r - F(1, k), r + F(2, k), F(1, 2 ** bits))
 
 
 def test_refine_root_hits_the_root():
     # the midpoint of [1/2 - 1/3, 1/2 + 1/3] and the Newton ends on
     # [1/3, 1] (for the linear 2x - 1) are the root 1/2 itself
-    for p, lo, hi in ((P.mk([-1, 2, -1, 2]), F(1, 6), F(5, 6)),
-                      (P.mk([-1, 2]), F(1, 3), F(1))):
+    for p, lo, hi in (((-1, 2, -1, 2), F(1, 6), F(5, 6)),
+                      ((-1, 2), F(1, 3), F(1))):
         assert P.refine_root(p, lo, hi, F(1, 2 ** 40)) == (F(1, 2), F(1, 2))
         _same(p, lo, hi, F(1, 2 ** 40))
     # x (x - 1) (x - 2) on [0, 2]: the root at the end sends the steps to
     # the Sturm bisection, whose first midpoint is the root 1
-    assert P.refine_root(P.mk([0, 2, -3, 1]), F(0), F(2), F(1, 8)) == (1, 1)
-    _same(P.mk([0, 2, -3, 1]), F(0), F(2), F(1, 8))
+    assert P.refine_root((0, 2, -3, 1), F(0), F(2), F(1, 8)) == (1, 1)
+    _same((0, 2, -3, 1), F(0), F(2), F(1, 8))
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,7 +175,7 @@ def test_refine_root_sturm_fallback(num, den, bits):
     # an end at the rational root r leaves no sign change at the ends, so
     # the Sturm bisection runs; the interval also holds sqrt(2) or -sqrt(2)
     r = F(num, den)
-    p = P.mul(P.mk([-num, den]), P.mk([-2, 0, 1]))
+    p = poly_mul((-num, den), (-2, 0, 1))
     for lo, hi in ((r, r + 3), (r - 3, r)):
         if P.count_roots(P.sturm_chain(p), lo, hi) == 1:
             _same(p, lo, hi, F(1, 2 ** bits))

@@ -15,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import poly_mul
 from gpnf import polys as P
 from gpnf.algebraic import RealAlg, _isolate
 from gpnf.intervals import RatInterval
@@ -71,15 +72,15 @@ def rooted(draw):
     and one of its roots, as a point (r, r) or an isolating interval."""
     p = (F(1),)
     for r in draw(rational_roots):
-        p = P.mul(p, (-r, F(1)))
+        p = poly_mul(p, (-r, F(1)))
     for f in draw(factors):
-        p = P.mul(p, P.mk(f))
+        p = poly_mul(p, f)
     if P.degree(p) < 1:
         p = (F(-2), F(0), F(1))
     sq = P.squarefree_part(p)
     ivs = P.isolate_real_roots(sq)
     if not ivs:
-        sq = P.squarefree_part(P.mul(p, (F(-2), F(0), F(1))))
+        sq = P.squarefree_part(poly_mul(p, (F(-2), F(0), F(1))))
         ivs = P.isolate_real_roots(sq)
     lo, hi = draw(st.sampled_from(ivs))
     return sq, lo, hi

@@ -301,7 +301,7 @@ def test_recovery_family_enclosure_is_small(salem_seq):
 def test_recovery_family_degree_six():
     # power sums of the degree-6 Salem polynomial x^6 - x^4 - x^3 - x^2 + 1
     p = [1, 0, -1, -1, -1, 0, 1]
-    seq = LinRecSeq(p, polys.power_sums(polys.mk([F(c) for c in p]), 5))
+    seq = LinRecSeq(p, polys.power_sums(p, 5))
     fam = salem_recovery_family(seq, range(0, 21))   # verifies every index
     assert len(fam.bounds) == 6
     for i in range(21):

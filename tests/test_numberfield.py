@@ -109,7 +109,7 @@ def test_count_roots_in_rect_vs_sympy():
     for coeffs in ([-1, -1, 1], [-1, -1, 0, 1], [-1, -1, -1, 1],
                    [1, -1, -1, -1, 1], [1, 0, -1, -1, -1, 0, 1],
                    [1, 0, 0, 0, 1], _SALEM8, _LEHMER, _NONMONIC):
-        p = polys.mk(coeffs)
+        p = tuple(coeffs)
         sp = _sympy_poly(p, x)
         for _ in range(25):
             xlo, xhi = sorted(rng.sample(range(-16, 17), 2))
@@ -125,7 +125,7 @@ def test_count_roots_in_rect_vs_sympy():
             compared += 1
     assert compared >= 50
     # Im p vanishes at the corner 2 + 2i of this rectangle's right edge
-    assert count_roots_in_rect(polys.mk([1, 0, 0, 0, 1]),
+    assert count_roots_in_rect((1, 0, 0, 0, 1),
                                -2, 2, F(1, 16), 2) == 2
 
 
@@ -150,7 +150,7 @@ def test_count_roots_in_rect_corners_where_re_or_im_vanish():
         (_NONMONIC, (-1, 0, 0, 1)),
     ]
     for coeffs, rect in cases:
-        p = polys.mk(coeffs)
+        p = tuple(coeffs)
         expected = _count_or_boundary(p, rect)
         assert expected is not None, (coeffs, rect)
         assert count_roots_in_rect(p, *rect) == expected, (coeffs, rect)
@@ -165,7 +165,7 @@ def test_count_roots_in_rect_grid_corners_vs_sympy():
     rng = random.Random(44)
     counted = 0
     for coeffs in ([1, 0, 1], [-1, -1, 1], [1, 0, 0, 0, 1], _NONMONIC):
-        p = polys.mk(coeffs)
+        p = tuple(coeffs)
         drawn = 0
         while drawn < 12:
             xlo, xhi = sorted(rng.sample(grid, 2))
@@ -191,12 +191,12 @@ def test_count_roots_in_rect_edge_through_root_raises():
     for rect in ((-1, 1, F(1, 2), 1), (0, 1, -2, 2), (-1, 1, -1, 1),
                  (-1, 0, F(-3, 2), F(-1, 2))):
         with pytest.raises(_BoundaryRoot):
-            count_roots_in_rect(polys.mk([1, 0, 1]), *rect)
+            count_roots_in_rect((1, 0, 1), *rect)
     # x^2 - 1 has a root at the corner 1; x^2 - 2 one on the bottom edge
     with pytest.raises(_BoundaryRoot):
-        count_roots_in_rect(polys.mk([-1, 0, 1]), 1, 2, 0, 1)
+        count_roots_in_rect((-1, 0, 1), 1, 2, 0, 1)
     with pytest.raises(_BoundaryRoot):
-        count_roots_in_rect(polys.mk([-2, 0, 1]), 1, 2, 0, 1)
+        count_roots_in_rect((-2, 0, 1), 1, 2, 0, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,7 +207,7 @@ def test_count_roots_in_rect_edge_through_root_raises():
 def test_count_roots_in_rect_additive(coeffs, ends, cut, vertical):
     # count(R) is the sum of the counts of the two halves of any split
     from gpnf.numberfield import _BoundaryRoot, count_roots_in_rect
-    p = polys.mk(coeffs)
+    p = tuple(coeffs)
     xlo, xhi = sorted(F(c, 8) for c in ends[:2])
     ylo, yhi = sorted(F(c, 8) for c in ends[2:])
     if vertical:
@@ -284,7 +284,7 @@ def _upper_rects(p: tuple) -> list:
 def test_refine_rect_returns_isolating_box_inside_input(coeffs, lead, bits):
     # degree 2-8; the squarefree part keeps every distinct root
     from gpnf.numberfield import _refine_rect, count_roots_in_rect
-    p = polys.squarefree_part(polys.mk(coeffs + [lead]))
+    p = polys.squarefree_part(coeffs + [lead])
     width = F(1, 2 ** bits)
     for rect in _upper_rects(p):
         box = _refine_rect(p, rect, width)
@@ -298,7 +298,7 @@ def _fallbacks(monkeypatch, coeffs, most: int) -> int:
     """Winding counts made while the isolating rectangles of coeffs are
     refined to 2^-128 and then 2^-512; fails at once past `most`."""
     from gpnf import numberfield
-    p = polys.mk(coeffs)
+    p = tuple(coeffs)
     rects = _upper_rects(p)
     counted = numberfield.count_roots_in_rect
     calls = []
@@ -342,7 +342,7 @@ def test_fixed_point_newton_lands_on_the_grid_root():
 def test_krawczyk_proves_only_boxes_holding_one_root():
     from gpnf.intervals import ComplexBox, RatInterval
     from gpnf.numberfield import _krawczyk_proves
-    p = polys.mk([1, 0, 1])
+    p = (1, 0, 1)
     dp = polys.derivative(p)
     h = F(1, 2 ** 20)
 
@@ -391,12 +391,11 @@ def _reported_factor(exc) -> tuple:
     listed = re.fullmatch(r".*factor with coefficients \[(-?\d+(?:, -?\d+)*)\]",
                           str(exc.value))
     assert listed, str(exc.value)
-    return polys.mk(int(c) for c in listed.group(1).split(", "))
+    return tuple(int(c) for c in listed.group(1).split(", "))
 
 
 def _divides(g: tuple, p: list) -> bool:
-    return 1 <= polys.degree(g) < len(p) - 1 and not polys.divmod_(
-        polys.mk(p), g)[1]
+    return 1 <= polys.degree(g) < len(p) - 1 and not polys.divmod_(p, g)[1]
 
 
 def test_reducible_quadratic_factors_with_large_coefficients():
@@ -405,7 +404,7 @@ def test_reducible_quadratic_factors_with_large_coefficients():
         NumberField(p)
     g = _reported_factor(exc)
     assert _divides(g, p)
-    assert g in (polys.mk([-1, -1009, 1]), polys.mk([-1, 1013, 1]))
+    assert g in ((-1, -1009, 1), (-1, 1013, 1))
 
 
 def test_reducible_product_of_salem_quartics():
@@ -455,7 +454,7 @@ def _differential_case(rng, k: int) -> list:
                  for j in range(m + 1)]
         else:
             p = _random_int_poly(rng, m, big)
-        if polys.is_squarefree(polys.mk(p)):
+        if polys.is_squarefree(p):
             return p
 
 
@@ -614,10 +613,10 @@ def test_trace_examples(K_sqrt2, K_phi):
 
 def test_char_poly_examples(K_phi):
     phi = K_phi.beta
-    assert phi.char_poly() == polys.mk([-1, -1, 1])
+    assert phi.char_poly() == (-1, -1, 1)
     assert phi.is_algebraic_integer()
     half_phi = phi * F(1, 2)
-    assert half_phi.char_poly() == polys.mk([F(-1, 4), F(-1, 2), 1])
+    assert half_phi.char_poly() == (F(-1, 4), F(-1, 2), 1)
     assert not half_phi.is_algebraic_integer()
     assert K_phi.element(5).is_algebraic_integer()
 

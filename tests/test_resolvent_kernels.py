@@ -5,16 +5,15 @@
 integers by one factor per operand, Newton's identities run on integer
 power sums with exact divisions, and the roots are scaled back at the end.
 `shift_roots` is an integer Taylor shift and `scale_roots` an integer root
-scaling.  The oracle is the rational code they replace, written out below:
-Newton's identities on `Fraction` power sums of the monic operands, the
-squarefree part as p divided by gcd(p, p') with `Fraction` long division,
-and the shift and scaling as `Fraction` composition and coefficient
-scaling.  Power sums must be the same Fractions as the oracle's; every
-polynomial kernel must return the canonical form of the oracle's monic
-polynomial (ints with content 1 and a positive leading coefficient), for
-degrees 0-8, rational and non-monic inputs, negative leading coefficients,
-zero roots, repeated factors and negative or large-denominator shifts and
-scalings.
+scaling.  The oracle is the rational code they replace: Newton's identities
+on `Fraction` power sums of the monic operands, written out below, and
+sympy polynomials over QQ for the squarefree part (p divided by gcd(p,
+p')), the shift (a composition) and the scaling.  Power sums must be the
+same Fractions as the oracle's; every polynomial kernel must return the
+canonical form of the oracle's monic polynomial (ints with content 1 and a
+positive leading coefficient), for degrees 0-8, rational and non-monic
+inputs, negative leading coefficients, zero roots, repeated factors and
+negative or large-denominator shifts and scalings.
 """
 
 from fractions import Fraction as F
@@ -23,6 +22,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import from_qq, poly_mul, qq
 from gpnf import polys as P
 
 
@@ -72,25 +72,19 @@ def ref_diff_poly(A, B):
 def ref_squarefree_part(p):
     if len(p) <= 1:
         return tuple(c / p[-1] for c in p)
-    quo, rem = P.divmod_(p, P.monic(P.gcd(p, P.derivative(p))))
-    assert rem == P.ZERO
-    return tuple(c / quo[-1] for c in quo)
-
-
-def ref_compose(p, q):
-    acc = P.ZERO
-    for c in reversed(p):
-        acc = P.add(P.mul(acc, q), P.mk([c]))
-    return acc
+    sp = qq(p)
+    quo, rem = sp.div(sp.gcd(sp.diff()))
+    assert rem.is_zero
+    return from_qq(quo.monic())
 
 
 def ref_shift_roots(p, q):
-    return P.monic(ref_compose(p, P.mk([-q, 1])))
+    return from_qq(qq(p).compose(qq((-q, 1))).monic())
 
 
 def ref_scale_roots(p, q):
-    n = P.degree(p)
-    return P.monic(P.mk([p[i] * q ** (n - i) for i in range(n + 1)]))
+    n = len(p) - 1
+    return from_qq(qq([p[i] * q ** (n - i) for i in range(n + 1)]).monic())
 
 
 # -- inputs: lead * product of factors, some repeated -------------------------
@@ -107,8 +101,8 @@ def polynomials(draw, max_degree=5):
     p = (draw(rationals.filter(bool)),)
     for f, mult in draw(st.lists(factors, max_size=5)):
         for _ in range(mult):
-            if P.degree(p) + P.degree(P.mk(f)) <= max_degree:
-                p = P.mul(p, P.mk(f))
+            if len(p) + len(f) - 2 <= max_degree:
+                p = poly_mul(p, f)
     return p
 
 
@@ -127,7 +121,7 @@ def same_monic(got, want):
 NONMONIC = (F(-3), F(0), F(2))                 # 2x^2 - 3
 NEG_LEAD = (F(2, 3), F(-1, 5), F(0), F(-7, 4))  # leading coefficient -7/4
 ZERO_ROOTS = (F(0), F(0), F(-1, 2), F(3))       # x^2 (3x - 1/2)
-REPEATED = P.mul(P.mul((F(1), F(2, 3)), (F(1), F(2, 3))), (F(-5), F(0), F(1)))
+REPEATED = poly_mul((F(1), F(2, 3)), (F(1), F(2, 3)), (F(-5), F(0), F(1)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,8 +163,8 @@ def test_power_sums_match_rational_newton(p, upto):
 @given(polynomials(max_degree=8))
 @example((F(-5, 2),))
 @example(REPEATED)
-@example(P.mul(ZERO_ROOTS, ZERO_ROOTS))
-@example(P.mul(NEG_LEAD, P.mul(NEG_LEAD, NONMONIC)))
+@example(poly_mul(ZERO_ROOTS, ZERO_ROOTS))
+@example(poly_mul(NEG_LEAD, NEG_LEAD, NONMONIC))
 def test_squarefree_part_matches_rational_division(p):
     same_monic(P.squarefree_part(p), ref_squarefree_part(p))
 
