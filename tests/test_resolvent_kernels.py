@@ -70,8 +70,6 @@ def ref_diff_poly(A, B):
 
 
 def ref_squarefree_part(p):
-    if len(p) <= 1:
-        return tuple(c / p[-1] for c in p)
     sp = qq(p)
     quo, rem = sp.div(sp.gcd(sp.diff()))
     assert rem.is_zero
