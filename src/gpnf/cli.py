@@ -449,6 +449,12 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
+    # exact answers and queries can have more digits than the int/str
+    # conversion limit (4,300 by default since Python 3.11 and 3.10.7); it
+    # is lifted for the command's process only, never on `import gpnf`
+    set_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_max_str_digits is not None:
+        set_max_str_digits(0)
     sys.exit(dispatch())
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -270,14 +271,28 @@ class _IndexBracket:
 
     Built from rationals 1 < blo <= beta <= bhi, 0 < wlo <= |w| <= whi and
     B >= 0.  A call returns the range of k >= 0 with
-    wlo blo^k - B <= |v| <= whi bhi^k + B, which holds every such k; each
-    end is estimated from bit lengths and settled by exact integer
-    comparisons, with blo and bhi rounded outward to multiples of 2^-P.
-    Given a bound, the call raises SearchBoundExceeded instead, exactly
-    when wlo blo^(bound+1) <= |v| + B: when the range reaches past it.
+    wlo blo^k - B <= |v| <= whi bhi^k + B, which holds every such k, with
+    blo and bhi rounded outward to multiples of 2^-P.  Given a bound, the
+    call raises SearchBoundExceeded instead, exactly when
+    wlo blo^(bound+1) <= |v| + B: when the range reaches past it.
+
+    An integer |v| = n is looked up in a table of integer thresholds:
+    k <= top iff ceil(wlo blo^k - B) <= n, and k < low iff
+    floor(whi bhi^k + B) + 1 <= n; both lists increase in k, so two
+    bisections give the range.  The table is grown lazily, one entry per
+    step from the running powers wlo a^k and whi b^k (a = blo 2^P,
+    b = bhi 2^P), and only for a query whose index estimate lies within
+    one doubling of the table's length or below NEAR: the table's entries
+    grow by P bits each, so reaching a far one-off query would cost a
+    quadratic number of word operations.  Far queries and non-integer
+    rationals settle each end by `_last`, from a bit-length estimate and
+    exact integer comparisons.  Each growth publishes a new
+    (ups, lows, X, Y) tuple in one assignment, so a bracket can be shared
+    between threads.
     """
 
     P = 64
+    NEAR = 64
 
     def __init__(self, blo, bhi, wlo, whi, B):
         P = self.P
@@ -292,13 +307,39 @@ class _IndexBracket:
         # 256 log2(blo), rounded down, from one bit length
         self._lg = (self._a ** 256).bit_length() - 1 - 256 * P
         self._caps: dict = {}   # a^(bound+1) for each bound asked about
+        # (ups, lows, X, Y): the thresholds of k < K = len(ups), and
+        # X = wlo d a^K, Y = whi d b^K for the next entry
+        self._table = ([], [], self._wlo, self._whi)
+        self._grow(0)
+
+    def _grow(self, u: int) -> tuple:
+        """The table extended until its last upper threshold exceeds u;
+        each lower threshold is at least the upper one of its k, so the
+        lower list passes u too."""
+        ups, lows, X, Y = self._table
+        ups, lows = list(ups), list(lows)
+        a, b, P, d, B = self._a, self._b, self.P, self._d, self._B
+        while not ups or ups[-1] <= u:
+            s = P * len(ups)
+            # least n with n d + B >= X / 2^s: ceil((ceil(X / 2^s) - B) / d)
+            ups.append(-((B + (-X >> s)) // d))
+            # least n with n d - B > Y / 2^s
+            lows.append((B + (Y >> s)) // d + 1)
+            X, Y = X * a, Y * b
+        self._table = table = (ups, lows, X, Y)
+        return table
+
+    def _guess(self, L: int, R: int) -> int:
+        """An estimate of the largest k with L a^k <= R 2^(Pk), from bit
+        lengths."""
+        return max(0, (R.bit_length() - L.bit_length()) * 256 // max(1, self._lg))
 
     def _last(self, L: int, R: int, base: int, strict: int) -> int:
         """The largest k >= 0 with L base^k <= R 2^(Pk) (< if strict), or -1."""
         if R <= 0:
             return -1
         P = self.P
-        k = max(0, (R.bit_length() - L.bit_length()) * 256 // max(1, self._lg))
+        k = self._guess(L, R)
         X, Y = L * base ** k, R << (P * k)
         while X + strict > Y:
             if k == 0:
@@ -324,6 +365,14 @@ class _IndexBracket:
         if bound is not None and self._reaches(L, R, bound + 1):
             raise SearchBoundExceeded(
                 f"the query's index bracket reaches past {bound}")
+        if vd == 1:
+            u = abs(v.numerator)
+            ups, lows = self._table[:2]
+            if (ups[-1] <= u and self._guess(L, R)
+                    < max(2 * len(ups), self.NEAR)):
+                ups, lows = self._grow(u)[:2]
+            if ups[-1] > u:
+                return range(bisect_right(lows, u), bisect_right(ups, u))
         top = self._last(L, R, self._a, 0)
         if top < 0:
             return range(0)

@@ -29,7 +29,10 @@ def parse_rational(s) -> Fraction:
     try:
         return Fraction(str(s).strip())
     except (ValueError, ZeroDivisionError):
-        raise MalformedRational(f"not a rational number: {s!r}") from None
+        shown = repr(s)
+        if len(shown) > 60:     # such as an integer past the digit limit
+            shown = f"{shown[:40]}... ({len(str(s))} characters)"
+        raise MalformedRational(f"not a rational number: {shown}") from None
 
 
 def rat_str(q: Fraction) -> str:

@@ -152,17 +152,6 @@ def is_squarefree(p: Poly) -> bool:
     return degree(p) <= 0 or degree(gcd(p, derivative(p))) == 0
 
 
-def eval_at(p: Poly, x) -> Fraction:
-    """p(x), by `horner_at` on integers: with x = a / d, p(x) is the
-    homogeneous Horner sum over den(p) d^deg(p)."""
-    x = Fraction(x)
-    if not p:
-        return Fraction(0)
-    (num,), den = common_den([p])
-    acc, dk = horner_at(num, x.numerator, x.denominator)
-    return Fraction(acc, den * dk)
-
-
 def horner_at(f: list, a: int, d: int) -> tuple:
     """(acc, d^k): f(a / d) = acc / d^k for the ints f, ascending, with
     k = len(f) - 1 >= 0 and d > 0, by homogeneous Horner; acc has the sign

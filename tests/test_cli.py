@@ -1,8 +1,13 @@
+import contextlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import gpnf
 from gpnf import fileformats as ff
 from gpnf.cli import dispatch
 
@@ -249,9 +254,65 @@ def test_input_errors_are_value_errors(K_phi):
             ff.parse_rational(bad)
     with pytest.raises(MalformedRational):
         ff.parse_rational(0.5)
+    with pytest.raises(MalformedRational) as e:     # the text is not echoed
+        ff.parse_rational("1" * 4400 + "x")
+    assert len(str(e.value)) < 100 and "4401 characters" in str(e.value)
     with pytest.raises(DegreeMismatch):
         K_phi.element([1, 2, 3])
     with pytest.raises(DegreeMismatch):
         K_phi.from_traces([2])
     assert issubclass(MalformedRational, GpnfError)
     assert issubclass(MalformedRational, ValueError)
+
+
+# -- integers past the int/str digit limit ------------------------------------
+
+def cli_process(*argv):
+    """The CLI in a fresh interpreter, through `main` as the `gpnf` script
+    runs it."""
+    src = os.path.dirname(os.path.dirname(gpnf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "gpnf.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """The test process's own int/str conversion limit lifted, then put
+    back."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_cli_prints_a_term_past_the_digit_limit():
+    r = cli_process("linrec", "--charpoly", "1,-1,-1", "--init", "0,1",
+                    "term", "25000", "--json")
+    assert r.returncode == 0, r.stderr
+    a, b = 0, 1
+    for _ in range(25000):
+        a, b = b, a + b
+    with no_digit_limit():
+        assert json.loads(r.stdout)["term"] == str(a)      # 5,225 digits
+
+
+def test_cli_member_query_past_the_digit_limit():
+    big = "7" + "0" * 4399
+    r = cli_process("linrec", "--charpoly", "1,-1,-1", "--init", "0,1",
+                    "member", big, "--json")
+    assert r.returncode == 1
+    d = json.loads(r.stdout)
+    assert d["schema"] == 1 and d["error"] == "SearchBoundExceeded"
+    assert big not in r.stdout
+    # importing gpnf, as this process did, leaves the limit alone
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is not None:
+        assert get() == sys.int_info.default_max_str_digits

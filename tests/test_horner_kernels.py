@@ -1,7 +1,7 @@
 """Differential test of the integer Horner kernels.
 
 `intervals.horner_interval` (over a common denominator),
-`intervals.poly_complex_box`, `polys.eval_at` and `numberfield._gauss_eval`
+`intervals.poly_complex_box`, `polys.horner_at` and `numberfield._gauss_eval`
 run on integers over common denominators.
 The oracle is the plain rational Horner `acc = acc * x + c` on Fractions,
 with interval products written out as the min and max of the four end
@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from gpnf.intervals import (ComplexBox, RatInterval, common_den, horner_interval,
                             poly_complex_box)
 from gpnf.numberfield import _gauss_eval
-from gpnf.polys import eval_at
+from gpnf.polys import horner_at
 
 rationals = st.one_of(st.integers(-40, 40),
                       st.fractions(-40, 40, max_denominator=45))
@@ -83,12 +83,14 @@ def test_poly_complex_box_matches_rational_horner(coeffs, rlo, rw, ilo, iw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(coefficients, rationals)
-@example([], F(3, 7))
-@example([F(-4, 9)], 5)
-def test_eval_at_matches_rational_horner(coeffs, x):
-    v = eval_at(coeffs, x)
-    assert type(v) is F and v == ref_point(coeffs, F(x))
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=8), rationals)
+@example([-4], F(5))
+@example([0, 3, -1], F(-7, 9))
+def test_horner_at_matches_rational_horner(coeffs, x):
+    x = F(x)
+    acc, dk = horner_at(coeffs, x.numerator, x.denominator)
+    assert dk == x.denominator ** (len(coeffs) - 1)
+    assert F(acc, dk) == ref_point(coeffs, x)
 
 
 @settings(max_examples=200, deadline=None)

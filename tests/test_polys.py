@@ -94,7 +94,7 @@ def test_public_functions_return_ints_and_fractions(a, b, la, lb, q):
         "canonical": P.canonical(a), "monic": P.monic(a), "degree": P.degree(a),
         "derivative": P.derivative(a), "divmod_": P.divmod_(a, b),
         "resultant": P.resultant(a, b), "gcd": P.gcd(a, b),
-        "squarefree_part": sq, "eval_at": P.eval_at(a, q),
+        "squarefree_part": sq,
         "horner_at": P.horner_at(a, q.numerator, q.denominator),
         "cauchy_bound": P.cauchy_bound(a), "cauchy_chain": P.cauchy_chain(a, b),
         "int_sign_at": P.int_sign_at(a, q),
@@ -126,10 +126,10 @@ def test_gcd_and_squarefree():
 
 def test_eval_and_compose():
     p = (1, 2, 3)                          # 3x^2 + 2x + 1
-    assert P.eval_at(p, F(2)) == 17
+    assert P.horner_at(list(p), 2, 1) == (17, 1)
     q = P.shift_roots(p, -1)               # p(x+1), canonical
     assert q == (6, 8, 3)
-    assert P.eval_at(q, F(1)) == P.eval_at(p, F(2))
+    assert P.horner_at(list(q), 1, 1) == (17, 1)
 
 
 @pytest.mark.parametrize("coeffs,expected", [
@@ -180,19 +180,25 @@ def test_refine_root_rational_root():
 
 
 def test_resultant_vs_sympy():
+    # the oracle is the Sylvester determinant: sympy.resultant differs from
+    # it in sign on some pairs, such as 2x - 3 and x^3 (resultant 27)
     import sympy
+    from sympy.polys.subresultants_qq_zz import sylvester
     x = sympy.symbols("x")
     rng = random.Random(7)
+    pairs = [((-3, 2), (0, 0, 0, 1))]
     for _ in range(15):
         a = _trim(rng.randint(-4, 4) for _ in range(rng.randint(2, 5)))
         b = _trim(rng.randint(-4, 4) for _ in range(rng.randint(2, 5)))
-        if P.degree(a) < 1 or P.degree(b) < 1:
-            continue
+        if P.degree(a) >= 1 and P.degree(b) >= 1:
+            pairs.append((a, b))
+    for a, b in pairs:
         pa = sum(c * x ** i for i, c in enumerate(a))
         pb = sum(c * x ** i for i, c in enumerate(b))
         # int tuples, and the same values as Fractions
-        assert P.resultant(a, b) == sympy.resultant(pa, pb, x)
+        assert P.resultant(a, b) == sylvester(pa, pb, x).det()
         assert P.resultant(tuple(map(F, a)), tuple(map(F, b))) == P.resultant(a, b)
+    assert P.resultant((-3, 2), (0, 0, 0, 1)) == 27
 
 
 def test_sum_poly_kills_sums():
@@ -224,7 +230,7 @@ def test_prod_poly_zero_root():
     A = (0, 1)        # root 0
     B = (-3, 0, 1)
     Q = P.prod_poly(A, B)
-    assert P.eval_at(Q, F(0)) == 0
+    assert Q[0] == 0
 
 
 def test_isolate_rational_midpoint_root():
@@ -234,7 +240,7 @@ def test_isolate_rational_midpoint_root():
     assert len(ivs) == 3
     for (lo, hi), r in zip(ivs, (F(0), F(1, 2), F(1))):
         assert lo <= r <= hi
-        assert lo == hi or P.eval_at(p, lo) != 0 != P.eval_at(p, hi)
+        assert lo == hi or 0 not in (qq(p).eval(lo), qq(p).eval(hi))
 
 
 def _random_poly(rng, zero_root):
@@ -411,7 +417,7 @@ def test_count_roots_vs_sympy():
         s = F(rng.choice([1, -3, 5]), rng.randint(2, 7))
         p = tuple(c * s for c in u)
         sp = sympy.Poly(_sympy_expr(p, x), x)
-        on_ends = sum(P.eval_at(p, e) == 0 for e in (lo, hi))
+        on_ends = sum(sp.eval(sympy.Rational(e)) == 0 for e in (lo, hi))
         expected = sp.count_roots(sympy.Rational(lo), sympy.Rational(hi)) - on_ends
         ends += on_ends > 0
         assert P.count_roots(P.sturm_chain(p), lo, hi) == expected, (p, lo, hi)
