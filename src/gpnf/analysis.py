@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence
 
-from .errors import (DensityHypothesisFailed, PigeonholeFailed, RationalSlope,
-                     SlopeOutOfRange, WindowTooShort)
+from .errors import (DensityHypothesisFailed, OutOfRange, PigeonholeFailed,
+                     RationalSlope, SlopeOutOfRange, WindowTooShort)
 from .numberfield import FieldElement, certified_floor
 
 
@@ -193,7 +193,7 @@ def non_hereditary_construct(E: Callable, h: Callable, L_max: int,
     from the H chosen blocks, leaving H distinct length-L factors.
     """
     if L_max < 1:
-        raise ValueError("need at least one level")
+        raise OutOfRange("need at least one level")
     levels: List[LevelRecord] = []
     removed: set = set()
     N_prev = 0

@@ -37,12 +37,6 @@ def _out(payload: dict, args, human_lines) -> None:
             print(line)
 
 
-def _approx(box, bits) -> str:
-    if hasattr(box, "re"):
-        return f"{box.re.approx_str(bits // 3)} + {box.im.approx_str(bits // 3)} i"
-    return box.approx_str(bits // 3)
-
-
 def _load_field(args) -> NumberField:
     if getattr(args, "spec", None):
         return ff.load_field(args.spec)
@@ -50,7 +44,7 @@ def _load_field(args) -> NumberField:
         coeffs = ff.parse_coeff_list(args.minpoly)
         kwargs = {}
         if getattr(args, "distinguished", None) not in (None, "largest-real"):
-            kwargs["distinguished"] = int(args.distinguished)
+            kwargs["distinguished"] = args.distinguished
         return NumberField(list(reversed(coeffs)), **kwargs)
     raise GpnfError("a field is required: --minpoly or --spec")
 
@@ -63,7 +57,8 @@ def _cmd_field(args) -> int:
     boxes = [f.root_box(j, Fraction(1, 2 ** bits)) for j in range(f.degree)]
     payload = ff.field_to_dict(f)
     payload["roots"] = [
-        {"index": j, "real": f.is_real_root(j), "enclosure": _approx(b, bits)}
+        {"index": j, "real": f.is_real_root(j),
+         "enclosure": b.approx_str(bits // 3)}
         for j, b in enumerate(boxes)]
     lines = [f"degree {f.degree}, signature {f.signature}, "
              f"distinguished root index {f.distinguished}"]
@@ -115,7 +110,7 @@ def _value_out(val, approx) -> tuple:
     if approx:
         box = (val.payload[0].embed(val.payload[1], approx)
                if val.kind == "cemb" else val.certified_interval(approx))
-        payload["approx"] = _approx(box, approx)
+        payload["approx"] = box.approx_str(approx // 3)
         lines.append(f"~ {payload['approx']}")
     return payload, lines
 
@@ -124,10 +119,9 @@ def _value_out(val, approx) -> tuple:
 
 def _parse_indices(args) -> IndexSet:
     if args.indices:
-        return IndexSet.finite(int(t) for t in args.indices.split(","))
+        return IndexSet.finite(args.indices)
     if args.indices_mod:
-        parts = [int(t) for t in args.indices_mod.split(",")]
-        return IndexSet.periodic(parts[0], parts[1:])
+        return IndexSet.periodic(args.indices_mod[0], args.indices_mod[1:])
     raise GpnfError("an index set is required: --indices or --indices-mod")
 
 
@@ -136,8 +130,7 @@ def _cmd_pisot_set(args) -> int:
     beta = ff.parse_element_text(f, args.beta) if args.beta else f.beta
     indices = _parse_indices(args)
     rho = ff.parse_rational(args.rho) if args.rho else None
-    m = int(args.m) if args.m else None
-    spec = PisotSetSpec.create(beta, indices, rho=rho, m=m)
+    spec = PisotSetSpec.create(beta, indices, rho=rho, m=args.m)
     pred = hereditary_predicate(spec)
     if args.queries:
         queries = ff.load_elements(args.queries, f)
@@ -322,6 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
                'Example: --charpoly "1,-1,-1" is x^2 - x - 1.')
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # argparse types: a ValueError is a usage error naming the type
+    def int_list(text: str) -> list:
+        return [int(t) for t in text.split(",")]
+
+    def root_index(text: str):
+        return text if text == "largest-real" else int(text)
+
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output (schema 1)")
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("field", help="inspect a number field")
     p.add_argument("--minpoly", help='coefficients, leading first: "1,-1,-1"')
     p.add_argument("--spec", help="field spec JSON file")
-    p.add_argument("--distinguished", default=None,
+    p.add_argument("--distinguished", type=root_index, default=None,
                    help='root index or "largest-real"')
     common(p)
     p.set_defaults(fn=_cmd_field)
@@ -348,14 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hereditary membership in {beta^i : i in I}")
     p.add_argument("--minpoly")
     p.add_argument("--spec")
-    p.add_argument("--distinguished", default=None)
+    p.add_argument("--distinguished", type=root_index, default=None)
     p.add_argument("--beta", help="coordinates of beta (default: the generator)")
-    p.add_argument("--indices", help="finite index set: 0,2,4")
-    p.add_argument("--indices-mod", help="periodic index set: p,r1,r2,...")
+    p.add_argument("--indices", type=int_list,
+                   help="finite index set: 0,2,4")
+    p.add_argument("--indices-mod", type=int_list,
+                   help="periodic index set: p,r1,r2,...")
     p.add_argument("--rho", help="contraction rate (rational)")
-    p.add_argument("--m", help="power (defaults to the least admissible)")
+    p.add_argument("--m", type=int,
+                   help="power (defaults to the least admissible)")
     p.add_argument("--queries", help="file of query elements")
-    p.add_argument("--query", action="append", help="inline query coordinates")
+    p.add_argument("--query", action="append",
+                   help="inline query coordinates (--query=-1,0 for a minus)")
     p.add_argument("--explain", action="store_true",
                    help="print score and threshold enclosures")
     common(p)
@@ -405,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word-file", help="file of 0/1 digits")
     p.add_argument("--minpoly", help="field for a Sturmian source")
     p.add_argument("--spec")
-    p.add_argument("--distinguished", default=None)
+    p.add_argument("--distinguished", type=root_index, default=None)
     p.add_argument("--a", help="Sturmian slope coordinates")
     p.add_argument("--b", help="Sturmian intercept (rational)", default="0")
     p.add_argument("--window", type=int, default=2000)

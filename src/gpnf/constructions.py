@@ -17,14 +17,14 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .algebraic import abs_sq_of_embedding
-from .errors import (DependentBasis, InvalidRho, RankNotOne,
-                     SearchBoundExceeded, ThresholdAmbiguous)
-from .intervals import RatInterval
+from .errors import (DependentBasis, InvalidRho, NotPisot, OutOfRange,
+                     RankNotOne, SearchBoundExceeded, ThresholdAmbiguous)
+from .intervals import ComplexBox, RatInterval
 from .linalg import gauss_jordan
 from .numberfield import FieldElement, NumberField, certified_dist
 from . import polys
@@ -74,13 +74,13 @@ class IndexSet:
     def finite(members: Iterable) -> "IndexSet":
         ms = frozenset(int(i) for i in members)
         if any(i < 0 for i in ms):
-            raise ValueError("index sets live in the nonnegative integers")
+            raise OutOfRange("index sets live in the nonnegative integers")
         return IndexSet("finite", members=ms)
 
     @staticmethod
     def periodic(modulus: int, residues: Iterable, start: int = 0) -> "IndexSet":
         if modulus < 1:
-            raise ValueError("modulus must be positive")
+            raise OutOfRange("modulus must be positive")
         rs = frozenset(int(r) % modulus for r in residues)
         return IndexSet("periodic", modulus=modulus, residues=rs, start=start)
 
@@ -115,9 +115,8 @@ class IndexSet:
         # membership of residue + j*modulus depends on j mod p (and the start)
         p = self.modulus // math.gcd(self.modulus, modulus)
         rs = [j for j in range(p) if (residue + j * modulus) % self.modulus in self.residues]
-        start_j = 0
-        while residue + start_j * modulus < self.start:
-            start_j += 1
+        # the least j >= 0 with residue + j*modulus >= start
+        start_j = max(0, -((residue - self.start) // modulus))
         return IndexSet.periodic(p, rs, start=start_j)
 
     def __repr__(self):
@@ -176,46 +175,38 @@ def unit_indicator(field: NumberField) -> SetPredicate:
 
 def _abs_lt_one(x: FieldElement, j: int) -> bool:
     """Exact test |sigma_j(x)| < 1 (any embedding)."""
-    f = x.field
-    if f.is_real_root(j):
+    if x.field.is_real_root(j):
         return (x.compare_rational(1, j) < 0 and
                 x.compare_rational(-1, j) > 0)
-    for box in x.enclosures(j, 12):
-        a = box.abs_sq()
-        if a.hi < 1:
-            return True
-        if a.lo > 1:
-            return False
-        # the box straddles 1: one exact comparison decides
-        return abs_sq_of_embedding(x, j).compare_rational(1) < 0
+    a = x.embed(j, 12).abs_sq()
+    if a.hi < 1:
+        return True
+    if a.lo > 1:
+        return False
+    # the box straddles 1: one exact comparison decides
+    return abs_sq_of_embedding(x, j).compare_rational(1) < 0
+
+
+def _is_pisot(x: FieldElement) -> bool:
+    """Is the distinguished embedding of x real and above 1, with every
+    other conjugate of modulus below 1?  One modulus test per real
+    conjugate and one per complex pair, each exact."""
+    f = x.field
+    d = f.distinguished
+    if not f.is_real_root(d) or x.compare_rational(1, d) <= 0:
+        return False
+    return all(_abs_lt_one(x, j) for j in
+               f.real_root_indices() + f.upper_root_indices() if j != d)
 
 
 def pisot_unit_test(x: FieldElement) -> bool:
     """Is x a Pisot unit of the field: a unit whose distinguished real
     embedding exceeds 1 while every other embedding has modulus below 1.
 
-    Each comparison is certified, with exact resolution of modulus-one
-    ties.
+    The unit test (integer characteristic polynomial of constant +-1)
+    runs first; the Pisot gate `_is_pisot` decides the rest exactly.
     """
-    f = x.field
-    if x.is_zero() or not f.is_real_root(f.distinguished):
-        return False
-    if not x.is_unit():
-        return False
-    if x.compare_rational(1, f.distinguished) <= 0:
-        return False
-    seen_upper = set()
-    for j in range(f.degree):
-        if j == f.distinguished:
-            continue
-        if not f.is_real_root(j):
-            pair = min(j, f.conj_index(j))
-            if pair in seen_upper:
-                continue
-            seen_upper.add(pair)
-        if not _abs_lt_one(x, j):
-            return False
-    return True
+    return x.is_unit() and _is_pisot(x)
 
 
 def _trace_polynomial(p: tuple) -> list:
@@ -240,11 +231,8 @@ def salem_test(x: FieldElement) -> bool:
     minimal polynomial is reciprocal with all conjugates except x and 1/x
     on the unit circle (decided exactly via the trace polynomial)."""
     f = x.field
-    if x.is_zero() or not f.is_real_root(f.distinguished):
-        return False
-    if not x.is_unit():
-        return False
-    if x.compare_rational(1, f.distinguished) <= 0:
+    if not (x.is_unit() and f.is_real_root(f.distinguished)
+            and x.compare_rational(1) > 0):
         return False
     mpi = x._minimal_poly_int()
     d = len(mpi) - 1
@@ -379,16 +367,23 @@ class _IndexBracket:
         return range(self._last(self._whi * vd, n - e, self._b, 1) + 1, top + 1)
 
 
+def _require_pisot_unit(beta: FieldElement) -> None:
+    """The hypotheses of the power and hereditary predicates: a rank-one
+    unit group (RankNotOne) and beta a Pisot unit (NotPisot)."""
+    f = beta.field
+    if not f.has_rank_one_units:
+        raise RankNotOne(f"unit rank is {f.unit_rank}, need 1")
+    if not pisot_unit_test(beta):
+        raise NotPisot("beta must be a Pisot unit")
+
+
 def power_set_predicate(beta: FieldElement) -> SetPredicate:
     """Indicator of {beta^i : i >= 0} for a Pisot unit beta in a rank-one
     field.  The other conjugates of beta lie in the open unit disc, so
     |Tr(beta^k) - beta^k| <= m - 1: the index bracket of the integer Tr(x)
     nominates the exponents, and an exact power comparison decides."""
+    _require_pisot_unit(beta)
     f = beta.field
-    if not f.has_rank_one_units:
-        raise RankNotOne(f"unit rank is {f.unit_rank}, need 1")
-    if not pisot_unit_test(beta):
-        raise ValueError("beta must be a Pisot unit")
     box = beta.embed(None, _IndexBracket.P)
     bracket = _IndexBracket(box.lo, box.hi, 1, 1, f.degree - 1)
     power = functools.lru_cache(maxsize=None)(beta.__pow__)
@@ -421,24 +416,25 @@ def _sqrt_upper(q: Fraction, bits: int = 48) -> Fraction:
     return Fraction(r, 1 << bits)
 
 
-def _conjugate_mod_bound(beta: FieldElement, bits: int = 48) -> Fraction:
-    """A certified rational upper bound (tight to ~2**-bits) for the moduli
-    of all non-distinguished conjugates."""
-    f = beta.field
-    u = Fraction(0)
+def _conjugate_bounds(x: FieldElement, bits: int = 48) -> dict:
+    """{j: a certified rational upper bound for |sigma_j(x)|} over the
+    embeddings j other than the distinguished one, read from boxes of
+    width at most 2**(1-bits); a complex modulus goes through a 2**-bits
+    square root."""
+    f = x.field
+    out = {}
     for j in range(f.degree):
-        if j == f.distinguished:
-            continue
-        box = beta.embed(j, bits)
-        sq = box.abs_sq() if hasattr(box, "abs_sq") else box.sq()
-        u = max(u, _sqrt_upper(sq.hi, bits))
-    return u
+        if j != f.distinguished:
+            box = x.embed(j, bits)
+            out[j] = (_sqrt_upper(box.abs_sq().hi, bits)
+                      if isinstance(box, ComplexBox) else box.mag)
+    return out
 
 
 def default_rho(beta: FieldElement) -> Fraction:
     """A valid contraction rate: 1 < rho < beta with every other conjugate
     of modulus below 1/rho."""
-    u = _conjugate_mod_bound(beta)
+    u = max(_conjugate_bounds(beta).values(), default=0)
     inv_u = 1 / u if u > 0 else Fraction(10 ** 6)
     blo = beta.embed(None, 20).lo
     cand = min(blo, inv_u)
@@ -461,7 +457,7 @@ def pisot_tail_constant(beta: FieldElement, rho: Fraction,
         raise InvalidRho("rho must be below beta")
     bits = 48
     while True:
-        u = _conjugate_mod_bound(beta, bits)
+        u = max(_conjugate_bounds(beta, bits).values(), default=0)
         if u * rho < 1:
             break
         # either some conjugate really reaches 1/rho, or the bound is loose
@@ -535,29 +531,31 @@ def _least_power(C: Fraction, dist_beta: FieldElement, rho: Fraction) -> int:
 
 @dataclass
 class PisotSetSpec:
-    """Everything needed to decide membership in {beta^(i m) : i in I}."""
+    """Everything needed to decide membership in {beta^(i m) : i in I}.
+
+    The hypotheses (a rank-one unit group, beta a Pisot unit) are checked
+    before any constant is computed; rho = None takes default_rho(beta)
+    and m = None the least admissible power."""
     field: NumberField
     beta: FieldElement
-    rho: Fraction
-    m: int
+    rho: Optional[Fraction]
+    m: Optional[int]
     indices: IndexSet
     threshold: FieldElement = dc_field(init=False)
     tail_constant: Fraction = dc_field(init=False)
-    # (tail constant, dist(beta)), when `create` has computed them already
-    known: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self, known):
-        if not self.field.has_rank_one_units:
-            raise RankNotOne(f"unit rank is {self.field.unit_rank}, need 1")
-        if not pisot_unit_test(self.beta):
-            raise ValueError("beta must be a Pisot unit")
-        self.rho = Fraction(self.rho)
-        self.tail_constant, dist_beta = known or (
-            pisot_tail_constant(self.beta, self.rho), certified_dist(self.beta))
+    def __post_init__(self):
+        _require_pisot_unit(self.beta)
+        self.rho = (default_rho(self.beta) if self.rho is None
+                    else Fraction(self.rho))
+        self.tail_constant = pisot_tail_constant(self.beta, self.rho)
+        dist_beta = certified_dist(self.beta)
+        if self.m is None:
+            self.m = _least_power(self.tail_constant, dist_beta, self.rho)
         self.threshold = dist_beta * Fraction(2, 3)
-        err = self.tail_error(0)
-        if (dist_beta * Fraction(1, 3) - err).compare_rational(0) <= 0:
-            raise ValueError(
+        if self.m < 1 or (dist_beta * Fraction(1, 3)
+                          - self.tail_error(0)).compare_rational(0) <= 0:
+            raise OutOfRange(
                 f"m = {self.m} is too small for rho = {self.rho}; "
                 f"use choose_m")
 
@@ -565,12 +563,7 @@ class PisotSetSpec:
     def create(cls, beta: FieldElement, indices: IndexSet,
                rho: Optional[Fraction] = None,
                m: Optional[int] = None) -> "PisotSetSpec":
-        rho = default_rho(beta) if rho is None else Fraction(rho)
-        known = None
-        if m is None:
-            known = pisot_tail_constant(beta, rho), certified_dist(beta)
-            m = _least_power(*known, rho)
-        return cls(beta.field, beta, rho, m, indices, known)
+        return cls(beta.field, beta, rho, m, indices)
 
     def tail_error(self, depth: int) -> Fraction:
         """Bound for the distance contribution of all terms beyond the
@@ -583,18 +576,19 @@ def hereditary_predicate(spec: PisotSetSpec) -> SetPredicate:
     """Indicator of {beta^i : i in I} assembled as the union over residues
     a mod m of the dilated single-residue predicates.
 
-    For x = gamma^j (gamma = beta^m) the test compares the distance of
-    gamma^j xi to the nearest integer against (2/3) dist(beta), where
-    xi = sum over i in I of beta gamma^-i; the near-diagonal terms are
-    summed exactly and the tail is bounded geometrically, so the
-    comparison is certified on both sides.
+    A query x is located by the power predicate of beta itself: x = beta^k
+    for k >= 0 exactly when its `exponent_of` returns k, and then
+    x = beta^a gamma^j (gamma = beta^m) for a = k mod m and j = k // m.
+    The test compares the distance of gamma^j xi to the nearest integer
+    against (2/3) dist(beta), where xi = sum over i in section a of
+    beta gamma^-i; the near-diagonal terms are summed exactly and the tail
+    is bounded geometrically, so the comparison is certified on both
+    sides.
     """
     f = spec.field
     beta, m = spec.beta, spec.m
-    gamma = beta ** m
-    gamma_pred = power_set_predicate(gamma)
+    exponent_of = power_set_predicate(beta).exponent_of
     binv = beta.inverse()
-    beta_inv_pows = [binv ** a for a in range(m)]
     sections = [spec.indices.dilated_section(a, m) for a in range(m)]
 
     def window_dist(a: int, j: int, depth: int) -> FieldElement:
@@ -622,13 +616,8 @@ def hereditary_predicate(spec: PisotSetSpec) -> SetPredicate:
             "threshold; construction invariants are violated")
 
     def locate(x) -> Optional[tuple]:
-        x = f.element(x)
-        for a in range(m):
-            y = x * beta_inv_pows[a]
-            k = gamma_pred.exponent_of(y)
-            if k is not None:
-                return a, k
-        return None
+        k = exponent_of(x)
+        return None if k is None else (k % m, k // m)
 
     def fn(x) -> bool:
         loc = locate(x)
@@ -638,7 +627,6 @@ def hereditary_predicate(spec: PisotSetSpec) -> SetPredicate:
         return xi_test(a, j)
 
     def explain(x) -> dict:
-        x = f.element(x)
         loc = locate(x)
         out = {"predicate": "hereditary", "m": m, "rho": str(spec.rho)}
         if loc is None:
@@ -671,7 +659,7 @@ def trace_collision_search(field: NumberField, x: FieldElement,
     """All pairs (i, j) with i, j <= bound and Tr(beta^i x) = Tr(beta^j y),
     by exhaustive exact search (hash join on exact rationals)."""
     if bound > 10 ** 4:
-        raise ValueError("bound is capped at 10^4 (desk scale)")
+        raise OutOfRange("bound is capped at 10^4 (desk scale)")
     m = field.degree
     a = field.monic_minpoly
 

@@ -13,6 +13,12 @@ class MalformedRational(GpnfError, ValueError):
     """Input text or a value that is not an exact rational number."""
 
 
+class OutOfRange(GpnfError, ValueError):
+    """An integer argument outside its admissible range: a negative index,
+    a modulus, power or level count below 1, a root index past the degree,
+    a bound past a desk-scale cap."""
+
+
 # -- number fields ----------------------------------------------------------
 
 class NotSquarefree(GpnfError):
@@ -99,9 +105,10 @@ class SingularSystem(GpnfError):
     characteristic polynomial; internal alarm)."""
 
 
-class NotPisot(GpnfError):
-    """The characteristic polynomial is not the minimal polynomial of a
-    Pisot number (or Salem number, where either is accepted)."""
+class NotPisot(GpnfError, ValueError):
+    """A number, or the dominant root of a characteristic polynomial, is
+    not a Pisot number (Pisot unit, or Salem number, where either is
+    asked for)."""
 
 
 class ZeroSourceSequence(GpnfError):

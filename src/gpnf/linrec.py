@@ -19,12 +19,12 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import polys
-from .constructions import (_IndexBracket, _abs_lt_one, _sqrt_upper,
-                            pisot_unit_test, power_set_predicate, salem_test)
-from .errors import (DegreeMismatch, NotPisot, NotSquarefree, RankNotOne,
-                     SingularSystem, VandermondeSingular, ZeroSourceSequence,
-                     ZeroTraceRep)
-from .intervals import ComplexBox, RatInterval
+from .constructions import (_IndexBracket, _conjugate_bounds, _is_pisot,
+                            power_set_predicate, salem_test)
+from .errors import (DegreeMismatch, NotPisot, NotSquarefree, OutOfRange,
+                     RankNotOne, SingularSystem, VandermondeSingular,
+                     ZeroSourceSequence, ZeroTraceRep)
+from .intervals import RatInterval
 from .linalg import gauss_jordan
 from .numberfield import (FieldElement, NumberField, certified_floor,
                           certified_nint)
@@ -113,48 +113,21 @@ def trace_representation(seq: LinRecSeq) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 def _require_pisot_charpoly(f: NumberField) -> None:
-    """The distinguished root exceeds 1 and every other conjugate has
-    modulus certified below 1."""
-    if not f.is_real_root(f.distinguished):
-        raise NotPisot("no real dominant root")
-    beta = f.beta
-    if beta.compare_rational(1) <= 0:
-        raise NotPisot("dominant root does not exceed 1")
-    for j in range(f.degree):
-        if j == f.distinguished:
-            continue
-        if not _abs_lt_one(beta, j):
-            raise NotPisot(f"conjugate {j} has modulus >= 1")
-
-
-def _modulus_upper(box, bits: int) -> Fraction:
-    """An upper bound for |z| over a real interval or a complex box, the
-    latter through a 2^-bits square root."""
-    if isinstance(box, ComplexBox):
-        return _sqrt_upper(box.abs_sq().hi, bits)
-    return box.mag
-
-
-def _conjugate_data(seq: LinRecSeq, bits: int = 48) -> list:
-    """(index, |alpha| upper bound, |w_alpha| upper bound) over the
-    non-distinguished conjugates, where w_alpha = sigma_alpha(trace rep)."""
-    f = seq.field
-    x = trace_representation(seq)
-    out = []
-    for j in range(f.degree):
-        if j == f.distinguished:
-            continue
-        ua = _modulus_upper(f.root_box(j, Fraction(1, 2 ** bits)), bits)
-        out.append((j, ua, _modulus_upper(x.embed(j, bits), bits)))
-    return out
+    """The distinguished root is real and above 1, and every other
+    conjugate has modulus certified below 1 (NotPisot otherwise)."""
+    if not _is_pisot(f.beta):
+        raise NotPisot("the dominant root is not a Pisot number")
 
 
 def verified_i0(seq: LinRecSeq, j: int) -> int:
     """A sound onset: for every i >= i0, n_{i+j} = nint(beta^j n_i).
 
-    The certified bound sum |w_a| |a|^i (|a|^j + beta^j) < 1/2 is evaluated
-    with rational upper bounds; it may overshoot the true minimal onset but
-    never undershoots.
+    n_i = w beta^i + sum_a w_a a^i over the other conjugates a of beta,
+    where w_a = sigma_a(x) for the trace representation x.  The bound
+    sum |w_a| |a|^i (|a|^j + beta^j) < 1/2 is evaluated with the certified
+    rational upper bounds of `_conjugate_bounds` on |a| (of beta) and
+    |w_a| (of x), at a precision where every |a| bound is below 1; it may
+    overshoot the true minimal onset but never undershoots.
     """
     f = seq.field
     _require_pisot_charpoly(f)
@@ -163,14 +136,14 @@ def verified_i0(seq: LinRecSeq, j: int) -> int:
     if seq.is_zero_sequence():
         return 0
     bits = 48
-    while True:
-        data = _conjugate_data(seq, bits)
-        if all(ua < 1 for _jj, ua, _uw in data):
-            break
+    ua = _conjugate_bounds(f.beta, bits)
+    while not all(u < 1 for u in ua.values()):
         bits *= 2
+        ua = _conjugate_bounds(f.beta, bits)
+    uw = _conjugate_bounds(trace_representation(seq), bits)
     bhi = f.beta.embed(None, bits).hi
-    terms = [uw * (ua ** j + bhi ** j) for _jj, ua, uw in data]
-    uas = [ua for _jj, ua, _uw in data]
+    terms = [uw[a] * (ua[a] ** j + bhi ** j) for a in ua]
+    uas = list(ua.values())
     i = 0
     while True:
         if sum(terms) < Fraction(1, 2):
@@ -275,6 +248,7 @@ def _build_transfer(src: LinRecSeq, target) -> TransferMap:
     _require_pisot_charpoly(f)
     s = src.integer_scale()
     zsrc = LinRecSeq(src.charpoly, [s * src.term(i) for i in range(src.order)])
+    zsrc._field = f     # the same recurrence: one field, not a second build
     m = src.order
     w = _solve_hankel(zsrc, [target(i) for i in range(m)])
     onset = max(verified_i0(zsrc, j) for j in range(m))
@@ -349,13 +323,8 @@ class SalemRecoveryFamily:
 
         # analytic correction bounds: |floor(beta^j n_i) - n_{i+j}|
         #   <= 1 + (sum_{a != beta} |w_a|) (beta^j + 1)
-        bits = 64
-        wsum = Fraction(0)
-        for j in range(m):
-            if j == f.distinguished:
-                continue
-            wsum += _modulus_upper(x.embed(j, bits), bits)
-        bhi = f.beta.embed(None, bits).hi
+        wsum = sum(_conjugate_bounds(x, 64).values())
+        bhi = f.beta.embed(None, 64).hi
         self.bounds = []
         for j in range(m):
             a_j = 1 + wsum * (bhi ** j + 1)
@@ -452,7 +421,7 @@ def _archimedean_constants(seq: LinRecSeq) -> _IndexBracket:
     with every other root |a| <= 1 (Pisot and Salem), so every k with
     n_k = q has |q - w beta^k| <= B = sum |w_a|."""
     x = trace_representation(seq)
-    B = sum(uw for _j, _ua, uw in _conjugate_data(seq, 48))
+    B = sum(_conjugate_bounds(x, 48).values())
     wbox = next(b for b in x.enclosures(None, 48) if not b.contains(0))
     bbox = seq.field.beta.embed(None, _IndexBracket.P)
     return _IndexBracket(bbox.lo, bbox.hi, wbox.mig, wbox.mag, B)
@@ -472,7 +441,7 @@ def _vsm_setup(seq: LinRecSeq) -> dict:
             cache["x"] = trace_representation(seq)
         else:
             _require_pisot_charpoly(f)
-            if not (f.has_rank_one_units and pisot_unit_test(beta)):
+            if not (f.has_rank_one_units and beta.is_unit()):
                 raise RankNotOne("value-set predicate needs a rank-one "
                                  "Pisot unit or a Salem number")
             cache["kind"] = "pisot"
@@ -536,7 +505,7 @@ def sml_zeros(seq: LinRecSeq, bound: int) -> ZeroReport:
     to 64) that vanish identically on the window.  A structure heuristic,
     not a decision procedure."""
     if bound > 10 ** 5:
-        raise ValueError("bound is capped at 10^5 (desk scale)")
+        raise OutOfRange("bound is capped at 10^5 (desk scale)")
     zeros = [i for i in range(bound + 1) if seq.term(i) == 0]
     zset = set(zeros)
     progressions = []

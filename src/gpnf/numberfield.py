@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 from . import polys
 from .errors import (ComplexEmbedding, DegreeMismatch, DivisionByZero,
-                     FieldMismatch, NoRealRoot, NotSquarefree,
+                     FieldMismatch, NoRealRoot, NotSquarefree, OutOfRange,
                      ReducibleDetected, SingularSystem)
 from .intervals import (ComplexBox, RatInterval, common_den, floor_of,
                         horner_box, horner_interval, horner_ints,
@@ -476,7 +476,7 @@ class NumberField:
         r1 = self.signature[0]
         if isinstance(distinguished, int):
             if not 0 <= distinguished < self.degree:
-                raise ValueError("distinguished root index out of range")
+                raise OutOfRange("distinguished root index out of range")
             if require_real and self._roots[distinguished].kind != "real":
                 raise NoRealRoot("requested distinguished root is not real")
             return distinguished

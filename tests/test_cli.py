@@ -316,3 +316,42 @@ def test_cli_member_query_past_the_digit_limit():
     get = getattr(sys, "get_int_max_str_digits", None)
     if get is not None:
         assert get() == sys.int_info.default_max_str_digits
+
+
+# -- integer options and hypotheses: typed errors, never a traceback ----------
+
+FIB_SET = ["pisot-set", "--minpoly", "1,-1,-1", "--query", "0,1"]
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (FIB_SET + ["--indices-mod", "2,0", "--m", "abc"], 2, None),
+    (FIB_SET + ["--indices", "0,x"], 2, None),
+    (FIB_SET + ["--indices-mod", "2,0", "--distinguished", "abc"], 2, None),
+    (["field", "--minpoly", "1,-1,-1", "--distinguished", "abc"], 2, None),
+    (FIB_SET + ["--indices", "-1"], 1, "OutOfRange"),
+    (FIB_SET + ["--indices-mod", "0"], 1, "OutOfRange"),
+    (FIB_SET + ["--indices-mod", "2,0", "--distinguished", "5"], 1,
+     "OutOfRange"),
+    (["field", "--minpoly", "1,-1,-1", "--distinguished", "5"], 1,
+     "OutOfRange"),
+    (FIB_SET + ["--indices-mod", "2,0", "--m", "1"], 1, "OutOfRange"),
+    (FIB_SET + ["--indices-mod", "2,0", "--m", "0"], 1, "OutOfRange"),
+    (FIB_SET + ["--indices-mod", "2,0", "--beta=-1,-1"], 1, "NotPisot"),
+    (["pisot-set", "--minpoly", "1,-2", "--indices-mod", "2,0",
+      "--query", "2"], 1, "RankNotOne"),
+    (["pisot-set", "--minpoly", "1,-1,-1,-1,1", "--indices-mod", "2,0",
+      "--query", "1,0,0,0"], 1, "RankNotOne"),
+    (["linrec", "--charpoly", "1,-1,-1", "--init", "0,1", "zeros",
+      "--bound", "200000"], 1, "OutOfRange"),
+    (["nonhereditary", "--l-max", "0"], 1, "OutOfRange"),
+], ids=["m-abc", "indices-0,x", "distinguished-abc", "field-distinguished-abc",
+        "indices--1", "indices-mod-0", "distinguished-5",
+        "field-distinguished-5", "m-1", "m-0", "beta-minus-phi",
+        "rank-0", "rank-2-salem", "zeros-bound-past-cap", "l-max-0"])
+def test_option_and_hypothesis_errors_are_typed(argv, code, error):
+    r = cli_process(*argv, "--json")
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stdout + r.stderr
+    if error is not None:
+        d = json.loads(r.stdout)
+        assert d["schema"] == 1 and d["error"] == error

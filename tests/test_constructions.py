@@ -9,7 +9,8 @@ from gpnf.constructions import (IndexSet, PisotSetSpec, choose_m, default_rho,
                                 pisot_unit_test, power_set_predicate,
                                 salem_test, trace_collision_search,
                                 unit_indicator)
-from gpnf.errors import DependentBasis, InvalidRho, RankNotOne
+from gpnf.errors import (DependentBasis, InvalidRho, NotPisot, OutOfRange,
+                         RankNotOne)
 from gpnf.numberfield import NumberField, certified_dist
 
 
@@ -31,6 +32,34 @@ def test_index_sets():
     assert [j for j in range(12) if sec3.contains(j)] == [0, 5, 10]
     bounded = IndexSet.from_bounded_predicate(lambda i: i * i < 30, 100)
     assert bounded.members == frozenset([0, 1, 2, 3, 4, 5])
+
+
+def test_dilated_section_of_a_far_start():
+    far = IndexSet.periodic(2, [0], start=10 ** 15)
+    sec = far.dilated_section(1, 3)     # j with 1 + 3j even and >= 10^15
+    assert sec.start == (10 ** 15 + 1) // 3
+    for j in range(sec.start - 40, sec.start + 40):
+        assert sec.contains(j) == far.contains(1 + 3 * j), j
+
+
+def test_dilated_section_matches_brute_force():
+    for start in range(0, 12):
+        for period, residues in ((1, [0]), (4, [1, 2]), (6, [0, 3, 5])):
+            I = IndexSet.periodic(period, residues, start=start)
+            for modulus in range(1, 6):
+                for residue in range(0, 9):
+                    sec = I.dilated_section(residue, modulus)
+                    assert [j for j in range(30) if sec.contains(j)] == [
+                        j for j in range(30)
+                        if I.contains(residue + j * modulus)], (
+                            start, period, residues, modulus, residue)
+
+
+def test_index_set_ranges():
+    with pytest.raises(OutOfRange):
+        IndexSet.finite([0, -1])
+    with pytest.raises(OutOfRange):
+        IndexSet.periodic(0, [0])
 
 
 # -- lattice and unit indicators ------------------------------------------------
@@ -239,6 +268,26 @@ def test_hereditary_silver(K_sqrt2):
     pred = hereditary_predicate(spec)
     for i in range(10):
         assert pred(beta ** i) == (1 if i % 3 == 0 else 0)
+
+
+def test_spec_checks_hypotheses_before_constants(K_phi, K_salem):
+    # before the least-power search or default_rho: x - 2 has unit rank 0
+    # (the search ran to its 10^6 cap), the Salem quartic rank 2
+    for beta in (NumberField([-2, 1]).beta, K_salem.beta):
+        with pytest.raises(RankNotOne):
+            PisotSetSpec.create(beta, IndexSet.evens())
+    phi = K_phi.beta
+    for beta in (-phi, phi - 1, 2 * phi):       # below 1, below 1, no unit
+        with pytest.raises(NotPisot):
+            PisotSetSpec.create(beta, IndexSet.evens())
+        with pytest.raises(ValueError):
+            PisotSetSpec.create(beta, IndexSet.evens(), rho=F(3, 2), m=7)
+
+
+@pytest.mark.parametrize("m", [-3, 0, 1])
+def test_spec_power_below_range(K_phi, m):
+    with pytest.raises(OutOfRange):
+        PisotSetSpec(K_phi, K_phi.beta, F(3, 2), m, IndexSet.evens())
 
 
 def test_threshold_is_two_thirds_dist(K_phi):

@@ -11,7 +11,7 @@ from gpnf.linrec import (LinRecSeq, _vsm_setup, pisot_step,
                          salem_recovery_family, sml_zeros, trace_representation,
                          transfer_map, transfer_to_powers, true_onset,
                          value_set_membership, verified_i0)
-from gpnf.numberfield import certified_floor, certified_nint
+from gpnf.numberfield import NumberField, certified_floor, certified_nint
 
 
 @pytest.fixture()
@@ -336,6 +336,23 @@ def test_membership_rank_check(K_sqrt2):
     seq = LinRecSeq([-2, 0, 1], [0, 1])
     with pytest.raises((RankNotOne, NotPisot)):
         value_set_membership(seq, 2)
+
+
+@pytest.mark.parametrize("charpoly,init", [([-1, -1, 1], [0, 1]),        # Fibonacci
+                                           ([-1, -1, 0, 1], [3, 0, 2])])  # Perrin
+def test_membership_setup_builds_one_field(monkeypatch, charpoly, init):
+    # the transfer map's integer-scaled copy of the source shares its field
+    built = []
+    field_init = NumberField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        field_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NumberField, "__init__", counting_init)
+    seq = LinRecSeq(charpoly, init)
+    assert value_set_membership(seq, seq.term(40))
+    assert len(built) == 1
 
 
 def test_membership_search_bound(fib):
