@@ -322,6 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     def root_index(text: str):
         return text if text == "largest-real" else int(text)
 
+    def index(text: str) -> int:
+        i = int(text)
+        if i < 0:
+            raise ValueError(text)
+        return i
+
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output (schema 1)")
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True, help='initial terms: "0,1"')
     acts = p.add_subparsers(dest="action", required=True)
     a = acts.add_parser("term")
-    a.add_argument("i", type=int)
+    a.add_argument("i", type=index)
     common(a)
     a = acts.add_parser("trace-rep")
     common(a)
@@ -382,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--to", required=True, help="target sequence JSON file")
     common(a)
     a = acts.add_parser("recover")
-    a.add_argument("--i", type=int, required=True)
+    a.add_argument("--i", type=index, required=True)
     common(a)
     a = acts.add_parser("member")
     a.add_argument("q")
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--charpoly", required=True)
     p.add_argument("--init", required=True)
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--i", type=int)
+    g.add_argument("--i", type=index)
     g.add_argument("--member")
     p.add_argument("--search-bound", type=int, default=10 ** 4)
     common(p)

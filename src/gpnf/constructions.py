@@ -267,16 +267,19 @@ class _IndexBracket:
     An integer |v| = n is looked up in a table of integer thresholds:
     k <= top iff ceil(wlo blo^k - B) <= n, and k < low iff
     floor(whi bhi^k + B) + 1 <= n; both lists increase in k, so two
-    bisections give the range.  The table is grown lazily, one entry per
+    bisections give the range.  An integer below the table's last upper
+    threshold is answered from the table alone, bound included: the bound
+    is reached exactly when top > bound.  Any other query runs the bound
+    test of `_reaches` first.  The table is grown lazily, one entry per
     step from the running powers wlo a^k and whi b^k (a = blo 2^P,
-    b = bhi 2^P), and only for a query whose index estimate lies within
+    b = bhi 2^P), and only for an integer whose index estimate lies within
     one doubling of the table's length or below NEAR: the table's entries
     grow by P bits each, so reaching a far one-off query would cost a
     quadratic number of word operations.  Far queries and non-integer
     rationals settle each end by `_last`, from a bit-length estimate and
     exact integer comparisons.  Each growth publishes a new
-    (ups, lows, X, Y) tuple in one assignment, so a bracket can be shared
-    between threads.
+    (ups, lows, X, Y) tuple in one assignment, and a call reads the tuple
+    once, so a bracket can be shared between threads.
     """
 
     P = 64
@@ -347,20 +350,26 @@ class _IndexBracket:
         return L * self._caps[k] <= R << (self.P * k)
 
     def __call__(self, v, bound: Optional[int] = None) -> range:
+        ups, lows, _X, _Y = self._table
         vd = v.denominator
+        if vd == 1:
+            u = abs(v.numerator)
+            if u < ups[-1]:
+                # ups[k] <= u iff L a^k <= R 2^(Pk): the bound test of
+                # `_reaches`, read off the table
+                hi = bisect_right(ups, u)
+                if bound is not None and bound + 1 < hi:
+                    raise SearchBoundExceeded(
+                        f"the query's index bracket reaches past {bound}")
+                return range(bisect_right(lows, u), hi)
         n, e = abs(v.numerator) * self._d, self._B * vd
         L, R = self._wlo * vd, n + e
         if bound is not None and self._reaches(L, R, bound + 1):
             raise SearchBoundExceeded(
                 f"the query's index bracket reaches past {bound}")
-        if vd == 1:
-            u = abs(v.numerator)
-            ups, lows = self._table[:2]
-            if (ups[-1] <= u and self._guess(L, R)
-                    < max(2 * len(ups), self.NEAR)):
-                ups, lows = self._grow(u)[:2]
-            if ups[-1] > u:
-                return range(bisect_right(lows, u), bisect_right(ups, u))
+        if vd == 1 and self._guess(L, R) < max(2 * len(ups), self.NEAR):
+            ups, lows = self._grow(u)[:2]
+            return range(bisect_right(lows, u), bisect_right(ups, u))
         top = self._last(L, R, self._a, 0)
         if top < 0:
             return range(0)

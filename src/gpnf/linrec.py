@@ -11,6 +11,7 @@ no floating point on any path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,8 +128,11 @@ def verified_i0(seq: LinRecSeq, j: int) -> int:
     sum |w_a| |a|^i (|a|^j + beta^j) < 1/2 is evaluated with the certified
     rational upper bounds of `_conjugate_bounds` on |a| (of beta) and
     |w_a| (of x), at a precision where every |a| bound is below 1; it may
-    overshoot the true minimal onset but never undershoots.
+    overshoot the true minimal onset but never undershoots.  The upper
+    bounds on |a| bound |a|^j only for j >= 0 (OutOfRange otherwise).
     """
+    if j < 0:
+        raise OutOfRange("j must be >= 0")
     f = seq.field
     _require_pisot_charpoly(f)
     if j == 0:
@@ -439,6 +443,9 @@ def _vsm_setup(seq: LinRecSeq) -> dict:
         if salem_test(beta):
             cache["kind"] = "salem"
             cache["x"] = trace_representation(seq)
+            # beta^k for the confirmations; lru_cache is thread-safe, and
+            # bounded because a search bound lets k reach 10^4 and more
+            cache["power"] = functools.lru_cache(maxsize=256)(beta.__pow__)
         else:
             _require_pisot_charpoly(f)
             if not (f.has_rank_one_units and beta.is_unit()):
@@ -459,26 +466,33 @@ def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool
 
     Every k with n_k = q lies in the index bracket of q: a bracket reaching
     past `search_bound` raises SearchBoundExceeded, an empty one answers
-    False.  Pisot route: pre-onset terms are looked up, else the transfer
-    map sends q to a candidate beta^k, the power-set predicate reads off k
-    and n_k = q is confirmed.  Salem route: each index of the bracket with
-    n_k = q is confirmed by the exact window solve.
+    False, and a negative `search_bound` raises OutOfRange.  An integer q
+    below the end of the bracket's lazily grown threshold table is
+    settled by two bisections, the bound test included; an int is never
+    turned into a Fraction.
+    Pisot route: pre-onset terms are looked up, else the transfer map
+    sends q to a candidate beta^k, the power-set predicate reads off k
+    and n_k = q is confirmed.  Salem route: each index k of the bracket
+    with n_k = q is confirmed by the exact window solve, which must return
+    beta^k; the powers come from a bounded cache kept with the sequence.
     """
+    if search_bound < 0:
+        raise OutOfRange("search_bound must be >= 0")
     q = q if isinstance(q, int) else Fraction(q)
-    cache = _vsm_setup(seq)
+    cache = seq._vsm or _vsm_setup(seq)
     if cache["zero"]:
         return q == 0
     ks = cache["bracket"](q, search_bound)
     if not ks:
         return False
     if cache["kind"] == "salem":
-        beta, x = seq.field.beta, cache["x"]
+        power, x = cache["power"], cache["x"]
         for k in ks:
             if seq.term(k) == q:
                 # confirm through the recovery route: the window solve must
                 # return exactly beta^k and the trace close the loop
                 y = salem_recover_exact(seq, k)
-                if y == beta ** k and (y * x).trace() == q:
+                if y == power(k) and (y * x).trace() == q:
                     return True
         return False
     if q in cache["pre"]:

@@ -321,6 +321,7 @@ def test_cli_member_query_past_the_digit_limit():
 # -- integer options and hypotheses: typed errors, never a traceback ----------
 
 FIB_SET = ["pisot-set", "--minpoly", "1,-1,-1", "--query", "0,1"]
+FIB_SEQ = ["linrec", "--charpoly", "1,-1,-1", "--init", "0,1"]
 
 
 @pytest.mark.parametrize("argv,code,error", [
@@ -344,10 +345,18 @@ FIB_SET = ["pisot-set", "--minpoly", "1,-1,-1", "--query", "0,1"]
     (["linrec", "--charpoly", "1,-1,-1", "--init", "0,1", "zeros",
       "--bound", "200000"], 1, "OutOfRange"),
     (["nonhereditary", "--l-max", "0"], 1, "OutOfRange"),
+    (FIB_SEQ + ["member", "55", "--search-bound", "-5"], 1, "OutOfRange"),
+    (FIB_SEQ + ["i0", "--j", "-1"], 1, "OutOfRange"),
+    (FIB_SEQ + ["term", "-1"], 2, None),
+    (FIB_SEQ + ["recover", "--i", "-1"], 2, None),
+    (["salem-recover", "--charpoly", "1,-1,-1,-1,1", "--init", "4,1,3,7",
+      "--i", "-1"], 2, None),
 ], ids=["m-abc", "indices-0,x", "distinguished-abc", "field-distinguished-abc",
         "indices--1", "indices-mod-0", "distinguished-5",
         "field-distinguished-5", "m-1", "m-0", "beta-minus-phi",
-        "rank-0", "rank-2-salem", "zeros-bound-past-cap", "l-max-0"])
+        "rank-0", "rank-2-salem", "zeros-bound-past-cap", "l-max-0",
+        "search-bound--5", "i0-j--1", "term--1", "recover-i--1",
+        "salem-recover-i--1"])
 def test_option_and_hypothesis_errors_are_typed(argv, code, error):
     r = cli_process(*argv, "--json")
     assert r.returncode == code, r.stderr

@@ -1,12 +1,12 @@
 """Differential tests of the index bracket's threshold table.
 
-`constructions._IndexBracket` answers an integer query by two bisections
-in lazily grown lists of integer thresholds, and keeps the bit-length
-estimate and exact power comparisons of `_last` for non-integer rationals
-and for queries far past the table's end.  The oracle is the bracket
-before the table, written out below: every query, in any order and under
-any bound, must give the same range (start and stop) and the same
-`SearchBoundExceeded` outcome.
+`constructions._IndexBracket` answers an integer query below the end of
+its lazily grown lists of integer thresholds by two bisections, the
+search bound included, and keeps the bit-length estimate and exact power
+comparisons of `_last` for non-integer rationals and for queries far past
+the table's end.  The oracle is the bracket before the table, written out
+below: every query, in any order and under any bound, must give the same
+range (start and stop) and the same `SearchBoundExceeded` outcome.
 """
 
 import functools
@@ -14,8 +14,9 @@ import math
 import random
 import sys
 import threading
+from bisect import bisect_right
 from fractions import Fraction as F
-from typing import Optional
+from typing import NamedTuple, Optional
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -133,6 +134,32 @@ def bound_edge(name: str, bound: int) -> int:
     return hi
 
 
+class TableEnd(NamedTuple):
+    """The query sign * (ups[-1] + offset), as an int or a Fraction, with
+    ups[-1] the table's last upper threshold when the query is made."""
+    offset: int
+    sign: int
+    fraction: bool
+
+
+class TopEdge(NamedTuple):
+    """The bound with bound + 1 = hi + delta, hi = bisect_right(ups, |q|)
+    in the table when the query is made (at least 0)."""
+    delta: int
+
+
+def resolve(bracket, q, bound):
+    """The query and bound that TableEnd and TopEdge stand for, read off
+    the bracket's table as it is now."""
+    ups = bracket._table[0]
+    if isinstance(q, TableEnd):
+        n = q.sign * (ups[-1] + q.offset)
+        q = F(n) if q.fraction else n
+    if isinstance(bound, TopEdge):
+        bound = max(0, bisect_right(ups, abs(q)) - 1 + bound.delta)
+    return q, bound
+
+
 def outcome(bracket, q, bound):
     try:
         r = bracket(q, bound)
@@ -145,10 +172,14 @@ def outcome(bracket, q, bound):
 
 @st.composite
 def queries(draw, name):
-    """A query near a threshold, near a bound's edge, random up to 10^120,
-    or a non-integer rational; as an int or a Fraction of denominator 1,
-    and of either sign."""
-    kind = draw(st.sampled_from(["threshold", "edge", "random", "rational"]))
+    """A query near a threshold, near a bound's edge, at the table's end,
+    random up to 10^120, or a non-integer rational; as an int or a
+    Fraction of denominator 1, and of either sign."""
+    kind = draw(st.sampled_from(["threshold", "edge", "end", "random",
+                                 "rational"]))
+    if kind == "end":
+        return TableEnd(draw(st.integers(-1, 1)), draw(st.sampled_from([1, -1])),
+                        draw(st.booleans()))
     if kind == "threshold":
         n = thresholds(name)[draw(st.integers(0, 239))] + draw(st.integers(-1, 1))
     elif kind == "edge":
@@ -173,9 +204,11 @@ def far_query(name: str, k: int) -> int:
 @st.composite
 def cases(draw):
     """A bracket and (query, bound) pairs in a random order, sometimes led
-    by a far query."""
+    by a far query; a TopEdge bound puts bound + 1 next to the top of the
+    query's range in the table."""
     name = draw(st.sampled_from(NAMES))
-    bounds = st.sampled_from([None, 0, 5, 9, 60, 10 ** 4])
+    bounds = st.sampled_from([None, 0, 5, 9, 60, 10 ** 4,
+                              TopEdge(-1), TopEdge(0), TopEdge(1)])
     pairs = draw(st.lists(st.tuples(queries(name), bounds),
                           min_size=1, max_size=25))
     if draw(st.booleans()):
@@ -189,13 +222,34 @@ def cases(draw):
                         (F(-832040), None), (F(1664079, 2), 60), (0, 0)]))
 @example(("plastic^41 powers", [(10 ** 30, None),
                                 (far_query("plastic^41 powers", 400), 60)]))
+@example(("perrin", [(TableEnd(-1, 1, False), TopEdge(0)),
+                     (TableEnd(0, -1, True), TopEdge(-1)),
+                     (TableEnd(1, 1, True), TopEdge(1))]))
 def test_bracket_matches_the_oracle(case):
     name, pairs = case
     bracket, oracle = (cls(*bracket_args(name))
                        for cls in (_IndexBracket, OracleBracket))
     for q, bound in pairs:
+        q, bound = resolve(bracket, q, bound)
         for b in (bound, None):
             assert outcome(bracket, q, b) == outcome(oracle, q, b), (name, q, b)
+
+
+def test_table_end_under_bounds_next_to_the_top():
+    """Queries at ups[-1] - 1, ups[-1] and ups[-1] + 1, as ints and
+    Fractions of both signs, under each bound with bound + 1 in
+    {hi - 1, hi, hi + 1}: the table answers the first, the bound test of
+    `_reaches` and growth the other two."""
+    for name in NAMES:
+        oracle = OracleBracket(*bracket_args(name))
+        for end in (TableEnd(o, s, f) for o in (-1, 0, 1) for s in (1, -1)
+                    for f in (False, True)):
+            for edge in (TopEdge(-1), TopEdge(0), TopEdge(1)):
+                bracket = _IndexBracket(*bracket_args(name))
+                bracket._grow(far_query(name, 30))
+                q, bound = resolve(bracket, end, edge)
+                assert (outcome(bracket, q, bound)
+                        == outcome(oracle, q, bound)), (name, q, bound)
 
 
 def test_bracket_shared_between_threads():

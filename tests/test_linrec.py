@@ -1,11 +1,13 @@
+import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
 from gpnf import polys
-from gpnf.errors import (DegreeMismatch, NotPisot, NotSquarefree, RankNotOne,
-                         SearchBoundExceeded, ZeroSourceSequence, ZeroTraceRep)
+from gpnf.errors import (DegreeMismatch, NotPisot, NotSquarefree, OutOfRange,
+                         RankNotOne, SearchBoundExceeded, ZeroSourceSequence,
+                         ZeroTraceRep)
 from gpnf.linrec import (LinRecSeq, _vsm_setup, pisot_step,
                          salem_recover_exact,
                          salem_recovery_family, sml_zeros, trace_representation,
@@ -113,6 +115,13 @@ def test_trace_rep_random_sequences(K_phi, K_plastic, rng):
 def test_verified_i0_examples(fib, lucas):
     assert verified_i0(fib, 1) == 2
     assert verified_i0(lucas, 1) == 4
+
+
+def test_verified_i0_negative_j_is_out_of_range(fib):
+    # the upper bounds on |a| bound |a|^j only for j >= 0
+    for j in (-1, -5):
+        with pytest.raises(OutOfRange):
+            verified_i0(fib, j)
 
 
 def test_pre_onset_counterexamples(fib, lucas, K_phi):
@@ -330,6 +339,13 @@ def test_membership_salem_examples(salem_seq):
     assert value_set_membership(salem_seq, 4) is True
 
 
+def test_membership_salem_powers_are_cached(salem_seq):
+    assert value_set_membership(salem_seq, 268687) is True      # n_23
+    assert value_set_membership(salem_seq, 268687) is True
+    info = _vsm_setup(salem_seq)["power"].cache_info()
+    assert info.maxsize is not None and info.hits >= 1
+
+
 def test_membership_rank_check(K_sqrt2):
     # x^2 - 2: sqrt2 is not a Pisot unit (norm -2), so the Pisot route must
     # refuse rather than answer
@@ -380,6 +396,35 @@ def test_membership_differential_near_terms(name):
     assert wrong == []
     for q in near[::37]:
         assert value_set_membership(seq, F(2 * q + 1, 2)) is False
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_SEQS))
+def test_membership_differential_integer_block(name):
+    """Every integer in [-10^3, 10^4] and seeded draws up to 10^7, as an
+    int and as a Fraction, against the term set."""
+    seq = LinRecSeq(*MEMBERSHIP_SEQS[name])
+    rng = random.Random(7)
+    queries = list(range(-10 ** 3, 10 ** 4 + 1))
+    queries += [rng.randint(-10 ** 7, 10 ** 7) for _ in range(2000)]
+    queries += [int(seq.term(k)) for k in range(120)
+                if abs(seq.term(k)) <= 10 ** 7]
+    # the terms from index 120 on exceed 10^7
+    assert min(seq.term(k) for k in range(120, 160)) > 10 ** 7
+    values = {int(seq.term(k)) for k in range(120)}
+    wrong = [q for q in queries
+             if {value_set_membership(seq, q), value_set_membership(seq, F(q))}
+             != {q in values}]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_SEQS) + ["zero"])
+def test_negative_search_bound_is_out_of_range(name):
+    seq = LinRecSeq(*MEMBERSHIP_SEQS.get(name, ([-1, -1, 1], [0, 0])))
+    for q in (0, 1, 55, -55, F(1, 2), 10 ** 5000):
+        for bound in (-1, -5):
+            with pytest.raises(OutOfRange):
+                value_set_membership(seq, q, search_bound=bound)
+    assert seq._vsm is None         # refused before any bracket work
 
 
 def _top_index(seq, q):
