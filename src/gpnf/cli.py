@@ -213,20 +213,9 @@ def _cmd_linrec(args) -> int:
 
 
 def _cmd_salem_recover(args) -> int:
-    seq = _load_seq(args)
-    payload: dict = {}
-    lines = []
-    if args.i is not None:
-        y = salem_recover_exact(seq, args.i)
-        payload["coords"] = ff.element_to_list(y)
-        lines.append(",".join(payload["coords"]))
-    else:
-        v = value_set_membership(seq, ff.parse_rational(args.member),
-                                 search_bound=args.search_bound)
-        payload["member"] = bool(v)
-        lines.append("1" if v else "0")
-    _out(payload, args, lines)
-    return 0
+    args.action = "recover" if args.i is not None else "member"
+    args.q = args.member
+    return _cmd_linrec(args)
 
 
 # -- complexity --------------------------------------------------------------

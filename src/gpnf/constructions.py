@@ -497,14 +497,10 @@ def pisot_tail_constant(beta: FieldElement, rho: Fraction,
     return C
 
 
-def choose_m(beta: FieldElement, rho: Fraction,
-             indices: Optional[IndexSet] = None) -> int:
+def choose_m(beta: FieldElement, rho: Fraction) -> int:
     """The least power m for which the membership test separates: the tail
-    bound 2 C rho^-m / (1 - rho^-m) must drop below dist(beta)/3.
-
-    The index set does not enter the bound (it is worst-cased); the
-    parameter is accepted for interface symmetry.
-    """
+    bound 2 C rho^-m / (1 - rho^-m) must drop below dist(beta)/3, whatever
+    the index set (it is worst-cased)."""
     rho = Fraction(rho)
     return _least_power(pisot_tail_constant(beta, rho), certified_dist(beta),
                         rho)

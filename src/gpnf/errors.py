@@ -101,7 +101,8 @@ class DegreeMismatch(GpnfError, ValueError):
 
 
 class SingularSystem(GpnfError):
-    """The trace linear system was singular (impossible for a squarefree
+    """The trace linear system was singular, or a transfer map or value-set
+    witness disagreed with the exact terms (impossible for a squarefree
     characteristic polynomial; internal alarm)."""
 
 

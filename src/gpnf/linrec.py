@@ -23,7 +23,7 @@ from . import polys
 from .constructions import (_IndexBracket, _conjugate_bounds, _is_pisot,
                             power_set_predicate, salem_test)
 from .errors import (DegreeMismatch, NotPisot, NotSquarefree, OutOfRange,
-                     RankNotOne, SingularSystem, VandermondeSingular,
+                     SingularSystem, VandermondeSingular,
                      ZeroSourceSequence, ZeroTraceRep)
 from .intervals import RatInterval
 from .linalg import gauss_jordan
@@ -161,9 +161,9 @@ def pisot_step(beta: FieldElement, j: int, n) -> Fraction:
     return Fraction(certified_nint(beta ** j * Fraction(n)))
 
 
-def true_onset(seq: LinRecSeq, j: int, window: int = 200) -> int:
-    """The least onset observed on a finite window (scan; the verified
-    bound from verified_i0 is sound, this reports the empirical minimum)."""
+def true_onset(seq: LinRecSeq, j: int) -> int:
+    """The least onset: every i >= verified_i0 steps correctly, and an
+    exact scan down from there finds the last index below it that fails."""
     i0 = verified_i0(seq, j)
     bj = seq.field.beta ** j
     first_bad = -1
@@ -432,49 +432,55 @@ def _archimedean_constants(seq: LinRecSeq) -> _IndexBracket:
 
 
 def _vsm_setup(seq: LinRecSeq) -> dict:
-    """One-time constants for value-set membership queries."""
+    """One-time constants for value-set membership queries: the Pisot or
+    Salem gate, the index bracket and the witness of a found index."""
     if seq._vsm is not None:
         return seq._vsm
     f = seq.field
     beta = f.beta
-    cache = {"zero": seq.is_zero_sequence()}
+    cache = {"zero": seq.is_zero_sequence(), "witness": lambda q, k: None}
     if not cache["zero"]:
-        cache["bracket"] = _archimedean_constants(seq)
         if salem_test(beta):
-            cache["kind"] = "salem"
-            cache["x"] = trace_representation(seq)
-            # beta^k for the confirmations; lru_cache is thread-safe, and
-            # bounded because a search bound lets k reach 10^4 and more
-            cache["power"] = functools.lru_cache(maxsize=256)(beta.__pow__)
+            x = trace_representation(seq)
+            # beta^k for the witness; lru_cache is thread-safe, and bounded
+            # because a search bound lets k reach 10^4 and more
+            power = cache["power"] = functools.lru_cache(256)(beta.__pow__)
+
+            def witness(q, k):
+                # the window solve must return exactly beta^k and the trace
+                # close the loop
+                y = salem_recover_exact(seq, k)
+                return y == power(k) and (y * x).trace() == q
+
+            cache["witness"] = witness
         else:
             _require_pisot_charpoly(f)
-            if not (f.has_rank_one_units and beta.is_unit()):
-                raise RankNotOne("value-set predicate needs a rank-one "
-                                 "Pisot unit or a Salem number")
-            cache["kind"] = "pisot"
-            tm = transfer_to_powers(seq)
-            cache["tm"] = tm
-            cache["pre"] = {seq.term(i): i
-                            for i in range(tm.onset + 2 * seq.order)}
-            cache["pred"] = power_set_predicate(beta)
+            if f.has_rank_one_units and beta.is_unit():
+                tm = transfer_to_powers(seq)
+                exponent_of = power_set_predicate(beta).exponent_of
+                # from the onset on, the transfer map sends n_k to beta^k
+                # and the power predicate reads off k
+                cache["witness"] = lambda q, k: (
+                    exponent_of(tm.apply(q)) == k if k >= tm.onset else None)
+        cache["bracket"] = _archimedean_constants(seq)
     seq._vsm = cache
     return cache
 
 
 def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool:
-    """Is q a value of the sequence?  Exact.
+    """Is q a value of the sequence?  Exact when the dominant root is a
+    Pisot or Salem number (NotPisot otherwise).
 
-    Every k with n_k = q lies in the index bracket of q: a bracket reaching
-    past `search_bound` raises SearchBoundExceeded, an empty one answers
-    False, and a negative `search_bound` raises OutOfRange.  An integer q
-    below the end of the bracket's lazily grown threshold table is
-    settled by two bisections, the bound test included; an int is never
-    turned into a Fraction.
-    Pisot route: pre-onset terms are looked up, else the transfer map
-    sends q to a candidate beta^k, the power-set predicate reads off k
-    and n_k = q is confirmed.  Salem route: each index k of the bracket
-    with n_k = q is confirmed by the exact window solve, which must return
-    beta^k; the powers come from a bounded cache kept with the sequence.
+    Every k with n_k = q lies in the index bracket of q, so q is a value
+    iff n_k = q for some k in it.  A bracket reaching past `search_bound`
+    raises SearchBoundExceeded, an empty one answers False, and a negative
+    `search_bound` raises OutOfRange.  An integer q below the end of the
+    bracket's lazily grown threshold table is settled by two bisections,
+    the bound test included; an int is never turned into a Fraction.
+    A found k is re-derived by the paper's route where its hypotheses
+    hold (Salem: the exact window solve returns beta^k; Pisot unit of a
+    rank-one field, from the transfer onset on: the transfer map and the
+    power predicate give k), and a disagreement raises SingularSystem.
     """
     if search_bound < 0:
         raise OutOfRange("search_bound must be >= 0")
@@ -485,21 +491,13 @@ def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool
     ks = cache["bracket"](q, search_bound)
     if not ks:
         return False
-    if cache["kind"] == "salem":
-        power, x = cache["power"], cache["x"]
-        for k in ks:
-            if seq.term(k) == q:
-                # confirm through the recovery route: the window solve must
-                # return exactly beta^k and the trace close the loop
-                y = salem_recover_exact(seq, k)
-                if y == power(k) and (y * x).trace() == q:
-                    return True
-        return False
-    if q in cache["pre"]:
-        return True
-    y = cache["tm"].apply(q)
-    k = cache["pred"].exponent_of(y)
-    return k is not None and seq.term(k) == q
+    for k in ks:
+        if seq.term(k) == q:
+            if cache["witness"](q, k) is False:
+                raise SingularSystem(
+                    f"the witness route disagrees with n_{k} = {q}")  # alarm
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from gpnf import polys
+from gpnf import linrec, polys
 from gpnf.errors import (DegreeMismatch, NotPisot, NotSquarefree, OutOfRange,
-                         RankNotOne, SearchBoundExceeded, ZeroSourceSequence,
-                         ZeroTraceRep)
-from gpnf.linrec import (LinRecSeq, _vsm_setup, pisot_step,
+                         SearchBoundExceeded, SingularSystem,
+                         ZeroSourceSequence, ZeroTraceRep)
+from gpnf.linrec import (LinRecSeq, TransferMap, _vsm_setup, pisot_step,
                          salem_recover_exact,
                          salem_recovery_family, sml_zeros, trace_representation,
                          transfer_map, transfer_to_powers, true_onset,
@@ -347,11 +347,28 @@ def test_membership_salem_powers_are_cached(salem_seq):
 
 
 def test_membership_rank_check(K_sqrt2):
-    # x^2 - 2: sqrt2 is not a Pisot unit (norm -2), so the Pisot route must
-    # refuse rather than answer
+    # x^2 - 2: the conjugate -sqrt2 of the dominant root sqrt2 has modulus
+    # above 1, so sqrt2 is neither Pisot nor Salem and the index bracket
+    # does not hold: membership must refuse rather than answer
     seq = LinRecSeq([-2, 0, 1], [0, 1])
-    with pytest.raises((RankNotOne, NotPisot)):
+    with pytest.raises(NotPisot):
         value_set_membership(seq, 2)
+
+
+def test_membership_witness_disagreement_is_an_alarm(monkeypatch, fib,
+                                                     salem_seq):
+    # a found index that the paper's route re-derives wrongly raises the
+    # alarm instead of answering False
+    q_fib, q_salem = fib.term(40), salem_seq.term(23)
+    assert value_set_membership(fib, q_fib) is True     # set-up unpatched
+    assert value_set_membership(salem_seq, q_salem) is True
+    monkeypatch.setattr(linrec, "salem_recover_exact",
+                        lambda seq, i, window=None: seq.field.beta ** (i + 1))
+    monkeypatch.setattr(TransferMap, "apply", lambda self, q: self.field.one)
+    with pytest.raises(SingularSystem):
+        value_set_membership(salem_seq, q_salem)
+    with pytest.raises(SingularSystem):
+        value_set_membership(fib, q_fib)
 
 
 @pytest.mark.parametrize("charpoly,init", [([-1, -1, 1], [0, 1]),        # Fibonacci
@@ -376,9 +393,16 @@ def test_membership_search_bound(fib):
         value_set_membership(fib, 10 ** 40, search_bound=20)
 
 
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+# k-nacci for k >= 4 has unit rank above 1 and 2 + sqrt2 (x^2 - 4x + 2) is
+# a Pisot number but no unit: no route of the paper applies to them
 MEMBERSHIP_SEQS = {"fibonacci": ([-1, -1, 1], [0, 1]),
                    "perrin": ([-1, -1, 0, 1], [3, 0, 2]),
-                   "salem": ([1, -1, -1, -1, 1], [4, 1, 3, 7])}
+                   "salem": ([1, -1, -1, -1, 1], [4, 1, 3, 7]),
+                   **{f"{k}-nacci": ([-1] * k + [1], [0] * (k - 1) + [1])
+                      for k in (4, 6, 8, 12)},
+                   "pisot-non-unit": ([2, -4, 1], [0, 1]),
+                   "lehmer": (LEHMER, polys.power_sums(LEHMER, 9))}
 
 
 @pytest.mark.parametrize("name", sorted(MEMBERSHIP_SEQS))
