@@ -395,7 +395,9 @@ def power_set_predicate(beta: FieldElement) -> SetPredicate:
     f = beta.field
     box = beta.embed(None, _IndexBracket.P)
     bracket = _IndexBracket(box.lo, box.hi, 1, 1, f.degree - 1)
-    power = functools.lru_cache(maxsize=None)(beta.__pow__)
+    # bounded: a predicate lives as long as its caller keeps it, and the
+    # exponents it is asked about need not repeat
+    power = functools.lru_cache(256)(beta.__pow__)
 
     def exponent_of(x) -> Optional[int]:
         x = f.element(x)

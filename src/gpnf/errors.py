@@ -19,6 +19,10 @@ class OutOfRange(GpnfError, ValueError):
     a bound past a desk-scale cap."""
 
 
+class NegativeIndex(OutOfRange, IndexError):
+    """A sequence index below 0; an IndexError too, as for a list."""
+
+
 # -- number fields ----------------------------------------------------------
 
 class NotSquarefree(GpnfError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,9 +23,9 @@ from typing import Optional, Sequence, Union
 from . import polys
 from .constructions import (_IndexBracket, _conjugate_bounds, _is_pisot,
                             power_set_predicate, salem_test)
-from .errors import (DegreeMismatch, NotPisot, NotSquarefree, OutOfRange,
-                     SingularSystem, VandermondeSingular,
-                     ZeroSourceSequence, ZeroTraceRep)
+from .errors import (DegreeMismatch, NegativeIndex, NotPisot, NotSquarefree,
+                     OutOfRange, SearchBoundExceeded, SingularSystem,
+                     VandermondeSingular, ZeroSourceSequence, ZeroTraceRep)
 from .intervals import RatInterval
 from .linalg import gauss_jordan
 from .numberfield import (FieldElement, NumberField, certified_floor,
@@ -38,9 +39,8 @@ class LinRecSeq:
     built lazily (deep operations assume the polynomial is the minimal
     polynomial of its dominant root).
 
-    The term cache grows monotonically and is not synchronized: share
-    instances across threads only after warming the cache, or give each
-    thread its own instance.
+    The term cache only grows, under a lock; a cached term is read
+    without it.
     """
 
     def __init__(self, charpoly: Sequence, initial: Sequence):
@@ -56,6 +56,7 @@ class LinRecSeq:
             raise DegreeMismatch(
                 f"need {self.order} initial terms, got {len(init)}")
         self._terms = init
+        self._terms_lock = threading.Lock()
         # n_{i+m} = sum rec[j] * n_{i+j}
         self._rec = [-c for c in self.charpoly[:-1]]
         self._field: Optional[NumberField] = None
@@ -72,11 +73,13 @@ class LinRecSeq:
 
     def term(self, i: int) -> Fraction:
         if i < 0:
-            raise IndexError("sequence indices start at 0")
-        t, rec, m = self._terms, self._rec, self.order
-        while len(t) <= i:
-            nxt = sum(rec[j] * t[len(t) - m + j] for j in range(m))
-            t.append(nxt)
+            raise NegativeIndex("sequence indices start at 0")
+        t = self._terms
+        if len(t) <= i:
+            rec, m = self._rec, self.order
+            with self._terms_lock:
+                while len(t) <= i:
+                    t.append(sum(rec[j] * t[len(t) - m + j] for j in range(m)))
         return t[i]
 
     def terms(self, upto: int) -> list:
@@ -433,7 +436,8 @@ def _archimedean_constants(seq: LinRecSeq) -> _IndexBracket:
 
 def _vsm_setup(seq: LinRecSeq) -> dict:
     """One-time constants for value-set membership queries: the Pisot or
-    Salem gate, the index bracket and the witness of a found index."""
+    Salem gate, the index bracket, its value index and the witness of a
+    found index."""
     if seq._vsm is not None:
         return seq._vsm
     f = seq.field
@@ -463,8 +467,34 @@ def _vsm_setup(seq: LinRecSeq) -> dict:
                 cache["witness"] = lambda q, k: (
                     exponent_of(tm.apply(q)) == k if k >= tm.onset else None)
         cache["bracket"] = _archimedean_constants(seq)
+        cache["lock"] = threading.Lock()
+        cache["index"] = ({}, ())
+        _extend_index(seq, cache)
     seq._vsm = cache
     return cache
+
+
+def _extend_index(seq: LinRecSeq, cache: dict) -> None:
+    """Extend the value index (values, ups) to the bracket's threshold
+    table by its new entries, under cache["lock"] or in the set-up: ups
+    are the table's upper thresholds of k < K = len(ups), and values maps
+    each n_k, k < K, to its least k (an int key for an integer term).
+    Every k with n_k = q has ups[k] <= |q|, so for |q| < ups[-1] it is
+    below K."""
+    values, ups = cache["index"]
+    grown = cache["bracket"]._table[0]
+    for k in range(len(ups), len(grown)):
+        t = seq.term(k)
+        values.setdefault(t.numerator if t.denominator == 1 else t, k)
+    cache["index"] = (values, grown)
+
+
+def _witnessed(cache: dict, q, k: int) -> bool:
+    """True for n_k = q, unless the witness route disagrees (an alarm)."""
+    if cache["witness"](q, k) is False:
+        raise SingularSystem(
+            f"the witness route disagrees with n_{k} = {q}")  # alarm
+    return True
 
 
 def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool:
@@ -473,30 +503,45 @@ def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool
 
     Every k with n_k = q lies in the index bracket of q, so q is a value
     iff n_k = q for some k in it.  A bracket reaching past `search_bound`
-    raises SearchBoundExceeded, an empty one answers False, and a negative
-    `search_bound` raises OutOfRange.  An integer q below the end of the
-    bracket's lazily grown threshold table is settled by two bisections,
-    the bound test included; an int is never turned into a Fraction.
-    A found k is re-derived by the paper's route where its hypotheses
-    hold (Salem: the exact window solve returns beta^k; Pisot unit of a
-    rank-one field, from the transfer onset on: the transfer map and the
-    power predicate give k), and a disagreement raises SingularSystem.
+    raises SearchBoundExceeded, and a negative `search_bound` raises
+    OutOfRange.  An integer q below the end of the bracket's threshold
+    table is settled by one table entry (the bound) and one lookup in the
+    value index (see `_extend_index`); any other q compares exact terms
+    over the bracket's range, and an integer past the table's end grows
+    the table and the index under the index's lock.  A found k is
+    re-derived by the paper's route where its hypotheses hold (Salem: the
+    exact window solve returns beta^k; Pisot unit of a rank-one field,
+    from the transfer onset on: the transfer map and the power predicate
+    give k), and a disagreement raises SingularSystem.
     """
     if search_bound < 0:
         raise OutOfRange("search_bound must be >= 0")
-    q = q if isinstance(q, int) else Fraction(q)
+    if not isinstance(q, int):
+        q = Fraction(q)
+        if q.denominator == 1:
+            q = q.numerator
     cache = seq._vsm or _vsm_setup(seq)
     if cache["zero"]:
         return q == 0
-    ks = cache["bracket"](q, search_bound)
-    if not ks:
-        return False
+    if isinstance(q, int):
+        values, ups = cache["index"]
+        u = abs(q)
+        if u < ups[-1]:
+            # the bracket's own bound test, bound + 1 < bisect_right(ups,
+            # |q|), read at one entry: ups increases
+            if search_bound + 1 < len(ups) and ups[search_bound + 1] <= u:
+                raise SearchBoundExceeded(
+                    f"the query's index bracket reaches past {search_bound}")
+            k = values.get(q)
+            return k is not None and _witnessed(cache, q, k)
+        with cache["lock"]:
+            ks = cache["bracket"](q, search_bound)
+            _extend_index(seq, cache)
+    else:
+        ks = cache["bracket"](q, search_bound)
     for k in ks:
         if seq.term(k) == q:
-            if cache["witness"](q, k) is False:
-                raise SingularSystem(
-                    f"the witness route disagrees with n_{k} = {q}")  # alarm
-            return True
+            return _witnessed(cache, q, k)
     return False
 
 

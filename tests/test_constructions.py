@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -185,6 +186,33 @@ def test_exponent_of_near_powers_all_small_k():
                 x = pows[k] + d
                 for y in (x, -x, 2 * x, x / 2):
                     assert pred.exponent_of(y) == index.get(y), (name, k, d)
+
+
+def test_power_cache_is_bounded(monkeypatch, K_phi):
+    # beta's powers are cached in 256 entries; a predicate asked about
+    # 601 exponents evicts the oldest and stays exact
+    made = []
+    real = functools.lru_cache
+
+    def recording(*args, **kwargs):
+        def wrap(fn):
+            made.append(real(*args, **kwargs)(fn))
+            return made[-1]
+        return wrap
+
+    phi = K_phi.beta
+    monkeypatch.setattr(functools, "lru_cache", recording)
+    pred = power_set_predicate(phi)
+    monkeypatch.undo()
+    (power,) = [c for c in made if c.__wrapped__ == phi.__pow__]
+    x = K_phi.one
+    for k in range(601):
+        assert pred.exponent_of(x) == k
+        x = x * phi
+    info = power.cache_info()
+    assert info.maxsize == 256 and info.currsize == 256
+    assert pred.exponent_of(K_phi.one) == 0        # beta^0 was evicted
+    assert power.cache_info().misses == info.misses + 1
 
 
 def test_power_set_rank_check(K_salem):

@@ -1,12 +1,14 @@
 import random
+import sys
+import threading
 import time
 from fractions import Fraction as F
 
 import pytest
 
 from gpnf import linrec, polys
-from gpnf.errors import (DegreeMismatch, NotPisot, NotSquarefree, OutOfRange,
-                         SearchBoundExceeded, SingularSystem,
+from gpnf.errors import (DegreeMismatch, GpnfError, NotPisot, NotSquarefree,
+                         OutOfRange, SearchBoundExceeded, SingularSystem,
                          ZeroSourceSequence, ZeroTraceRep)
 from gpnf.linrec import (LinRecSeq, TransferMap, _vsm_setup, pisot_step,
                          salem_recover_exact,
@@ -37,6 +39,14 @@ def test_term_examples(fib, lucas, salem_seq):
     assert fib.term(10) == 55
     assert lucas.term(5) == 11
     assert salem_seq.term(5) == 16
+
+
+def test_negative_index_is_typed(fib):
+    # a domain error, and still the IndexError that list-like callers catch
+    with pytest.raises(GpnfError):
+        fib.term(-1)
+    with pytest.raises(IndexError):
+        fib.term(-1)
 
 
 def test_salem_terms_are_power_sums(salem_seq, K_salem):
@@ -439,6 +449,131 @@ def test_membership_differential_integer_block(name):
              if {value_set_membership(seq, q), value_set_membership(seq, F(q))}
              != {q in values}]
     assert wrong == []
+
+
+def _bracket_path(seq, bracket, q, bound):
+    """"bound", or (answer, the least k with n_k = q or None), from the
+    bracket's range and exact terms."""
+    try:
+        ks = bracket(q, bound)
+    except SearchBoundExceeded:
+        return "bound"
+    return next(((True, k) for k in ks if seq.term(k) == q), (False, None))
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_SEQS))
+def test_value_index_matches_the_bracket_path(name):
+    """Every integer in [-10^3, 10^4] and every search bound in 0..60: the
+    answer, the SearchBoundExceeded outcome and the k handed to the
+    witness are those of the bracket's range plus exact terms."""
+    seq = LinRecSeq(*MEMBERSHIP_SEQS[name])
+    value_set_membership(seq, 10 ** 4 + 1)
+    cache = _vsm_setup(seq)
+    assert cache["index"][1][-1] > 10 ** 4        # the block is indexed
+    seen = []
+    cache["witness"] = lambda q, k: seen.append(k)
+    bracket, calls = cache["bracket"], []
+    cache["bracket"] = lambda *args: calls.append(args)
+    wrong = []
+    for q in range(-10 ** 3, 10 ** 4 + 1):
+        # the bracket raises iff bound < top, the top of its range:
+        # checked at the top, and monotone in the bound
+        top = bracket(q).stop - 1
+        want = _bracket_path(seq, bracket, q, None)
+        if top >= 1 and _bracket_path(seq, bracket, q, top - 1) != "bound":
+            wrong.append((q, top - 1))
+        if _bracket_path(seq, bracket, q, max(top, 0)) != want:
+            wrong.append((q, top))
+        for bound in range(61):
+            seen.clear()
+            try:
+                got = value_set_membership(seq, q, bound), seen[:]
+            except SearchBoundExceeded:
+                got = "bound", seen[:]
+            if got != (("bound", []) if bound < top else
+                       (want[0], [want[1]] if want[0] else [])):
+                wrong.append((q, bound))
+    assert wrong == [] and calls == []
+
+
+def test_value_index_keeps_the_least_index():
+    # Perrin repeats values: n_0 = n_3 = 3, n_2 = n_4 = 2, n_5 = n_6 = 5
+    seq = LinRecSeq(*MEMBERSHIP_SEQS["perrin"])
+    assert [seq.term(k) for k in range(7)] == [3, 0, 2, 3, 2, 5, 5]
+    value_set_membership(seq, 100)
+    seen = []
+    _vsm_setup(seq)["witness"] = lambda q, k: seen.append(k)
+    for q in (3, 2, 5, 0):
+        assert value_set_membership(seq, q) is True
+        assert value_set_membership(seq, F(q)) is True
+    assert seen == [0, 0, 2, 2, 5, 5, 1, 1]
+    values = _vsm_setup(seq)["index"][0]
+    assert all(type(v) is int for v in values)
+    assert value_set_membership(seq, 4) is False
+
+
+def test_value_index_is_extended_not_rebuilt():
+    # ascending Fibonacci members grow the threshold table one entry at a
+    # time; each growth adds only the new entries to the same dict
+    seq = LinRecSeq(*MEMBERSHIP_SEQS["fibonacci"])
+    cache = _vsm_setup(seq)
+    added = []
+
+    class Counting(dict):
+        def setdefault(self, key, k):
+            added.append(k)
+            return dict.setdefault(self, key, k)
+
+    values, ups = cache["index"]
+    values, first = Counting(values), len(ups)
+    cache["index"] = (values, ups)
+    growth = []
+    for k in range(2001):
+        size = len(ups)
+        assert value_set_membership(seq, int(seq.term(k))) is True
+        index, ups = cache["index"]
+        assert index is values
+        growth.append(len(ups) - size)
+    assert set(growth[3:]) == {1}           # from F_3 = 2 on
+    assert added == list(range(first, len(ups))) and len(ups) > 2000
+
+
+def test_membership_shared_across_threads():
+    """Four threads classify interleaved blocks on one warm sequence while
+    ascending members force table growth and half-integers grow the term
+    cache; each answer is the serial one."""
+    name = "perrin"
+    seq = LinRecSeq(*MEMBERSHIP_SEQS[name])
+    value_set_membership(seq, 10)
+    ref = LinRecSeq(*MEMBERSHIP_SEQS[name])
+    queries = list(range(-200, 2000))
+    queries += [int(ref.term(k)) + d for k in range(10, 400) for d in (-1, 0, 1)]
+    # half-integers take the bracket path, and their exact terms grow the
+    # shared term cache past the table
+    queries += [F(2 * int(ref.term(k)) + 1, 2) for k in range(400, 800)]
+    serial = [value_set_membership(ref, q) for q in queries]
+    got, errors = [None] * len(queries), []
+
+    def work(i):
+        try:
+            for j in range(i, len(queries), 4):
+                got[j] = value_set_membership(seq, queries[j])
+        except Exception as e:          # reported by the main thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and got == serial
+    assert seq.terms(800) == ref.terms(800)
 
 
 @pytest.mark.parametrize("name", sorted(MEMBERSHIP_SEQS) + ["zero"])
