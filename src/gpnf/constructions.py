@@ -6,17 +6,18 @@ field, and the hereditary predicate deciding membership in {beta^i : i in I}
 for an arbitrary index set I with a decidability certificate.
 
 Membership in the cyclic group generated by beta is decided by an exact
-index bracket: the integer trace of x confines its exponent to the k with
-|Tr(x) - beta^k| <= m - 1, found by exact integer comparisons, and an exact
-power comparison confirms; the congruence-subgroup route this replaces is
-nonconstructive but extensionally identical on the field.
+index bracket: the k with Tr(beta^k) = Tr(x), read from one value index of
+the traces (every such k has |Tr(x) - beta^k| <= m - 1), and an exact power
+comparison confirms; the congruence-subgroup route this replaces is
+nonconstructive but extensionally identical on the field.  The same
+bracket, over the terms n_k, decides value-set membership in `linrec`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
+import threading
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -255,37 +256,40 @@ def salem_test(x: FieldElement) -> bool:
 # ---------------------------------------------------------------------------
 
 class _IndexBracket:
-    """Candidate indices k >= 0 of |v - w beta^k| <= B for rational v.
+    """The indices k >= 0 with v_k = v, for exact values v_k with
+    |v_k - w beta^k| <= B and rational queries v.
 
-    Built from rationals 1 < blo <= beta <= bhi, 0 < wlo <= |w| <= whi and
-    B >= 0.  A call returns the range of k >= 0 with
-    wlo blo^k - B <= |v| <= whi bhi^k + B, which holds every such k, with
-    blo and bhi rounded outward to multiples of 2^-P.  Given a bound, the
-    call raises SearchBoundExceeded instead, exactly when
-    wlo blo^(bound+1) <= |v| + B: when the range reaches past it.
+    Built from rationals 1 < blo <= beta <= bhi, 0 < wlo <= |w| <= whi,
+    B >= 0 and `value(k)`, the exact v_k, which must be safe to call from
+    several threads.  `span(v, bound)` is the range of k >= 0 with
+    wlo blo^k - B <= |v| <= whi bhi^k + B, which holds every k with
+    v_k = v, with blo and bhi rounded outward to multiples of 2^-P; given
+    a bound, it raises SearchBoundExceeded instead, exactly when
+    wlo blo^(bound+1) <= |v| + B: when the range reaches past it.  A call
+    returns the k of that range with v_k = v, ascending, under the same
+    bound test.
 
-    An integer |v| = n is looked up in a table of integer thresholds:
-    k <= top iff ceil(wlo blo^k - B) <= n, and k < low iff
-    floor(whi bhi^k + B) + 1 <= n; both lists increase in k, so two
-    bisections give the range.  An integer below the table's last upper
-    threshold is answered from the table alone, bound included: the bound
-    is reached exactly when top > bound.  Any other query runs the bound
-    test of `_reaches` first.  The table is grown lazily, one entry per
-    step from the running powers wlo a^k and whi b^k (a = blo 2^P,
-    b = bhi 2^P), and only for an integer whose index estimate lies within
-    one doubling of the table's length or below NEAR: the table's entries
-    grow by P bits each, so reaching a far one-off query would cost a
-    quadratic number of word operations.  Far queries and non-integer
-    rationals settle each end by `_last`, from a bit-length estimate and
-    exact integer comparisons.  Each growth publishes a new
-    (ups, lows, X, Y) tuple in one assignment, and a call reads the tuple
-    once, so a bracket can be shared between threads.
+    The index (values, ups) covers k < K = len(ups): ups[k] is the least
+    integer n with wlo blo^k - B <= n, and values maps each v_k to the
+    ascending tuple of its indices (an int key for an integer v_k).  ups
+    never decreases, and every k with v_k = v has ups[k] <= |v|, so an integer
+    |v| < ups[-1] is answered by the bound test ups[bound + 1] <= |v| and
+    one lookup.  The index grows in place, one entry per step from the
+    running power wlo a^K (a = blo 2^P), and only for an integer whose
+    index estimate lies within one doubling of K or below NEAR: ups[k]
+    has about P k bits, so reaching a far one-off query would cost a
+    quadratic number of word operations.  Any other query filters `span`,
+    whose ends `_last` settles from a bit-length estimate and exact
+    integer comparisons.  Growth runs under the bracket's lock and writes
+    the entry of v_k before it appends ups[k]: a reader that takes `index`
+    once and trusts it only for |v| below the ups[-1] it sees needs no
+    lock.
     """
 
     P = 64
     NEAR = 64
 
-    def __init__(self, blo, bhi, wlo, whi, B):
+    def __init__(self, blo, bhi, wlo, whi, B, value: Callable):
         P = self.P
         self._a = (blo.numerator << P) // blo.denominator
         self._b = -((-bhi.numerator << P) // bhi.denominator)
@@ -298,27 +302,25 @@ class _IndexBracket:
         # 256 log2(blo), rounded down, from one bit length
         self._lg = (self._a ** 256).bit_length() - 1 - 256 * P
         self._caps: dict = {}   # a^(bound+1) for each bound asked about
-        # (ups, lows, X, Y): the thresholds of k < K = len(ups), and
-        # X = wlo d a^K, Y = whi d b^K for the next entry
-        self._table = ([], [], self._wlo, self._whi)
+        self._value = value
+        self._lock = threading.Lock()
+        self._X = self._wlo     # wlo d a^K, for the next upper threshold
+        self.index = ({}, [])
         self._grow(0)
 
-    def _grow(self, u: int) -> tuple:
-        """The table extended until its last upper threshold exceeds u;
-        each lower threshold is at least the upper one of its k, so the
-        lower list passes u too."""
-        ups, lows, X, Y = self._table
-        ups, lows = list(ups), list(lows)
-        a, b, P, d, B = self._a, self._b, self.P, self._d, self._B
-        while not ups or ups[-1] <= u:
-            s = P * len(ups)
-            # least n with n d + B >= X / 2^s: ceil((ceil(X / 2^s) - B) / d)
-            ups.append(-((B + (-X >> s)) // d))
-            # least n with n d - B > Y / 2^s
-            lows.append((B + (Y >> s)) // d + 1)
-            X, Y = X * a, Y * b
-        self._table = table = (ups, lows, X, Y)
-        return table
+    def _grow(self, u: int) -> None:
+        """Extend the index until its last upper threshold exceeds u."""
+        values, ups = self.index
+        a, P, d, B = self._a, self.P, self._d, self._B
+        with self._lock:
+            while not ups or ups[-1] <= u:
+                k = len(ups)
+                t = self._value(k)
+                t = t.numerator if t.denominator == 1 else t
+                values[t] = values.get(t, ()) + (k,)
+                # the least n with n d + B >= X / 2^(Pk)
+                ups.append(-((B + (-self._X >> (P * k))) // d))
+                self._X *= a
 
     def _guess(self, L: int, R: int) -> int:
         """An estimate of the largest k with L a^k <= R 2^(Pk), from bit
@@ -349,31 +351,35 @@ class _IndexBracket:
             self._caps[k] = self._a ** k
         return L * self._caps[k] <= R << (self.P * k)
 
-    def __call__(self, v, bound: Optional[int] = None) -> range:
-        ups, lows, _X, _Y = self._table
+    def span(self, v, bound: Optional[int] = None) -> range:
+        """The range of k that holds every k with v_k = v."""
         vd = v.denominator
-        if vd == 1:
-            u = abs(v.numerator)
-            if u < ups[-1]:
-                # ups[k] <= u iff L a^k <= R 2^(Pk): the bound test of
-                # `_reaches`, read off the table
-                hi = bisect_right(ups, u)
-                if bound is not None and bound + 1 < hi:
-                    raise SearchBoundExceeded(
-                        f"the query's index bracket reaches past {bound}")
-                return range(bisect_right(lows, u), hi)
         n, e = abs(v.numerator) * self._d, self._B * vd
         L, R = self._wlo * vd, n + e
         if bound is not None and self._reaches(L, R, bound + 1):
             raise SearchBoundExceeded(
                 f"the query's index bracket reaches past {bound}")
-        if vd == 1 and self._guess(L, R) < max(2 * len(ups), self.NEAR):
-            ups, lows = self._grow(u)[:2]
-            return range(bisect_right(lows, u), bisect_right(ups, u))
         top = self._last(L, R, self._a, 0)
         if top < 0:
             return range(0)
         return range(self._last(self._whi * vd, n - e, self._b, 1) + 1, top + 1)
+
+    def __call__(self, v, bound: Optional[int] = None) -> tuple:
+        values, ups = self.index
+        if v.denominator == 1:
+            u = abs(v.numerator)
+            if u >= ups[-1] and (self._guess(self._wlo, u * self._d + self._B)
+                                 < max(2 * len(ups), self.NEAR)):
+                self._grow(u)
+            if u < ups[-1]:
+                # ups[k] <= u iff L a^k <= R 2^(Pk): the bound test of
+                # `_reaches`, read off the index
+                if bound is not None and bound + 1 < len(ups) \
+                        and ups[bound + 1] <= u:
+                    raise SearchBoundExceeded(
+                        f"the query's index bracket reaches past {bound}")
+                return values.get(v.numerator, ())
+        return tuple(k for k in self.span(v, bound) if self._value(k) == v)
 
 
 def _require_pisot_unit(beta: FieldElement) -> None:
@@ -389,15 +395,17 @@ def _require_pisot_unit(beta: FieldElement) -> None:
 def power_set_predicate(beta: FieldElement) -> SetPredicate:
     """Indicator of {beta^i : i >= 0} for a Pisot unit beta in a rank-one
     field.  The other conjugates of beta lie in the open unit disc, so
-    |Tr(beta^k) - beta^k| <= m - 1: the index bracket of the integer Tr(x)
-    nominates the exponents, and an exact power comparison decides."""
+    |Tr(beta^k) - beta^k| <= m - 1: the index bracket of the traces
+    Tr(beta^k) gives the k with Tr(beta^k) = Tr(x), and an exact power
+    comparison decides."""
     _require_pisot_unit(beta)
     f = beta.field
-    box = beta.embed(None, _IndexBracket.P)
-    bracket = _IndexBracket(box.lo, box.hi, 1, 1, f.degree - 1)
     # bounded: a predicate lives as long as its caller keeps it, and the
     # exponents it is asked about need not repeat
     power = functools.lru_cache(256)(beta.__pow__)
+    box = beta.embed(None, _IndexBracket.P)
+    bracket = _IndexBracket(box.lo, box.hi, 1, 1, f.degree - 1,
+                            lambda k: int(power(k).trace()))
 
     def exponent_of(x) -> Optional[int]:
         x = f.element(x)

@@ -4,9 +4,9 @@ Exact term generation, the trace representation n_i = Tr(beta^i x),
 certified nearest-integer stepping with a sound onset index, transfer maps
 between sequences sharing a recurrence, exact Salem power recovery with
 the floor-correction family, value-set membership, and a desk-scale zero
-scanner.  Membership confines the index of a value q to the exact index
-bracket of |q - w beta^k| <= B and confirms candidates exactly; there is
-no floating point on any path.
+scanner.  Membership asks the exact index bracket of |q - w beta^k| <= B,
+kept over the terms, for the k with n_k = q; there is no floating point
+on any path.
 """
 
 from __future__ import annotations
@@ -351,9 +351,6 @@ class SalemRecoveryFamily:
         scale = (dp * x).inverse()
         self._gamma = [qj * scale for qj in q]
 
-    def _gamma_at(self, bits: int) -> list:
-        return [g.embed(None, bits) for g in self._gamma]
-
     def candidates(self):
         """Iterate the correction tuples (c_j) with |c_j| <= C_j; the count
         is the product of (2 C_j + 1) and is not materialized."""
@@ -424,20 +421,20 @@ def salem_recovery_family(seq: LinRecSeq,
 # ---------------------------------------------------------------------------
 
 def _archimedean_constants(seq: LinRecSeq) -> _IndexBracket:
-    """The index bracket of the sequence: n_k = w beta^k + sum_a w_a a^k
-    with every other root |a| <= 1 (Pisot and Salem), so every k with
-    n_k = q has |q - w beta^k| <= B = sum |w_a|."""
+    """The index bracket of the sequence's terms: n_k = w beta^k +
+    sum_a w_a a^k with every other root |a| <= 1 (Pisot and Salem), so
+    every k with n_k = q has |q - w beta^k| <= B = sum |w_a|."""
     x = trace_representation(seq)
     B = sum(_conjugate_bounds(x, 48).values())
     wbox = next(b for b in x.enclosures(None, 48) if not b.contains(0))
     bbox = seq.field.beta.embed(None, _IndexBracket.P)
-    return _IndexBracket(bbox.lo, bbox.hi, wbox.mig, wbox.mag, B)
+    return _IndexBracket(bbox.lo, bbox.hi, wbox.mig, wbox.mag, B, seq.term)
 
 
 def _vsm_setup(seq: LinRecSeq) -> dict:
     """One-time constants for value-set membership queries: the Pisot or
-    Salem gate, the index bracket, its value index and the witness of a
-    found index."""
+    Salem gate, the index bracket of the terms, its index and the witness
+    of a found index."""
     if seq._vsm is not None:
         return seq._vsm
     f = seq.field
@@ -466,35 +463,10 @@ def _vsm_setup(seq: LinRecSeq) -> dict:
                 # and the power predicate reads off k
                 cache["witness"] = lambda q, k: (
                     exponent_of(tm.apply(q)) == k if k >= tm.onset else None)
-        cache["bracket"] = _archimedean_constants(seq)
-        cache["lock"] = threading.Lock()
-        cache["index"] = ({}, ())
-        _extend_index(seq, cache)
+        cache["bracket"] = bracket = _archimedean_constants(seq)
+        cache["index"] = bracket.index      # one object, grown in place
     seq._vsm = cache
     return cache
-
-
-def _extend_index(seq: LinRecSeq, cache: dict) -> None:
-    """Extend the value index (values, ups) to the bracket's threshold
-    table by its new entries, under cache["lock"] or in the set-up: ups
-    are the table's upper thresholds of k < K = len(ups), and values maps
-    each n_k, k < K, to its least k (an int key for an integer term).
-    Every k with n_k = q has ups[k] <= |q|, so for |q| < ups[-1] it is
-    below K."""
-    values, ups = cache["index"]
-    grown = cache["bracket"]._table[0]
-    for k in range(len(ups), len(grown)):
-        t = seq.term(k)
-        values.setdefault(t.numerator if t.denominator == 1 else t, k)
-    cache["index"] = (values, grown)
-
-
-def _witnessed(cache: dict, q, k: int) -> bool:
-    """True for n_k = q, unless the witness route disagrees (an alarm)."""
-    if cache["witness"](q, k) is False:
-        raise SingularSystem(
-            f"the witness route disagrees with n_{k} = {q}")  # alarm
-    return True
 
 
 def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool:
@@ -502,17 +474,16 @@ def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool
     Pisot or Salem number (NotPisot otherwise).
 
     Every k with n_k = q lies in the index bracket of q, so q is a value
-    iff n_k = q for some k in it.  A bracket reaching past `search_bound`
-    raises SearchBoundExceeded, and a negative `search_bound` raises
-    OutOfRange.  An integer q below the end of the bracket's threshold
-    table is settled by one table entry (the bound) and one lookup in the
-    value index (see `_extend_index`); any other q compares exact terms
-    over the bracket's range, and an integer past the table's end grows
-    the table and the index under the index's lock.  A found k is
-    re-derived by the paper's route where its hypotheses hold (Salem: the
-    exact window solve returns beta^k; Pisot unit of a rank-one field,
-    from the transfer onset on: the transfer map and the power predicate
-    give k), and a disagreement raises SingularSystem.
+    iff the bracket over the terms finds some k with n_k = q.  A bracket
+    reaching past `search_bound` raises SearchBoundExceeded, and a
+    negative `search_bound` raises OutOfRange.  An integer q below the
+    end of the bracket's index is settled here, by the bracket's own test:
+    one upper threshold (the bound) and one lookup; any other q is one
+    bracket call.  The least k found is re-derived by the paper's route
+    where its hypotheses hold (Salem: the exact window solve returns
+    beta^k; Pisot unit of a rank-one field, from the transfer onset on:
+    the transfer map and the power predicate give k), and a disagreement
+    raises SingularSystem.
     """
     if search_bound < 0:
         raise OutOfRange("search_bound must be >= 0")
@@ -523,26 +494,23 @@ def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool
     cache = seq._vsm or _vsm_setup(seq)
     if cache["zero"]:
         return q == 0
-    if isinstance(q, int):
-        values, ups = cache["index"]
-        u = abs(q)
-        if u < ups[-1]:
-            # the bracket's own bound test, bound + 1 < bisect_right(ups,
-            # |q|), read at one entry: ups increases
-            if search_bound + 1 < len(ups) and ups[search_bound + 1] <= u:
-                raise SearchBoundExceeded(
-                    f"the query's index bracket reaches past {search_bound}")
-            k = values.get(q)
-            return k is not None and _witnessed(cache, q, k)
-        with cache["lock"]:
-            ks = cache["bracket"](q, search_bound)
-            _extend_index(seq, cache)
+    values, ups = cache["index"]
+    if isinstance(q, int) and (u := abs(q)) < ups[-1]:
+        # the bracket's covered-integer path, without its call frame
+        if search_bound + 1 < len(ups) and ups[search_bound + 1] <= u:
+            raise SearchBoundExceeded(
+                f"the query's index bracket reaches past {search_bound}")
+        ks = values.get(q)
+        if ks is None:
+            return False
     else:
         ks = cache["bracket"](q, search_bound)
-    for k in ks:
-        if seq.term(k) == q:
-            return _witnessed(cache, q, k)
-    return False
+        if not ks:
+            return False
+    if cache["witness"](q, ks[0]) is False:
+        raise SingularSystem(
+            f"the witness route disagrees with n_{ks[0]} = {q}")  # alarm
+    return True
 
 
 # ---------------------------------------------------------------------------

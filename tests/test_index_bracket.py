@@ -1,12 +1,15 @@
-"""Differential tests of the index bracket's threshold table.
+"""Differential tests of the index bracket and its value index.
 
 `constructions._IndexBracket` answers an integer query below the end of
-its lazily grown lists of integer thresholds by two bisections, the
-search bound included, and keeps the bit-length estimate and exact power
-comparisons of `_last` for non-integer rationals and for queries far past
-the table's end.  The oracle is the bracket before the table, written out
-below: every query, in any order and under any bound, must give the same
-range (start and stop) and the same `SearchBoundExceeded` outcome.
+its lazily grown index by one upper threshold (the search bound) and one
+lookup of the exact value, and filters the range that the bit-length
+estimate and exact power comparisons of `_last` give (`span`) for
+non-integer rationals and for queries far past the index's end.  The
+oracle is the bracket before the table, written out below: for every
+query, in any order and under any bound, `span` must give the oracle's
+range (start and stop) and the bracket the indices of that range whose
+exact value is the query; both must give the oracle's
+`SearchBoundExceeded` outcome.
 """
 
 import functools
@@ -91,10 +94,10 @@ NAMES = sorted(SEQUENCES) + ["plastic powers", "plastic^41 powers"]
 
 @functools.lru_cache(maxsize=None)
 def bracket_args(name: str) -> tuple:
-    """(blo, bhi, wlo, whi, B) of the bracket that value-set membership
-    builds for the sequence, or that `power_set_predicate` builds for
-    the plastic number and for its 41st power (the gamma = beta^m of the
-    plastic hereditary predicate)."""
+    """(blo, bhi, wlo, whi, B, value) of the bracket that value-set
+    membership builds for the sequence, or that `power_set_predicate`
+    builds for the plastic number and for its 41st power (the
+    gamma = beta^m of the plastic hereditary predicate)."""
     if name in SEQUENCES:
         spy = mock.Mock(side_effect=lambda *args: args, P=_IndexBracket.P)
         with mock.patch.object(linrec, "_IndexBracket", spy):
@@ -102,7 +105,12 @@ def bracket_args(name: str) -> tuple:
     f = NumberField([-1, -1, 0, 1])
     beta = f.beta ** (41 if name.startswith("plastic^41") else 1)
     box = beta.embed(None, _IndexBracket.P)
-    return box.lo, box.hi, 1, 1, f.degree - 1
+    trace = functools.lru_cache(maxsize=None)(lambda k: (beta ** k).trace())
+    return box.lo, box.hi, 1, 1, f.degree - 1, trace
+
+
+def oracle_of(name: str) -> OracleBracket:
+    return OracleBracket(*bracket_args(name)[:5])
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,7 +118,7 @@ def thresholds(name: str) -> tuple:
     """Integers next to which an integer query changes its range: for
     k < 120, ceil(wlo blo^k - B) and floor(whi bhi^k + B) + 1, in
     Fractions."""
-    blo, bhi, wlo, whi, B = bracket_args(name)
+    blo, bhi, wlo, whi, B, _value = bracket_args(name)
     P = _IndexBracket.P
     blo = F((blo.numerator << P) // blo.denominator, 1 << P)
     bhi = F(-((-bhi.numerator << P) // bhi.denominator), 1 << P)
@@ -123,7 +131,7 @@ def thresholds(name: str) -> tuple:
 def bound_edge(name: str, bound: int) -> int:
     """The least q >= 0 whose bracket reaches past the bound, found as
     `test_search_bound_exact_at_the_bracket_top` finds it."""
-    oracle = OracleBracket(*bracket_args(name))
+    oracle = oracle_of(name)
     top = lambda q: oracle(q).stop - 1
     lo, hi = 0, 1
     while top(hi) <= bound:
@@ -144,14 +152,14 @@ class TableEnd(NamedTuple):
 
 class TopEdge(NamedTuple):
     """The bound with bound + 1 = hi + delta, hi = bisect_right(ups, |q|)
-    in the table when the query is made (at least 0)."""
+    in the index when the query is made (at least 0)."""
     delta: int
 
 
 def resolve(bracket, q, bound):
     """The query and bound that TableEnd and TopEdge stand for, read off
-    the bracket's table as it is now."""
-    ups = bracket._table[0]
+    the bracket's index as it is now."""
+    ups = bracket.index[1]
     if isinstance(q, TableEnd):
         n = q.sign * (ups[-1] + q.offset)
         q = F(n) if q.fraction else n
@@ -160,12 +168,25 @@ def resolve(bracket, q, bound):
     return q, bound
 
 
-def outcome(bracket, q, bound):
+def outcome(call, q, bound):
+    """(start, stop) of a returned range, a returned tuple of indices, or
+    "SearchBoundExceeded"."""
     try:
-        r = bracket(q, bound)
+        r = call(q, bound)
     except SearchBoundExceeded:
         return "SearchBoundExceeded"
-    return r.start, r.stop
+    return (r.start, r.stop) if isinstance(r, range) else r
+
+
+def assert_matches(name, bracket, oracle, q, bound):
+    """`span` is the oracle's range and the bracket that range filtered
+    by the exact value, with the oracle's SearchBoundExceeded outcome."""
+    want = outcome(oracle, q, bound)
+    value = bracket_args(name)[5]
+    found = want if want == "SearchBoundExceeded" else tuple(
+        k for k in range(*want) if value(k) == q)
+    assert outcome(bracket.span, q, bound) == want, (name, q, bound)
+    assert outcome(bracket, q, bound) == found, (name, q, bound)
 
 
 # -- queries ------------------------------------------------------------------
@@ -197,7 +218,7 @@ def queries(draw, name):
 
 def far_query(name: str, k: int) -> int:
     """A value at about index k: beyond one doubling of a fresh table."""
-    blo, _bhi, wlo, _whi, _B = bracket_args(name)
+    blo, _bhi, wlo, _whi, _B, _value = bracket_args(name)
     return math.ceil(wlo * blo ** k)
 
 
@@ -227,34 +248,33 @@ def cases(draw):
                      (TableEnd(1, 1, True), TopEdge(1))]))
 def test_bracket_matches_the_oracle(case):
     name, pairs = case
-    bracket, oracle = (cls(*bracket_args(name))
-                       for cls in (_IndexBracket, OracleBracket))
+    bracket, oracle = _IndexBracket(*bracket_args(name)), oracle_of(name)
     for q, bound in pairs:
         q, bound = resolve(bracket, q, bound)
         for b in (bound, None):
-            assert outcome(bracket, q, b) == outcome(oracle, q, b), (name, q, b)
+            assert_matches(name, bracket, oracle, q, b)
 
 
 def test_table_end_under_bounds_next_to_the_top():
     """Queries at ups[-1] - 1, ups[-1] and ups[-1] + 1, as ints and
     Fractions of both signs, under each bound with bound + 1 in
-    {hi - 1, hi, hi + 1}: the table answers the first, the bound test of
-    `_reaches` and growth the other two."""
+    {hi - 1, hi, hi + 1}: the index answers the first, growth the other
+    two."""
     for name in NAMES:
-        oracle = OracleBracket(*bracket_args(name))
+        oracle = oracle_of(name)
         for end in (TableEnd(o, s, f) for o in (-1, 0, 1) for s in (1, -1)
                     for f in (False, True)):
             for edge in (TopEdge(-1), TopEdge(0), TopEdge(1)):
                 bracket = _IndexBracket(*bracket_args(name))
                 bracket._grow(far_query(name, 30))
                 q, bound = resolve(bracket, end, edge)
-                assert (outcome(bracket, q, bound)
-                        == outcome(oracle, q, bound)), (name, q, bound)
+                assert_matches(name, bracket, oracle, q, bound)
 
 
 def test_bracket_shared_between_threads():
     """Four threads query one fresh bracket in shuffled orders, growing its
-    table as they go; every answer must be the single-threaded one."""
+    index as they go; every answer must be the single-threaded one, and
+    the index must hold each k once, with its exact value and threshold."""
     args = bracket_args("fibonacci")
     seq = LinRecSeq(*SEQUENCES["fibonacci"])
     rng = random.Random(5)
@@ -284,3 +304,9 @@ def test_bracket_shared_between_threads():
         sys.setswitchinterval(switch)
     assert not any(th.is_alive() for th in threads)
     assert all(a == expected for a in answers)
+    values, ups = shared.index
+    built = {}
+    for k in range(len(ups)):
+        built[int(seq.term(k))] = built.get(int(seq.term(k)), ()) + (k,)
+    reference._grow(ups[-1])
+    assert values == built and reference.index[1][:len(ups)] == ups

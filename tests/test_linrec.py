@@ -289,7 +289,7 @@ def test_recovery_family_gamma_against_sympy(salem_seq):
     M = sympy.Matrix(4, 4, lambda j, a: w[a] * roots[a] ** j)
     oracle = M.inv()[b, :]
     tol = F(1, 10 ** 40)    # the oracle's own rounding error
-    for box, v in zip(fam._gamma_at(96), oracle):
+    for box, v in zip((g.embed(None, 96) for g in fam._gamma), oracle):
         v = sympy.expand(v)
         assert abs(sympy.im(v)) < 1e-40
         re = F(str(sympy.re(v)))
@@ -455,7 +455,7 @@ def _bracket_path(seq, bracket, q, bound):
     """"bound", or (answer, the least k with n_k = q or None), from the
     bracket's range and exact terms."""
     try:
-        ks = bracket(q, bound)
+        ks = bracket.span(q, bound)
     except SearchBoundExceeded:
         return "bound"
     return next(((True, k) for k in ks if seq.term(k) == q), (False, None))
@@ -478,7 +478,7 @@ def test_value_index_matches_the_bracket_path(name):
     for q in range(-10 ** 3, 10 ** 4 + 1):
         # the bracket raises iff bound < top, the top of its range:
         # checked at the top, and monotone in the bound
-        top = bracket(q).stop - 1
+        top = bracket.span(q).stop - 1
         want = _bracket_path(seq, bracket, q, None)
         if top >= 1 and _bracket_path(seq, bracket, q, top - 1) != "bound":
             wrong.append((q, top - 1))
@@ -513,29 +513,19 @@ def test_value_index_keeps_the_least_index():
 
 
 def test_value_index_is_extended_not_rebuilt():
-    # ascending Fibonacci members grow the threshold table one entry at a
-    # time; each growth adds only the new entries to the same dict
+    # ascending Fibonacci members grow the bracket's index: each new k
+    # asks for its exact value once, in order, and the index stays one
+    # object
     seq = LinRecSeq(*MEMBERSHIP_SEQS["fibonacci"])
     cache = _vsm_setup(seq)
-    added = []
-
-    class Counting(dict):
-        def setdefault(self, key, k):
-            added.append(k)
-            return dict.setdefault(self, key, k)
-
-    values, ups = cache["index"]
-    values, first = Counting(values), len(ups)
-    cache["index"] = (values, ups)
-    growth = []
+    bracket, index = cache["bracket"], cache["index"]
+    asked, value = [], bracket._value
+    bracket._value = lambda k: asked.append(k) or value(k)
+    first = len(index[1])
     for k in range(2001):
-        size = len(ups)
         assert value_set_membership(seq, int(seq.term(k))) is True
-        index, ups = cache["index"]
-        assert index is values
-        growth.append(len(ups) - size)
-    assert set(growth[3:]) == {1}           # from F_3 = 2 on
-    assert added == list(range(first, len(ups))) and len(ups) > 2000
+        assert bracket.index is index and cache["index"] is index
+    assert asked == list(range(first, len(index[1]))) and len(asked) > 1990
 
 
 def test_membership_shared_across_threads():
@@ -587,7 +577,7 @@ def test_negative_search_bound_is_out_of_range(name):
 
 
 def _top_index(seq, q):
-    return _vsm_setup(seq)["bracket"](q).stop - 1
+    return _vsm_setup(seq)["bracket"].span(q).stop - 1
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "salem"])
