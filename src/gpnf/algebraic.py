@@ -28,7 +28,7 @@ from operator import add, mul
 from typing import Optional
 
 from . import polys
-from .errors import RealEmbedding
+from .errors import CertificateFailed, RealEmbedding
 from .intervals import RatInterval, floor_of, horner_interval, sign_vs
 from .numberfield import FieldElement, _min_sep_sq
 
@@ -212,7 +212,7 @@ def _isolate(P: tuple, boxes) -> Optional[RealAlg]:
                 return RealAlg.from_rational(lo if slo == 0 else hi)
             return RealAlg(P, lo, hi)
         if n == 0:
-            raise ArithmeticError("certified enclosure contains no root")
+            raise CertificateFailed("certified enclosure contains no root", box)
     return None
 
 
@@ -272,7 +272,7 @@ def im_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAl
     # E(w) = w G(w^2)
     dp = diff[1:]
     if any(dp[1::2]):
-        raise ArithmeticError("difference resolvent is not odd-symmetric")
+        raise CertificateFailed("difference resolvent is not odd-symmetric")
     # tau - conj(tau) = 2 i Im, so (2 i Im)^2 = -4 Im^2 is a root of G and
     # Im one of H(y) = G(-4 y^2)
     H = [0] * len(dp)

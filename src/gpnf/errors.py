@@ -40,6 +40,15 @@ class ReducibleDetected(GpnfError):
     element turns out to be a zero divisor."""
 
 
+class CertificateFailed(GpnfError, ArithmeticError):
+    """A certified step met a contradiction (an internal alarm): `what`
+    names the step, and `box` is the enclosure it reached, or None."""
+
+    def __init__(self, what: str, box=None):
+        super().__init__(what if box is None else f"{what}: {box}")
+        self.what, self.box = what, box
+
+
 class DivisionByZero(GpnfError):
     pass
 

@@ -397,7 +397,7 @@ class Value:
 
     @staticmethod
     def rational(q) -> "Value":
-        return Value("rat", Fraction(q))
+        return Value("rat", q if type(q) is Fraction else Fraction(q))
 
     @staticmethod
     def of_embedding(elem: FieldElement, j: Optional[int] = None) -> "Value":
@@ -636,65 +636,62 @@ class _EvalCtx:
                 raise FieldMismatch(
                     "variables from different fields in one expression")
             return v
-        return Fraction(v)
+        return v if type(v) is Fraction else Fraction(v)
 
 
 def eval_expr(expr: GPExpr, env: Environment) -> Value:
     """Evaluate exactly.  Every floor argument must be real-valued; complex
     values flow through cfloor/re/im.  The result is a Value; indicator
-    expressions always collapse to exact rationals."""
+    expressions always collapse to exact rationals.  Each node is evaluated
+    by the rule `_RULES` holds for its type; any other object raises
+    TypeError."""
     return _eval(expr, _EvalCtx(env))
 
 
 def _eval(e: GPExpr, ctx: _EvalCtx) -> Value:
-    if isinstance(e, RationalConst):
-        return Value.rational(e.value)
-    if isinstance(e, ComplexConst):
-        return Value.complex_pair(Value.rational(e.re), Value.rational(e.im))
-    if isinstance(e, AlgebraicConst):
-        return Value.of_embedding(e.elem, e.root_index)
-    if isinstance(e, Var):
+    rule = _RULES.get(type(e))
+    if rule is None:
+        raise TypeError(f"not a GPExpr: {e!r}")
+    return rule(e, ctx)
+
+
+def _bound(on_element):
+    """The rule of a node naming a variable: a rational value is fixed by
+    every embedding, and a field element v gives on_element(e, v)."""
+    def rule(e, ctx: _EvalCtx) -> Value:
         v = ctx.lookup(e.name)
-        if isinstance(v, FieldElement):
-            return Value.of_embedding(v)
-        return Value.rational(v)
-    if isinstance(e, Embed):
-        v = ctx.lookup(e.name)
-        if isinstance(v, FieldElement):
-            return Value.of_embedding(v, e.root_index)
-        return Value.rational(v)  # rationals are fixed by every embedding
-    if isinstance(e, Trace):
-        v = ctx.lookup(e.name)
-        if isinstance(v, FieldElement):
-            return Value.rational(v.trace())
-        return Value.rational(v)
-    if isinstance(e, LinearFunctional):
-        v = ctx.lookup(e.name)
-        coords = v.coords if isinstance(v, FieldElement) else (Fraction(v),)
-        if len(e.duals) != len(coords):
-            raise ValueError("dual vector length does not match field degree")
-        return Value.rational(sum(d * c for d, c in zip(e.duals, coords)))
-    if isinstance(e, Add):
-        return _eval(e.left, ctx) + _eval(e.right, ctx)
-    if isinstance(e, Mul):
-        return _eval(e.left, ctx) * _eval(e.right, ctx)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, ctx)
-    if isinstance(e, Floor):
-        return _eval(e.arg, ctx).floor()
-    if isinstance(e, ComplexFloor):
-        return _eval(e.arg, ctx).cfloor()
-    if isinstance(e, Frac):
-        return _eval(e.arg, ctx).frac()
-    if isinstance(e, Nint):
-        return _eval(e.arg, ctx).nint()
-    if isinstance(e, Dist):
-        return _eval(e.arg, ctx).dist_to_int()
-    if isinstance(e, RealPart):
-        return _eval(e.arg, ctx).real_part()
-    if isinstance(e, ImagPart):
-        return _eval(e.arg, ctx).imag_part()
-    raise TypeError(f"not a GPExpr: {e!r}")
+        return on_element(e, v) if isinstance(v, FieldElement) else Value.rational(v)
+    return rule
+
+
+def _linear_functional(e: LinearFunctional, ctx: _EvalCtx) -> Value:
+    v = ctx.lookup(e.name)
+    coords = v.coords if isinstance(v, FieldElement) else (Fraction(v),)
+    if len(e.duals) != len(coords):
+        raise ValueError("dual vector length does not match field degree")
+    return Value.rational(sum(d * c for d, c in zip(e.duals, coords)))
+
+
+def _unary(method):
+    return lambda e, ctx: method(_eval(e.arg, ctx))
+
+
+_RULES = {
+    RationalConst: lambda e, ctx: Value.rational(e.value),
+    ComplexConst: lambda e, ctx: Value.complex_pair(Value.rational(e.re),
+                                                    Value.rational(e.im)),
+    AlgebraicConst: lambda e, ctx: Value.of_embedding(e.elem, e.root_index),
+    Var: _bound(lambda e, v: Value.of_embedding(v)),
+    Embed: _bound(lambda e, v: Value.of_embedding(v, e.root_index)),
+    Trace: _bound(lambda e, v: Value.rational(v.trace())),
+    LinearFunctional: _linear_functional,
+    Add: lambda e, ctx: _eval(e.left, ctx) + _eval(e.right, ctx),
+    Mul: lambda e, ctx: _eval(e.left, ctx) * _eval(e.right, ctx),
+    Neg: _unary(Value.__neg__), Floor: _unary(Value.floor),
+    ComplexFloor: _unary(Value.cfloor), Frac: _unary(Value.frac),
+    Nint: _unary(Value.nint), Dist: _unary(Value.dist_to_int),
+    RealPart: _unary(Value.real_part), ImagPart: _unary(Value.imag_part),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ from operator import mul as _mul
 from typing import Optional, Sequence, Union
 
 from . import polys
-from .errors import (ComplexEmbedding, DegreeMismatch, DivisionByZero,
-                     FieldMismatch, NoRealRoot, NotSquarefree, OutOfRange,
-                     ReducibleDetected, SingularSystem)
+from .errors import (CertificateFailed, ComplexEmbedding, DegreeMismatch,
+                     DivisionByZero, FieldMismatch, NoRealRoot, NotSquarefree,
+                     OutOfRange, ReducibleDetected, SingularSystem)
 from .intervals import (ComplexBox, RatInterval, common_den, floor_of,
                         horner_box, horner_interval, horner_ints,
                         poly_complex_box, sign_vs)
@@ -181,9 +181,9 @@ def _isolate_complex_upper(p: tuple, expected: int) -> list:
                 work.extend((r1, r2))
                 break
         else:
-            raise ArithmeticError("complex root isolation failed to split")
+            raise CertificateFailed("complex root isolation failed to split", r)
     if len(done) != expected:
-        raise ArithmeticError("complex root isolation miscount")
+        raise CertificateFailed("complex root isolation miscount", tuple(done))
     return done
 
 
@@ -281,7 +281,7 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
             xlo, xhi, ylo, yhi = r1 if n1 == 1 else r2
             break
         else:
-            raise ArithmeticError("rectangle refinement failed")
+            raise CertificateFailed("rectangle refinement failed", (xlo, xhi, ylo, yhi))
     return xlo, xhi, ylo, yhi
 
 
@@ -352,11 +352,12 @@ def _find_factor(p: tuple, degrees: list, reals: list,
 # ---------------------------------------------------------------------------
 
 class _Root:
-    __slots__ = ("kind", "interval", "rect", "pair")
+    __slots__ = ("kind", "interval", "ints", "rect", "pair")
 
     def __init__(self, kind, interval=None, rect=None, pair=None):
         self.kind = kind          # 'real' | 'upper' | 'lower'
         self.interval = interval  # (lo, hi) for real roots
+        self.ints = None          # (interval, a, b, d): [a, b] / d is it
         self.rect = rect          # (xlo, xhi, ylo, yhi), upper-half roots
         self.pair = pair          # index of the complex-conjugate root
 
@@ -822,7 +823,7 @@ class FieldElement:
             pw.append(pw[-1] * y)
         ps = [z.trace() for z in pw]
         if any(t.denominator != 1 for t in ps):
-            raise ArithmeticError("integer traces expected")
+            raise CertificateFailed("integer traces expected")
         return pw[:m], D, polys._int_from_power_sums(
             [t.numerator for t in ps], m)
 
@@ -837,9 +838,11 @@ class FieldElement:
         """Monic minimal polynomial over Q."""
         return polys.monic(self._minimal_poly_int())
 
+    @functools.lru_cache(maxsize=256)
     def _minimal_poly_int(self) -> tuple:
         """The minimal polynomial over Q in canonical integer form: the
-        squarefree part of the char poly of y = D x, roots divided by D."""
+        squarefree part of the char poly of y = D x, roots divided by D;
+        kept for the last 256 (immutable, hashable) elements."""
         _, D, g = self._int_char_poly()
         return polys.scale_roots(polys.squarefree_part(g), Fraction(1, D))
 
@@ -880,10 +883,16 @@ class FieldElement:
 
     def _first_look(self, j: int) -> tuple:
         """(lo, hi, den): sigma_j(self) lies in [lo, hi] / den, by integer
-        Horner on root j's current enclosure.  That tuple is read once, and
-        every tuple stored there is an enclosure, so no lock is needed."""
-        ((a, b),), d = common_den([self.field._roots[j].interval])
-        lo, hi, dk = horner_ints(self.num, a, b, d)
+        Horner on root j's current enclosure [a, b] / d.  The root keeps
+        (interval, a, b, d) as one tuple, used only while that interval is
+        (by identity) the one read here: no lock is needed, since every
+        stored interval is an enclosure and each tuple is consistent."""
+        r = self.field._roots[j]
+        iv, ints = r.interval, r.ints
+        if ints is None or ints[0] is not iv:
+            ((a, b),), d = common_den([iv])
+            ints = r.ints = (iv, a, b, d)
+        lo, hi, dk = horner_ints(self.num, *ints[1:])
         return lo, hi, self.den * dk
 
     def compare_rational(self, q, root_index: Optional[int] = None) -> int:

@@ -193,3 +193,43 @@ def test_invariants_against_sympy_mult_matrix(m):
             continue
         want = _sym_coeffs(sympy.invert(a, minpoly, t), t)
         assert list(canonical(x.inverse()).coords) == want + [F(0)] * (m - len(want))
+
+
+# Q(phi), the plastic field, Lehmer's field (x^10 + x^9 - x^7 - x^6 - x^5 -
+# x^4 - x^3 + x + 1) and Q(2^(1/4))
+MINPOLY_FIELDS = {
+    "golden": [-1, -1, 1], "plastic": [-1, -1, 0, 1],
+    "lehmer": [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1],
+    "quartic-root-2": [-2, 0, 0, 0, 1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINPOLY_FIELDS))
+def test_cached_minimal_poly_matches_the_computation(name):
+    """The cached minimal polynomial of each element is the one computed
+    afresh (the squarefree part of its char poly, in integer form), on
+    seeded elements, in every order and after a cache clear."""
+    f = NumberField(MINPOLY_FIELDS[name])
+    m = f.degree
+    rng = random.Random(60 + m)
+    xs = [f.element(F(-7, 3)), f.beta, f.beta ** 2, f.beta ** m - f.beta]
+    xs += [f.element([F(rng.randint(-9, 9), rng.randint(1, 5))
+                      for _ in range(m)]) for _ in range(6)]
+    fresh = FieldElement._minimal_poly_int.__wrapped__
+    want = [fresh(x) for x in xs]
+    FieldElement._minimal_poly_int.cache_clear()
+    for _ in range(2):
+        assert [x._minimal_poly_int() for x in xs] == want
+        assert [FieldElement(f, x.coords)._minimal_poly_int()
+                for x in reversed(xs)] == want[::-1]
+    assert FieldElement._minimal_poly_int.cache_info().hits >= 3 * len(xs)
+
+
+def test_minimal_poly_of_a_non_generator():
+    # beta^2 in Q(2^(1/4)) has char poly (x^2 - 2)^2 and minimal poly x^2 - 2
+    f = NumberField(MINPOLY_FIELDS["quartic-root-2"])
+    x = f.beta ** 2
+    assert x.char_poly() == (4, 0, -4, 0, 1)
+    assert x._minimal_poly_int() == (-2, 0, 1)
+    assert x.minimal_poly() == (-2, 0, 1)
+    assert (x * F(1, 3))._minimal_poly_int() == (-2, 0, 9)

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gpnf.intervals import common_den, horner_ints
 from gpnf.numberfield import NumberField, certified_floor
 
 
@@ -84,3 +85,22 @@ def test_first_look_box_encloses(k):
     # from every integer
     assert lo < hi and (hi - lo) * 2 ** 100 < den
     assert lo // den == hi // den == floor_phi_power(k)
+
+
+def test_first_look_follows_a_refinement():
+    # the root keeps the integer form of its enclosure between first looks;
+    # once _refine_real narrows the root, the next first look must use the
+    # integers of the new interval, not those kept for the old one
+    f = golden(40)
+    j = f.distinguished
+    x = f.beta ** 7 - 3
+    before = x._first_look(j)
+    old = f._roots[j].interval
+    f._refine_real(j, F(1, 2 ** 120))
+    new = f._roots[j].interval
+    assert new is not old
+    for iv, look in ((old, before), (new, x._first_look(j))):
+        ((a, b),), d = common_den([iv])
+        lo, hi, dk = horner_ints(x.num, a, b, d)
+        assert look == (lo, hi, x.den * dk)
+    assert x._first_look(j) != before

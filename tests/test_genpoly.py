@@ -1,13 +1,20 @@
+import dataclasses
+import random
+import sys
+import threading
+import typing
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import random_element
+from gpnf import genpoly
 from gpnf.errors import (ExprSyntaxError, FieldMismatch, NonRealFloorArgument,
                          UnboundVariable)
 from gpnf.genpoly import (Add, ComplexFloor, Embed, Floor, Mul, Neg, Var,
                           eval_expr, linear_functional_expr, parse, pretty,
                           trace_expr, zero_indicator)
+from gpnf.numberfield import FieldElement, NumberField
 
 
 # -- parsing -------------------------------------------------------------------
@@ -169,3 +176,72 @@ def test_multivariable_same_field(K_sqrt2):
     # -3 sqrt2 = -4.2426...: frac = 0.7573...
     assert v.compare_rational(F(75, 100)) == 1
     assert v.compare_rational(F(76, 100)) == -1
+
+
+# -- dispatch and sharing ---------------------------------------------------------
+
+def test_every_node_class_has_a_rule():
+    assert set(typing.get_args(genpoly.GPExpr)) == set(genpoly._RULES)
+    nodes = {c for c in vars(genpoly).values() if isinstance(c, type)
+             and dataclasses.is_dataclass(c) and c.__module__ == genpoly.__name__}
+    assert nodes == set(genpoly._RULES)
+    for bad in (object(), "x", F(1), Var):
+        with pytest.raises(TypeError):
+            eval_expr(bad, {"x": 1})
+
+
+def test_shared_fields_and_expressions_across_threads():
+    """Four threads evaluate floor(sqrt2*x*x + x) and zero_indicator(x - y)
+    on Q(phi) and floor(trace_expr) on the plastic field, with shared fields
+    and shared parsed expressions, in shuffled orders; every value must be
+    the one a serial run on fields of its own gives."""
+    def setup():
+        G, P = NumberField([-1, -1, 1]), NumberField([-1, -1, 0, 1])
+        exprs = {"N": parse("floor(sqrt2*x*x + x)"),
+                 "Z": zero_indicator(parse("x - y")),
+                 "T": Floor(trace_expr(P))}
+        return {"N": G, "Z": G, "T": P}, exprs
+
+    rng = random.Random(11)
+    ops = []
+    for i in range(24):
+        x = [rng.randint(-99, 99), rng.choice((-1, 1)) * rng.randint(1, 99)]
+        y = x if i % 4 == 0 else [rng.randint(-9, 9), rng.randint(-9, 9)]
+        ops += [("N", {"x": x}), ("Z", {"x": x, "y": y}),
+                ("T", {"x": x + [rng.randint(-99, 99)]})]
+
+    def run(fields, exprs, op):
+        kind, coords = op
+        env = {k: fields[kind].element(v) for k, v in coords.items()}
+        return eval_expr(exprs[kind], env).as_rational()
+
+    fields, exprs = setup()
+    expected = [run(fields, exprs, op) for op in ops]
+    for (kind, coords), v in zip(ops, expected):
+        if kind == "Z":
+            assert v == (coords["x"] == coords["y"])
+        if kind == "T":
+            assert v == 3 * coords["x"][0] + 2 * coords["x"][2]
+    FieldElement._minimal_poly_int.cache_clear()
+    fields, exprs = setup()
+    start = threading.Barrier(4)
+    answers = [None] * 4
+
+    def work(t: int) -> None:
+        order = list(range(len(ops)))
+        random.Random(t).shuffle(order)
+        start.wait(timeout=30)
+        answers[t] = {i: run(fields, exprs, ops[i]) for i in order}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert all(a == dict(enumerate(expected)) for a in answers)

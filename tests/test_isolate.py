@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import poly_mul
 from gpnf import polys as P
 from gpnf.algebraic import RealAlg, _isolate
+from gpnf.errors import CertificateFailed
 from gpnf.intervals import RatInterval
 
 
@@ -152,6 +153,18 @@ def test_monotone_box_without_root_raises(monkeypatch):
     with pytest.raises(ArithmeticError):
         _isolate((-2, 0, 1), [RatInterval(F(2), F(3))])
     assert calls == []
+
+
+@pytest.mark.parametrize("lo, hi, chains", [(2, 3, 0), (-1, 1, 1)])
+def test_box_without_root_raises_the_typed_error(monkeypatch, lo, hi, chains):
+    # x^2 - 2 has no root in [2, 3] (monotone there) nor in [-1, 1] (not
+    # monotone: counted on the Sturm chain)
+    calls = count_chains(monkeypatch)
+    box = RatInterval(F(lo), F(hi))
+    with pytest.raises(CertificateFailed) as ei:
+        _isolate((-2, 0, 1), [box])
+    assert ei.value.box is box and "no root" in ei.value.what
+    assert isinstance(ei.value, ArithmeticError) and len(calls) == chains
 
 
 def test_empty_stream_gives_none():
