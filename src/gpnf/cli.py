@@ -73,11 +73,7 @@ def _cmd_field(args) -> int:
 # -- eval --------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    if args.text:
-        expr = parse(args.text)
-    else:
-        with open(args.expr) as fh:
-            expr = parse(fh.read())
+    expr = parse(args.text if args.expr is None else ff.read_input(args.expr))
     env = ff.load_env(args.env) if args.env else {}
     val = eval_expr(expr, env)
     if val.kind != "cpx":
@@ -138,12 +134,7 @@ def _cmd_pisot_set(args) -> int:
         queries = [ff.parse_element_text(f, q) for q in args.query or []]
     if not queries:
         raise GpnfError("no queries: pass --queries FILE or --query COORDS")
-    results = []
-    for x in queries:
-        if args.explain:
-            results.append(pred.explain(x))
-        else:
-            results.append(pred(x))
+    results = [pred.explain(x) if args.explain else pred(x) for x in queries]
     payload = {"m": spec.m, "rho": ff.rat_str(spec.rho), "results": results,
                "m_derivation": "least power with tail bound "
                                "2 C rho^-m/(1-rho^-m) < dist(beta)/3; "
@@ -222,9 +213,7 @@ def _cmd_salem_recover(args) -> int:
 
 def _cmd_complexity(args) -> int:
     if args.word_file:
-        with open(args.word_file) as fh:
-            bits = tuple(int(ch) for ch in fh.read().split())
-        word = BinaryWord(0, bits)
+        word = BinaryWord(0, ff.load_word(args.word_file))
     else:
         f = _load_field(args)
         a = ff.parse_element_text(f, args.a)
@@ -245,8 +234,7 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_nonhereditary(args) -> int:
     if args.e_file:
-        with open(args.e_file) as fh:
-            members = set(int(t) for t in fh.read().split())
+        members = set(map(ff.parse_rational, ff.read_input(args.e_file).split()))
         E = lambda n: n in members
     else:
         dense_until = args.dense_until

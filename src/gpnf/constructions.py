@@ -189,15 +189,14 @@ def _abs_lt_one(x: FieldElement, j: int) -> bool:
 
 
 def _is_pisot(x: FieldElement) -> bool:
-    """Is the distinguished embedding of x real and above 1, with every
-    other conjugate of modulus below 1?  One modulus test per real
-    conjugate and one per complex pair, each exact."""
-    f = x.field
-    d = f.distinguished
-    if not f.is_real_root(d) or x.compare_rational(1, d) <= 0:
-        return False
-    return all(_abs_lt_one(x, j) for j in
-               f.real_root_indices() + f.upper_root_indices() if j != d)
+    """Is x an algebraic integer whose distinguished embedding is real and
+    above 1, with every other conjugate of modulus below 1?  One exact
+    modulus test per real conjugate and one per complex pair."""
+    f, d = x.field, x.field.distinguished
+    return (x.is_algebraic_integer() and f.is_real_root(d)
+            and x.compare_rational(1, d) > 0
+            and all(_abs_lt_one(x, j) for j in
+                    f.real_root_indices() + f.upper_root_indices() if j != d))
 
 
 def pisot_unit_test(x: FieldElement) -> bool:

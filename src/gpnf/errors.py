@@ -13,6 +13,11 @@ class MalformedRational(GpnfError, ValueError):
     """Input text or a value that is not an exact rational number."""
 
 
+class MalformedInput(GpnfError, ValueError):
+    """An input file that cannot be read, or whose content does not have
+    its format's shape (a missing or unknown key, say)."""
+
+
 class OutOfRange(GpnfError, ValueError):
     """An integer argument outside its admissible range: a negative index,
     a modulus, power or level count below 1, a root index past the degree,
@@ -47,6 +52,11 @@ class CertificateFailed(GpnfError, ArithmeticError):
     def __init__(self, what: str, box=None):
         super().__init__(what if box is None else f"{what}: {box}")
         self.what, self.box = what, box
+
+
+class PrecisionExhausted(CertificateFailed):
+    """A refinement was asked for more than `polys.CEILING_BITS` bits, the
+    end of every refine-until-decided loop; `box` is what it held."""
 
 
 class DivisionByZero(GpnfError):

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .errors import MalformedRational
+from .errors import MalformedInput, MalformedRational
 from .numberfield import FieldElement, NumberField
 
 SCHEMA = 1
@@ -33,6 +33,34 @@ def parse_rational(s) -> Fraction:
         if len(shown) > 60:     # such as an integer past the digit limit
             shown = f"{shown[:40]}... ({len(str(s))} characters)"
         raise MalformedRational(f"not a rational number: {shown}") from None
+
+
+def read_input(path: str, as_json: bool = False):
+    """The text of an input file, or its JSON value."""
+    try:
+        with open(path) as fh:
+            return json.load(fh) if as_json else fh.read()
+    except (OSError, ValueError) as e:  # ValueError: not JSON, not text
+        raise MalformedInput(f"cannot read {path}: {e}") from None
+
+
+def _checked(d, what: str, keys: Optional[set] = None, required=()) -> dict:
+    """d, if it is a JSON object holding every required key and, when keys
+    are given, no other key."""
+    if not isinstance(d, dict) or set(required) - set(d):
+        need = f" with the keys {list(required)}" if required else ""
+        raise MalformedInput(f"{what} must be a JSON object{need}")
+    if keys is not None and set(d) - keys:
+        raise MalformedInput(f"unknown keys in {what}: {sorted(set(d) - keys)}")
+    return d
+
+
+def load_word(path: str) -> tuple:
+    """The letters of a file of 0/1 digits; whitespace is ignored."""
+    text = "".join(read_input(path).split())
+    if set(text) - {"0", "1"}:
+        raise MalformedInput(f"{path} holds a letter other than 0 and 1")
+    return tuple(map(int, text))
 
 
 def rat_str(q: Fraction) -> str:
@@ -58,22 +86,19 @@ _FIELD_KEYS = {"schema", "minpoly", "distinguished", "degree", "signature"}
 
 
 def field_from_dict(d: dict) -> NumberField:
-    unknown = set(d) - _FIELD_KEYS
-    if unknown:
-        raise ValueError(f"unknown keys in field spec: {sorted(unknown)}")
+    _checked(d, "field spec", _FIELD_KEYS, ("minpoly",))
     coeffs_desc = [parse_rational(c) for c in d["minpoly"]]
     sel = d.get("distinguished", "largest-real")
     kwargs = {}
     if isinstance(sel, int):
         kwargs["distinguished"] = sel
     elif sel not in (None, "largest-real"):
-        raise ValueError(f"unknown distinguished-root selector {sel!r}")
+        raise MalformedInput(f"unknown distinguished-root selector {sel!r}")
     return NumberField(list(reversed(coeffs_desc)), **kwargs)
 
 
 def load_field(path: str) -> NumberField:
-    with open(path) as fh:
-        return field_from_dict(json.load(fh))
+    return field_from_dict(read_input(path, as_json=True))
 
 
 def element_to_list(x: FieldElement) -> list:
@@ -95,58 +120,47 @@ def parse_element_text(f: NumberField, text: str) -> FieldElement:
 def load_elements(path: str, f: NumberField) -> list:
     """One element per line: comma-separated coordinates or a rational.
     A JSON array of coordinate arrays is also accepted."""
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        data = json.loads(text)
+    text = read_input(path)
+    if text.lstrip().startswith("["):
         return [element_from_list(f, row) if isinstance(row, list)
-                else f.element(parse_rational(row)) for row in data]
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(parse_element_text(f, line))
-    return out
+                else f.element(parse_rational(row))
+                for row in read_input(path, as_json=True)]
+    lines = (line.strip() for line in text.splitlines())
+    return [parse_element_text(f, line) for line in lines
+            if line and not line.startswith("#")]
 
 
 def env_from_dict(d: dict) -> dict:
     """Environment file: {"schema": 1, "field": {...}?, "vars": {name: spec}}
     where spec is {"rational": "p/q"} or {"coords": [...]} (needs the field)."""
-    unknown = set(d) - {"schema", "field", "vars"}
-    if unknown:
-        raise ValueError(f"unknown keys in environment: {sorted(unknown)}")
+    _checked(d, "environment", {"schema", "field", "vars"})
     f: Optional[NumberField] = None
     if d.get("field") is not None:
         f = field_from_dict(d["field"])
     env = {}
-    for name, spec in d.get("vars", {}).items():
+    for name, spec in _checked(d.get("vars", {}), "vars").items():
         if isinstance(spec, (str, int)):
-            env[name] = parse_rational(spec)
-        elif "rational" in spec:
+            spec = {"rational": spec}
+        if not isinstance(spec, dict) or not {"rational", "coords"} & set(spec):
+            raise MalformedInput(f"variable {name!r} needs 'rational' or 'coords'")
+        if "rational" in spec:
             env[name] = parse_rational(spec["rational"])
-        elif "coords" in spec:
-            if f is None:
-                raise ValueError(f"variable {name!r} has coordinates but no field")
-            env[name] = element_from_list(f, spec["coords"])
+        elif f is None:
+            raise MalformedInput(f"variable {name!r} has coordinates but no field")
         else:
-            raise ValueError(f"variable {name!r} needs 'rational' or 'coords'")
+            env[name] = element_from_list(f, spec["coords"])
     return env
 
 
 def load_env(path: str) -> dict:
-    with open(path) as fh:
-        return env_from_dict(json.load(fh))
+    return env_from_dict(read_input(path, as_json=True))
 
 
 def load_seq_spec(path: str) -> tuple:
     """{"schema": 1, "charpoly": [...desc...], "initial": [...]} -> (charpoly
     ascending, initial terms)."""
-    with open(path) as fh:
-        d = json.load(fh)
-    unknown = set(d) - {"schema", "charpoly", "initial"}
-    if unknown:
-        raise ValueError(f"unknown keys in sequence spec: {sorted(unknown)}")
+    d = _checked(read_input(path, as_json=True), "sequence spec",
+                 {"schema", "charpoly", "initial"}, ("charpoly", "initial"))
     cp = [parse_rational(c) for c in d["charpoly"]]
     init = [parse_rational(c) for c in d["initial"]]
     return list(reversed(cp)), init

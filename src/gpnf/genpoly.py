@@ -5,36 +5,37 @@ Grammar (LL(1), whitespace-insensitive)::
     expr    := term (('+' | '-') term)*
     term    := factor ('*' factor)*
     factor  := '-' factor | atom
-    atom    := NUMBER | 'c(' SRAT ',' SRAT ')' | IDENT
-             | FUNC '(' expr ')' | 'emb(' IDENT ',' INT ')'
-             | 'tr(' IDENT ')' | 'lf(' IDENT (',' SRAT)+ ')'
-             | '(' expr ')'
-    FUNC    := floor | cfloor | frac | nint | dist | re | im
-    NUMBER  := digits or digits/digits;  SRAT allows a leading '-'
+    atom    := NUMBER | IDENT | NAME '(' expr (',' expr)* ')' | '(' expr ')'
+    NUMBER  := digits or digits/digits
 
-Reserved constant names: ``sqrt2``.  Variables are bound by an Environment
-to exact rationals or field elements; a bare variable bound to a field
-element denotes its distinguished embedding, ``emb(x, k)`` selects the
-k-th conjugate.
+Variables are bound by an Environment to exact rationals or field
+elements; a bare variable bound to a field element denotes its
+distinguished embedding, ``emb(x, k)`` selects the k-th conjugate.
 
 Evaluation is exact.  Values stay inside a single field whenever the
 expression allows it; sums and products across embeddings or fields drop
 to self-contained real algebraic numbers (resolvent polynomials plus
 certified isolating intervals), so floors and zero tests are always
 decided, never guessed.
+
+A call reads its arguments as expressions and checks them against its row
+of `_CALLS`: IDENT is a variable, never a reserved name (a call's name or
+``sqrt2``, the exact constant); RAT is a NUMBER or its negative; INT is a
+nonnegative integer; ... repeats the argument before it.  The calls::
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Union
 
 from .algebraic import (RealAlg, complex_floor, embedding_is_real,
                         im_of_embedding, re_of_embedding)
-from .errors import (ExprSyntaxError, FieldMismatch, NonRealFloorArgument,
-                     UnboundVariable, UnknownFunction)
+from .errors import (DegreeMismatch, ExprSyntaxError, FieldMismatch,
+                     NonRealFloorArgument, UnboundVariable, UnknownFunction)
 from .intervals import RatInterval
 from .numberfield import (FieldElement, NumberField, certified_floor)
 
@@ -140,10 +141,23 @@ GPExpr = Union[RationalConst, ComplexConst, AlgebraicConst, Var, Embed,
                Trace, LinearFunctional, Add, Mul, Neg, Floor, ComplexFloor,
                Frac, Nint, Dist, RealPart, ImagPart]
 
-_UNARY = {"floor": Floor, "cfloor": ComplexFloor, "frac": Frac,
-          "nint": Nint, "dist": Dist, "re": RealPart, "im": ImagPart}
 
-_RESERVED = {"sqrt2"} | set(_UNARY) | {"emb", "tr", "lf", "c"}
+# ---------------------------------------------------------------------------
+# the text language: one table, its parser and its printer
+# ---------------------------------------------------------------------------
+
+# The calls of the language, one row each: name, node class and argument
+# shape, one letter per field of the node: 'e' an expression, 'v' a
+# variable, 'q' a signed rational, 'i' a nonnegative integer.  A trailing
+# '+' repeats the letter before it one or more times, into one tuple field.
+_CALLS = (("c", ComplexConst, "qq"), ("emb", Embed, "vi"), ("tr", Trace, "v"),
+          ("lf", LinearFunctional, "vq+"), ("floor", Floor, "e"),
+          ("cfloor", ComplexFloor, "e"), ("frac", Frac, "e"), ("nint", Nint, "e"),
+          ("dist", Dist, "e"), ("re", RealPart, "e"), ("im", ImagPart, "e"))
+_BY_NAME = {name: (cls, shape) for name, cls, shape in _CALLS}
+_BY_CLASS = {cls: (name, shape) for name, cls, shape in _CALLS}
+_RESERVED = {"sqrt2", *_BY_NAME}
+_PLACEHOLDER = {"e": "expr", "v": "IDENT", "q": "RAT", "i": "INT", "+": "..."}
 
 _SQRT2_FIELD = None
 
@@ -156,31 +170,56 @@ def _sqrt2_const() -> AlgebraicConst:
     return AlgebraicConst("sqrt2", f.beta, f.distinguished)
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
-_TOKEN = _re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*(),]))")
+def _signature(name: str, shape: str) -> str:
+    """A call as the grammar writes it, such as lf(IDENT, RAT, ...)."""
+    return f"{name}({', '.join(_PLACEHOLDER[k] for k in shape)})"
 
 
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            break
-        num, ident, op = m.groups()
-        if num:
-            out.append(("num", Fraction(num), m.start(1)))
-        elif ident:
-            out.append(("ident", ident, m.start(2)))
-        else:
-            out.append(("op", op, m.start(3)))
-        pos = m.end()
-    out.append(("end", None, len(text)))
-    return out
+if __doc__:     # None under python -OO
+    __doc__ += "".join(f"\n    {_signature(name, shape)}"
+                       for name, _cls, shape in _CALLS) + "\n"
+
+
+def _kinds(shape: str, n: int) -> str:
+    """The shape letters of n arguments."""
+    fixed = shape.rstrip("+")
+    return fixed if fixed == shape else fixed + fixed[-1] * (n - len(fixed))
+
+
+def _node(cls, shape: str, values: list) -> GPExpr:
+    """The call node of its argument values, repeated ones as one tuple."""
+    if shape.endswith("+"):
+        values = [*values[:len(shape) - 2], tuple(values[len(shape) - 2:])]
+    return cls(*values)
+
+
+def _argument(kind: str, e: GPExpr):
+    """The value argument e gives to a field of shape letter kind, or None
+    if it does not fit; a signed rational is q or -q."""
+    if kind == "e":
+        return e
+    if kind == "v":
+        return e.name if type(e) is Var else None
+    sign, e = (-1, e.arg) if type(e) is Neg else (1, e)
+    q = sign * e.value if type(e) is RationalConst else None
+    if kind == "q" or q is None:
+        return q
+    return int(q) if q.denominator == 1 and q >= 0 else None
+
+
+_TOKEN = _re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<op>[+\-*(),])"
+                     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<bad>\S))")
+
+
+def _tokenize(text: str) -> list:
+    """(kind, value, position) triples, the last of kind 'end'."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        kind, val, pos = m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {val!r}", pos)
+        out.append((kind, Fraction(val) if kind == "num" else val, pos))
+    return out + [("end", None, len(text))]
 
 
 class _Parser:
@@ -188,66 +227,40 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.toks[self.i]
+    def pos(self) -> int:
+        return self.toks[self.i][2]
 
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def take(self, *ops: str):
+        """The next token if it is one of the operators ops, consumed."""
+        kind, val, _pos = self.toks[self.i]
+        if kind == "op" and val in ops:
+            self.i += 1
+            return val
+        return None
 
-    def expect(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}", pos)
-
-    def parse(self) -> GPExpr:
-        e = self.expr()
-        kind, _val, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError("trailing input", pos)
-        return e
+    def expect(self, op: str) -> None:
+        if not self.take(op):
+            raise ExprSyntaxError(f"expected {op!r}", self.pos())
 
     def expr(self) -> GPExpr:
         e = self.term()
-        while True:
-            kind, val, _pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = Add(e, rhs if val == "+" else Neg(rhs))
-            else:
-                return e
+        while op := self.take("+", "-"):
+            rhs = self.term()
+            e = Add(e, rhs if op == "+" else Neg(rhs))
+        return e
 
     def term(self) -> GPExpr:
         e = self.factor()
-        while True:
-            kind, val, _pos = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                e = Mul(e, self.factor())
-            else:
-                return e
+        while self.take("*"):
+            e = Mul(e, self.factor())
+        return e
 
     def factor(self) -> GPExpr:
-        kind, val, _pos = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return Neg(self.factor())
-        return self.atom()
-
-    def signed_rational(self) -> Fraction:
-        kind, val, pos = self.next()
-        neg = False
-        if kind == "op" and val == "-":
-            neg = True
-            kind, val, pos = self.next()
-        if kind != "num":
-            raise ExprSyntaxError("expected a rational number", pos)
-        return -val if neg else val
+        return Neg(self.factor()) if self.take("-") else self.atom()
 
     def atom(self) -> GPExpr:
-        kind, val, pos = self.next()
+        kind, val, pos = self.toks[self.i]
+        self.i += 1
         if kind == "num":
             return RationalConst(val)
         if kind == "op" and val == "(":
@@ -256,120 +269,75 @@ class _Parser:
             return e
         if kind != "ident":
             raise ExprSyntaxError("expected an atom", pos)
-        name = val
-        nk, nv, _np = self.peek()
-        if not (nk == "op" and nv == "("):
-            if name == "sqrt2":
-                return _sqrt2_const()
-            if name in _RESERVED:
-                raise ExprSyntaxError(f"{name!r} is reserved", pos)
-            return Var(name)
-        # function application
-        self.next()  # consume '('
-        if name in _UNARY:
-            e = self.expr()
-            self.expect(")")
-            return _UNARY[name](e)
-        if name == "c":
-            a = self.signed_rational()
-            self.expect(",")
-            b = self.signed_rational()
-            self.expect(")")
-            return ComplexConst(a, b)
-        if name == "emb":
-            k, v, p = self.next()
-            if k != "ident":
-                raise ExprSyntaxError("emb expects a variable", p)
-            self.expect(",")
-            idx = self.signed_rational()
-            if idx.denominator != 1 or idx < 0:
-                raise ExprSyntaxError("emb index must be a nonnegative integer", p)
-            self.expect(")")
-            return Embed(v, int(idx))
-        if name == "tr":
-            k, v, p = self.next()
-            if k != "ident":
-                raise ExprSyntaxError("tr expects a variable", p)
-            self.expect(")")
-            return Trace(v)
-        if name == "lf":
-            k, v, p = self.next()
-            if k != "ident":
-                raise ExprSyntaxError("lf expects a variable", p)
-            duals = []
-            while True:
-                nk, nv, _ = self.peek()
-                if nk == "op" and nv == ",":
-                    self.next()
-                    duals.append(self.signed_rational())
-                else:
-                    break
-            self.expect(")")
-            if not duals:
-                raise ExprSyntaxError("lf needs at least one coefficient", p)
-            return LinearFunctional(v, tuple(duals))
-        raise UnknownFunction(f"unknown function {name!r}")
+        if self.take("("):
+            return self.call(val)
+        if val == "sqrt2":
+            return _sqrt2_const()
+        if val in _RESERVED:
+            raise ExprSyntaxError(f"{val!r} is reserved", pos)
+        return Var(val)
+
+    def call(self, name: str) -> GPExpr:
+        """The call name(arg, ...) after its '(': every argument is read as
+        an expression, then checked against the call's row of `_CALLS`."""
+        if name not in _BY_NAME:
+            raise UnknownFunction(f"unknown function {name!r}")
+        cls, shape = _BY_NAME[name]
+        args = [(self.pos(), self.expr())]
+        while self.take(","):
+            args.append((self.pos(), self.expr()))
+        end = self.pos()
+        self.expect(")")
+        kinds = _kinds(shape, len(args))
+        values = [_argument(k, e) for k, (_p, e) in zip(kinds, args)]
+        wrong = [p for (p, _e), v in zip(args, values) if v is None]
+        if wrong or len(args) != len(kinds):
+            pos = (wrong or [p for p, _e in args[len(kinds):]] or [end])[0]
+            raise ExprSyntaxError(f"expected {_signature(name, shape)}", pos)
+        return _node(cls, shape, values)
 
 
 def parse(text: str) -> GPExpr:
-    return _Parser(text).parse()
+    p = _Parser(text)
+    e = p.expr()
+    if p.toks[p.i][0] != "end":
+        raise ExprSyntaxError("trailing input", p.pos())
+    return e
 
 
-# ---------------------------------------------------------------------------
-# pretty printer
-# ---------------------------------------------------------------------------
+# An operand ranked below the least rank its place admits is printed in
+# parentheses; calls, constants and variables rank 4.
+_RANK = {Add: 1, Neg: 2, Mul: 3}
 
-def _is_atomic(e: GPExpr) -> bool:
-    return isinstance(e, (RationalConst, ComplexConst, AlgebraicConst, Var,
-                          Embed, Trace, LinearFunctional, Floor, ComplexFloor,
-                          Frac, Nint, Dist, RealPart, ImagPart))
+
+def _operand(e: GPExpr, least: int) -> str:
+    s = pretty(e)
+    return f"({s})" if _RANK.get(type(e), 4) < least else s
 
 
 def pretty(e: GPExpr) -> str:
-    if isinstance(e, RationalConst):
+    t = type(e)
+    if t is Add:
+        minus = type(e.right) is Neg
+        rhs = _operand(e.right.arg if minus else e.right, 3)
+        return f"{pretty(e.left)} {'-' if minus else '+'} {rhs}"
+    if t is Mul:
+        return f"{_operand(e.left, 3)} * {_operand(e.right, 4)}"
+    if t is Neg:
+        return f"-{_operand(e.arg, 4)}"
+    if t is RationalConst:
         return str(e.value)
-    if isinstance(e, ComplexConst):
-        return f"c({e.re}, {e.im})"
-    if isinstance(e, AlgebraicConst):
+    if t is Var or t is AlgebraicConst:
         return e.name
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Embed):
-        return f"emb({e.name}, {e.root_index})"
-    if isinstance(e, Trace):
-        return f"tr({e.name})"
-    if isinstance(e, LinearFunctional):
-        return f"lf({e.name}, {', '.join(map(str, e.duals))})"
-    if isinstance(e, Add):
-        lhs = pretty(e.left)
-        r = e.right
-        if isinstance(r, Neg):
-            inner = r.arg
-            rs = pretty(inner)
-            if isinstance(inner, (Add, Neg)):
-                rs = f"({rs})"
-            return f"{lhs} - {rs}"
-        rs = pretty(r)
-        if isinstance(r, Add):
-            rs = f"({rs})"
-        return f"{lhs} + {rs}"
-    if isinstance(e, Mul):
-        ls = pretty(e.left)
-        if isinstance(e.left, (Add, Neg)):
-            ls = f"({ls})"
-        rs = pretty(e.right)
-        if isinstance(e.right, (Add, Neg, Mul)):
-            rs = f"({rs})"
-        return f"{ls} * {rs}"
-    if isinstance(e, Neg):
-        s = pretty(e.arg)
-        if not _is_atomic(e.arg):
-            s = f"({s})"
-        return f"-{s}"
-    for name, cls in _UNARY.items():
-        if isinstance(e, cls):
-            return f"{name}({pretty(e.arg)})"
-    raise TypeError(f"not a GPExpr: {e!r}")
+    if t not in _BY_CLASS:
+        raise TypeError(f"not a GPExpr: {e!r}")
+    name, shape = _BY_CLASS[t]
+    values = [getattr(e, f.name) for f in fields(e)]
+    if shape.endswith("+"):
+        values[-1:] = values[-1]
+    args = (pretty(v) if k == "e" else str(v)
+            for k, v in zip(_kinds(shape, len(values)), values))
+    return f"{name}({', '.join(args)})"
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +636,7 @@ def _linear_functional(e: LinearFunctional, ctx: _EvalCtx) -> Value:
     v = ctx.lookup(e.name)
     coords = v.coords if isinstance(v, FieldElement) else (Fraction(v),)
     if len(e.duals) != len(coords):
-        raise ValueError("dual vector length does not match field degree")
+        raise DegreeMismatch("dual vector length does not match field degree")
     return Value.rational(sum(d * c for d, c in zip(e.duals, coords)))
 
 
@@ -717,20 +685,15 @@ def zero_indicator(f: GPExpr, complex_valued: bool = False) -> GPExpr:
 def trace_expr(field: NumberField, varname: str = "x") -> GPExpr:
     """Sum of all embeddings of a variable; complex pairs contribute twice
     their real part.  Evaluates to the exact field trace."""
-    terms = []
-    for j in field.real_root_indices():
-        terms.append(Embed(varname, j))
-    for j in field.upper_root_indices():
-        terms.append(Mul(RationalConst(Fraction(2)), RealPart(Embed(varname, j))))
-    e = terms[0]
-    for t in terms[1:]:
-        e = Add(e, t)
-    return e
+    two = RationalConst(Fraction(2))
+    return reduce(Add, [Embed(varname, j) for j in field.real_root_indices()]
+                  + [Mul(two, RealPart(Embed(varname, j)))
+                     for j in field.upper_root_indices()])
 
 
 def linear_functional_expr(field: NumberField, duals) -> GPExpr:
     """The coordinate functional x -> sum_i d_i * coord_i(x)."""
     duals = tuple(Fraction(d) for d in duals)
     if len(duals) != field.degree:
-        raise ValueError("dual vector length must equal the field degree")
+        raise DegreeMismatch("dual vector length must equal the field degree")
     return LinearFunctional("x", duals)

@@ -117,8 +117,8 @@ def trace_representation(seq: LinRecSeq) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 def _require_pisot_charpoly(f: NumberField) -> None:
-    """The distinguished root is real and above 1, and every other
-    conjugate has modulus certified below 1 (NotPisot otherwise)."""
+    """The distinguished root is a real algebraic integer above 1 whose
+    other conjugates have modulus certified below 1 (NotPisot otherwise)."""
     if not _is_pisot(f.beta):
         raise NotPisot("the dominant root is not a Pisot number")
 

@@ -32,7 +32,8 @@ from typing import Optional, Sequence, Union
 from . import polys
 from .errors import (CertificateFailed, ComplexEmbedding, DegreeMismatch,
                      DivisionByZero, FieldMismatch, NoRealRoot, NotSquarefree,
-                     OutOfRange, ReducibleDetected, SingularSystem)
+                     OutOfRange, PrecisionExhausted, ReducibleDetected,
+                     SingularSystem)
 from .intervals import (ComplexBox, RatInterval, common_den, floor_of,
                         horner_box, horner_interval, horner_ints,
                         poly_complex_box, sign_vs)
@@ -259,13 +260,17 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
     inclusion proves a root of p in B: that root is then the isolated one.
     Otherwise one bisection by exact winding counts shrinks the rectangle
     and Newton runs again.  A width <= 0 raises ValueError unless the
-    rectangle is already a point."""
+    rectangle is already a point, one past `polys.CEILING_BITS` bits
+    PrecisionExhausted."""
     xlo, xhi, ylo, yhi = rect
     if width <= 0 < max(xhi - xlo, yhi - ylo):
         raise ValueError(f"cannot refine {rect} to width {width}")
+    bits = polys._width_bits(width)
+    if bits > polys.CEILING_BITS:
+        raise PrecisionExhausted("_refine_rect past the ceiling", rect)
     P = polys.canonical(p)
     dp = polys.derivative(P)
-    t = polys._width_bits(width) + (len(P) - 1).bit_length() + 8
+    t = bits + (len(P) - 1).bit_length() + 8
     h = RatInterval(Fraction(-16, 1 << t), Fraction(16, 1 << t))
     while max(xhi - xlo, yhi - ylo) > width:
         a, b = _newton(P, (xlo + xhi) / 2, (ylo + yhi) / 2, t)
@@ -857,7 +862,8 @@ class FieldElement:
     # -- embeddings ---------------------------------------------------------
 
     def embed(self, root_index: Optional[int] = None, prec_bits: int = 30):
-        """Certified box around sigma_j(self); width at most 2**(1-prec_bits)."""
+        """Certified box around sigma_j(self); width at most 2**(1-prec_bits),
+        PrecisionExhausted past `polys.CEILING_BITS` bits."""
         f = self.field
         j = f.distinguished if root_index is None else root_index
         target = Fraction(1, 2 ** prec_bits)
@@ -874,6 +880,8 @@ class FieldElement:
                 out = horner_box(self.num, self.den, f.root_box(j, width))
             if out.width <= 2 * target:
                 return out
+            if prec_bits > polys.CEILING_BITS:
+                raise PrecisionExhausted(f"embed to {prec_bits} bits", out)
             width /= 2 ** 6
 
     def enclosures(self, root_index: Optional[int] = None, prec_bits: int = 8):

@@ -27,7 +27,12 @@ from fractions import Fraction
 from math import comb, gcd as igcd, isqrt, lcm
 from typing import Iterable
 
+from .errors import PrecisionExhausted
 from .intervals import common_den, horner_ints
+
+# The most bits a refinement may be asked for (PrecisionExhausted past it),
+# far past any decision the library makes: every refinement loop ends.
+CEILING_BITS = 1 << 24
 
 Poly = tuple  # ints in canonical form, ascending powers
 
@@ -445,6 +450,7 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
     form P of p, a rational multiple that keeps roots and Newton quotients,
     and lo = A / D, hi = B / D over one denominator D > 0.  The
     rationals returned are those that the same steps give on Fractions.
+    A width past `CEILING_BITS` bits raises PrecisionExhausted.
     """
     if lo == hi:
         return lo, hi
@@ -452,6 +458,8 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
         raise ValueError(f"cannot refine [{lo}, {hi}] to width {width}")
     if hi - lo <= width:
         return lo, hi
+    if _width_bits(width) > CEILING_BITS:
+        raise PrecisionExhausted("refine_root past the ceiling", (lo, hi))
     P = canonical(p)
     slo, shi = int_sign_at(P, lo), int_sign_at(P, hi)
     if slo == shi or slo == 0 or shi == 0:

@@ -20,9 +20,9 @@ from .analysis import (non_hereditary_construct, sturmian, subword_complexity,
 from .constructions import (IndexSet, PisotSetSpec, hereditary_predicate,
                             lattice_indicator, pisot_unit_test,
                             power_set_predicate, salem_test)
-from .genpoly import (Add, Dist, Embed, Floor, Frac, Mul, Neg, Nint,
-                      RationalConst, Var, eval_expr, parse, pretty,
-                      zero_indicator)
+from . import genpoly
+from .genpoly import (Add, Mul, Neg, RationalConst, Var, eval_expr, parse,
+                      pretty, zero_indicator)
 from .linalg import gauss_jordan
 from .linrec import (LinRecSeq, pisot_step, salem_recover_exact,
                      salem_recovery_family, trace_representation,
@@ -173,29 +173,37 @@ def check_sturmian_expression():
            "Sturmian density near sqrt2 - 1")
 
 
+def random_expr(rng: random.Random, depth: int):
+    """A random expression of at most the given depth: constants (sqrt2
+    among them), variables, the operators and a call from every row of
+    `genpoly._CALLS`, with up to four arguments where a row repeats one."""
+    if depth == 0 or rng.randrange(10) < 3:
+        return rng.choice([RationalConst(Fraction(rng.randint(0, 9),
+                                                  rng.randint(1, 3))),
+                           Var(rng.choice("xyz")), genpoly._sqrt2_const()])
+    k = rng.randrange(10)
+    if k < 4:
+        return (Add, Mul)[k % 2](random_expr(rng, depth - 1),
+                                 random_expr(rng, depth - 1))
+    if k < 5:
+        return Neg(random_expr(rng, depth - 1))
+    _name, cls, shape = rng.choice(genpoly._CALLS)
+    draw = {"e": lambda: random_expr(rng, depth - 1),
+            "v": lambda: rng.choice("xyz"), "i": lambda: rng.randint(0, 3),
+            "q": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))}
+    kinds = genpoly._kinds(shape, len(shape) + rng.randrange(3))
+    return genpoly._node(cls, shape, [draw[k]() for k in kinds])
+
+
 def check_parse_roundtrip():
     rng = random.Random(8)
-
-    def gen(depth):
-        if depth == 0 or rng.randrange(10) < 3:
-            return rng.choice([RationalConst(Fraction(rng.randint(0, 9))),
-                               Var(rng.choice("xyz")),
-                               Embed(rng.choice("xy"), rng.randint(0, 3))])
-        k = rng.randrange(10)
-        if k < 3:
-            return Add(gen(depth - 1), gen(depth - 1))
-        if k < 5:
-            return Mul(gen(depth - 1), gen(depth - 1))
-        if k < 6:
-            return Neg(gen(depth - 1))
-        return rng.choice([Floor, Frac, Nint, Dist])(gen(depth - 1))
-
     for _ in range(300):
-        ast = gen(5)
+        ast = random_expr(rng, 5)
         _check(parse(pretty(ast)) == ast, "parse(pretty(t)) == t")
     for text in ("floor(a*(n+1)+b) - floor(a*n+b)",
                  "1/2 + 3 * x - y * nint(z)",
-                 "tr(x) + lf(y, 1/2, -3) * dist(x)"):
+                 "tr(x) + lf(y, 1/2, -3) * dist(x)",
+                 "cfloor(emb(x, 2)) * c(-1/2, 3) - re(z) * im(sqrt2 * z)"):
         _check(pretty(parse(text)) == pretty(parse(pretty(parse(text)))),
                f"pretty is a fixed point on {text}")
 

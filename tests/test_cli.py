@@ -322,6 +322,11 @@ def test_cli_member_query_past_the_digit_limit():
 
 FIB_SET = ["pisot-set", "--minpoly", "1,-1,-1", "--query", "0,1"]
 FIB_SEQ = ["linrec", "--charpoly", "1,-1,-1", "--init", "0,1"]
+MALFORMED = os.path.join(os.path.dirname(__file__), "data", "malformed")
+
+
+def malformed(name: str) -> str:
+    return os.path.join(MALFORMED, name)
 
 
 @pytest.mark.parametrize("argv,code,error", [
@@ -351,12 +356,31 @@ FIB_SEQ = ["linrec", "--charpoly", "1,-1,-1", "--init", "0,1"]
     (FIB_SEQ + ["recover", "--i", "-1"], 2, None),
     (["salem-recover", "--charpoly", "1,-1,-1,-1,1", "--init", "4,1,3,7",
       "--i", "-1"], 2, None),
+    (["eval", "--text", "lf(x, 1, 2, 3)", "--env", malformed("env_phi.json")],
+     1, "DegreeMismatch"),
+    (["eval", "--text", "x", "--env", malformed("env_no_value.json")], 1,
+     "MalformedInput"),
+    (["field", "--spec", malformed("field_bad_selector.json")], 1,
+     "MalformedInput"),
+    (FIB_SEQ + ["transfer", "--to", malformed("seq_unknown_key.json")], 1,
+     "MalformedInput"),
+    (["field", "--spec", malformed("absent.json")], 1, "MalformedInput"),
+    (["eval", "--text", "1", "--env", malformed("bad.json")], 1,
+     "MalformedInput"),
+    (["complexity", "--word-file", malformed("word_non_digit.txt")], 1,
+     "MalformedInput"),
+    (["eval", "--text", "tr(floor)"], 1, "ExprSyntaxError"),
+    (["linrec", "--charpoly", "2,-3,-1", "--init", "0,1", "i0"], 1,
+     "NotPisot"),
 ], ids=["m-abc", "indices-0,x", "distinguished-abc", "field-distinguished-abc",
         "indices--1", "indices-mod-0", "distinguished-5",
         "field-distinguished-5", "m-1", "m-0", "beta-minus-phi",
         "rank-0", "rank-2-salem", "zeros-bound-past-cap", "l-max-0",
         "search-bound--5", "i0-j--1", "term--1", "recover-i--1",
-        "salem-recover-i--1"])
+        "salem-recover-i--1", "lf-too-long", "env-var-no-value",
+        "field-bad-selector", "seq-unknown-key", "spec-missing",
+        "env-not-json", "word-non-digit", "reserved-call-variable",
+        "non-integer-pisot"])
 def test_option_and_hypothesis_errors_are_typed(argv, code, error):
     r = cli_process(*argv, "--json")
     assert r.returncode == code, r.stderr
@@ -364,3 +388,14 @@ def test_option_and_hypothesis_errors_are_typed(argv, code, error):
     if error is not None:
         d = json.loads(r.stdout)
         assert d["schema"] == 1 and d["error"] == error
+
+
+def test_out_window_reads_back_as_a_word_file(capsys, tmp_path):
+    window = tmp_path / "window.txt"
+    code, _ = run(capsys, "nonhereditary", "--l-max", "2",
+                  "--out-window", str(window))
+    assert code == 0
+    code, out = run(capsys, "complexity", "--word-file", str(window),
+                    "--n-max", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["window"] == len(window.read_text().strip()) > 1

@@ -182,6 +182,22 @@ def test_not_pisot_rejected(salem_seq):
         verified_i0(salem_seq, 1)   # Salem, not Pisot
 
 
+def test_pisot_gate_requires_an_algebraic_integer():
+    """2x^2 - 3x - 1: beta = (3 + sqrt17)/4 ~ 1.78 and its conjugate
+    ~ -0.28 lie where a Pisot number's would, but beta is no algebraic
+    integer, and n_{i+1} = nint(beta n_i) fails for every i >= 1."""
+    seq = LinRecSeq([-1, -3, 2], [0, 1])
+    beta = seq.field.beta
+    for i in range(1, 8):
+        assert certified_nint(beta * seq.term(i)) != seq.term(i + 1)
+    same_recurrence = LinRecSeq([-1, -3, 2], [1, 1])
+    for call in (lambda: verified_i0(seq, 1), lambda: true_onset(seq, 1),
+                 lambda: transfer_map(seq, same_recurrence),
+                 lambda: value_set_membership(seq, F(3, 2))):
+        with pytest.raises(NotPisot):
+            call()
+
+
 # -- transfer maps ------------------------------------------------------------------
 
 def test_transfer_fib_to_lucas(fib, lucas):

@@ -4,15 +4,21 @@ A decision about an exact value reads a stream of ever narrower
 enclosures: `FieldElement.enclosures` doubles the precision of `embed`,
 `RealAlg.enclosures` divides the width of `refined_interval` by 16.  No
 `while` loop in the library may call `.embed(` or `.refined_interval(`
-itself, which would write that schedule out by hand once more.
+itself, which would write that schedule out by hand once more.  Every
+such stream ends: past `polys.CEILING_BITS` bits the three primitives
+under it raise PrecisionExhausted.
 """
 
 import ast
 import pathlib
+from fractions import Fraction as F
 
 import pytest
 
 import gpnf
+from gpnf import numberfield, polys
+from gpnf.errors import CertificateFailed, PrecisionExhausted
+from gpnf.numberfield import NumberField, certified_floor
 
 SRC = pathlib.Path(gpnf.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -60,3 +66,46 @@ def test_guard_flags(snippet):
 ])
 def test_guard_allows(snippet):
     assert hand_ladders(snippet) == []
+
+
+# -- the precision ceiling -----------------------------------------------------
+
+@pytest.fixture
+def ceiling_64(monkeypatch):
+    monkeypatch.setattr(polys, "CEILING_BITS", 64)
+
+
+def test_refine_root_stops_at_the_ceiling(ceiling_64):
+    lo, hi = polys.refine_root((-2, 0, 1), F(1), F(2), F(1, 2 ** 60))
+    assert hi - lo <= F(1, 2 ** 60)
+    with pytest.raises(PrecisionExhausted) as ei:
+        polys.refine_root((-2, 0, 1), F(1), F(2), F(1, 2 ** 80))
+    assert ei.value.box == (F(1), F(2))
+    assert isinstance(ei.value, CertificateFailed)
+    # a floor that needs more than 64 bits of the golden ratio
+    with pytest.raises(PrecisionExhausted) as ei:
+        certified_floor(NumberField([-1, -1, 1]).beta ** 100)
+    lo, hi = ei.value.box               # encloses phi, the root of x^2 - x - 1
+    assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1
+
+
+def test_refine_rect_stops_at_the_ceiling(ceiling_64):
+    rect = (F(-1, 2), F(1, 2), F(1, 2), F(3, 2))     # holds i, a root of x^2 + 1
+    xlo, xhi, ylo, yhi = numberfield._refine_rect((1, 0, 1), rect, F(1, 2 ** 60))
+    assert xlo <= 0 <= xhi and ylo <= 1 <= yhi
+    with pytest.raises(PrecisionExhausted) as ei:
+        numberfield._refine_rect((1, 0, 1), rect, F(1, 2 ** 80))
+    assert ei.value.box == rect
+
+
+def test_embed_and_its_stream_stop_at_the_ceiling(ceiling_64):
+    assert NumberField([-1, -1, 1]).beta.embed(None, 60).width <= F(2, 2 ** 60)
+    x = NumberField([-1, -1, 1]).beta       # a fresh field, its root unrefined
+    with pytest.raises(PrecisionExhausted) as ei:
+        x.embed(None, 80)
+    assert ei.value.what == "embed to 80 bits"
+    lo, hi = ei.value.box.lo, ei.value.box.hi
+    assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1
+    # a loop that waits for an exact enclosure of phi now ends
+    with pytest.raises(PrecisionExhausted):
+        next(b for b in x.enclosures() if b.width == 0)
