@@ -10,24 +10,26 @@ are re-checked against the produced window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence
 
 from .errors import (DensityHypothesisFailed, OutOfRange, PigeonholeFailed,
                      RationalSlope, SlopeOutOfRange, WindowTooShort)
 from .numberfield import FieldElement, certified_floor
+from .records import Frozen, Record, set_field
 
 
 # ---------------------------------------------------------------------------
 # words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinaryWord:
+class BinaryWord(Frozen):
     """A finite 0/1 word with an absolute start offset."""
-    start: int
-    bits: tuple
+    __slots__ = __match_args__ = ("start", "bits")
+
+    def __init__(self, start: int, bits: tuple):
+        set_field(self, "start", start)
+        set_field(self, "bits", bits)
 
     def __len__(self):
         return len(self.bits)
@@ -139,26 +141,33 @@ def surrogate_slow_decay_set(f: Callable) -> SurrogateSlowDecaySet:
 # the non-hereditary construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LevelRecord:
-    level: int
-    a: int                    # target block occupancy (an integer)
-    h: Fraction               # effective rate a / L
-    M: int                    # number of blocks at this level
-    N_prev: int
-    N: int
-    block_set: tuple          # the repeated trace A, ascending offsets
-    positions: tuple          # m_0 < ... < m_{H-1}
-    chosen_subsets: tuple     # A_j carved from block j
-    plus_count: int           # blocks meeting the occupancy target
-    required_plus: int        # 2^(L + a)
+class LevelRecord(Record):
+    """One level L: a is the target block occupancy (an integer), h = a / L
+    the effective rate, M the number of blocks, block_set the repeated
+    trace A (ascending offsets), positions m_0 < ... < m_{H-1},
+    chosen_subsets the A_j carved from block j, and plus_count the blocks
+    meeting the occupancy target, of required_plus = 2^(L + a)."""
+    __slots__ = __match_args__ = (
+        "level", "a", "h", "M", "N_prev", "N", "block_set", "positions",
+        "chosen_subsets", "plus_count", "required_plus")
+
+    def __init__(self, level: int, a: int, h: Fraction, M: int, N_prev: int,
+                 N: int, block_set: tuple, positions: tuple,
+                 chosen_subsets: tuple, plus_count: int, required_plus: int):
+        self.level, self.a, self.h, self.M = level, a, h, M
+        self.N_prev, self.N, self.block_set = N_prev, N, block_set
+        self.positions, self.chosen_subsets = positions, chosen_subsets
+        self.plus_count, self.required_plus = plus_count, required_plus
 
 
-@dataclass
-class NonHereditaryPlan:
-    levels: List[LevelRecord]
-    window: BinaryWord        # indicator of F on [0, N_max)
-    removed: set
+class NonHereditaryPlan(Record):
+    """The levels of the construction and its window, the indicator of F
+    on [0, N_max)."""
+    __slots__ = __match_args__ = ("levels", "window", "removed")
+
+    def __init__(self, levels: List[LevelRecord], window: BinaryWord,
+                 removed: set):
+        self.levels, self.window, self.removed = levels, window, removed
 
     @property
     def N_max(self) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -28,6 +27,7 @@ from .errors import (DependentBasis, InvalidRho, NotPisot, OutOfRange,
 from .intervals import ComplexBox, RatInterval
 from .linalg import gauss_jordan
 from .numberfield import FieldElement, NumberField, certified_dist
+from .records import Record
 from . import polys
 
 # ---------------------------------------------------------------------------
@@ -188,12 +188,15 @@ def _abs_lt_one(x: FieldElement, j: int) -> bool:
     return abs_sq_of_embedding(x, j).compare_rational(1) < 0
 
 
-def _is_pisot(x: FieldElement) -> bool:
-    """Is x an algebraic integer whose distinguished embedding is real and
-    above 1, with every other conjugate of modulus below 1?  One exact
-    modulus test per real conjugate and one per complex pair."""
+def _is_pisot(x: FieldElement, unit: bool = False) -> bool:
+    """Is x an algebraic integer (a unit, if asked) whose distinguished
+    embedding is real and above 1, with every other conjugate of modulus
+    below 1?  One characteristic polynomial, then one exact modulus test
+    per real conjugate and one per complex pair."""
     f, d = x.field, x.field.distinguished
-    return (x.is_algebraic_integer() and f.is_real_root(d)
+    cp = x.char_poly()
+    return (all(c.denominator == 1 for c in cp)
+            and (not unit or abs(cp[0]) == 1) and f.is_real_root(d)
             and x.compare_rational(1, d) > 0
             and all(_abs_lt_one(x, j) for j in
                     f.real_root_indices() + f.upper_root_indices() if j != d))
@@ -203,10 +206,10 @@ def pisot_unit_test(x: FieldElement) -> bool:
     """Is x a Pisot unit of the field: a unit whose distinguished real
     embedding exceeds 1 while every other embedding has modulus below 1.
 
-    The unit test (integer characteristic polynomial of constant +-1)
-    runs first; the Pisot gate `_is_pisot` decides the rest exactly.
+    The Pisot gate `_is_pisot` decides it exactly, with the unit test
+    (integer characteristic polynomial of constant +-1) first.
     """
-    return x.is_unit() and _is_pisot(x)
+    return _is_pisot(x, unit=True)
 
 
 def _trace_polynomial(p: tuple) -> list:
@@ -543,22 +546,19 @@ def _least_power(C: Fraction, dist_beta: FieldElement, rho: Fraction) -> int:
     return hi
 
 
-@dataclass
-class PisotSetSpec:
+class PisotSetSpec(Record):
     """Everything needed to decide membership in {beta^(i m) : i in I}.
 
     The hypotheses (a rank-one unit group, beta a Pisot unit) are checked
     before any constant is computed; rho = None takes default_rho(beta)
     and m = None the least admissible power."""
-    field: NumberField
-    beta: FieldElement
-    rho: Optional[Fraction]
-    m: Optional[int]
-    indices: IndexSet
-    threshold: FieldElement = dc_field(init=False)
-    tail_constant: Fraction = dc_field(init=False)
+    __match_args__ = ("field", "beta", "rho", "m", "indices")
+    __slots__ = __match_args__ + ("threshold", "tail_constant")
 
-    def __post_init__(self):
+    def __init__(self, field: NumberField, beta: FieldElement,
+                 rho: Optional[Fraction], m: Optional[int], indices: IndexSet):
+        self.field, self.beta, self.rho, self.m = field, beta, rho, m
+        self.indices = indices
         _require_pisot_unit(self.beta)
         self.rho = (default_rho(self.beta) if self.rho is None
                     else Fraction(self.rho))

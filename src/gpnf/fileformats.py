@@ -44,14 +44,19 @@ def read_input(path: str, as_json: bool = False):
         raise MalformedInput(f"cannot read {path}: {e}") from None
 
 
-def _checked(d, what: str, keys: Optional[set] = None, required=()) -> dict:
+def _checked(d, what: str, keys: Optional[set] = None, required=(),
+             arrays=()) -> dict:
     """d, if it is a JSON object holding every required key and, when keys
-    are given, no other key."""
+    are given, no other key, with a JSON array at each of the arrays keys
+    it holds."""
     if not isinstance(d, dict) or set(required) - set(d):
         need = f" with the keys {list(required)}" if required else ""
         raise MalformedInput(f"{what} must be a JSON object{need}")
     if keys is not None and set(d) - keys:
         raise MalformedInput(f"unknown keys in {what}: {sorted(set(d) - keys)}")
+    for key in arrays:
+        if key in d and not isinstance(d[key], list):
+            raise MalformedInput(f"{key!r} in {what} must be a JSON array")
     return d
 
 
@@ -86,7 +91,7 @@ _FIELD_KEYS = {"schema", "minpoly", "distinguished", "degree", "signature"}
 
 
 def field_from_dict(d: dict) -> NumberField:
-    _checked(d, "field spec", _FIELD_KEYS, ("minpoly",))
+    _checked(d, "field spec", _FIELD_KEYS, ("minpoly",), ("minpoly",))
     coeffs_desc = [parse_rational(c) for c in d["minpoly"]]
     sel = d.get("distinguished", "largest-real")
     kwargs = {}
@@ -148,6 +153,7 @@ def env_from_dict(d: dict) -> dict:
         elif f is None:
             raise MalformedInput(f"variable {name!r} has coordinates but no field")
         else:
+            spec = _checked(spec, f"variable {name!r}", arrays=("coords",))
             env[name] = element_from_list(f, spec["coords"])
     return env
 
@@ -160,7 +166,8 @@ def load_seq_spec(path: str) -> tuple:
     """{"schema": 1, "charpoly": [...desc...], "initial": [...]} -> (charpoly
     ascending, initial terms)."""
     d = _checked(read_input(path, as_json=True), "sequence spec",
-                 {"schema", "charpoly", "initial"}, ("charpoly", "initial"))
+                 {"schema", "charpoly", "initial"}, ("charpoly", "initial"),
+                 ("charpoly", "initial"))
     cp = [parse_rational(c) for c in d["charpoly"]]
     init = [parse_rational(c) for c in d["initial"]]
     return list(reversed(cp)), init

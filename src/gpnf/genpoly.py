@@ -27,7 +27,6 @@ nonnegative integer; ... repeats the argument before it.  The calls::
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
 from typing import Optional, Union
@@ -38,103 +37,100 @@ from .errors import (DegreeMismatch, ExprSyntaxError, FieldMismatch,
                      NonRealFloorArgument, UnboundVariable, UnknownFunction)
 from .intervals import RatInterval
 from .numberfield import (FieldElement, NumberField, certified_floor)
+from .records import Frozen, set_field
 
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalConst:
-    value: Fraction
+class _Node(Frozen):
+    """An immutable AST node, built from its fields (`__match_args__`) by
+    position or keyword.  The fields: a variable name (name, str),
+    rationals (value; re, im), an embedded field element (elem,
+    root_index), a tuple of rationals (duals) and subexpressions (left,
+    right, arg)."""
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if len(args) + len(kwargs) != len(names) or (
+                kwargs and not kwargs.keys() <= set(names[len(args):])):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(names)}")
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        for name, value in kwargs.items():
+            set_field(self, name, value)
 
 
-@dataclass(frozen=True)
-class ComplexConst:
-    re: Fraction
-    im: Fraction
+class RationalConst(_Node):
+    __slots__ = __match_args__ = ("value",)
 
 
-@dataclass(frozen=True)
-class AlgebraicConst:
+class ComplexConst(_Node):
+    __slots__ = __match_args__ = ("re", "im")
+
+
+class AlgebraicConst(_Node):
     """A named exact algebraic constant (an embedded field element)."""
-    name: str
-    elem: FieldElement
-    root_index: int
+    __slots__ = __match_args__ = ("name", "elem", "root_index")
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Node):
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Embed:
-    name: str
-    root_index: int
+class Embed(_Node):
+    __slots__ = __match_args__ = ("name", "root_index")
 
 
-@dataclass(frozen=True)
-class Trace:
-    name: str
+class Trace(_Node):
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
-    name: str
-    duals: tuple
+class LinearFunctional(_Node):
+    __slots__ = __match_args__ = ("name", "duals")
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "GPExpr"
-    right: "GPExpr"
+class Add(_Node):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "GPExpr"
-    right: "GPExpr"
+class Mul(_Node):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "GPExpr"
+class Neg(_Node):
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Floor:
-    arg: "GPExpr"
+class Floor(_Node):
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class ComplexFloor:
-    arg: "GPExpr"
+class ComplexFloor(_Node):
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Frac:
-    arg: "GPExpr"
+class Frac(_Node):
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Nint:
-    arg: "GPExpr"
+class Nint(_Node):
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Dist:
-    arg: "GPExpr"
+class Dist(_Node):
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class RealPart:
-    arg: "GPExpr"
+class RealPart(_Node):
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class ImagPart:
-    arg: "GPExpr"
+class ImagPart(_Node):
+    __slots__ = __match_args__ = ("arg",)
 
 
 GPExpr = Union[RationalConst, ComplexConst, AlgebraicConst, Var, Embed,
@@ -332,7 +328,7 @@ def pretty(e: GPExpr) -> str:
     if t not in _BY_CLASS:
         raise TypeError(f"not a GPExpr: {e!r}")
     name, shape = _BY_CLASS[t]
-    values = [getattr(e, f.name) for f in fields(e)]
+    values = [getattr(e, f) for f in e.__match_args__]
     if shape.endswith("+"):
         values[-1:] = values[-1]
     args = (pretty(v) if k == "e" else str(v)

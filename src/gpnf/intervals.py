@@ -18,9 +18,10 @@ rules that read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+from .records import Frozen, set_field
 
 
 def common_den(rows: list) -> tuple:
@@ -40,17 +41,16 @@ def _rational(v) -> Fraction:
                     f"{type(v).__name__}")
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    lo: Fraction
-    hi: Fraction
+class RatInterval(Frozen):
+    __slots__ = __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
-            object.__setattr__(self, "lo", _rational(self.lo))
-            object.__setattr__(self, "hi", _rational(self.hi))
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if type(lo) is not Fraction or type(hi) is not Fraction:
+            lo, hi = _rational(lo), _rational(hi)
+        if lo > hi:
             raise ValueError("empty interval")
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
     @staticmethod
     def point(x) -> "RatInterval":
@@ -193,10 +193,12 @@ def horner_ints(num, a: int, b: int, d: int) -> tuple:
     return lo, hi, dk
 
 
-@dataclass(frozen=True)
-class ComplexBox:
-    re: RatInterval
-    im: RatInterval
+class ComplexBox(Frozen):
+    __slots__ = __match_args__ = ("re", "im")
+
+    def __init__(self, re: RatInterval, im: RatInterval):
+        set_field(self, "re", re)
+        set_field(self, "im", im)
 
     @staticmethod
     def point(re, im=0) -> "ComplexBox":

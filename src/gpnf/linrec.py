@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -30,6 +29,7 @@ from .intervals import RatInterval
 from .linalg import gauss_jordan
 from .numberfield import (FieldElement, NumberField, certified_floor,
                           certified_nint)
+from .records import Record
 
 
 class LinRecSeq:
@@ -40,6 +40,9 @@ class LinRecSeq:
     polynomial of its dominant root).
 
     The term cache only grows, under a lock; a cached term is read
+    without it.  The lazily filled caches (field, trace representation
+    and its inverse, transfer map to the powers, membership set-up) are
+    each built once, under the sequence's fill lock; a filled one is read
     without it.
     """
 
@@ -57,6 +60,7 @@ class LinRecSeq:
                 f"need {self.order} initial terms, got {len(init)}")
         self._terms = init
         self._terms_lock = threading.Lock()
+        self._fill_lock = threading.RLock()     # fills nest: _vsm needs _field
         # n_{i+m} = sum rec[j] * n_{i+j}
         self._rec = [-c for c in self.charpoly[:-1]]
         self._field: Optional[NumberField] = None
@@ -65,10 +69,18 @@ class LinRecSeq:
         self._to_powers = None
         self._vsm: Optional[dict] = None
 
+    def _fill(self, name: str, build):
+        """The cache attribute `name`, built by build() unless another
+        thread has filled it meanwhile."""
+        with self._fill_lock:
+            if getattr(self, name) is None:
+                setattr(self, name, build())
+            return getattr(self, name)
+
     @property
     def field(self) -> NumberField:
         if self._field is None:
-            self._field = NumberField(self.charpoly)
+            self._fill("_field", lambda: NumberField(self.charpoly))
         return self._field
 
     def term(self, i: int) -> Fraction:
@@ -107,8 +119,8 @@ class LinRecSeq:
 def trace_representation(seq: LinRecSeq) -> FieldElement:
     """The unique x in K with Tr(beta^i x) = n_i for all i."""
     if seq._trace_rep is None:
-        rhs = [seq.term(i) for i in range(seq.order)]
-        seq._trace_rep = seq.field.from_traces(rhs)
+        seq._fill("_trace_rep", lambda: seq.field.from_traces(
+            [seq.term(i) for i in range(seq.order)]))
     return seq._trace_rep
 
 
@@ -213,15 +225,16 @@ class _NintCache:
         return certified_nint(self.elem * q)
 
 
-@dataclass
-class TransferMap:
+class TransferMap(Record):
     """g(n) = sum_j w_j nint(beta^j n), valid from the onset index on the
-    source sequence; the source is rescaled to integers internally."""
-    field: NumberField
-    coeffs: list                       # rationals or field elements
-    onset: int
-    scale: Fraction                    # integer-clearing scalar of the source
-    _nints: list
+    source sequence; the source is rescaled to integers internally, by
+    scale.  The w_j (coeffs) are rationals or field elements."""
+    __slots__ = __match_args__ = ("field", "coeffs", "onset", "scale", "_nints")
+
+    def __init__(self, field: NumberField, coeffs: list, onset: int,
+                 scale: Fraction, _nints: list):
+        self.field, self.coeffs, self.onset = field, coeffs, onset
+        self.scale, self._nints = scale, _nints
 
     def apply(self, q) -> Union[Fraction, FieldElement]:
         z = (q * self.scale.numerator if isinstance(q, int)
@@ -277,7 +290,8 @@ def transfer_map(src: LinRecSeq, dst: LinRecSeq) -> TransferMap:
 def transfer_to_powers(seq: LinRecSeq) -> TransferMap:
     """g with g(n_i) = beta^i (field-valued) for all i >= onset."""
     if seq._to_powers is None:
-        seq._to_powers = _build_transfer(seq, lambda i: seq.field.beta ** i)
+        seq._fill("_to_powers", lambda: _build_transfer(
+            seq, lambda i: seq.field.beta ** i))
     return seq._to_powers
 
 
@@ -300,7 +314,7 @@ def salem_recover_exact(seq: LinRecSeq, i: int,
         raise DegreeMismatch(f"window must have {m} terms")
     y = seq.field.from_traces(window)
     if seq._trace_rep_inv is None:
-        seq._trace_rep_inv = x.inverse()
+        seq._fill("_trace_rep_inv", x.inverse)
     return y * seq._trace_rep_inv
 
 
@@ -432,11 +446,13 @@ def _archimedean_constants(seq: LinRecSeq) -> _IndexBracket:
 
 
 def _vsm_setup(seq: LinRecSeq) -> dict:
-    """One-time constants for value-set membership queries: the Pisot or
-    Salem gate, the index bracket of the terms, its index and the witness
-    of a found index."""
-    if seq._vsm is not None:
-        return seq._vsm
+    """One-time constants for value-set membership queries, built once per
+    sequence: the Pisot or Salem gate, the index bracket of the terms, its
+    index and the witness of a found index."""
+    return seq._vsm or seq._fill("_vsm", lambda: _vsm_build(seq))
+
+
+def _vsm_build(seq: LinRecSeq) -> dict:
     f = seq.field
     beta = f.beta
     cache = {"zero": seq.is_zero_sequence(), "witness": lambda q, k: None}
@@ -465,7 +481,6 @@ def _vsm_setup(seq: LinRecSeq) -> dict:
                     exponent_of(tm.apply(q)) == k if k >= tm.onset else None)
         cache["bracket"] = bracket = _archimedean_constants(seq)
         cache["index"] = bracket.index      # one object, grown in place
-    seq._vsm = cache
     return cache
 
 
@@ -517,12 +532,15 @@ def value_set_membership(seq: LinRecSeq, q, search_bound: int = 10 ** 4) -> bool
 # zero scanning (desk scale)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ZeroReport:
-    bound: int
-    zeros: list
-    progressions: list     # (modulus, residue) classes entirely zero on the window
-    heuristic: bool = True
+class ZeroReport(Record):
+    """The zero terms up to bound, and the (modulus, residue) classes
+    entirely zero on that window."""
+    __slots__ = __match_args__ = ("bound", "zeros", "progressions", "heuristic")
+
+    def __init__(self, bound: int, zeros: list, progressions: list,
+                 heuristic: bool = True):
+        self.bound, self.zeros = bound, zeros
+        self.progressions, self.heuristic = progressions, heuristic
 
 
 def sml_zeros(seq: LinRecSeq, bound: int) -> ZeroReport:

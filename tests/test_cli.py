@@ -364,6 +364,12 @@ def malformed(name: str) -> str:
      "MalformedInput"),
     (FIB_SEQ + ["transfer", "--to", malformed("seq_unknown_key.json")], 1,
      "MalformedInput"),
+    (["field", "--spec", malformed("field_minpoly_not_array.json")], 1,
+     "MalformedInput"),
+    (["eval", "--text", "x", "--env", malformed("env_coords_not_array.json")],
+     1, "MalformedInput"),
+    (FIB_SEQ + ["transfer", "--to", malformed("seq_charpoly_not_array.json")],
+     1, "MalformedInput"),
     (["field", "--spec", malformed("absent.json")], 1, "MalformedInput"),
     (["eval", "--text", "1", "--env", malformed("bad.json")], 1,
      "MalformedInput"),
@@ -378,7 +384,8 @@ def malformed(name: str) -> str:
         "rank-0", "rank-2-salem", "zeros-bound-past-cap", "l-max-0",
         "search-bound--5", "i0-j--1", "term--1", "recover-i--1",
         "salem-recover-i--1", "lf-too-long", "env-var-no-value",
-        "field-bad-selector", "seq-unknown-key", "spec-missing",
+        "field-bad-selector", "seq-unknown-key", "minpoly-not-array",
+        "coords-not-array", "charpoly-not-array", "spec-missing",
         "env-not-json", "word-non-digit", "reserved-call-variable",
         "non-integer-pisot"])
 def test_option_and_hypothesis_errors_are_typed(argv, code, error):

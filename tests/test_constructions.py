@@ -5,14 +5,15 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpnf.constructions import (IndexSet, PisotSetSpec, choose_m, default_rho,
+from gpnf.constructions import (IndexSet, PisotSetSpec, _is_pisot, choose_m,
+                                default_rho,
                                 hereditary_predicate, lattice_indicator,
                                 pisot_unit_test, power_set_predicate,
                                 salem_test, trace_collision_search,
                                 unit_indicator)
 from gpnf.errors import (DependentBasis, InvalidRho, NotPisot, OutOfRange,
                          RankNotOne)
-from gpnf.numberfield import NumberField, certified_dist
+from gpnf.numberfield import FieldElement, NumberField, certified_dist
 
 
 # -- index sets ---------------------------------------------------------------
@@ -106,6 +107,26 @@ def test_pisot_examples(K_phi, K_sqrt2):
     assert not pisot_unit_test(K_phi.element(2))   # not a unit
     assert not pisot_unit_test(K_phi.zero)
     assert not pisot_unit_test(-phi)
+
+
+def test_pisot_unit_test_builds_one_char_poly(K_phi, K_sqrt2, K_plastic,
+                                              K_salem, monkeypatch):
+    """One characteristic polynomial per call, and the answer of the unit
+    test followed by the Pisot gate."""
+    phi, beta = K_phi.beta, K_plastic.beta
+    xs = [phi, phi - 1, -phi, phi / 2, K_phi.element(2), K_phi.zero,
+          1 + K_sqrt2.beta, beta, beta ** 2, beta * 3, K_salem.beta]
+    want = [x.is_unit() and _is_pisot(x) for x in xs]
+    calls = []
+    char_poly = FieldElement.char_poly
+    monkeypatch.setattr(FieldElement, "char_poly",
+                        lambda x: calls.append(x) or char_poly(x))
+    for x, expected in zip(xs, want):
+        calls.clear()
+        assert pisot_unit_test(x) == expected
+        assert calls == [x]
+    assert want == [True, False, False, False, False, False, True, True, True,
+                    False, False]
 
 
 def test_pisot_plastic(K_plastic):

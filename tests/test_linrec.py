@@ -582,6 +582,65 @@ def test_membership_shared_across_threads():
     assert seq.terms(800) == ref.terms(800)
 
 
+LAZY_CACHES = ("_field", "_trace_rep", "_trace_rep_inv", "_to_powers", "_vsm")
+
+
+@pytest.mark.parametrize("rerun", range(5))
+def test_cold_sequence_caches_are_built_once_across_threads(rerun):
+    """Four threads set up one cold Fibonacci sequence at once, through
+    membership, the transfer map to the powers, the trace representation
+    and window recovery; each lazy cache is built once, and every answer is
+    the serial one.  A race need not show on every run, hence the reruns."""
+    fills = {}
+
+    class Counting(LinRecSeq):
+        def __setattr__(self, name, value):
+            if name in LAZY_CACHES and value is not None:
+                fills[name] = fills.get(name, 0) + 1
+            super().__setattr__(name, value)
+
+    ops = ([("member", q) for q in (0, 1, 4, 55, 56, 987, 988)]
+           + [("recover", i) for i in range(2, 9)]
+           + [("transfer", q) for q in (34, 55, 89)] + [("trace", None)])
+
+    def answer(seq, op):
+        kind, arg = op
+        if kind == "member":
+            return value_set_membership(seq, arg)
+        v = (salem_recover_exact(seq, arg) if kind == "recover"
+             else transfer_to_powers(seq).apply(arg) if kind == "transfer"
+             else trace_representation(seq))
+        return v.coords
+
+    ref = LinRecSeq(*MEMBERSHIP_SEQS["fibonacci"])
+    serial = {op: answer(ref, op) for op in ops}
+    seq = Counting(*MEMBERSHIP_SEQS["fibonacci"])
+    start = threading.Barrier(4)
+    got, errors = [None] * 4, []
+
+    def work(t):
+        order = random.Random(4 * rerun + t).sample(ops, len(ops))
+        try:
+            start.wait(timeout=60)
+            got[t] = {op: answer(seq, op) for op in order}
+        except Exception as e:          # reported by the main thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and got == [serial] * 4
+    assert fills == dict.fromkeys(LAZY_CACHES, 1)
+
+
 @pytest.mark.parametrize("name", sorted(MEMBERSHIP_SEQS) + ["zero"])
 def test_negative_search_bound_is_out_of_range(name):
     seq = LinRecSeq(*MEMBERSHIP_SEQS.get(name, ([-1, -1, 1], [0, 0])))

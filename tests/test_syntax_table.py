@@ -1,7 +1,6 @@
 """The expression language as one table: `genpoly._CALLS` against the
 hand-written parser and printer it replaced (`legacy_syntax.py`)."""
 
-import dataclasses
 import pathlib
 import random
 from fractions import Fraction
@@ -52,9 +51,9 @@ def token_strings(rng, n):
 
 def nodes(e):
     yield e
-    for f in dataclasses.fields(e):
-        v = getattr(e, f.name)
-        if dataclasses.is_dataclass(v):
+    for name in e.__match_args__:
+        v = getattr(e, name)
+        if isinstance(v, genpoly._Node):
             yield from nodes(v)
 
 
