@@ -234,10 +234,12 @@ def salem_test(x: FieldElement) -> bool:
     minimal polynomial is reciprocal with all conjugates except x and 1/x
     on the unit circle (decided exactly via the trace polynomial)."""
     f = x.field
-    if not (x.is_unit() and f.is_real_root(f.distinguished)
-            and x.compare_rational(1) > 0):
-        return False
+    # x is a unit iff its minimal polynomial is monic over Z with constant
+    # +-1: the char poly is a power of it, so one char poly serves both
     mpi = x._minimal_poly_int()
+    if not (mpi[-1] == 1 and abs(mpi[0]) == 1
+            and f.is_real_root(f.distinguished) and x.compare_rational(1) > 0):
+        return False
     d = len(mpi) - 1
     if d != f.degree or d < 4 or d % 2 != 0:
         return False

@@ -86,36 +86,60 @@ def _line_uv(P: list, c: Fraction, vertical: bool) -> tuple:
     return u, v
 
 
-def _edge_index2(P: list, c: Fraction, vertical: bool, a, b) -> int:
+def _edge_index2(P: list, c: Fraction, vertical: bool, a, b,
+                 memo: dict) -> int:
     """Twice the Cauchy index of Im p / Re p along the edge of the line
     through c (see `_line_uv`) from coordinate a to b.
 
-    Raises _BoundaryRoot if p vanishes on the closed edge.
+    A line's chain and its variations at a point depend on nothing else,
+    so memo keeps them for every edge of the same p: under (c, vertical)
+    the chain with the Sturm chain of its gcd, under (c, vertical, x) their
+    doubled variations at x.  Raises _BoundaryRoot if p vanishes on the
+    closed edge.
     """
-    chain = polys.cauchy_chain(*_line_uv(P, c, vertical))
-    # p vanishes on the line exactly at the real roots of g = gcd(u, v),
-    # which are simple since p is squarefree: the doubled index of g'/g
-    # is nonzero exactly when one lies on the closed edge
-    g = chain[-1]
-    if len(g) > 1 and polys.cauchy_index2(polys.sturm_chain(g), min(a, b),
-                                          max(a, b)):
+    line = (c, vertical)
+    chains = memo.get(line)
+    if chains is None:
+        chain = polys.cauchy_chain(*_line_uv(P, c, vertical))
+        # p vanishes on the line exactly at the real roots of g = gcd(u, v),
+        # which are simple since p is squarefree: the doubled index of g'/g
+        # is nonzero exactly when one lies on the closed edge
+        g = chain[-1]
+        chains = memo[line] = [chain]
+        if len(g) > 1:
+            chains.append(polys.sturm_chain(g))
+    ends = []
+    for x in (a, b):
+        vs = memo.get(line + (x,))
+        if vs is None:
+            vs = memo[line + (x,)] = [polys._variations2(ch, x) for ch in chains]
+        ends.append(vs)
+    (va, *ga), (vb, *gb) = ends
+    if ga != gb:
         raise _BoundaryRoot
-    return polys.cauchy_index2(chain, a, b)
+    return va - vb
 
 
-def count_roots_in_rect(p: tuple, xlo, xhi, ylo, yhi) -> int:
+def count_roots_in_rect(p: tuple, xlo, xhi, ylo, yhi,
+                        memo: Optional[dict] = None) -> int:
     """Exact number of roots of squarefree p strictly inside the rectangle:
     the winding number of p along its boundary is minus half the Cauchy
     index of Im p / Re p, taken counter-clockwise (Wilf, J. ACM 25, 1978;
     Eisermann, Amer. Math. Monthly 119, 2012).  Integer arithmetic only.
 
-    Raises _BoundaryRoot if a root lies on the boundary.
+    A caller counting many rectangles of one p passes one dict as memo,
+    positionally: bisected rectangles share lines and corners, and each
+    line's chain and its variations at each corner are then built once
+    (see `_edge_index2`).  Raises _BoundaryRoot if a root lies on the
+    boundary.
     """
     P = polys.canonical(p)
-    total = (_edge_index2(P, ylo, False, xlo, xhi)
-             + _edge_index2(P, xhi, True, ylo, yhi)
-             + _edge_index2(P, yhi, False, xhi, xlo)
-             + _edge_index2(P, xlo, True, yhi, ylo))
+    if memo is None:
+        memo = {}
+    total = (_edge_index2(P, ylo, False, xlo, xhi, memo)
+             + _edge_index2(P, xhi, True, ylo, yhi, memo)
+             + _edge_index2(P, yhi, False, xhi, xlo, memo)
+             + _edge_index2(P, xlo, True, yhi, ylo, memo))
     if total % 4:
         raise _BoundaryRoot
     return -total // 4
@@ -152,7 +176,11 @@ def _min_sep_sq(c: tuple) -> Fraction:
 
 def _isolate_complex_upper(p: tuple, expected: int) -> list:
     """Isolating rectangles (xlo, xhi, ylo, yhi) for the roots of squarefree
-    p in the open upper half-plane."""
+    p in the open upper half-plane.
+
+    Rectangles are bisected depth first from one containing them all.
+    Each is counted once, when it is split off, and carried with its count;
+    one memo serves every count, so each line's chain is built once."""
     if expected == 0:
         return []
     bound = polys.cauchy_bound(p)
@@ -162,11 +190,12 @@ def _isolate_complex_upper(p: tuple, expected: int) -> list:
     eta = Fraction(1)
     while 4 * eta * eta > sep_sq:
         eta /= 2
-    work = [(-bound, bound, eta, bound)]
+    memo: dict = {}
+    r = (-bound, bound, eta, bound)
+    work = [(r, count_roots_in_rect(p, *r, memo))]
     done = []
     while work:
-        r = work.pop()
-        n = count_roots_in_rect(p, *r)
+        r, n = work.pop()
         if n == 0:
             continue
         if n == 1:
@@ -174,12 +203,12 @@ def _isolate_complex_upper(p: tuple, expected: int) -> list:
             continue
         for r1, r2 in _splits(r):
             try:
-                n1 = count_roots_in_rect(p, *r1)
-                n2 = count_roots_in_rect(p, *r2)
+                n1 = count_roots_in_rect(p, *r1, memo)
+                n2 = count_roots_in_rect(p, *r2, memo)
             except _BoundaryRoot:
                 continue
             if n1 + n2 == n:
-                work.extend((r1, r2))
+                work.extend(((r1, n1), (r2, n2)))
                 break
         else:
             raise CertificateFailed("complex root isolation failed to split", r)
@@ -250,7 +279,8 @@ def _krawczyk_proves(p: tuple, dp: tuple, Z: ComplexBox, t: int) -> bool:
             and Z.im.lo < K.im.lo and K.im.hi < Z.im.hi)
 
 
-def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
+def _refine_rect(p: tuple, rect: tuple, width: Fraction,
+                 memo: Optional[dict] = None) -> tuple:
     """Shrink an isolating rectangle of squarefree p below the given side.
 
     Approximate, then prove.  Newton in fixed point (`_newton`) runs from
@@ -259,7 +289,9 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
     result is returned when B lies in the rectangle and one Krawczyk
     inclusion proves a root of p in B: that root is then the isolated one.
     Otherwise one bisection by exact winding counts shrinks the rectangle
-    and Newton runs again.  A width <= 0 raises ValueError unless the
+    and Newton runs again; its counts share memo (see
+    `count_roots_in_rect`), a fresh one unless the caller passes its own
+    for many refinements of p.  A width <= 0 raises ValueError unless the
     rectangle is already a point, one past `polys.CEILING_BITS` bits
     PrecisionExhausted."""
     xlo, xhi, ylo, yhi = rect
@@ -270,6 +302,8 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
         raise PrecisionExhausted("_refine_rect past the ceiling", rect)
     P = polys.canonical(p)
     dp = polys.derivative(P)
+    if memo is None:
+        memo = {}
     t = bits + (len(P) - 1).bit_length() + 8
     h = RatInterval(Fraction(-16, 1 << t), Fraction(16, 1 << t))
     while max(xhi - xlo, yhi - ylo) > width:
@@ -280,7 +314,7 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
             return B.re.lo, B.re.hi, B.im.lo, B.im.hi
         for r1, r2 in _splits((xlo, xhi, ylo, yhi)):
             try:
-                n1 = count_roots_in_rect(p, *r1)
+                n1 = count_roots_in_rect(p, *r1, memo)
             except _BoundaryRoot:
                 continue
             xlo, xhi, ylo, yhi = r1 if n1 == 1 else r2
@@ -435,12 +469,24 @@ class NumberField:
         return self._sum2
 
     def _sort_uppers(self, uppers: list) -> list:
+        """The isolating rectangles in the canonical order of their roots:
+        ascending real part, ties by imaginary part.  Comparisons refine
+        copies of the rectangles, kept per root from one comparison to the
+        next and refined with one memo; the rectangles returned are the
+        ones given."""
         if len(uppers) <= 1:
             return uppers
         p = self.minpoly_int
         chain2 = self._sum_resolvent()[1]
+        boxes = list(uppers)
+        memo: dict = {}
 
-        def cmp(ra, rb):
+        def refine(i: int, width: Fraction) -> tuple:
+            boxes[i] = _refine_rect(p, boxes[i], width, memo)
+            return boxes[i]
+
+        def cmp(i, j):
+            ra, rb = boxes[i], boxes[j]
             while True:
                 if ra[1] < rb[0]:
                     return -1
@@ -456,13 +502,14 @@ class NumberField:
                     if ilo < ihi and polys.count_roots(chain2, ilo, ihi) >= 1:
                         # equal real parts: order by imaginary part
                         while not (ra[3] < rb[2] or rb[3] < ra[2]):
-                            ra = _refine_rect(p, ra, (ra[3] - ra[2]) / 4)
-                            rb = _refine_rect(p, rb, (rb[3] - rb[2]) / 4)
+                            ra = refine(i, (ra[3] - ra[2]) / 4)
+                            rb = refine(j, (rb[3] - rb[2]) / 4)
                         return -1 if ra[3] < rb[2] else 1
-                ra = _refine_rect(p, ra, (ra[1] - ra[0]) / 4)
-                rb = _refine_rect(p, rb, (rb[1] - rb[0]) / 4)
+                ra = refine(i, (ra[1] - ra[0]) / 4)
+                rb = refine(j, (rb[1] - rb[0]) / 4)
 
-        return sorted(uppers, key=functools.cmp_to_key(cmp))
+        order = sorted(range(len(uppers)), key=functools.cmp_to_key(cmp))
+        return [uppers[i] for i in order]
 
     def _reduction_table(self) -> tuple:
         """(rows, den): beta^k = rows[k - m] / den in the power basis for

@@ -143,6 +143,32 @@ def test_salem_examples(K_salem, K_phi):
     assert not pisot_unit_test(K_salem.beta)        # circle conjugates
 
 
+def test_salem_test_builds_one_int_char_poly(K_phi, K_sqrt2, K_salem,
+                                             monkeypatch):
+    """One integer characteristic polynomial per cold element, read both
+    for the unit test and for the minimal polynomial."""
+    b = K_salem.beta
+    K_salem8 = NumberField([1, 0, 0, -1, -1, -1, 0, 0, 1])
+    xs = [b, b.inverse(), b * b, b + 1, b * 2, b / 2, -b, K_salem.one,
+          K_salem.zero, K_salem8.beta, K_phi.beta, 1 + K_sqrt2.beta]
+    units = [x.is_unit() for x in xs]
+    calls = []
+    int_char_poly = FieldElement._int_char_poly
+    monkeypatch.setattr(FieldElement, "_int_char_poly",
+                        lambda x: calls.append(x) or int_char_poly(x))
+    answers = []
+    for x in xs:
+        FieldElement._minimal_poly_int.cache_clear()
+        calls.clear()
+        answers.append(salem_test(x))
+        assert calls == [x]
+    FieldElement._minimal_poly_int.cache_clear()
+    assert answers == [True, False, True, False, False, False, False, False,
+                       False, True, False, False]
+    assert units == [True, True, True, False, False, False, True, True,
+                     False, True, True, True]
+
+
 def test_detectors_vs_float_oracle(K_phi, K_sqrt2, K_plastic, K_salem, rng):
     # definition-level oracle on conjugate boxes (independent float roots),
     # anchored on the distinguished embedding per the documented convention
