@@ -520,22 +520,61 @@ def choose_m(beta: FieldElement, rho: Fraction) -> int:
                         rho)
 
 
+def _power_bounds(q: Fraction, m: int) -> tuple:
+    """(lo, hi) with lo <= q^m <= hi, for q > 0 and m >= 0, by binary
+    powering on mantissas of P = 64 + 2 bits(m) bits, x = M 2^e: lo rounds
+    every product down and hi up, so each is within about m 2^-P of q^m,
+    relatively."""
+    P = 64 + 2 * m.bit_length()
+
+    def mul(x, y, up):
+        M, e = x[0] * y[0], x[1] + y[1]
+        s = max(0, M.bit_length() - P)
+        return (-(-M >> s) if up else M >> s), e + s
+
+    n, d, ends = q.numerator << P, q.denominator, []
+    for up in (False, True):
+        out, base, k = (1, 0), ((-(-n // d) if up else n // d), -P), m
+        while k:
+            if k & 1:
+                out = mul(out, base, up)
+            k >>= 1
+            if k:
+                base = mul(base, base, up)
+        M, e = out
+        ends.append(Fraction(M << e) if e >= 0 else Fraction(M, 1 << -e))
+    return tuple(ends)
+
+
 def _least_power(C: Fraction, dist_beta: FieldElement, rho: Fraction) -> int:
     """choose_m for the tail constant C and dist(beta).  err(m) decreases
     in m, so doubling, then bisection, finds it; each step is decided on
-    integers against one 2^-64 enclosure of dist(beta)/3, and exactly only
-    when err(m) lies inside that enclosure."""
+    integers against one 2^-64 enclosure of dist(beta)/3: first for an
+    enclosure of err(m) from `_power_bounds` of rho^m, then, only when that
+    straddles an end, for err(m) itself, and exactly only when err(m) lies
+    inside the enclosure of dist(beta)/3."""
     target = dist_beta * Fraction(1, 3)
     box = target.embed(None, 65)
+    L, H = box.lo, box.hi
 
-    def fits(m: int) -> bool:  # err(m) = en / ed < target
-        rm = rho.denominator ** m
-        en, ed = 2 * C.numerator * rm, C.denominator * (rho.numerator ** m - rm)
-        if en * box.lo.denominator < box.lo.numerator * ed:
+    def below(n: int, d: int, end: Fraction) -> bool:
+        """err = 2 C / (n / d - 1) < end, for n > d > 0."""
+        return (2 * C.numerator * d * end.denominator
+                < end.numerator * C.denominator * (n - d))
+
+    def fits(m: int) -> bool:  # err(m) = 2 C / (rho^m - 1) < target
+        r_lo, r_hi = _power_bounds(rho, m)  # err(r_hi) <= err(m) <= err(r_lo)
+        if r_lo > 1 and below(r_lo.numerator, r_lo.denominator, L):
             return True
-        if en * box.hi.denominator >= box.hi.numerator * ed:
+        if not below(r_hi.numerator, r_hi.denominator, H):
             return False
-        return target.compare_rational(Fraction(en, ed)) > 0
+        n, d = rho.numerator ** m, rho.denominator ** m
+        if below(n, d, L):
+            return True
+        if not below(n, d, H):
+            return False
+        return target.compare_rational(
+            Fraction(2 * C.numerator * d, C.denominator * (n - d))) > 0
 
     lo, hi, cap = 0, 1, 10 ** 6 - 1  # err(lo) >= target, or lo = 0
     while not fits(hi):

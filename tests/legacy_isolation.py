@@ -1,17 +1,49 @@
 """Complex root isolation, refinement and ordering as they were before the
 winding counts kept a memo of line chains: every edge of every count
 builds its line's chain afresh, and every rectangle is counted again when
-it is taken off the work list.  Kept only as an oracle for
-`test_isolation_memo.py`; the library never imports it."""
+it is taken off the work list; and the Krawczyk test as it was before
+intervals kept integer ends, in `Fraction` box arithmetic
+(`legacy_intervals.py`).  Kept only as an oracle for
+`test_isolation_memo.py` and `test_interval_ints.py`; the library never
+imports it."""
 
 import functools
 from fractions import Fraction
 
 from gpnf import polys
 from gpnf.errors import CertificateFailed, PrecisionExhausted
-from gpnf.intervals import ComplexBox, RatInterval
-from gpnf.numberfield import (_BoundaryRoot, _krawczyk_proves, _line_uv,
-                              _min_sep_sq, _newton, _splits)
+from gpnf.numberfield import (_BoundaryRoot, _line_uv, _min_sep_sq, _newton,
+                              _splits)
+from legacy_intervals import ComplexBox, RatInterval, common_den, poly_complex_box
+
+
+def _gauss_eval(p: tuple, re: Fraction, im: Fraction) -> tuple:
+    if not p:
+        return Fraction(0), Fraction(0)
+    (num,), den = common_den([p])
+    ((a, b),), d = common_den([(re, im)])
+    ar, ai, dk = num[-1], 0, 1
+    for n in num[-2::-1]:
+        dk *= d
+        ar, ai = ar * a - ai * b + n * dk, ar * b + ai * a
+    den *= dk
+    return Fraction(ar, den), Fraction(ai, den)
+
+
+def _krawczyk_proves(p: tuple, dp: tuple, Z: ComplexBox, t: int) -> bool:
+    m = ComplexBox.point(Z.re.mid, Z.im.mid)
+    fr, fi = _gauss_eval(p, Z.re.mid, Z.im.mid)
+    dr, di = _gauss_eval(dp, Z.re.mid, Z.im.mid)
+    nrm = dr * dr + di * di
+    if nrm == 0:
+        return False
+    t += max(0, nrm.numerator.bit_length() - nrm.denominator.bit_length())
+    Y = ComplexBox.point(polys.dyadic_down(dr / nrm, t),
+                         polys.dyadic_down(-di / nrm, t))
+    K = (m - Y * ComplexBox.point(fr, fi)
+         + (ComplexBox.point(1) - Y * poly_complex_box(dp, Z)) * (Z - m))
+    return (Z.re.lo < K.re.lo and K.re.hi < Z.re.hi
+            and Z.im.lo < K.im.lo and K.im.hi < Z.im.hi)
 
 
 def _edge_index2(P: list, c: Fraction, vertical: bool, a, b) -> int:
