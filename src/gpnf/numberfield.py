@@ -8,10 +8,10 @@ with an exact winding-number count on rectangle boundaries: one integer
 Sturm chain of Re p and Im p per edge gives its Cauchy index (Wilf;
 Eisermann), with no root isolation and no floating point anywhere.  Complex
 boxes are refined by approximating, then proving: Newton in Gaussian-integer
-fixed point, then one Krawczyk inclusion in exact box arithmetic on integer
-interval ends (`intervals`), with p and p' at the centre by Gaussian-integer
-Horner, and a winding-count bisection only where the proof fails.  Elements
-are coordinate vectors in the power basis.  Their invariants come from
+fixed point, then one Krawczyk inclusion in exact box arithmetic (on the
+integer ends of `intervals`), with a winding-count bisection only where
+the proof fails.  Elements are coordinate vectors in the power basis.
+Their invariants come from
 power sums: the trace from the stored Tr(beta^i), the characteristic
 polynomial from Tr(x^k) by Newton's identities, the norm from its constant
 term and the inverse from Cayley-Hamilton.  Floor / nearest-integer /
@@ -218,22 +218,17 @@ def _isolate_complex_upper(p: tuple, expected: int) -> list:
     return done
 
 
-def _gauss_ints(num, a: int, b: int, d: int) -> tuple:
-    """(re, im, d^k): sum_i num[i] z^i = (re + i im) / d^k at z = (a + i b)
-    / d, by Horner on integers, for integers num and d > 0."""
-    ar, ai, dk = num[-1] if num else 0, 0, 1
+def _gauss_eval(p: tuple, re: Fraction, im: Fraction) -> tuple:
+    """p(re + i*im) for exact rationals: (real, imaginary), by Horner on
+    integers over den(p) d^k, with re and im over one denominator d."""
+    if not p:
+        return Fraction(0), Fraction(0)
+    (num,), den = common_den([p])
+    ((a, b),), d = common_den([(re, im)])
+    ar, ai, dk = num[-1], 0, 1
     for n in num[-2::-1]:
         dk *= d
         ar, ai = ar * a - ai * b + n * dk, ar * b + ai * a
-    return ar, ai, dk
-
-
-def _gauss_eval(p: tuple, re: Fraction, im: Fraction) -> tuple:
-    """p(re + i*im) for exact rationals: (real, imaginary), by `_gauss_ints`
-    over den(p) d^k, with re and im over one denominator d."""
-    (num,), den = common_den([p])
-    ((a, b),), d = common_den([(re, im)])
-    ar, ai, dk = _gauss_ints(num, a, b, d)
     den *= dk
     return Fraction(ar, den), Fraction(ai, den)
 
@@ -267,24 +262,19 @@ def _krawczyk_proves(p: tuple, dp: tuple, Z: ComplexBox, t: int) -> bool:
     Y a dyadic point near 1/p'(m), the Krawczyk operator
     K = m - Y p(m) + (1 - Y p'(Z)) (Z - m), in exact box arithmetic, lies
     strictly inside Z (Krawczyk, Computing 4, 1969; Rump, J. Comput. Appl.
-    Math. 156, 2003).  p(m) = (fr + i fi) / E and p'(m) = (dr + i di) / D
-    come from integer Horner, and the boxes are integer intervals."""
-    over, cr, ci = RatInterval.over, Z.re.mid, Z.im.mid
-    ((a, b),), d = common_den([(cr, ci)])
-    (num, dnum), e = common_den([p, dp])
-    fr, fi, E = _gauss_ints(num, a, b, d)
-    dr, di, D = _gauss_ints(dnum, a, b, d)
-    nrm, E, D = dr * dr + di * di, E * e, D * e
+    Math. 156, 2003)."""
+    m = ComplexBox.point(Z.re.mid, Z.im.mid)
+    fr, fi = _gauss_eval(p, Z.re.mid, Z.im.mid)
+    dr, di = _gauss_eval(dp, Z.re.mid, Z.im.mid)
+    nrm = dr * dr + di * di
     if nrm == 0:
         return False
-    # K encloses the root for any Y; 1/p'(m) = D (dr - i di) / nrm to about
-    # 2^-t relative, as a dyadic, keeps the box products small
-    g = gcd(nrm, D * D)
-    t += max(0, (nrm // g).bit_length() - (D * D // g).bit_length())
-    yr, yi = ((D * dr) << t) // nrm, ((-D * di) << t) // nrm
-    Y = ComplexBox(over(yr, yr, 1 << t), over(yi, yi, 1 << t))
-    m = ComplexBox.point(cr, ci)
-    K = (m - Y * ComplexBox(over(fr, fr, E), over(fi, fi, E))
+    # K encloses the root for any Y; 1/p'(m) to about 2^-t relative, as a
+    # dyadic, keeps the box products small
+    t += max(0, nrm.numerator.bit_length() - nrm.denominator.bit_length())
+    Y = ComplexBox.point(polys.dyadic_down(dr / nrm, t),
+                         polys.dyadic_down(-di / nrm, t))
+    K = (m - Y * ComplexBox.point(fr, fi)
          + (ComplexBox.point(1) - Y * poly_complex_box(dp, Z)) * (Z - m))
     return K.re.strictly_inside(Z.re) and K.im.strictly_inside(Z.im)
 

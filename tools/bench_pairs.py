@@ -4,8 +4,7 @@
         --seed 1 --seed 2 --seconds 20 --pairs 10 --out BENCH_32.json
 
 The base side runs in a temporary `git worktree` of --base, removed at the
-end, or in an existing checkout of it given by --base-dir; the change side
-is the working tree.  Each side runs its own `perfbench/run.py --trace 0`.
+end; the change side is the working tree.  Each side runs its own `perfbench/run.py --trace 0`.
 A pair is one run on each side, one right after the other, and the side
 that goes first alternates from pair to pair, so that a drift in the
 host's speed favours neither.  Workloads and seeds run one after another,
@@ -123,8 +122,6 @@ def run_pairs(base: Path, args, workloads, seeds, end_to_end) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", default="HEAD", help="revision of the base side")
-    ap.add_argument("--base-dir", type=Path,
-                    help="an existing checkout of --base, instead of a worktree")
     ap.add_argument("--workload", action="append", choices=WORKLOADS)
     ap.add_argument("--seed", action="append", type=int)
     ap.add_argument("--seconds", type=int, default=20)
@@ -133,17 +130,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     workloads, seeds = args.workload or list(WORKLOADS), args.seed or [1]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    base_rev = git("rev-parse", args.base)
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base = args.base_dir
-        if base is None:
-            base = Path(tmp) / "base"
-            git("worktree", "add", "--detach", str(base), args.base)
+        base = Path(tmp) / "base"
+        git("worktree", "add", "--detach", str(base), base_rev)
         try:
             report = run_pairs(base, args, workloads, seeds, spec["end_to_end"])
         finally:
-            if args.base_dir is None:
-                git("worktree", "remove", "--force", str(base))
-    report["base_rev"] = git("rev-parse", args.base)
+            git("worktree", "remove", "--force", str(base))
+    report["base_rev"] = base_rev
     text = json.dumps(report, indent=1)
     if args.out:
         args.out.write_text(text + "\n")
