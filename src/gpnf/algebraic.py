@@ -50,8 +50,9 @@ def _diff_poly_sq(a: tuple, b: tuple) -> tuple:
 
 class RealAlg:
     """A real algebraic number: squarefree defining polynomial `poly`, a
-    canonical tuple of ints, plus an open isolating interval; or an exact
-    rational `rat`.
+    canonical tuple of ints, plus an open isolating interval `iv`, a
+    `RatInterval` whose ends `lo` and `hi` are read-only; or an exact
+    rational `rat`, with the point interval `iv` at it.
 
     Decisions read the stream `enclosures(width)` of ever narrower
     isolating intervals: `compare_rational` through `intervals.sign_vs`,
@@ -63,20 +64,22 @@ class RealAlg:
     single field whenever it can).
     """
 
-    __slots__ = ("poly", "lo", "hi", "rat")
+    __slots__ = ("poly", "iv", "rat")
 
-    def __init__(self, poly, lo, hi, rat: Optional[Fraction] = None):
+    def __init__(self, poly, iv: RatInterval, rat: Optional[Fraction] = None):
         self.poly = poly
-        self.lo = lo
-        self.hi = hi
+        self.iv = iv
         self.rat = rat
+
+    lo = property(lambda self: self.iv.lo)
+    hi = property(lambda self: self.iv.hi)
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "RealAlg":
         q = Fraction(q)
-        return RealAlg(None, q, q, rat=q)
+        return RealAlg(None, RatInterval.point(q), rat=q)
 
     @staticmethod
     def from_embedding(x: FieldElement, root_index: Optional[int] = None) -> "RealAlg":
@@ -92,15 +95,14 @@ class RealAlg:
     # -- basic state ----------------------------------------------------------
 
     def interval(self) -> RatInterval:
-        return RatInterval(self.lo, self.hi)
+        return self.iv
 
     def refine(self, width: Fraction) -> None:
         if self.rat is not None:
             return
-        lo, hi = polys.refine_root(self.poly, self.lo, self.hi, width)
-        self.lo, self.hi = lo, hi
-        if lo == hi:
-            self.rat = lo
+        self.iv = iv = polys.refine_root(self.poly, self.iv, width)
+        if iv._t[0] == iv._t[1]:
+            self.rat = iv.lo
 
     def refined_interval(self, width: Fraction) -> RatInterval:
         self.refine(width)
@@ -119,9 +121,8 @@ class RealAlg:
             # q is a root strictly inside the isolating interval, hence
             # it is the unique root there: the value itself
             self.rat = q
-            self.lo = self.hi = q
-        return sign_vs(chain([self.interval()],
-                             self.enclosures((self.hi - self.lo) / 4)), q)
+            self.iv = RatInterval.point(q)
+        return sign_vs(chain([self.iv], self.enclosures(self.iv.width / 4)), q)
 
     def eq_rational(self, q) -> bool:
         return self.compare_rational(q) == 0
@@ -142,13 +143,13 @@ class RealAlg:
     def __neg__(self) -> "RealAlg":
         if self.rat is not None:
             return RealAlg.from_rational(-self.rat)
-        return RealAlg(polys.scale_roots(self.poly, -1), -self.hi, -self.lo)
+        return RealAlg(polys.scale_roots(self.poly, -1), -self.iv)
 
     def add_rational(self, q) -> "RealAlg":
         q = Fraction(q)
         if self.rat is not None:
             return RealAlg.from_rational(self.rat + q)
-        return RealAlg(polys.shift_roots(self.poly, q), self.lo + q, self.hi + q)
+        return RealAlg(polys.shift_roots(self.poly, q), self.iv + q)
 
     def mul_rational(self, q) -> "RealAlg":
         q = Fraction(q)
@@ -156,8 +157,7 @@ class RealAlg:
             return RealAlg.from_rational(self.rat * q)
         if q == 0:
             return RealAlg.from_rational(0)
-        a, b = self.lo * q, self.hi * q
-        return RealAlg(polys.scale_roots(self.poly, q), min(a, b), max(a, b))
+        return RealAlg(polys.scale_roots(self.poly, q), self.iv * q)
 
     def add(self, other: "RealAlg") -> "RealAlg":
         if other.rat is not None:
@@ -180,7 +180,7 @@ class RealAlg:
     def __repr__(self):
         if self.rat is not None:
             return f"RealAlg({self.rat})"
-        return f"RealAlg(deg {polys.degree(self.poly)} in [{self.lo}, {self.hi}])"
+        return f"RealAlg(deg {polys.degree(self.poly)} in {self.iv})"
 
 
 def _isolate(P: tuple, boxes) -> Optional[RealAlg]:
@@ -210,7 +210,7 @@ def _isolate(P: tuple, boxes) -> Optional[RealAlg]:
         if n == 1:
             if slo == 0 or shi == 0:
                 return RealAlg.from_rational(lo if slo == 0 else hi)
-            return RealAlg(P, lo, hi)
+            return RealAlg(P, box)
         if n == 0:
             raise CertificateFailed("certified enclosure contains no root", box)
     return None

@@ -202,8 +202,8 @@ class _NintCache:
         self.elem = f.beta ** j
         self.box = self.elem.embed(None, bits)
         self.T = bits
-        self.lo_num = (self.box.lo.numerator << bits) // self.box.lo.denominator
-        self.hi_num = -((-self.box.hi.numerator << bits) // self.box.hi.denominator)
+        a, b, d = self.box._t
+        self.lo_num, self.hi_num = (a << bits) // d, -((-b << bits) // d)
 
     def __call__(self, q) -> int:
         if isinstance(q, int):
@@ -217,11 +217,9 @@ class _NintCache:
             if na == nb:
                 return na
         else:
-            iv = self.box * q + Fraction(1, 2)
-            flo = iv.lo.numerator // iv.lo.denominator
-            fhi = iv.hi.numerator // iv.hi.denominator
-            if flo == fhi:
-                return flo
+            a, b, d = (self.box * q + Fraction(1, 2))._t
+            if a // d == b // d:
+                return a // d
         return certified_nint(self.elem * q)
 
 

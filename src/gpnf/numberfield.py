@@ -348,9 +348,9 @@ def _find_factor(p: tuple, degrees: list, reals: list,
         interval coefficients, with the root enclosed below `width`."""
         e = encl[j]
         if j < r1:
-            if e[1] - e[0] > width:
-                e = encl[j] = polys.refine_root(p, *e, width)
-            return [RatInterval(-e[1], -e[0]), one]
+            if e.width > width:
+                e = encl[j] = polys.refine_root(p, e, width)
+            return [-e, one]
         if max(e[1] - e[0], e[3] - e[2]) > width:
             e = encl[j] = _refine_rect(p, e, width)
         re, im = RatInterval(e[0], e[1]), RatInterval(e[2], e[3])
@@ -391,12 +391,11 @@ def _find_factor(p: tuple, degrees: list, reals: list,
 # ---------------------------------------------------------------------------
 
 class _Root:
-    __slots__ = ("kind", "interval", "ints", "rect", "pair")
+    __slots__ = ("kind", "interval", "rect", "pair")
 
     def __init__(self, kind, interval=None, rect=None, pair=None):
         self.kind = kind          # 'real' | 'upper' | 'lower'
-        self.interval = interval  # (lo, hi) for real roots
-        self.ints = None          # (interval, a, b, d): [a, b] / d is it
+        self.interval = interval  # RatInterval, for real roots
         self.rect = rect          # (xlo, xhi, ylo, yhi), upper-half roots
         self.pair = pair          # index of the complex-conjugate root
 
@@ -433,7 +432,8 @@ class NumberField:
         self._sum2 = None
         degrees = (polys._factor_degree_candidates(self.minpoly_int)
                    if check_reducible else [])
-        real_ivs = polys.isolate_real_roots(self.minpoly_int)
+        real_ivs = [RatInterval(*iv)
+                    for iv in polys.isolate_real_roots(self.minpoly_int)]
         r1 = len(real_ivs)
         r2 = (m - r1) // 2
         self.signature = (r1, r2)
@@ -547,14 +547,13 @@ class NumberField:
         last = r1 - 1
         width = Fraction(1, 16)
         while True:
-            l0, h0 = self._refine_real(0, width)
-            ll, hl = self._refine_real(last, width)
-            lo, hi = l0 + ll, h0 + hl
-            if lo >= 0:
+            s = self._refine_real(0, width) + self._refine_real(last, width)
+            a, b, _ = s._t
+            if a >= 0:
                 return last
-            if hi < 0:
+            if b < 0:
                 return 0
-            if s_at_0 and lo < 0 < hi and polys.count_roots(chainS, lo, hi) == 1:
+            if s_at_0 and b > 0 and polys.count_roots(chainS, s.lo, s.hi) == 1:
                 return last  # the unique enclosed root of S is 0 itself
             width /= 16
 
@@ -573,12 +572,12 @@ class NumberField:
     def upper_root_indices(self) -> list:
         return [j for j in range(self.degree) if self._roots[j].kind == "upper"]
 
-    def _refine_real(self, j: int, width: Fraction) -> tuple:
+    def _refine_real(self, j: int, width: Fraction) -> RatInterval:
         r = self._roots[j]
         with self._lock:
-            lo, hi = r.interval
-            if hi - lo > width:
-                r.interval = polys.refine_root(self.minpoly_int, lo, hi, width)
+            if r.interval.width > width:
+                r.interval = polys.refine_root(self.minpoly_int, r.interval,
+                                               width)
         return r.interval
 
     def _refine_complex(self, j: int, width: Fraction) -> tuple:
@@ -593,7 +592,7 @@ class NumberField:
         """Certified enclosure of the j-th conjugate of beta."""
         r = self._roots[j]
         if r.kind == "real":
-            return RatInterval(*self._refine_real(j, width))
+            return self._refine_real(j, width)
         xlo, xhi, ylo, yhi = self._refine_complex(j, width)
         im = RatInterval(ylo, yhi)
         if r.kind == "lower":
@@ -922,7 +921,7 @@ class FieldElement:
         while True:
             if f.is_real_root(j):
                 out = horner_interval(self.num, self.den,
-                                      RatInterval(*f._refine_real(j, width)))
+                                      f._refine_real(j, width))
             else:
                 out = horner_box(self.num, self.den, f.root_box(j, width))
             if out.width <= 2 * target:
@@ -938,16 +937,9 @@ class FieldElement:
 
     def _first_look(self, j: int) -> tuple:
         """(lo, hi, den): sigma_j(self) lies in [lo, hi] / den, by integer
-        Horner on root j's current enclosure [a, b] / d.  The root keeps
-        (interval, a, b, d) as one tuple, used only while that interval is
-        (by identity) the one read here: no lock is needed, since every
-        stored interval is an enclosure and each tuple is consistent."""
-        r = self.field._roots[j]
-        iv, ints = r.interval, r.ints
-        if ints is None or ints[0] is not iv:
-            ((a, b),), d = common_den([iv])
-            ints = r.ints = (iv, a, b, d)
-        lo, hi, dk = horner_ints(self.num, *ints[1:])
+        Horner on root j's current enclosure [a, b] / d: one read of one
+        immutable attribute, so no lock is needed."""
+        lo, hi, dk = horner_ints(self.num, *self.field._roots[j].interval._t)
         return lo, hi, self.den * dk
 
     def compare_rational(self, q, root_index: Optional[int] = None) -> int:

@@ -5,8 +5,9 @@ form: content 1 and a positive leading coefficient; the zero polynomial is
 the empty tuple.  `canonical` brings rational coefficients (ints or
 Fractions) to that form, and every function that depends only on the roots
 of its arguments applies it to them.  `Fraction`s appear only in results
-built for a caller: bounds, power sums, root enclosures, the quotient and
-remainder of `divmod_`, the resultant and the monic view `monic`.  One
+built for a caller: bounds, power sums, isolating intervals, the quotient
+and remainder of `divmod_`, the resultant and the monic view `monic`;
+`refine_root` takes and returns a `RatInterval`, on its integer ends.  One
 integer Sturm chain counts real roots: the signed remainder chain of an
 integer pair (u, v) gives twice the Cauchy index of v/u, with a root at an
 end counted 1/2.  For (u, v) = (P, P') that is an exact count of the
@@ -28,7 +29,7 @@ from math import comb, gcd as igcd, isqrt, lcm
 from typing import Iterable
 
 from .errors import PrecisionExhausted
-from .intervals import common_den, horner_ints
+from .intervals import RatInterval, common_den, horner_ints
 
 # The most bits a refinement may be asked for (PrecisionExhausted past it),
 # far past any decision the library makes: every refinement loop ends.
@@ -439,53 +440,45 @@ def _width_bits(w: Fraction) -> int:
     return max(0, w.denominator.bit_length() - w.numerator.bit_length() + 1)
 
 
-def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
+def refine_root(p: Poly, iv: RatInterval, width: Fraction) -> RatInterval:
     """Refine an isolating interval of squarefree p down to the given width.
 
     Interval Newton steps give quadratic convergence once the enclosure is
-    tight; bisection on the sign change is the fallback.  Point intervals
+    tight; bisection on the sign of p against its sign just right of lo is
+    the fallback, and the only step when an end of iv is a root (p then has
+    the sign of p'(lo) there, as its roots are simple).  Point intervals
     pass through unchanged; a midpoint that hits the root exactly collapses
     the interval to a point.  A width <= 0 raises ValueError unless the
     interval is already a point.  The steps run on integers: the canonical
     form P of p, a rational multiple that keeps roots and Newton quotients,
-    and lo = A / D, hi = B / D over one denominator D > 0.  The
-    rationals returned are those that the same steps give on Fractions.
-    A width past `CEILING_BITS` bits raises PrecisionExhausted.
+    and the ends [A, B] / D of iv.  The interval returned holds the
+    rationals that the same steps give on Fractions.  A width past
+    `CEILING_BITS` bits raises PrecisionExhausted.
     """
-    if lo == hi:
-        return lo, hi
+    A, B, D = iv._t
+    if A == B:
+        return iv
     if width <= 0:
-        raise ValueError(f"cannot refine [{lo}, {hi}] to width {width}")
-    if hi - lo <= width:
-        return lo, hi
+        raise ValueError(f"cannot refine {iv} to width {width}")
+    wn, wd = width.numerator, width.denominator
+    if (B - A) * wd <= wn * D:
+        return iv
     if _width_bits(width) > CEILING_BITS:
-        raise PrecisionExhausted("refine_root past the ceiling", (lo, hi))
+        raise PrecisionExhausted("refine_root past the ceiling", iv)
     P = canonical(p)
-    slo, shi = int_sign_at(P, lo), int_sign_at(P, hi)
-    if slo == shi or slo == 0 or shi == 0:
-        # no sign change: fall back to Sturm bisection
-        chain = sturm_chain(P)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if int_sign_at(chain[0], mid) == 0:
-                return mid, mid
-            if count_roots(chain, lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
     n = len(P) - 1
     dP = derivative(P)
-    ((A, B),), D = common_den([(lo, hi)])
-    wn, wd = width.numerator, width.denominator
+    slo, shi = horner_at(P, A, D)[0], horner_at(P, B, D)[0]
+    newton = slo * shi < 0  # else an end is a root: bisections only
+    slo = slo or horner_at(dP, A, D)[0]  # the sign just right of lo
     while (B - A) * wd > wn * D:
         M, D2 = A + B, 2 * D  # mid = M / D2
         fm = horner_at(P, M, D2)[0]
         if fm == 0:
-            return Fraction(M, D2), Fraction(M, D2)
-        L, H, _ = horner_ints(dP, A, B, D)  # P' over [lo, hi] / D^(n-1)
-        if L > 0 or H < 0:
-            # Newton: the root lies in mid - P(mid) / P'[lo, hi], whose ends
+            return RatInterval.over(M, M, D2)
+        L, H, _ = horner_ints(dP, A, B, D)  # P'(iv) in [L, H] / D^(n-1)
+        if newton and (L > 0 or H < 0):
+            # Newton: the root lies in mid - P(mid) / P'(iv), whose ends
             # are (M 2^(n-1) E - fm) / (2^n D E) for E = L, H.  Round them
             # outward to multiples of 2^-t, so denominators stay linear in
             # the precision instead of doubling every step.
@@ -500,13 +493,13 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
             if nlo <= nhi and 8 * (nhi - nlo) <= 7 * k * (B - A):
                 slo = horner_at(P, nlo, Ds)[0]
                 if slo == 0:
-                    return Fraction(nlo, Ds), Fraction(nlo, Ds)
+                    return RatInterval.over(nlo, nlo, Ds)
                 if horner_at(P, nhi, Ds)[0] == 0:
-                    return Fraction(nhi, Ds), Fraction(nhi, Ds)
+                    return RatInterval.over(nhi, nhi, Ds)
                 A, B, D = nlo, nhi, Ds
                 continue
         A, B, D = (M, 2 * B, D2) if (fm > 0) == (slo > 0) else (2 * A, M, D2)
-    return Fraction(A, D), Fraction(B, D)
+    return RatInterval.over(A, B, D)
 
 
 # -- resultants --------------------------------------------------------------

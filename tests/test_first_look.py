@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gpnf.intervals import common_den, horner_ints
+from gpnf.intervals import horner_ints
 from gpnf.numberfield import NumberField, certified_floor
 
 
@@ -100,7 +100,6 @@ def test_first_look_follows_a_refinement():
     new = f._roots[j].interval
     assert new is not old
     for iv, look in ((old, before), (new, x._first_look(j))):
-        ((a, b),), d = common_den([iv])
-        lo, hi, dk = horner_ints(x.num, a, b, d)
+        lo, hi, dk = horner_ints(x.num, *iv._t)
         assert look == (lo, hi, x.den * dk)
     assert x._first_look(j) != before

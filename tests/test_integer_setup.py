@@ -103,9 +103,9 @@ def ref_least_power(C, dist_beta, rho):
 # -- refine_root ------------------------------------------------------------------
 
 def _same(p, lo, hi, width):
-    got = P.refine_root(p, lo, hi, width)
+    got = P.refine_root(p, RatInterval(lo, hi), width)
     want = ref_refine_root(p, lo, hi, width)
-    assert got == want, (p, lo, hi, width)
+    assert (got.lo, got.hi) == want, (p, lo, hi, width)
 
 
 @st.composite
@@ -161,11 +161,13 @@ def test_refine_root_hits_the_root():
     # [1/3, 1] (for the linear 2x - 1) are the root 1/2 itself
     for p, lo, hi in (((-1, 2, -1, 2), F(1, 6), F(5, 6)),
                       ((-1, 2), F(1, 3), F(1))):
-        assert P.refine_root(p, lo, hi, F(1, 2 ** 40)) == (F(1, 2), F(1, 2))
+        assert P.refine_root(p, RatInterval(lo, hi), F(1, 2 ** 40)) == \
+            RatInterval.point(F(1, 2))
         _same(p, lo, hi, F(1, 2 ** 40))
     # x (x - 1) (x - 2) on [0, 2]: the root at the end sends the steps to
     # the Sturm bisection, whose first midpoint is the root 1
-    assert P.refine_root((0, 2, -3, 1), F(0), F(2), F(1, 8)) == (1, 1)
+    assert P.refine_root((0, 2, -3, 1), RatInterval(0, 2), F(1, 8)) == \
+        RatInterval.point(1)
     _same((0, 2, -3, 1), F(0), F(2), F(1, 8))
 
 

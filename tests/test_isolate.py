@@ -34,7 +34,7 @@ def ref_isolate(sq, boxes):
         n = P.count_roots(sturm, lo, hi) + len(ends)
         if n == 1:
             return (RealAlg.from_rational(ends[0]) if ends
-                    else RealAlg(tuple(sturm[0]), lo, hi))
+                    else RealAlg(tuple(sturm[0]), box))
         if n == 0:
             raise ArithmeticError("certified enclosure contains no root")
     return None
@@ -97,7 +97,8 @@ def nested(sq, lo, hi, pads):
     interval widened by pads that shrink, ending with the interval
     itself."""
     if lo < hi:
-        lo, hi = P.refine_root(sq, lo, hi, F(1, 2 ** 20))
+        iv = P.refine_root(sq, RatInterval(lo, hi), F(1, 2 ** 20))
+        lo, hi = iv.lo, iv.hi
     a = b = F(0)
     out = []
     for x, y in reversed(pads):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import from_qq, poly_mul, qq
 from gpnf import polys as P
+from gpnf.intervals import RatInterval
 
 
 def _trim(cs):
@@ -70,6 +71,8 @@ def test_divmod_and_resultant_vs_sympy_on_ints(a, b, la, lb):
 
 
 def _leaves(x):
+    if isinstance(x, RatInterval):
+        x = (x.lo, x.hi)
     if isinstance(x, (tuple, list)):
         for y in x:
             yield from _leaves(y)
@@ -101,7 +104,8 @@ def test_public_functions_return_ints_and_fractions(a, b, la, lb, q):
         "cauchy_index2": P.cauchy_index2(P.cauchy_chain(a, b), -q - 1, q * q),
         "sturm_chain": chain, "count_roots": P.count_roots(chain, -q - 1, q * q),
         "isolate_real_roots": ivs,
-        "refine_root": [P.refine_root(sq, lo, hi, F(1, 2 ** 20)) for lo, hi in ivs],
+        "refine_root": [P.refine_root(sq, RatInterval(*iv), F(1, 2 ** 20))
+                        for iv in ivs],
         "power_sums": P.power_sums(a, 6), "sum_poly": P.sum_poly(a, b),
         "prod_poly": P.prod_poly(a, b), "diff_poly": P.diff_poly(a, b),
         "scale_roots": P.scale_roots(a, q), "shift_roots": P.shift_roots(a, q),
@@ -164,8 +168,9 @@ def test_isolation_brackets_roots():
 
 def test_refine_root_converges():
     p = (-2, 0, 1)
-    (lo, hi) = P.isolate_real_roots(p)[1]
-    lo, hi = P.refine_root(p, lo, hi, F(1, 2 ** 300))
+    iv = RatInterval(*P.isolate_real_roots(p)[1])
+    iv = P.refine_root(p, iv, F(1, 2 ** 300))
+    lo, hi = iv.lo, iv.hi
     assert hi - lo <= F(1, 2 ** 300)
     mid = (lo + hi) / 2
     assert abs(mid * mid - 2) < F(1, 2 ** 250)
@@ -174,7 +179,8 @@ def test_refine_root_converges():
 def test_refine_root_rational_root():
     p = (-4, 0, 1)                   # roots +-2
     ivs = P.isolate_real_roots(p)
-    lo, hi = P.refine_root(p, *ivs[1], F(1, 2 ** 40))
+    iv = P.refine_root(p, RatInterval(*ivs[1]), F(1, 2 ** 40))
+    lo, hi = iv.lo, iv.hi
     assert hi - lo <= F(1, 2 ** 40)
     assert lo <= 2 <= hi
 
@@ -446,12 +452,13 @@ def test_try_isolate_root_on_box_end():
 
 def test_refine_root_zero_width():
     p = (-2, 0, 1)
-    lo, hi = P.isolate_real_roots(p)[1]
+    iv = RatInterval(*P.isolate_real_roots(p)[1])
     with pytest.raises(ValueError):
-        P.refine_root(p, lo, hi, F(0))
+        P.refine_root(p, iv, F(0))
     with pytest.raises(ValueError):
-        P.refine_root(p, lo, hi, F(-1))
-    assert P.refine_root((-4, 0, 1), F(2), F(2), F(0)) == (2, 2)
+        P.refine_root(p, iv, F(-1))
+    point = RatInterval(2, 2)
+    assert P.refine_root((-4, 0, 1), point, F(0)) is point
 
 
 def _gcd_case(rng, k):

@@ -18,6 +18,7 @@ import pytest
 import gpnf
 from gpnf import numberfield, polys
 from gpnf.errors import CertificateFailed, PrecisionExhausted
+from gpnf.intervals import RatInterval
 from gpnf.numberfield import NumberField, certified_floor
 
 SRC = pathlib.Path(gpnf.__file__).parent
@@ -76,16 +77,18 @@ def ceiling_64(monkeypatch):
 
 
 def test_refine_root_stops_at_the_ceiling(ceiling_64):
-    lo, hi = polys.refine_root((-2, 0, 1), F(1), F(2), F(1, 2 ** 60))
-    assert hi - lo <= F(1, 2 ** 60)
+    iv = RatInterval(1, 2)
+    w = F(1, 2 ** 60)
+    assert polys.refine_root((-2, 0, 1), iv, w).width <= w
     with pytest.raises(PrecisionExhausted) as ei:
-        polys.refine_root((-2, 0, 1), F(1), F(2), F(1, 2 ** 80))
-    assert ei.value.box == (F(1), F(2))
+        polys.refine_root((-2, 0, 1), iv, F(1, 2 ** 80))
+    assert ei.value.box is iv
     assert isinstance(ei.value, CertificateFailed)
     # a floor that needs more than 64 bits of the golden ratio
     with pytest.raises(PrecisionExhausted) as ei:
         certified_floor(NumberField([-1, -1, 1]).beta ** 100)
-    lo, hi = ei.value.box               # encloses phi, the root of x^2 - x - 1
+    box = ei.value.box                  # encloses phi, the root of x^2 - x - 1
+    lo, hi = box.lo, box.hi
     assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1
 
 
@@ -109,3 +112,4 @@ def test_embed_and_its_stream_stop_at_the_ceiling(ceiling_64):
     # a loop that waits for an exact enclosure of phi now ends
     with pytest.raises(PrecisionExhausted):
         next(b for b in x.enclosures() if b.width == 0)
+
