@@ -34,7 +34,8 @@ from typing import Optional, Union
 from .algebraic import (RealAlg, complex_floor, embedding_is_real,
                         im_of_embedding, re_of_embedding)
 from .errors import (DegreeMismatch, ExprSyntaxError, FieldMismatch,
-                     NonRealFloorArgument, UnboundVariable, UnknownFunction)
+                     NonRealFloorArgument, OutOfRange, UnboundVariable,
+                     UnknownFunction)
 from .intervals import RatInterval
 from .numberfield import (FieldElement, NumberField, certified_floor)
 from .records import Frozen, set_field
@@ -563,7 +564,9 @@ class Value:
     # -- rendering -------------------------------------------------------------------
 
     def certified_interval(self, prec_bits: int = 30):
-        """A certified enclosure of the (real) value."""
+        """A certified enclosure of the real value; OutOfRange below 0 bits."""
+        if prec_bits < 0:
+            raise OutOfRange("prec_bits must be >= 0")
         v = self._require_real()
         if v.kind == "rat":
             return RatInterval.point(v.payload)

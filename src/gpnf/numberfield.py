@@ -908,8 +908,10 @@ class FieldElement:
     # -- embeddings ---------------------------------------------------------
 
     def embed(self, root_index: Optional[int] = None, prec_bits: int = 30):
-        """Certified box around sigma_j(self); width at most 2**(1-prec_bits),
-        PrecisionExhausted past `polys.CEILING_BITS` bits."""
+        """Certified box around sigma_j(self), at most 2**(1-prec_bits) wide;
+        OutOfRange below 0 bits, PrecisionExhausted past polys.CEILING_BITS."""
+        if prec_bits < 0:
+            raise OutOfRange("prec_bits must be >= 0")
         f = self.field
         j = f.distinguished if root_index is None else root_index
         target = Fraction(1, 2 ** prec_bits)

@@ -17,7 +17,9 @@ import pytest
 
 import gpnf
 from gpnf import numberfield, polys
-from gpnf.errors import CertificateFailed, PrecisionExhausted
+from gpnf.algebraic import RealAlg
+from gpnf.errors import CertificateFailed, OutOfRange, PrecisionExhausted
+from gpnf.genpoly import Value
 from gpnf.intervals import RatInterval
 from gpnf.numberfield import NumberField, certified_floor
 
@@ -113,3 +115,17 @@ def test_embed_and_its_stream_stop_at_the_ceiling(ceiling_64):
     with pytest.raises(PrecisionExhausted):
         next(b for b in x.enclosures() if b.width == 0)
 
+
+def test_negative_precision_is_out_of_range():
+    # the check comes before any arithmetic: 2 ** -1 is a float, on which
+    # Fraction raised a bare TypeError
+    f = NumberField([-1, -1, 1])
+    for x in (f.beta, f.element(3)):
+        with pytest.raises(OutOfRange):
+            x.embed(None, -1)
+        assert x.embed(None, 0).width <= 2
+    for v in (Value.rational(3), Value.of_embedding(f.beta),
+              Value("alg", RealAlg.from_embedding(f.beta))):
+        with pytest.raises(OutOfRange):
+            v.certified_interval(-1)
+        assert v.certified_interval(0).width <= 2
