@@ -118,7 +118,8 @@ class RatInterval(Frozen):
         return a * e <= n * d <= b * e
 
     def overlaps(self, other: "RatInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+        (a, b, d), (e, f, g) = self._t, other._t
+        return a * g <= f * d and e * d <= b * g
 
     def strictly_inside(self, other: "RatInterval") -> bool:
         (a, b, d), (e, f, g) = self._t, other._t
