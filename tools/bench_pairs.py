@@ -12,8 +12,13 @@ never side by side.
 
 The JSON written holds, per workload, seed and end-to-end metric of
 BENCHMARK.json: each side's values, median and quartiles, the number of
-pairs the change won (strictly better, in the metric's direction) and the
-median change in percent; and the Python version, nproc and each side's
+pairs the change won (strictly better, in the metric's direction), the
+median change in percent and a verdict against the metric's relative
+`bound`: `unresolved` when the base's quartile spread, over its median,
+exceeds the bound and not every change run beats every base run; else
+`worse` when the change's median is worse than the base's by more than the
+bound; else `within`.  `no_regression` is true when every verdict is
+`within`.  It also holds the Python version, nproc and each side's
 `src/gpnf` line count.  The exit status is 1 when a run fails or reports
 `correct: false` on either side, else 0; speed gates nothing.  Standard
 library only.
@@ -69,8 +74,27 @@ def stats(values: list) -> dict:
     return {"values": values, "median": med, "q1": q1, "q3": q3}
 
 
+def verdict(base: dict, change: dict, lower: bool, bound: float) -> str:
+    """`unresolved`, `worse` or `within`: the change's runs against the
+    base's, for stats of `stats` and a relative bound."""
+    b = base["median"]
+    spread = (base["q3"] - base["q1"]) / abs(b) if b else 0.0
+    if lower:
+        beats_all = max(change["values"]) < min(base["values"])
+        worse_by = change["median"] - b
+    else:
+        beats_all = min(change["values"]) > max(base["values"])
+        worse_by = b - change["median"]
+    if spread > bound and not beats_all:
+        return "unresolved"
+    if worse_by > bound * abs(b):
+        return "worse"
+    return "within"
+
+
 def summarize(runs: list, end_to_end: list) -> dict:
-    """Per end-to-end metric: each side's stats and the pairs the change won."""
+    """Per end-to-end metric: each side's stats, the pairs the change won
+    and the verdict against the metric's bound."""
     out = {}
     for m in end_to_end:
         name, lower = m["name"], m["better"] == "lower"
@@ -85,7 +109,8 @@ def summarize(runs: list, end_to_end: list) -> dict:
                if base["median"] else None)
         out[name] = {"unit": m["unit"], "better": m["better"], "base": base,
                      "change": change, "pairs": len(pairs), "pairs_won": won,
-                     "median_change_pct": pct}
+                     "median_change_pct": pct, "bound": m["bound"],
+                     "verdict": verdict(base, change, lower, m["bound"])}
     return out
 
 
@@ -116,6 +141,9 @@ def run_pairs(base: Path, args, workloads, seeds, end_to_end) -> dict:
             report["workloads"][w][str(seed)] = {
                 "correct": correct, "metrics": summarize(runs, end_to_end)}
             report["correct"] &= correct["base"] and correct["change"]
+    report["no_regression"] = all(
+        m["verdict"] == "within" for by_seed in report["workloads"].values()
+        for res in by_seed.values() for m in res["metrics"].values())
     return report
 
 
@@ -142,14 +170,21 @@ def main(argv=None) -> int:
     text = json.dumps(report, indent=1)
     if args.out:
         args.out.write_text(text + "\n")
+    show(report)
+    return 0 if report["correct"] else 1
+
+
+def show(report: dict) -> None:
+    """Print each metric's medians, pairs won and verdict."""
     for w, by_seed in report["workloads"].items():
         for seed, res in by_seed.items():
             print(f"# {w} seed {seed}: correct {res['correct']}")
             for name, m in res["metrics"].items():
                 print(f"#   {name}: {m['base']['median']:.6g} -> "
                       f"{m['change']['median']:.6g} {m['unit']}, won "
-                      f"{m['pairs_won']}/{m['pairs']}")
-    return 0 if report["correct"] else 1
+                      f"{m['pairs_won']}/{m['pairs']}, {m['verdict']} "
+                      f"(bound {m['bound']:.0%})")
+    print(f"# no_regression: {report['no_regression']}")
 
 
 if __name__ == "__main__":
