@@ -164,8 +164,8 @@ def test_refine_root_hits_the_root():
         assert P.refine_root(p, RatInterval(lo, hi), F(1, 2 ** 40)) == \
             RatInterval.point(F(1, 2))
         _same(p, lo, hi, F(1, 2 ** 40))
-    # x (x - 1) (x - 2) on [0, 2]: the root at the end sends the steps to
-    # the Sturm bisection, whose first midpoint is the root 1
+    # x (x - 1) (x - 2) on [0, 2]: the root at the end leaves bisection
+    # alone (Sturm bisection in the oracle), whose first midpoint is the root 1
     assert P.refine_root((0, 2, -3, 1), RatInterval(0, 2), F(1, 8)) == \
         RatInterval.point(1)
     _same((0, 2, -3, 1), F(0), F(2), F(1, 8))
@@ -175,7 +175,8 @@ def test_refine_root_hits_the_root():
 @given(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 120))
 def test_refine_root_sturm_fallback(num, den, bits):
     # an end at the rational root r leaves no sign change at the ends, so
-    # the Sturm bisection runs; the interval also holds sqrt(2) or -sqrt(2)
+    # only bisection runs (Sturm bisection in the oracle); the interval also
+    # holds sqrt(2) or -sqrt(2)
     r = F(num, den)
     p = poly_mul((-num, den), (-2, 0, 1))
     for lo, hi in ((r, r + 3), (r - 3, r)):
