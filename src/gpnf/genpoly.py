@@ -13,10 +13,11 @@ elements; a bare variable bound to a field element denotes its
 distinguished embedding, ``emb(x, k)`` selects the k-th conjugate.
 
 Evaluation is exact.  Values stay inside a single field whenever the
-expression allows it; sums and products across embeddings or fields drop
-to self-contained real algebraic numbers (resolvent polynomials plus
-certified isolating intervals), so floors and zero tests are always
-decided, never guessed.
+expression allows it, and a chain of sums or products combines its
+operands embedded at one root of one field before any others; sums and
+products across embeddings or fields drop to self-contained real
+algebraic numbers (resolvent polynomials plus certified isolating
+intervals), so floors and zero tests are always decided, never guessed.
 
 A call reads its arguments as expressions and checks them against its row
 of `_CALLS`: IDENT is a variable, never a reserved name (a call's name or
@@ -611,7 +612,9 @@ def eval_expr(expr: GPExpr, env: Environment) -> Value:
     values flow through cfloor/re/im.  The result is a Value; indicator
     expressions always collapse to exact rationals.  Each node is evaluated
     by the rule `_RULES` holds for its type; any other object raises
-    TypeError."""
+    TypeError.  A chain of + or * folds its operands embedded at one root
+    of one field in field arithmetic first, so sqrt2*x*x builds one
+    product resolvent, not two."""
     return _eval(expr, _EvalCtx(env))
 
 
@@ -639,6 +642,32 @@ def _linear_functional(e: LinearFunctional, ctx: _EvalCtx) -> Value:
     return Value.rational(sum(d * c for d, c in zip(e.duals, coords)))
 
 
+def _chain(op):
+    """The rule of an Add or Mul node, for op its Value operation.  A node
+    with a child of its own type heads a chain, whose operands are the
+    maximal subtrees of another type, evaluated left to right.  Operands
+    embedded in one field at one root index are combined first; then those
+    groups and the other operands, each its own group, are combined in
+    order of first appearance.  Exact + and * are associative and
+    commutative, so only the number of resolvents changes."""
+    def rule(e, ctx: _EvalCtx) -> Value:
+        t = type(e)
+        if type(e.left) is not t and type(e.right) is not t:
+            return op(_eval(e.left, ctx), _eval(e.right, ctx))
+        groups, todo = {}, [e]
+        while todo:
+            node = todo.pop()
+            if type(node) is t:
+                todo += (node.right, node.left)
+                continue
+            v = _eval(node, ctx)
+            key = (v.payload[0].field, v.payload[1]) if v.kind in (
+                "emb", "cemb") else len(groups)
+            groups[key] = op(groups[key], v) if key in groups else v
+        return reduce(op, groups.values())
+    return rule
+
+
 def _unary(method):
     return lambda e, ctx: method(_eval(e.arg, ctx))
 
@@ -652,8 +681,7 @@ _RULES = {
     Embed: _bound(lambda e, v: Value.of_embedding(v, e.root_index)),
     Trace: _bound(lambda e, v: Value.rational(v.trace())),
     LinearFunctional: _linear_functional,
-    Add: lambda e, ctx: _eval(e.left, ctx) + _eval(e.right, ctx),
-    Mul: lambda e, ctx: _eval(e.left, ctx) * _eval(e.right, ctx),
+    Add: _chain(Value.__add__), Mul: _chain(Value.__mul__),
     Neg: _unary(Value.__neg__), Floor: _unary(Value.floor),
     ComplexFloor: _unary(Value.cfloor), Frac: _unary(Value.frac),
     Nint: _unary(Value.nint), Dist: _unary(Value.dist_to_int),
