@@ -16,7 +16,9 @@ first box settles it when P' keeps one sign there, so P is monotone on it,
 and otherwise the boxes are read until one holds a single root of the
 resolvent, counted on its Sturm chain.  Signs and floors then read the
 value's own stream through `intervals.sign_vs` and `intervals.floor_of`,
-and settle hits with exact integer arithmetic.
+and settle hits with exact integer arithmetic.  A `genpoly` chain of sums
+or products folds its same-field operands first: one resolvent per
+embedding it holds, not one per operand.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ class RealAlg:
     by an exact comparison.  Binary add/mul build a sum or product
     resolvent, whose degree is the product of the operand degrees, and
     isolate the result from the operands' zipped streams; they are meant
-    for low-degree operands (the expression evaluator keeps values inside a
-    single field whenever it can).
+    for low-degree operands (`genpoly.eval_expr` folds the operands of a
+    chain at one root of one field before it builds any).
     """
 
     __slots__ = ("poly", "iv", "rat")
@@ -84,9 +86,8 @@ class RealAlg:
     @staticmethod
     def from_embedding(x: FieldElement, root_index: Optional[int] = None) -> "RealAlg":
         """sigma_j(x) at a real embedding, as a self-contained value."""
-        f = x.field
-        j = f.distinguished if root_index is None else root_index
-        if not f.is_real_root(j):
+        j = x.field.root_index(root_index)
+        if not x.field.is_real_root(j):
             raise ValueError("from_embedding needs a real root index")
         if x.is_rational():
             return RealAlg.from_rational(x.as_rational())
@@ -198,18 +199,18 @@ def _isolate(P: tuple, boxes) -> Optional[RealAlg]:
     dP = polys.derivative(P) or [0]  # [0]: P is constant
     sturm = None
     for box in boxes:
-        lo, hi = box.lo, box.hi
-        if lo == hi:
-            return RealAlg.from_rational(lo)
-        slo, shi = polys.int_sign_at(P, lo), polys.int_sign_at(P, hi)
+        a, b, d = box._t
+        if a == b:
+            return RealAlg.from_rational(box.lo)
+        slo, shi = (polys._sign(polys.horner_at(P, e, d)[0]) for e in (a, b))
         if sturm is None and not horner_interval(dP, 1, box).contains(0):
             n = int(slo != shi)  # P is monotone on the box
         else:
             sturm = sturm or polys.sturm_chain(P)
-            n = polys.count_roots(sturm, lo, hi) + (slo == 0) + (shi == 0)
+            n = polys.count_roots(sturm, box.lo, box.hi) + (slo, shi).count(0)
         if n == 1:
             if slo == 0 or shi == 0:
-                return RealAlg.from_rational(lo if slo == 0 else hi)
+                return RealAlg.from_rational(box.lo if slo == 0 else box.hi)
             return RealAlg(P, box)
         if n == 0:
             raise CertificateFailed("certified enclosure contains no root", box)
@@ -224,9 +225,10 @@ def embedding_is_real(x: FieldElement, root_index: int) -> bool:
     """Exact test: is tau_j(x) a real number?  (The value is a root of the
     minimal polynomial of x; nonreal roots have |Im| bounded below by half
     the root-separation bound, so refining the box decides.)"""
-    if x.field.is_real_root(root_index) or x.is_rational():
+    j = x.field.root_index(root_index)
+    if x.field.is_real_root(j) or x.is_rational():
         return True
-    return _is_real_at(x, root_index, x._minimal_poly_int())
+    return _is_real_at(x, j, x._minimal_poly_int())
 
 
 def _is_real_at(x: FieldElement, j: int, c: tuple) -> bool:
@@ -242,9 +244,8 @@ def _is_real_at(x: FieldElement, j: int, c: tuple) -> bool:
 
 def re_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAlg:
     """Re tau_j(x) as an exact real algebraic number."""
-    f = x.field
-    j = f.distinguished if root_index is None else root_index
-    if f.is_real_root(j):
+    j = x.field.root_index(root_index)
+    if x.field.is_real_root(j):
         return RealAlg.from_embedding(x, j)
     if x.is_rational():
         return RealAlg.from_rational(x.as_rational())
@@ -260,9 +261,8 @@ def re_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAl
 
 def im_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAlg:
     """Im tau_j(x) as an exact real algebraic number."""
-    f = x.field
-    j = f.distinguished if root_index is None else root_index
-    if f.is_real_root(j) or x.is_rational():
+    j = x.field.root_index(root_index)
+    if x.field.is_real_root(j) or x.is_rational():
         return RealAlg.from_rational(0)
     c = x._minimal_poly_int()
     if _is_real_at(x, j, c):
@@ -282,11 +282,10 @@ def im_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAl
 
 def abs_sq_of_embedding(x: FieldElement, root_index: Optional[int] = None) -> RealAlg:
     """|sigma_j(x)|^2 as an exact real algebraic number (any embedding)."""
-    f = x.field
-    j = f.distinguished if root_index is None else root_index
+    j = x.field.root_index(root_index)
     if x.is_rational():
         return RealAlg.from_rational(x.as_rational() ** 2)
-    if f.is_real_root(j):
+    if x.field.is_real_root(j):
         return RealAlg.from_embedding(x * x, j)
     c = x._minimal_poly_int()
     pp = _prod_poly_sq(c, c)  # roots alpha_a * alpha_b, includes tau * conj(tau)
@@ -298,8 +297,7 @@ def complex_floor(x: FieldElement, root_index: Optional[int] = None) -> tuple:
 
     Raises RealEmbedding at a real root index (use certified_floor there).
     """
-    f = x.field
-    j = f.distinguished if root_index is None else root_index
-    if f.is_real_root(j):
+    j = x.field.root_index(root_index)
+    if x.field.is_real_root(j):
         raise RealEmbedding("complex floor needs a complex embedding")
     return re_of_embedding(x, j).floor(), im_of_embedding(x, j).floor()

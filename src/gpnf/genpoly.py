@@ -367,13 +367,10 @@ class Value:
 
     @staticmethod
     def of_embedding(elem: FieldElement, j: Optional[int] = None) -> "Value":
-        f = elem.field
-        j = f.distinguished if j is None else j
+        j = elem.field.root_index(j)
         if elem.is_rational():
             return Value.rational(elem.as_rational())
-        if f.is_real_root(j):
-            return Value("emb", (elem, j))
-        return Value("cemb", (elem, j))
+        return Value("emb" if elem.field.is_real_root(j) else "cemb", (elem, j))
 
     @staticmethod
     def complex_pair(re: "Value", im: "Value") -> "Value":

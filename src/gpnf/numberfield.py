@@ -528,9 +528,8 @@ class NumberField:
     def _pick_distinguished(self, distinguished, require_real) -> int:
         r1 = self.signature[0]
         if isinstance(distinguished, int):
-            if not 0 <= distinguished < self.degree:
-                raise OutOfRange("distinguished root index out of range")
-            if require_real and self._roots[distinguished].kind != "real":
+            real = self.is_real_root(self.root_index(distinguished))
+            if require_real and not real:
                 raise NoRealRoot("requested distinguished root is not real")
             return distinguished
         if r1 == 0:
@@ -558,6 +557,13 @@ class NumberField:
             width /= 16
 
     # -- root access ----------------------------------------------------------
+
+    def root_index(self, j: Optional[int] = None) -> int:
+        """j, or the distinguished index for None; OutOfRange unless
+        0 <= j < degree."""
+        if j is not None and not 0 <= j < self.degree:
+            raise OutOfRange(f"root index {j} is not in 0..{self.degree - 1}")
+        return self.distinguished if j is None else j
 
     def is_real_root(self, j: int) -> bool:
         return self._roots[j].kind == "real"
@@ -590,7 +596,7 @@ class NumberField:
 
     def root_box(self, j: int, width: Fraction = Fraction(1, 2 ** 30)):
         """Certified enclosure of the j-th conjugate of beta."""
-        r = self._roots[j]
+        r = self._roots[self.root_index(j)]
         if r.kind == "real":
             return self._refine_real(j, width)
         xlo, xhi, ylo, yhi = self._refine_complex(j, width)
@@ -913,7 +919,7 @@ class FieldElement:
         if prec_bits < 0:
             raise OutOfRange("prec_bits must be >= 0")
         f = self.field
-        j = f.distinguished if root_index is None else root_index
+        j = f.root_index(root_index)
         target = Fraction(1, 2 ** prec_bits)
         if self.is_rational():
             q = self.as_rational()
@@ -947,9 +953,8 @@ class FieldElement:
     def compare_rational(self, q, root_index: Optional[int] = None) -> int:
         """Exact sign of sigma_j(self) - q at a real embedding: by the first
         look when q lies outside its box, else by the enclosure stream."""
-        f = self.field
-        j = f.distinguished if root_index is None else root_index
-        if not f.is_real_root(j):
+        j = self.field.root_index(root_index)
+        if not self.field.is_real_root(j):
             raise ComplexEmbedding("comparison needs a real embedding")
         q = Fraction(q)
         if self.is_rational():
@@ -977,9 +982,8 @@ def certified_floor(x: FieldElement, root_index: Optional[int] = None) -> int:
     narrow until one does; one that straddles an integer n is settled by the
     exact test x == n.
     """
-    f = x.field
-    j = f.distinguished if root_index is None else root_index
-    if not f.is_real_root(j):
+    j = x.field.root_index(root_index)
+    if not x.field.is_real_root(j):
         raise ComplexEmbedding("floor needs a real embedding")
     if x.is_rational():
         return x.num[0] // x.den

@@ -376,6 +376,8 @@ def malformed(name: str) -> str:
     (["complexity", "--word-file", malformed("word_non_digit.txt")], 1,
      "MalformedInput"),
     (["eval", "--text", "tr(floor)"], 1, "ExprSyntaxError"),
+    (["eval", "--text", "re(emb(x,7))", "--env", malformed("env_phi.json")],
+     1, "OutOfRange"),
     (["linrec", "--charpoly", "2,-3,-1", "--init", "0,1", "i0"], 1,
      "NotPisot"),
 ], ids=["m-abc", "indices-0,x", "distinguished-abc", "field-distinguished-abc",
@@ -387,7 +389,7 @@ def malformed(name: str) -> str:
         "field-bad-selector", "seq-unknown-key", "minpoly-not-array",
         "coords-not-array", "charpoly-not-array", "spec-missing",
         "env-not-json", "word-non-digit", "reserved-call-variable",
-        "non-integer-pisot"])
+        "root-index-7", "non-integer-pisot"])
 def test_option_and_hypothesis_errors_are_typed(argv, code, error):
     r = cli_process(*argv, "--json")
     assert r.returncode == code, r.stderr

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import durand_kerner, embed_floats, random_element
-from gpnf import polys
+from gpnf import algebraic, polys
 from gpnf.errors import (ComplexEmbedding, DegreeMismatch, DivisionByZero,
                          FieldMismatch, NoRealRoot, NotSquarefree,
-                         ReducibleDetected)
+                         OutOfRange, ReducibleDetected)
+from gpnf.genpoly import Value
 from gpnf.numberfield import (NumberField, certified_ceil, certified_dist,
                               certified_floor, certified_frac, certified_nint,
                               compare_elements)
@@ -759,3 +760,34 @@ def test_floats_agree_with_embeddings(K_plastic, K_salem, rng):
 
 def test_power_sums_match_lucas(K_phi):
     assert K_phi.power_sums(6) == [2, 1, 3, 4, 7, 11, 18]
+
+
+# every entry point that takes a root index resolves it in one place: None
+# is the distinguished root, and an index outside 0 <= j < degree is a
+# typed error, not an IndexError or a wrap to the last conjugate
+ROOT_INDEX_ENTRIES = {
+    "embed": lambda x, j: x.embed(j),
+    "compare_rational": lambda x, j: x.compare_rational(0, j),
+    "certified_floor": certified_floor,
+    "root_box": lambda x, j: x.field.root_box(j),
+    "from_embedding": algebraic.RealAlg.from_embedding,
+    "re_of_embedding": algebraic.re_of_embedding,
+    "im_of_embedding": algebraic.im_of_embedding,
+    "abs_sq_of_embedding": algebraic.abs_sq_of_embedding,
+    "embedding_is_real": algebraic.embedding_is_real,
+    "complex_floor": algebraic.complex_floor,
+    "of_embedding": Value.of_embedding,
+}
+
+
+@pytest.mark.parametrize("j", [3, 7, -1])
+@pytest.mark.parametrize("entry", sorted(ROOT_INDEX_ENTRIES))
+def test_root_index_out_of_range(K_plastic, entry, j):
+    x = K_plastic.element([1, 2, 3])
+    with pytest.raises(OutOfRange):
+        ROOT_INDEX_ENTRIES[entry](x, j)
+
+
+def test_root_index_resolves_none_to_distinguished(K_plastic):
+    assert K_plastic.root_index() == K_plastic.distinguished
+    assert [K_plastic.root_index(j) for j in range(3)] == [0, 1, 2]
