@@ -49,10 +49,10 @@ def same(a: Value, b: Value) -> bool:
 def random_chain(rng, field):
     """A random binary tree of + or * over 2-4 operands: variables,
     variables at real roots, sqrt2, rationals and now and then a chain of
-    the other operation over two of them.  One case in four is instead a
-    variable at a complex root, one real irrational operand and rationals,
-    shuffled: more real irrational operands next to a complex root make the
-    left-to-right reference build resolvents of degree 81 and more."""
+    the other operation over two of them.  On a field with complex roots,
+    one case in four is instead a variable at a complex root, one real
+    irrational operand and rationals, shuffled: more real irrational operands next to a complex root make the
+    left-to-right reference build resolvents of degree 54 and more."""
     cls = rng.choice((Add, Mul))
     other = Mul if cls is Add else Add
     real = field.real_root_indices()
@@ -121,8 +121,9 @@ def test_fold_keys_on_the_root_index(prod_calls):
 
 
 def test_complex_operands_fold_across_a_real_one():
-    # left to right, the two complex factors meet only after a degree-27
-    # real resolvent; folded, they are one field element
+    # left to right, the two complex factors meet only after degree-18
+    # products with x, and then need resolvents of degree past 100; folded,
+    # they are one field element
     env = {"x": PLASTIC.element([1, -1, F(1, 2)]),
            "y": PLASTIC.element([F(-1, 2), 2, 1])}
     e = parse("emb(y,1)*x*emb(y,1)")
