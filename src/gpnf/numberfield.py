@@ -6,7 +6,11 @@ certified root enclosures for the degrees they leave.  Real conjugates are
 isolated by Sturm bisection; complex conjugates by rectangle subdivision
 with an exact winding-number count on rectangle boundaries: one integer
 Sturm chain of Re p and Im p per edge gives its Cauchy index (Wilf;
-Eisermann), with no root isolation and no floating point anywhere.  Complex
+Eisermann), with no root isolation and no floating point anywhere.  The
+same counts order complex pairs: two rectangles are cut at lines through
+the overlap of their real projections, on the isolation's own memo of line
+chains, until the projections part; only an exact tie of real parts asks
+the Sturm chain of the sum resolvent, built then and only then.  Complex
 boxes are refined by approximating, then proving: Newton in Gaussian-integer
 fixed point, then one Krawczyk inclusion in exact box arithmetic (on the
 integer ends of `intervals`), with a winding-count bisection only where
@@ -146,14 +150,19 @@ def count_roots_in_rect(p: tuple, xlo, xhi, ylo, yhi,
     return -total // 4
 
 
+# where a cut goes, as a fraction of the side it crosses: the middle first,
+# then nearby points, for cuts through a root
+_LADDER = tuple(Fraction(num, den) for num, den in (
+    (1, 2), (17, 32), (15, 32), (9, 16), (7, 16), (19, 32), (13, 32), (5, 8),
+    (3, 8), (21, 32), (11, 32), (23, 32)))
+
+
 def _splits(rect: tuple):
-    """The two halves (r1, r2) of rect cut across its longer side, at the
-    middle first and then at nearby points, for cuts through a root."""
+    """The two halves (r1, r2) of rect cut across its longer side, at each
+    point of `_LADDER` in turn."""
     xlo, xhi, ylo, yhi = rect
     vertical = (xhi - xlo) >= (yhi - ylo)
-    for num, den in ((1, 2), (17, 32), (15, 32), (9, 16), (7, 16), (19, 32),
-                     (13, 32), (5, 8), (3, 8), (21, 32), (11, 32), (23, 32)):
-        t = Fraction(num, den)
+    for t in _LADDER:
         if vertical:
             c = xlo + (xhi - xlo) * t
             yield (xlo, c, ylo, yhi), (c, xhi, ylo, yhi)
@@ -175,13 +184,16 @@ def _min_sep_sq(c: tuple) -> Fraction:
     return 3 * disc / (m ** (m + 2) * norm2sq ** (m - 1))
 
 
-def _isolate_complex_upper(p: tuple, expected: int) -> list:
+def _isolate_complex_upper(p: tuple, expected: int,
+                           memo: Optional[dict] = None) -> list:
     """Isolating rectangles (xlo, xhi, ylo, yhi) for the roots of squarefree
     p in the open upper half-plane.
 
     Rectangles are bisected depth first from one containing them all.
     Each is counted once, when it is split off, and carried with its count;
-    one memo serves every count, so each line's chain is built once."""
+    one memo serves every count, so each line's chain is built once: a
+    fresh one unless the caller passes its own, to count on those lines
+    again (see `NumberField._sort_uppers`)."""
     if expected == 0:
         return []
     bound = polys.cauchy_bound(p)
@@ -191,7 +203,8 @@ def _isolate_complex_upper(p: tuple, expected: int) -> list:
     eta = Fraction(1)
     while 4 * eta * eta > sep_sq:
         eta /= 2
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     r = (-bound, bound, eta, bound)
     work = [(r, count_roots_in_rect(p, *r, memo))]
     done = []
@@ -216,6 +229,28 @@ def _isolate_complex_upper(p: tuple, expected: int) -> list:
     if len(done) != expected:
         raise CertificateFailed("complex root isolation miscount", tuple(done))
     return done
+
+
+def _cut(p: tuple, ra: tuple, rb: tuple, k: int, memo: dict) -> list:
+    """Isolating rectangles ra and rb of squarefree p cut at one line
+    through the overlap of their projections on axis k (0: real, 2:
+    imaginary), each keeping the half that holds its root, by one winding
+    count of its lower half; the two counts share the new line's chain in
+    memo.  A cut through a root moves along `_LADDER`."""
+    lo, hi = max(ra[k], rb[k]), min(ra[k + 1], rb[k + 1])
+    for t in _LADDER:
+        c = lo + (hi - lo) * t
+        halves = []
+        for r in (ra, rb):
+            below = r[:k + 1] + (c,) + r[k + 2:]
+            try:
+                inside = count_roots_in_rect(p, *below, memo)
+            except _BoundaryRoot:
+                break
+            halves.append(below if inside else r[:k] + (c,) + r[k + 1:])
+        else:
+            return halves
+    raise CertificateFailed("ordering cut failed", (ra, rb))
 
 
 def _gauss_eval(p: tuple, re: Fraction, im: Fraction) -> tuple:
@@ -279,8 +314,7 @@ def _krawczyk_proves(p: tuple, dp: tuple, Z: ComplexBox, t: int) -> bool:
     return K.re.strictly_inside(Z.re) and K.im.strictly_inside(Z.im)
 
 
-def _refine_rect(p: tuple, rect: tuple, width: Fraction,
-                 memo: Optional[dict] = None) -> tuple:
+def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
     """Shrink an isolating rectangle of squarefree p below the given side.
 
     Approximate, then prove.  Newton in fixed point (`_newton`) runs from
@@ -289,9 +323,8 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction,
     result is returned when B lies in the rectangle and one Krawczyk
     inclusion proves a root of p in B: that root is then the isolated one.
     Otherwise one bisection by exact winding counts shrinks the rectangle
-    and Newton runs again; its counts share memo (see
-    `count_roots_in_rect`), a fresh one unless the caller passes its own
-    for many refinements of p.  A width <= 0 raises ValueError unless the
+    and Newton runs again; its counts share one memo (see
+    `count_roots_in_rect`).  A width <= 0 raises ValueError unless the
     rectangle is already a point, one past `polys.CEILING_BITS` bits
     PrecisionExhausted."""
     xlo, xhi, ylo, yhi = rect
@@ -302,8 +335,7 @@ def _refine_rect(p: tuple, rect: tuple, width: Fraction,
         raise PrecisionExhausted("_refine_rect past the ceiling", rect)
     P = polys.canonical(p)
     dp = polys.derivative(P)
-    if memo is None:
-        memo = {}
+    memo: dict = {}
     t = bits + (len(P) - 1).bit_length() + 8
     while max(xhi - xlo, yhi - ylo) > width:
         a, b = _newton(P, (xlo + xhi) / 2, (ylo + yhi) / 2, t)
@@ -411,7 +443,9 @@ class NumberField:
 
     Conjugates are ordered canonically: real roots ascending, then complex
     pairs by ascending real part (exact ties broken by imaginary part),
-    each pair listed upper-half root first.  `distinguished` is the index
+    each pair listed upper-half root first.  Pairs are ordered by winding
+    counts on cut lines (see `_sort_uppers`); the Sturm chain of the sum
+    resolvent is built only for an exact tie.  `distinguished` is the index
     of the conjugate identified with beta; by default the real root of
     largest absolute value (positive one on an exact tie), or index 0 if
     there is no real root.
@@ -429,7 +463,7 @@ class NumberField:
             raise NotSquarefree("defining polynomial has a repeated root")
         self.monic_minpoly = polys.monic(self.minpoly_int)
         self.degree = m = len(P) - 1
-        self._sum2 = None
+        self._sum2 = self._chain2 = None
         degrees = (polys._factor_degree_candidates(self.minpoly_int)
                    if check_reducible else [])
         real_ivs = [RatInterval(*iv)
@@ -438,14 +472,15 @@ class NumberField:
         r2 = (m - r1) // 2
         self.signature = (r1, r2)
 
-        uppers = _isolate_complex_upper(self.minpoly_int, r2)
+        memo: dict = {}
+        uppers = _isolate_complex_upper(self.minpoly_int, r2, memo)
         if degrees:
             f = _find_factor(self.minpoly_int, degrees, real_ivs, uppers)
             if f is not None:
                 raise ReducibleDetected(f"found factor with coefficients {f}")
 
         self._roots = [_Root("real", interval=iv) for iv in real_ivs]
-        for rect in self._sort_uppers(uppers):
+        for rect in self._sort_uppers(uppers, memo):
             k = len(self._roots)
             self._roots.append(_Root("upper", rect=rect, pair=k + 1))
             self._roots.append(_Root("lower", rect=rect, pair=k))
@@ -460,53 +495,65 @@ class NumberField:
     # -- construction helpers -----------------------------------------------
 
     def _sum_resolvent(self) -> tuple:
-        """(S, chain): the squarefree polynomial of the sums r_i + r_j of
-        conjugates (i == j allowed) and its Sturm chain, built once."""
+        """`polys.sum_poly(p, p)`: the polynomial of the sums r_i + r_j of
+        conjugates (i == j allowed), built once."""
         if self._sum2 is None:
-            S = polys.squarefree_part(
-                polys.sum_poly(self.minpoly_int, self.minpoly_int))
-            self._sum2 = S, polys.sturm_chain(S)
+            self._sum2 = polys.sum_poly(self.minpoly_int, self.minpoly_int)
         return self._sum2
 
-    def _sort_uppers(self, uppers: list) -> list:
+    def _sum_chain(self) -> list:
+        """The Sturm chain of the squarefree part of `_sum_resolvent`, which
+        only exact ties need: two upper roots of equal real part, or two
+        real roots of zero sum.  Built on first use; both callers run inside
+        `__init__`, so the slot is filled during construction only."""
+        if self._chain2 is None:
+            self._chain2 = polys.sturm_chain(
+                polys.squarefree_part(self._sum_resolvent()))
+        return self._chain2
+
+    def _sort_uppers(self, uppers: list, memo: Optional[dict] = None) -> list:
         """The isolating rectangles in the canonical order of their roots:
-        ascending real part, ties by imaginary part.  Comparisons refine
-        copies of the rectangles, kept per root from one comparison to the
-        next and refined with one memo; the rectangles returned are the
-        ones given."""
+        ascending real part, ties by imaginary part; the rectangles returned
+        are the ones given.
+
+        Two roots compare on copies of their rectangles, kept per root from
+        one comparison to the next: `_cut` cuts both at one vertical line
+        through the overlap of their real projections until the projections
+        part.  Roots lie strictly inside counted rectangles, so projections
+        that only touch are apart.  Its counts share memo, which `__init__`
+        hands over from the isolation, so only the cut lines' chains are
+        new.  Equal real parts never part: after a few cuts, the chain of
+        the sum resolvent (`_sum_chain`) decides whether both doubled real
+        parts are one root of it, and if so horizontal cuts order the
+        imaginary parts."""
         if len(uppers) <= 1:
             return uppers
         p = self.minpoly_int
-        chain2 = self._sum_resolvent()[1]
+        if memo is None:
+            memo = {}
         boxes = list(uppers)
-        memo: dict = {}
 
-        def refine(i: int, width: Fraction) -> tuple:
-            boxes[i] = _refine_rect(p, boxes[i], width, memo)
-            return boxes[i]
+        def tied(ra: tuple, rb: tuple) -> bool:
+            chain2 = self._sum_chain()
+            a2, b2 = (2 * ra[0], 2 * ra[1]), (2 * rb[0], 2 * rb[1])
+            return (polys.count_roots(chain2, *a2) == 1
+                    and polys.count_roots(chain2, *b2) == 1
+                    and polys.count_roots(chain2, max(a2[0], b2[0]),
+                                          min(a2[1], b2[1])) >= 1)
 
-        def cmp(i, j):
-            ra, rb = boxes[i], boxes[j]
+        def cmp(i: int, j: int) -> int:
+            k = cuts = 0
             while True:
-                if ra[1] < rb[0]:
+                ra, rb = boxes[i], boxes[j]
+                if ra[k + 1] <= rb[k]:
                     return -1
-                if rb[1] < ra[0]:
+                if rb[k + 1] <= ra[k]:
                     return 1
-                # the real parts overlap; 2*Re values are roots of the
-                # sum resolvent
-                a2 = (2 * ra[0], 2 * ra[1])
-                b2 = (2 * rb[0], 2 * rb[1])
-                if (polys.count_roots(chain2, *a2) == 1
-                        and polys.count_roots(chain2, *b2) == 1):
-                    ilo, ihi = max(a2[0], b2[0]), min(a2[1], b2[1])
-                    if ilo < ihi and polys.count_roots(chain2, ilo, ihi) >= 1:
-                        # equal real parts: order by imaginary part
-                        while not (ra[3] < rb[2] or rb[3] < ra[2]):
-                            ra = refine(i, (ra[3] - ra[2]) / 4)
-                            rb = refine(j, (rb[3] - rb[2]) / 4)
-                        return -1 if ra[3] < rb[2] else 1
-                ra = refine(i, (ra[1] - ra[0]) / 4)
-                rb = refine(j, (rb[1] - rb[0]) / 4)
+                if k == 0 and cuts >= 4 and tied(ra, rb):
+                    k = 2
+                    continue
+                boxes[i], boxes[j] = _cut(p, ra, rb, k, memo)
+                cuts += 1
 
         order = sorted(range(len(uppers)), key=functools.cmp_to_key(cmp))
         return [uppers[i] for i in order]
@@ -541,8 +588,7 @@ class NumberField:
         # real root of largest |.|; exact ties prefer the positive root.  The
         # real roots ascend, so it is the first or the last: the last iff
         # r_0 + r_last >= 0
-        S, chainS = self._sum_resolvent()
-        s_at_0 = S[0] == 0
+        s_at_0 = self._sum_resolvent()[0] == 0
         last = r1 - 1
         width = Fraction(1, 16)
         while True:
@@ -552,7 +598,8 @@ class NumberField:
                 return last
             if b < 0:
                 return 0
-            if s_at_0 and b > 0 and polys.count_roots(chainS, s.lo, s.hi) == 1:
+            if (s_at_0 and b > 0
+                    and polys.count_roots(self._sum_chain(), s.lo, s.hi) == 1):
                 return last  # the unique enclosed root of S is 0 itself
             width /= 16
 

@@ -24,6 +24,9 @@ _X8 = [1] + [0] * 7 + [1]
 _LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
 _CLOSE = [-2, 404, -20402, 0, 0, 0, 0, 0, 1]        # x^8 - 2(101x - 1)^2
 _FAR = [1, 0, 10 ** 30, 0, 0, 1]                    # x^5 + 10^30 x^2 + 1
+_SALEM6 = _CATALOGUE[-1]                            # x^6 - x^4 - x^3 - x^2 + 1
+# x^4 + 5x^2 + 5 and x^6 + 6x^4 + 9x^2 + 1: every upper root has real part 0
+_TIES = ([5, 0, 5, 0, 1], [1, 0, 9, 0, 6, 0, 1])
 _WIDTHS = (F(1, 2 ** 128), F(1, 2 ** 512))
 
 
@@ -39,7 +42,7 @@ def _assert_matches_legacy(coeffs):
     rects = numberfield._isolate_complex_upper(p, _upper_count(p))
     old = legacy.isolate_complex_upper(p, _upper_count(p))
     assert rects == old
-    order = legacy.sort_uppers(p, K._sum_resolvent()[1], old)
+    order = legacy.sort_uppers(p, K._sum_chain(), old)
     assert K._sort_uppers(rects) == order
     uppers = K.upper_root_indices()
     assert [K._roots[j].rect for j in uppers] == order
@@ -52,7 +55,8 @@ def _assert_matches_legacy(coeffs):
 
 
 @pytest.mark.parametrize(
-    "coeffs", _CATALOGUE + _TRINOMIALS + (_X16, _X8, _LEHMER, _CLOSE, _FAR),
+    "coeffs",
+    _CATALOGUE + _TRINOMIALS + _TIES + (_X16, _X8, _LEHMER, _CLOSE, _FAR),
     ids=lambda c: ",".join(map(str, c)))
 def test_isolation_matches_the_legacy_counts(coeffs):
     _assert_matches_legacy(coeffs)
@@ -99,13 +103,53 @@ def test_isolation_counts_each_rectangle_once(monkeypatch, coeffs):
     assert calls[0][1] is not first
 
 
-def test_ordering_shares_one_memo_across_refinements(monkeypatch):
-    # x^5 + 10^30 x^2 + 1: Newton from the centres of its rectangles stops
-    # short, so ordering its two upper roots bisects by winding counts
-    p = polys.canonical(_FAR)
-    rects = numberfield._isolate_complex_upper(p, 2)
-    K = NumberField(_FAR, check_reducible=False)
+@pytest.mark.parametrize("coeffs", (_TRINOMIALS[-3], _TRINOMIALS[-1]),
+                         ids=("x14-x-1", "x16-x-1"))
+def test_ordering_counts_on_the_isolation_memo(monkeypatch, coeffs):
+    # the real projections of some upper rectangles overlap, so ordering
+    # cuts them; every other edge is a line the isolation already read
+    K = NumberField(coeffs, check_reducible=False)
+    p = K.minpoly_int
+    memo: dict = {}
+    rects = numberfield._isolate_complex_upper(p, _upper_count(p), memo)
+    lines = {key for key in memo if len(key) == 2}
     calls = _counted(monkeypatch)
-    assert K._sort_uppers(rects) == legacy.sort_uppers(
-        p, K._sum_resolvent()[1], rects)
-    assert len(calls) > 2 and len({id(m) for _, m in calls}) == 1
+    assert K._sort_uppers(rects, memo) == [K._roots[j].rect
+                                           for j in K.upper_root_indices()]
+    assert len(calls) >= 2 and all(m is memo for _, m in calls)
+    # each count is of a lower half, whose right edge is the cut
+    cuts = {(r[1], True) for r, _ in calls}
+    assert {key for key in memo if len(key) == 2} - lines == cuts
+    for (xlo, xhi, ylo, yhi), _ in calls:
+        assert {(xlo, True), (ylo, False), (yhi, False)} <= lines | cuts
+
+
+@pytest.mark.parametrize("coeffs", _TIES, ids=lambda c: ",".join(map(str, c)))
+def test_tie_fields_order_by_imaginary_part(monkeypatch, coeffs):
+    # a budget of winding counts (the build makes 20 and 36) fails an
+    # ordering that never decides the tie, instead of hanging
+    counted = numberfield.count_roots_in_rect
+    budget = iter(range(100))
+
+    def count(*args):
+        if next(budget, None) is None:
+            pytest.fail("ordering the tie field does not end")
+        return counted(*args)
+
+    monkeypatch.setattr(numberfield, "count_roots_in_rect", count)
+    K = NumberField(coeffs)
+    assert K._chain2 is not None
+    p = K.minpoly_int
+    uppers = K.upper_root_indices()
+    assert [K._roots[j].rect for j in uppers] == legacy.sort_uppers(
+        p, K._sum_chain(),
+        numberfield._isolate_complex_upper(p, _upper_count(p)))
+    boxes = [K.root_box(j, F(1, 2 ** 40)) for j in uppers]
+    assert all(b.re.lo < 0 < b.re.hi for b in boxes)
+    assert all(a.im.hi < b.im.lo for a, b in zip(boxes, boxes[1:]))
+
+
+@pytest.mark.parametrize("coeffs", (_SALEM6, _CATALOGUE[5], _TRINOMIALS[-1]),
+                         ids=("salem6", "pentanacci", "x16-x-1"))
+def test_generic_fields_build_no_tie_chain(coeffs):
+    assert NumberField(coeffs)._chain2 is None

@@ -442,12 +442,11 @@ def _random_int_poly(rng, d: int, big: bool) -> list:
 
 def _differential_case(rng, k: int) -> list:
     """A squarefree integer polynomial of degree 2-12: for odd k a product of
-    two random factors, else one random polynomial of degree at most 8 (a
-    full field build of degree 9-12 costs seconds); every fifth has
+    two random factors, else one random polynomial; every fifth has
     coefficients up to 10^9, at degree at most 6."""
     big = k % 5 == 0
     while True:
-        m = rng.randint(2, 6 if big else 12 if k % 2 else 8)
+        m = rng.randint(2, 6 if big else 12)
         if k % 2:
             d = rng.randint(1, m - 1)
             a, b = _random_int_poly(rng, d, big), _random_int_poly(rng, m - d, False)
