@@ -73,13 +73,16 @@ def test_isolation_of_drawn_polynomials_matches_the_legacy_counts(coeffs,
         _assert_matches_legacy(p)
 
 
-def _counted(monkeypatch):
-    """The (rectangle, memo) of every winding count, by the module name."""
+def _counted(monkeypatch, budget=None):
+    """The (rectangle, memo) of every winding count, by the module name;
+    a count past the budget fails the test instead of letting it hang."""
     counted = numberfield.count_roots_in_rect
     calls = []
 
     def count(*args):
         calls.append((args[1:5], args[5]))
+        if budget is not None and len(calls) > budget:
+            pytest.fail(f"more than {budget} winding counts")
         return counted(*args)
 
     monkeypatch.setattr(numberfield, "count_roots_in_rect", count)
@@ -126,17 +129,9 @@ def test_ordering_counts_on_the_isolation_memo(monkeypatch, coeffs):
 
 @pytest.mark.parametrize("coeffs", _TIES, ids=lambda c: ",".join(map(str, c)))
 def test_tie_fields_order_by_imaginary_part(monkeypatch, coeffs):
-    # a budget of winding counts (the build makes 20 and 36) fails an
-    # ordering that never decides the tie, instead of hanging
-    counted = numberfield.count_roots_in_rect
-    budget = iter(range(100))
-
-    def count(*args):
-        if next(budget, None) is None:
-            pytest.fail("ordering the tie field does not end")
-        return counted(*args)
-
-    monkeypatch.setattr(numberfield, "count_roots_in_rect", count)
+    # 32 and 56 counts in all, 20 and 36 of them in the builds; an
+    # undecided tie would cut forever
+    _counted(monkeypatch, budget=100)
     K = NumberField(coeffs)
     assert K._chain2 is not None
     p = K.minpoly_int
