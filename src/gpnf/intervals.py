@@ -6,11 +6,10 @@ no rounding anywhere.  Its ends are integers a <= b over one d > 0 in lowest
 terms; `lo` and `hi` are their Fraction view.  ComplexBox is a rectangle
 (pair of intervals).
 
-The Horner kernels `horner_interval` and `horner_box` (behind
-`poly_complex_box`) read those integers: every step is integer products, a
-min/max and an add, and the box is reduced once at the end.  All scalings
-are by positive integers, so the result is the same rational box as the
-rational Horner `acc * x + c`.
+The Horner kernels `horner_interval` and `horner_box` read those integers:
+every step is integer products, a min/max and an add, and the box is
+reduced once at the end.  All scalings are by positive integers, so the
+result is the same rational box as the rational Horner `acc * x + c`.
 
 Exact values (field embeddings, `algebraic.RealAlg`) hand out streams of
 ever narrower enclosures; `sign_vs` and `floor_of` are the sign and floor
@@ -308,12 +307,6 @@ class ComplexBox(Frozen):
 
     def __repr__(self):
         return f"({self.re} + {self.im} i)"
-
-
-def poly_complex_box(coeffs, z: ComplexBox) -> ComplexBox:
-    """Enclosure of p(z) over the box, by complex interval Horner."""
-    (num,), den = common_den([coeffs])
-    return horner_box(num, den, z)
 
 
 def horner_box(num, den: int, z: ComplexBox) -> ComplexBox:

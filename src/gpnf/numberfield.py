@@ -10,15 +10,17 @@ Eisermann), with no root isolation and no floating point anywhere.  The
 same counts order complex pairs: two rectangles are cut at lines through
 the overlap of their real projections, on the isolation's own memo of line
 chains, until the projections part; only an exact tie of real parts asks
-the Sturm chain of the sum resolvent, built then and only then.  Complex
-boxes are refined by approximating, then proving: Newton in Gaussian-integer
+the Sturm chain of the sum resolvent, built then and only then.  Each
+conjugate then keeps one box, which `NumberField.root_box` alone refines: a
+RatInterval for a real root, by `polys.refine_root`, and a ComplexBox for an
+upper root, which its lower conjugate reads as `.conj()`.  Complex boxes
+are refined by approximating, then proving: Newton in Gaussian-integer
 fixed point, then one Krawczyk inclusion in exact box arithmetic (on the
-integer ends of `intervals`), with a winding-count bisection only where
-the proof fails.  Elements are coordinate vectors in the power basis.
-Their invariants come from
-power sums: the trace from the stored Tr(beta^i), the characteristic
-polynomial from Tr(x^k) by Newton's identities, the norm from its constant
-term and the inverse from Cayley-Hamilton.  Floor / nearest-integer /
+integer ends of `intervals`), with a winding-count cut only where the proof
+fails.  Elements are coordinate vectors in the power basis.  Their
+invariants come from power sums: the trace from the stored Tr(beta^i), the
+characteristic polynomial from Tr(x^k) by Newton's identities, the norm
+from its constant term and the inverse from Cayley-Hamilton.  Floor / nearest-integer /
 fractional-part of real embeddings are decided exactly: intervals are
 refined until they exclude all integers, and an exact field-equality test
 settles integer hits, so ties are never guessed from numerics.
@@ -40,8 +42,7 @@ from .errors import (CertificateFailed, ComplexEmbedding, DegreeMismatch,
                      OutOfRange, PrecisionExhausted, ReducibleDetected,
                      SingularSystem)
 from .intervals import (ComplexBox, RatInterval, common_den, floor_of,
-                        horner_box, horner_interval, horner_ints,
-                        poly_complex_box, sign_vs)
+                        horner_box, horner_interval, horner_ints, sign_vs)
 from .linalg import gauss_jordan
 
 Rationalish = Union[int, Fraction, str]
@@ -231,17 +232,24 @@ def _isolate_complex_upper(p: tuple, expected: int,
     return done
 
 
-def _cut(p: tuple, ra: tuple, rb: tuple, k: int, memo: dict) -> list:
-    """Isolating rectangles ra and rb of squarefree p cut at one line
-    through the overlap of their projections on axis k (0: real, 2:
-    imaginary), each keeping the half that holds its root, by one winding
-    count of its lower half; the two counts share the new line's chain in
-    memo.  A cut through a root moves along `_LADDER`."""
-    lo, hi = max(ra[k], rb[k]), min(ra[k + 1], rb[k + 1])
+def _box(rect: tuple) -> ComplexBox:
+    """The rectangle (xlo, xhi, ylo, yhi) as a ComplexBox."""
+    xlo, xhi, ylo, yhi = rect
+    return ComplexBox(RatInterval(xlo, xhi), RatInterval(ylo, yhi))
+
+
+def _cut(p: tuple, rects: list, k: int, memo: dict) -> list:
+    """Isolating rectangles of squarefree p cut at one line through the
+    overlap of their projections on axis k (0: real, 2: imaginary), each
+    keeping the half that holds its root, by one winding count of its lower
+    half; the counts share the new line's chain in memo.  A cut through a
+    root moves along `_LADDER`."""
+    lo = max(r[k] for r in rects)
+    hi = min(r[k + 1] for r in rects)
     for t in _LADDER:
         c = lo + (hi - lo) * t
         halves = []
-        for r in (ra, rb):
+        for r in rects:
             below = r[:k + 1] + (c,) + r[k + 2:]
             try:
                 inside = count_roots_in_rect(p, *below, memo)
@@ -250,22 +258,7 @@ def _cut(p: tuple, ra: tuple, rb: tuple, k: int, memo: dict) -> list:
             halves.append(below if inside else r[:k] + (c,) + r[k + 1:])
         else:
             return halves
-    raise CertificateFailed("ordering cut failed", (ra, rb))
-
-
-def _gauss_eval(p: tuple, re: Fraction, im: Fraction) -> tuple:
-    """p(re + i*im) for exact rationals: (real, imaginary), by Horner on
-    integers over den(p) d^k, with re and im over one denominator d."""
-    if not p:
-        return Fraction(0), Fraction(0)
-    (num,), den = common_den([p])
-    ((a, b),), d = common_den([(re, im)])
-    ar, ai, dk = num[-1], 0, 1
-    for n in num[-2::-1]:
-        dk *= d
-        ar, ai = ar * a - ai * b + n * dk, ar * b + ai * a
-    den *= dk
-    return Fraction(ar, den), Fraction(ai, den)
+    raise CertificateFailed("winding cut failed", tuple(rects))
 
 
 def _newton(P: list, cx: Fraction, cy: Fraction, t: int) -> tuple:
@@ -293,14 +286,15 @@ def _newton(P: list, cx: Fraction, cy: Fraction, t: int) -> tuple:
 
 
 def _krawczyk_proves(p: tuple, dp: tuple, Z: ComplexBox, t: int) -> bool:
-    """Whether the box Z holds exactly one root of p: with m its centre and
-    Y a dyadic point near 1/p'(m), the Krawczyk operator
-    K = m - Y p(m) + (1 - Y p'(Z)) (Z - m), in exact box arithmetic, lies
-    strictly inside Z (Krawczyk, Computing 4, 1969; Rump, J. Comput. Appl.
-    Math. 156, 2003)."""
+    """Whether the box Z holds exactly one root of the integer polynomial p:
+    with m its centre and Y a dyadic point near 1/p'(m), the Krawczyk
+    operator K = m - Y p(m) + (1 - Y p'(Z)) (Z - m), in exact box
+    arithmetic, lies strictly inside Z (Krawczyk, Computing 4, 1969; Rump,
+    J. Comput. Appl. Math. 156, 2003).  p(m) and p'(m) are `horner_box` on
+    the point box m."""
     m = ComplexBox.point(Z.re.mid, Z.im.mid)
-    fr, fi = _gauss_eval(p, Z.re.mid, Z.im.mid)
-    dr, di = _gauss_eval(dp, Z.re.mid, Z.im.mid)
+    d = horner_box(dp, 1, m)
+    dr, di = d.re.lo, d.im.lo
     nrm = dr * dr + di * di
     if nrm == 0:
         return False
@@ -309,58 +303,50 @@ def _krawczyk_proves(p: tuple, dp: tuple, Z: ComplexBox, t: int) -> bool:
     t += max(0, nrm.numerator.bit_length() - nrm.denominator.bit_length())
     Y = ComplexBox.point(polys.dyadic_down(dr / nrm, t),
                          polys.dyadic_down(-di / nrm, t))
-    K = (m - Y * ComplexBox.point(fr, fi)
-         + (ComplexBox.point(1) - Y * poly_complex_box(dp, Z)) * (Z - m))
+    K = (m - Y * horner_box(p, 1, m)
+         + (ComplexBox.point(1) - Y * horner_box(dp, 1, Z)) * (Z - m))
     return K.re.strictly_inside(Z.re) and K.im.strictly_inside(Z.im)
 
 
-def _refine_rect(p: tuple, rect: tuple, width: Fraction) -> tuple:
-    """Shrink an isolating rectangle of squarefree p below the given side.
+def _refine_rect(p: tuple, Z: ComplexBox, width: Fraction) -> ComplexBox:
+    """Shrink an isolating box of squarefree p below the given side.
 
     Approximate, then prove.  Newton in fixed point (`_newton`) runs from
-    the centre of the rectangle on the grid 2^-t, t = bits(width) +
-    bits(deg p) + 8, and the square B of half-side 16 * 2^-t around its
-    result is returned when B lies in the rectangle and one Krawczyk
-    inclusion proves a root of p in B: that root is then the isolated one.
-    Otherwise one bisection by exact winding counts shrinks the rectangle
-    and Newton runs again; its counts share one memo (see
-    `count_roots_in_rect`).  A width <= 0 raises ValueError unless the
-    rectangle is already a point, one past `polys.CEILING_BITS` bits
-    PrecisionExhausted."""
-    xlo, xhi, ylo, yhi = rect
-    if width <= 0 < max(xhi - xlo, yhi - ylo):
-        raise ValueError(f"cannot refine {rect} to width {width}")
+    the centre of the box on the grid 2^-t, t = bits(width) + bits(deg p) +
+    8, and the square B of half-side 16 * 2^-t around its result is
+    returned when B lies in the box and one Krawczyk inclusion proves a
+    root of p in B: that root is then the isolated one.  Otherwise one
+    `_cut` across the longer side shrinks the box and Newton runs again;
+    its counts share one memo (see `count_roots_in_rect`).  A width <= 0
+    raises ValueError unless the box is already a point, one past
+    `polys.CEILING_BITS` bits PrecisionExhausted."""
+    if width <= 0 < Z.width:
+        raise ValueError(f"cannot refine {Z} to width {width}")
     bits = polys._width_bits(width)
     if bits > polys.CEILING_BITS:
-        raise PrecisionExhausted("_refine_rect past the ceiling", rect)
+        raise PrecisionExhausted("_refine_rect past the ceiling", Z)
     P = polys.canonical(p)
     dp = polys.derivative(P)
     memo: dict = {}
     t = bits + (len(P) - 1).bit_length() + 8
-    while max(xhi - xlo, yhi - ylo) > width:
-        a, b = _newton(P, (xlo + xhi) / 2, (ylo + yhi) / 2, t)
+    while Z.width > width:
+        a, b = _newton(P, Z.re.mid, Z.im.mid, t)
         B = ComplexBox(RatInterval.over(a - 16, a + 16, 1 << t),
                        RatInterval.over(b - 16, b + 16, 1 << t))
-        if (xlo <= B.re.lo and B.re.hi <= xhi and ylo <= B.im.lo
-                and B.im.hi <= yhi and _krawczyk_proves(p, dp, B, t)):
-            return B.re.lo, B.re.hi, B.im.lo, B.im.hi
-        for r1, r2 in _splits((xlo, xhi, ylo, yhi)):
-            try:
-                n1 = count_roots_in_rect(p, *r1, memo)
-            except _BoundaryRoot:
-                continue
-            xlo, xhi, ylo, yhi = r1 if n1 == 1 else r2
-            break
-        else:
-            raise CertificateFailed("rectangle refinement failed", (xlo, xhi, ylo, yhi))
-    return xlo, xhi, ylo, yhi
+        if (Z.contains(B.re.lo, B.im.lo) and Z.contains(B.re.hi, B.im.hi)
+                and _krawczyk_proves(p, dp, B, t)):
+            return B
+        k = 0 if Z.re.width >= Z.im.width else 2
+        rect, = _cut(p, [(Z.re.lo, Z.re.hi, Z.im.lo, Z.im.hi)], k, memo)
+        Z = _box(rect)
+    return Z
 
 
 def _find_factor(p: tuple, degrees: list, reals: list,
                  uppers: list) -> Optional[list]:
     """A primitive integer factor of the integer polynomial p with degree in
     `degrees`, else None, given isolating intervals of its real roots
-    (ascending) and rectangles of its upper-half-plane roots.
+    (ascending) and boxes of its upper-half-plane roots.
 
     Zassenhaus's recombination over certified root enclosures instead of a
     p-adic lift: the roots of a factor g of degree d form a set S of d roots
@@ -379,14 +365,10 @@ def _find_factor(p: tuple, degrees: list, reals: list,
         """x - r for a real root, (x - r)(x - conj r) for an upper one, as
         interval coefficients, with the root enclosed below `width`."""
         e = encl[j]
-        if j < r1:
-            if e.width > width:
-                e = encl[j] = polys.refine_root(p, e, width)
-            return [-e, one]
-        if max(e[1] - e[0], e[3] - e[2]) > width:
-            e = encl[j] = _refine_rect(p, e, width)
-        re, im = RatInterval(e[0], e[1]), RatInterval(e[2], e[3])
-        return [re.sq() + im.sq(), re * -2, one]
+        if e.width > width:
+            e = encl[j] = (polys.refine_root if j < r1 else _refine_rect)(
+                p, e, width)
+        return [-e, one] if j < r1 else [e.abs_sq(), e.re * -2, one]
 
     def candidate(S: tuple) -> Optional[tuple]:
         width = Fraction(1, 2 * lead)
@@ -423,13 +405,12 @@ def _find_factor(p: tuple, degrees: list, reals: list,
 # ---------------------------------------------------------------------------
 
 class _Root:
-    __slots__ = ("kind", "interval", "rect", "pair")
+    __slots__ = ("kind", "box", "pair")
 
-    def __init__(self, kind, interval=None, rect=None, pair=None):
-        self.kind = kind          # 'real' | 'upper' | 'lower'
-        self.interval = interval  # RatInterval, for real roots
-        self.rect = rect          # (xlo, xhi, ylo, yhi), upper-half roots
-        self.pair = pair          # index of the complex-conjugate root
+    def __init__(self, kind, box=None, pair=None):
+        self.kind = kind    # 'real' | 'upper' | 'lower'
+        self.box = box      # RatInterval (real), ComplexBox (upper), None
+        self.pair = pair    # index of the complex-conjugate root
 
 
 class NumberField:
@@ -475,15 +456,16 @@ class NumberField:
         memo: dict = {}
         uppers = _isolate_complex_upper(self.minpoly_int, r2, memo)
         if degrees:
-            f = _find_factor(self.minpoly_int, degrees, real_ivs, uppers)
+            f = _find_factor(self.minpoly_int, degrees, real_ivs,
+                             [_box(r) for r in uppers])
             if f is not None:
                 raise ReducibleDetected(f"found factor with coefficients {f}")
 
-        self._roots = [_Root("real", interval=iv) for iv in real_ivs]
+        self._roots = [_Root("real", iv) for iv in real_ivs]
         for rect in self._sort_uppers(uppers, memo):
             k = len(self._roots)
-            self._roots.append(_Root("upper", rect=rect, pair=k + 1))
-            self._roots.append(_Root("lower", rect=rect, pair=k))
+            self._roots.append(_Root("upper", _box(rect), k + 1))
+            self._roots.append(_Root("lower", None, k))
 
         self._lock = threading.RLock()
         self._red, self._red_den = self._reduction_table()
@@ -552,7 +534,7 @@ class NumberField:
                 if k == 0 and cuts >= 4 and tied(ra, rb):
                     k = 2
                     continue
-                boxes[i], boxes[j] = _cut(p, ra, rb, k, memo)
+                boxes[i], boxes[j] = _cut(p, [ra, rb], k, memo)
                 cuts += 1
 
         order = sorted(range(len(uppers)), key=functools.cmp_to_key(cmp))
@@ -592,7 +574,7 @@ class NumberField:
         last = r1 - 1
         width = Fraction(1, 16)
         while True:
-            s = self._refine_real(0, width) + self._refine_real(last, width)
+            s = self.root_box(0, width) + self.root_box(last, width)
             a, b, _ = s._t
             if a >= 0:
                 return last
@@ -625,32 +607,20 @@ class NumberField:
     def upper_root_indices(self) -> list:
         return [j for j in range(self.degree) if self._roots[j].kind == "upper"]
 
-    def _refine_real(self, j: int, width: Fraction) -> RatInterval:
-        r = self._roots[j]
-        with self._lock:
-            if r.interval.width > width:
-                r.interval = polys.refine_root(self.minpoly_int, r.interval,
-                                               width)
-        return r.interval
-
-    def _refine_complex(self, j: int, width: Fraction) -> tuple:
-        r = self._roots[j]
-        base = r if r.kind == "upper" else self._roots[r.pair]
-        with self._lock:
-            if max(base.rect[1] - base.rect[0], base.rect[3] - base.rect[2]) > width:
-                base.rect = _refine_rect(self.minpoly_int, base.rect, width)
-        return base.rect
-
-    def root_box(self, j: int, width: Fraction = Fraction(1, 2 ** 30)):
-        """Certified enclosure of the j-th conjugate of beta."""
+    def root_box(self, j: Optional[int] = None,
+                 width: Fraction = Fraction(1, 2 ** 30)):
+        """Certified enclosure of the j-th conjugate of beta (None: the
+        distinguished one), at most width wide: a RatInterval for a real
+        root, else a ComplexBox.  The one place roots are refined, under the
+        lock: `polys.refine_root` or `_refine_rect` on the stored box, which
+        a lower root shares with its upper conjugate and reads as `.conj()`."""
         r = self._roots[self.root_index(j)]
-        if r.kind == "real":
-            return self._refine_real(j, width)
-        xlo, xhi, ylo, yhi = self._refine_complex(j, width)
-        im = RatInterval(ylo, yhi)
-        if r.kind == "lower":
-            im = -im
-        return ComplexBox(RatInterval(xlo, xhi), im)
+        base = self._roots[r.pair] if r.kind == "lower" else r
+        with self._lock:
+            if base.box.width > width:
+                refine = polys.refine_root if r.kind == "real" else _refine_rect
+                base.box = refine(self.minpoly_int, base.box, width)
+        return base.box.conj() if r.kind == "lower" else base.box
 
     # -- elements -------------------------------------------------------------
 
@@ -972,13 +942,10 @@ class FieldElement:
             q = self.as_rational()
             return (RatInterval.point(q) if f.is_real_root(j)
                     else ComplexBox.point(q))
+        horner = horner_interval if f.is_real_root(j) else horner_box
         width = Fraction(1, 2 ** 8)
         while True:
-            if f.is_real_root(j):
-                out = horner_interval(self.num, self.den,
-                                      f._refine_real(j, width))
-            else:
-                out = horner_box(self.num, self.den, f.root_box(j, width))
+            out = horner(self.num, self.den, f.root_box(j, width))
             if out.width <= 2 * target:
                 return out
             if prec_bits > polys.CEILING_BITS:
@@ -992,9 +959,9 @@ class FieldElement:
 
     def _first_look(self, j: int) -> tuple:
         """(lo, hi, den): sigma_j(self) lies in [lo, hi] / den, by integer
-        Horner on root j's current enclosure [a, b] / d: one read of one
-        immutable attribute, so no lock is needed."""
-        lo, hi, dk = horner_ints(self.num, *self.field._roots[j].interval._t)
+        Horner on real root j's current enclosure [a, b] / d: one read of
+        its immutable `box`, so no lock is needed."""
+        lo, hi, dk = horner_ints(self.num, *self.field._roots[j].box._t)
         return lo, hi, self.den * dk
 
     def compare_rational(self, q, root_index: Optional[int] = None) -> int:

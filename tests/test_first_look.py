@@ -2,9 +2,10 @@
 
 It reads root j's current enclosure once and runs the integer Horner step
 on the element's coordinates.  The first look decides when that box pins
-one unit interval; otherwise the enclosure stream decides.  The powers phi^k of the golden ratio pin both paths: phi^k plus
-its conjugate (-1/phi)^k is the Lucas number L_k, so floor(phi^k) is
-L_k - 1 for even k and L_k for odd k, at a distance phi^-k from L_k.
+one unit interval; otherwise the enclosure stream decides.  The powers
+phi^k of the golden ratio pin both paths: phi^k plus its conjugate
+(-1/phi)^k is the Lucas number L_k, so floor(phi^k) is L_k - 1 for even k
+and L_k for odd k, at a distance phi^-k from L_k.
 """
 
 from fractions import Fraction as F
@@ -41,10 +42,10 @@ def test_fresh_field_takes_the_stream():
     for k in range(1, 91):
         f = golden()
         x = f.beta ** k
-        iv = f._roots[f.distinguished].interval
+        iv = f._roots[f.distinguished].box
         lo, hi, den = x._first_look(f.distinguished)
         assert certified_floor(x) == floor_phi_power(k), k
-        refined = f._roots[f.distinguished].interval is not iv
+        refined = f._roots[f.distinguished].box is not iv
         assert refined == (lo // den != hi // den), k
         streamed.append(refined)
     assert all(streamed[20:])
@@ -52,7 +53,7 @@ def test_fresh_field_takes_the_stream():
 
 def test_refined_field_takes_the_first_look():
     f = golden(400)
-    iv = f._roots[f.distinguished].interval
+    iv = f._roots[f.distinguished].box
     for k in range(1, 91):
         x = f.beta ** k
         assert certified_floor(x) == floor_phi_power(k), k
@@ -61,7 +62,7 @@ def test_refined_field_takes_the_first_look():
         assert x.compare_rational(L) == (1 if k % 2 else -1), k
         assert x.compare_rational(L - 1) == 1 and x.compare_rational(L + 1) == -1
     # nothing above refined the root: every answer came from the first look
-    assert f._roots[f.distinguished].interval is iv
+    assert f._roots[f.distinguished].box is iv
 
 
 def test_straddling_first_look_falls_through_to_the_stream():
@@ -89,15 +90,15 @@ def test_first_look_box_encloses(k):
 
 def test_first_look_follows_a_refinement():
     # the root keeps the integer form of its enclosure between first looks;
-    # once _refine_real narrows the root, the next first look must use the
+    # once root_box narrows the root, the next first look must use the
     # integers of the new interval, not those kept for the old one
     f = golden(40)
     j = f.distinguished
     x = f.beta ** 7 - 3
     before = x._first_look(j)
-    old = f._roots[j].interval
-    f._refine_real(j, F(1, 2 ** 120))
-    new = f._roots[j].interval
+    old = f._roots[j].box
+    f.root_box(j, F(1, 2 ** 120))
+    new = f._roots[j].box
     assert new is not old
     for iv, look in ((old, before), (new, x._first_look(j))):
         lo, hi, dk = horner_ints(x.num, *iv._t)

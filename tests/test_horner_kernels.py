@@ -1,22 +1,21 @@
 """Differential test of the integer Horner kernels.
 
-`intervals.horner_interval` (over a common denominator),
-`intervals.poly_complex_box`, `polys.horner_at` and `numberfield._gauss_eval`
-run on integers over common denominators.
-The oracle is the plain rational Horner `acc = acc * x + c` on Fractions,
-with interval products written out as the min and max of the four end
-products.  Every kernel result must be the same rational as the oracle's,
-end for end, for int and Fraction coefficients and ends, empty and constant
-polynomials, point boxes and non-dyadic denominators.
+`intervals.horner_interval`, `intervals.horner_box` and `polys.horner_at`
+run on integers over common denominators.  The oracle is the plain
+rational Horner `acc = acc * x + c` on Fractions, with interval products
+written out as the min and max of the four end products.  Every kernel
+result must be the same rational as the oracle's, end for end, for int and
+Fraction coefficients and ends, empty and constant polynomials, point boxes
+(the exact complex values that the Krawczyk test reads) and non-dyadic
+denominators.
 """
 
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings, strategies as st
 
-from gpnf.intervals import (ComplexBox, RatInterval, common_den, horner_interval,
-                            poly_complex_box)
-from gpnf.numberfield import _gauss_eval
+from gpnf.intervals import (ComplexBox, RatInterval, common_den, horner_box,
+                            horner_interval)
 from gpnf.polys import horner_at
 
 rationals = st.one_of(st.integers(-40, 40),
@@ -75,9 +74,12 @@ def test_poly_interval_matches_rational_horner(coeffs, lo, w):
 @example([], 1, 0, 2, 0)
 @example([7], F(1, 3), F(1, 3), -2, 1)
 @example([1, F(2, 9), -4, F(1, 7)], F(-2, 3), F(5, 11), F(1, 6), F(2, 15))
-def test_poly_complex_box_matches_rational_horner(coeffs, rlo, rw, ilo, iw):
+@example([F(2, 5)], 0, 0, F(-1, 6), 0)
+@example([3, -1, F(1, 4)], F(1, 3), 0, 2, 0)
+def test_horner_box_matches_rational_horner(coeffs, rlo, rw, ilo, iw):
     z = ComplexBox(RatInterval(rlo, rlo + rw), RatInterval(ilo, ilo + iw))
-    out = poly_complex_box(coeffs, z)
+    (num,), den = common_den([coeffs])
+    out = horner_box(num, den, z)
     assert (ends(out.re), ends(out.im)) == ref_box(
         coeffs, (z.re.lo, z.re.hi), (z.im.lo, z.im.hi))
 
@@ -91,15 +93,3 @@ def test_horner_at_matches_rational_horner(coeffs, x):
     acc, dk = horner_at(coeffs, x.numerator, x.denominator)
     assert dk == x.denominator ** (len(coeffs) - 1)
     assert F(acc, dk) == ref_point(coeffs, x)
-
-
-@settings(max_examples=200, deadline=None)
-@given(coefficients, rationals, rationals)
-@example([], F(1, 3), 2)
-@example([F(2, 5)], 0, F(-1, 6))
-def test_gauss_eval_matches_rational_horner(coeffs, re, im):
-    ar, ai = F(0), F(0)
-    for c in reversed(coeffs):
-        ar, ai = ar * re - ai * im + c, ar * im + ai * re
-    out = _gauss_eval(tuple(coeffs), re, im)
-    assert all(type(v) is F for v in out) and out == (ar, ai)

@@ -214,13 +214,13 @@ def test_compare_rational_matches_the_stream(name, refine_bits, data, where):
          "free": data.draw(st.fractions(-500, 500, max_denominator=50)),
          "near": F(lo, den) + data.draw(st.sampled_from([-1, 1]))
          * F(1, 2 ** data.draw(st.integers(0, 80)))}[where]
-    iv = f._roots[j].interval
+    iv = f._roots[j].box
     got = x.compare_rational(q, j)
     decided = lo * q.denominator > q.numerator * den or \
         hi * q.denominator < q.numerator * den
     if decided:
         # the first look decided: root j's enclosure was not touched
-        assert f._roots[j].interval is iv
+        assert f._roots[j].box is iv
     assert got == ref_compare_rational(x, q, j)
 
 

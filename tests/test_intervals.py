@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from gpnf.intervals import (ComplexBox, RatInterval, common_den, horner_interval,
-                            poly_complex_box)
+from gpnf.intervals import (ComplexBox, RatInterval, common_den, horner_box,
+                            horner_interval)
 
 
 def _rand_interval(rng, span=8):
@@ -100,11 +100,9 @@ def test_complex_pow_negative():
                 assert inv.contains(pr / nrm, -pi / nrm)
 
 
-def test_poly_complex_box():
-    coeffs = [F(1), F(0), F(1)]  # z^2 + 1 at z = i is 0
-    box = ComplexBox.point(0, 1)
-    out = poly_complex_box(coeffs, box)
-    assert out.re.contains(0) and out.im.contains(0)
+def test_horner_box_at_a_point():
+    out = horner_box((1, 0, 1), 1, ComplexBox.point(0, 1))  # z^2 + 1 at i
+    assert out == ComplexBox.point(0, 0)
 
 
 def test_approx_str():

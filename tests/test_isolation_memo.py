@@ -45,7 +45,8 @@ def _assert_matches_legacy(coeffs):
     order = legacy.sort_uppers(p, K._sum_chain(), old)
     assert K._sort_uppers(rects) == order
     uppers = K.upper_root_indices()
-    assert [K._roots[j].rect for j in uppers] == order
+    assert [K._roots[j].box for j in uppers] == [numberfield._box(r)
+                                                 for r in order]
     for width in _WIDTHS:
         order = [legacy.refine_rect(p, r, width) for r in order]
         for j, r in zip(uppers, order):
@@ -117,8 +118,9 @@ def test_ordering_counts_on_the_isolation_memo(monkeypatch, coeffs):
     rects = numberfield._isolate_complex_upper(p, _upper_count(p), memo)
     lines = {key for key in memo if len(key) == 2}
     calls = _counted(monkeypatch)
-    assert K._sort_uppers(rects, memo) == [K._roots[j].rect
-                                           for j in K.upper_root_indices()]
+    order = K._sort_uppers(rects, memo)
+    assert [numberfield._box(r) for r in order] == [
+        K._roots[j].box for j in K.upper_root_indices()]
     assert len(calls) >= 2 and all(m is memo for _, m in calls)
     # each count is of a lower half, whose right edge is the cut
     cuts = {(r[1], True) for r, _ in calls}
@@ -136,9 +138,11 @@ def test_tie_fields_order_by_imaginary_part(monkeypatch, coeffs):
     assert K._chain2 is not None
     p = K.minpoly_int
     uppers = K.upper_root_indices()
-    assert [K._roots[j].rect for j in uppers] == legacy.sort_uppers(
+    order = legacy.sort_uppers(
         p, K._sum_chain(),
         numberfield._isolate_complex_upper(p, _upper_count(p)))
+    assert [K._roots[j].box for j in uppers] == [numberfield._box(r)
+                                                 for r in order]
     boxes = [K.root_box(j, F(1, 2 ** 40)) for j in uppers]
     assert all(b.re.lo < 0 < b.re.hi for b in boxes)
     assert all(a.im.hi < b.im.lo for a, b in zip(boxes, boxes[1:]))

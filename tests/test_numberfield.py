@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import durand_kerner, embed_floats, random_element
 from gpnf import algebraic, polys
 from gpnf.errors import (ComplexEmbedding, DegreeMismatch, DivisionByZero,
-                         FieldMismatch, NoRealRoot, NotSquarefree,
+                         FieldMismatch, GpnfError, NoRealRoot, NotSquarefree,
                          OutOfRange, ReducibleDetected)
 from gpnf.genpoly import Value
 from gpnf.numberfield import (NumberField, certified_ceil, certified_dist,
@@ -160,20 +160,21 @@ def test_count_roots_in_rect_corners_where_re_or_im_vanish():
 def test_count_roots_in_rect_grid_corners_vs_sympy():
     # seeded rectangles with corners on the quarter grid of [-1, 1]^2, at
     # one corner of which Re p or Im p vanishes; boundary roots must raise
-    from gpnf.numberfield import (_BoundaryRoot, _gauss_eval,
-                                  count_roots_in_rect)
+    from gpnf.intervals import ComplexBox, horner_box
+    from gpnf.numberfield import _BoundaryRoot, count_roots_in_rect
     grid = [F(k, 4) for k in range(-4, 5)]
     rng = random.Random(44)
     counted = 0
     for coeffs in ([1, 0, 1], [-1, -1, 1], [1, 0, 0, 0, 1], _NONMONIC):
-        p = tuple(coeffs)
+        p, P = tuple(coeffs), polys.canonical(coeffs)
         drawn = 0
         while drawn < 12:
             xlo, xhi = sorted(rng.sample(grid, 2))
             ylo, yhi = sorted(rng.sample(grid, 2))
             rect = (xlo, xhi, ylo, yhi)
-            if all(re * im for re, im in (_gauss_eval(p, x, y) for x in rect[:2]
-                                          for y in rect[2:])):
+            if all(v.re.lo * v.im.lo
+                   for v in (horner_box(P, 1, ComplexBox.point(x, y))
+                             for x in rect[:2] for y in rect[2:])):
                 continue
             drawn += 1
             expected = _count_or_boundary(p, rect)
@@ -284,23 +285,24 @@ def _upper_rects(p: tuple) -> list:
        st.integers(1, 9), st.integers(1, 160))
 def test_refine_rect_returns_isolating_box_inside_input(coeffs, lead, bits):
     # degree 2-8; the squarefree part keeps every distinct root
-    from gpnf.numberfield import _refine_rect, count_roots_in_rect
+    from gpnf.numberfield import _box, _refine_rect, count_roots_in_rect
     p = polys.squarefree_part(coeffs + [lead])
     width = F(1, 2 ** bits)
     for rect in _upper_rects(p):
-        box = _refine_rect(p, rect, width)
-        assert rect[0] <= box[0] < box[1] <= rect[1]
-        assert rect[2] <= box[2] < box[3] <= rect[3]
-        assert max(box[1] - box[0], box[3] - box[2]) <= width
-        assert count_roots_in_rect(p, *box) == 1
+        box = _refine_rect(p, _box(rect), width)
+        assert rect[0] <= box.re.lo < box.re.hi <= rect[1]
+        assert rect[2] <= box.im.lo < box.im.hi <= rect[3]
+        assert box.width <= width
+        assert count_roots_in_rect(p, box.re.lo, box.re.hi, box.im.lo,
+                                   box.im.hi) == 1
 
 
 def _fallbacks(monkeypatch, coeffs, most: int) -> int:
-    """Winding counts made while the isolating rectangles of coeffs are
-    refined to 2^-128 and then 2^-512; fails at once past `most`."""
+    """Winding counts made while the isolating boxes of coeffs are refined
+    to 2^-128 and then 2^-512; fails at once past `most`."""
     from gpnf import numberfield
     p = tuple(coeffs)
-    rects = _upper_rects(p)
+    boxes = [numberfield._box(r) for r in _upper_rects(p)]
     counted = numberfield.count_roots_in_rect
     calls = []
 
@@ -312,8 +314,8 @@ def _fallbacks(monkeypatch, coeffs, most: int) -> int:
     with monkeypatch.context() as m:
         m.setattr(numberfield, "count_roots_in_rect", count)
         for bits in (128, 512):
-            rects = [numberfield._refine_rect(p, r, F(1, 2 ** bits))
-                     for r in rects]
+            boxes = [numberfield._refine_rect(p, Z, F(1, 2 ** bits))
+                     for Z in boxes]
     return len(calls)
 
 
@@ -790,3 +792,37 @@ def test_root_index_out_of_range(K_plastic, entry, j):
 def test_root_index_resolves_none_to_distinguished(K_plastic):
     assert K_plastic.root_index() == K_plastic.distinguished
     assert [K_plastic.root_index(j) for j in range(3)] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("coeffs", [[-1, -1, 1], [1, 0, 1], [-1, -1, 0, 1]],
+                         ids=["phi", "i", "plastic"])
+@pytest.mark.parametrize("entry", sorted(ROOT_INDEX_ENTRIES))
+def test_root_index_none_is_the_distinguished_root(entry, coeffs):
+    # the same answer, or the same error (complex_floor at a real root, a
+    # real-only entry at i), on a fresh field each time, since a refined
+    # root would narrow the enclosures that the answers print
+    def outcome(j):
+        K = NumberField(coeffs)
+        x = K.element(list(range(1, K.degree + 1)))
+        try:
+            out = ROOT_INDEX_ENTRIES[entry](
+                x, K.distinguished if j == "distinguished" else j)
+        except (GpnfError, ValueError) as e:
+            return type(e)
+        return repr(getattr(out, "payload", out))
+
+    assert outcome(None) == outcome("distinguished")
+
+
+@pytest.mark.parametrize("coeffs", [[1, -1, -1, -1, 1], [1, 0, 0, 0, 1]],
+                         ids=["salem4", "x4+1"])
+def test_conjugates_share_one_box(coeffs):
+    # a lower root has no box of its own: it reads its upper conjugate's
+    K = NumberField(coeffs)
+    for upper in K.upper_root_indices():
+        lower = K.conj_index(upper)
+        for w in (F(1, 2 ** 40), F(1, 2 ** 100)):
+            assert K._roots[upper].box.width > w
+            low = K.root_box(lower, w)
+            assert K._roots[upper].box.width <= w
+            assert low == K.root_box(upper, w).conj() and low.im.hi < 0

@@ -95,12 +95,11 @@ def test_refine_root_stops_at_the_ceiling(ceiling_64):
 
 
 def test_refine_rect_stops_at_the_ceiling(ceiling_64):
-    rect = (F(-1, 2), F(1, 2), F(1, 2), F(3, 2))     # holds i, a root of x^2 + 1
-    xlo, xhi, ylo, yhi = numberfield._refine_rect((1, 0, 1), rect, F(1, 2 ** 60))
-    assert xlo <= 0 <= xhi and ylo <= 1 <= yhi
+    Z = numberfield._box((F(-1, 2), F(1, 2), F(1, 2), F(3, 2)))  # holds i
+    assert numberfield._refine_rect((1, 0, 1), Z, F(1, 2 ** 60)).contains(0, 1)
     with pytest.raises(PrecisionExhausted) as ei:
-        numberfield._refine_rect((1, 0, 1), rect, F(1, 2 ** 80))
-    assert ei.value.box == rect
+        numberfield._refine_rect((1, 0, 1), Z, F(1, 2 ** 80))
+    assert ei.value.box == Z
 
 
 def test_embed_and_its_stream_stop_at_the_ceiling(ceiling_64):
