@@ -801,17 +801,16 @@ def test_root_index_none_is_the_distinguished_root(entry, coeffs):
     # the same answer, or the same error (complex_floor at a real root, a
     # real-only entry at i), on a fresh field each time, since a refined
     # root would narrow the enclosures that the answers print
-    def outcome(j):
+    def outcome(index):
         K = NumberField(coeffs)
         x = K.element(list(range(1, K.degree + 1)))
         try:
-            out = ROOT_INDEX_ENTRIES[entry](
-                x, K.distinguished if j == "distinguished" else j)
+            out = ROOT_INDEX_ENTRIES[entry](x, index(K))
         except (GpnfError, ValueError) as e:
             return type(e)
         return repr(getattr(out, "payload", out))
 
-    assert outcome(None) == outcome("distinguished")
+    assert outcome(lambda K: None) == outcome(lambda K: K.distinguished)
 
 
 @pytest.mark.parametrize("coeffs", [[1, -1, -1, -1, 1], [1, 0, 0, 0, 1]],
