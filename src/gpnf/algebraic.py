@@ -30,7 +30,7 @@ from operator import add, mul
 from typing import Optional
 
 from . import polys
-from .errors import CertificateFailed, RealEmbedding
+from .errors import CertificateFailed, ComplexEmbedding, RealEmbedding
 from .intervals import RatInterval, floor_of, horner_interval, sign_vs
 from .numberfield import FieldElement, _min_sep_sq
 
@@ -88,7 +88,7 @@ class RealAlg:
         """sigma_j(x) at a real embedding, as a self-contained value."""
         j = x.field.root_index(root_index)
         if not x.field.is_real_root(j):
-            raise ValueError("from_embedding needs a real root index")
+            raise ComplexEmbedding("from_embedding needs a real root index")
         if x.is_rational():
             return RealAlg.from_rational(x.as_rational())
         return _isolate(x._minimal_poly_int(), x.enclosures(j))

@@ -17,6 +17,7 @@ import threading
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from . import polys
@@ -25,9 +26,9 @@ from .constructions import (_IndexBracket, _conjugate_bounds, _is_pisot,
 from .errors import (DegreeMismatch, NegativeIndex, NotPisot, NotSquarefree,
                      OutOfRange, SearchBoundExceeded, SingularSystem,
                      VandermondeSingular, ZeroSourceSequence, ZeroTraceRep)
-from .intervals import RatInterval
+from .intervals import RatInterval, common_den
 from .linalg import gauss_jordan
-from .numberfield import (FieldElement, NumberField, certified_floor,
+from .numberfield import (FieldElement, NumberField, _elem, certified_floor,
                           certified_nint)
 from .records import Record
 
@@ -40,8 +41,8 @@ class LinRecSeq:
     polynomial of its dominant root).
 
     The term cache only grows, under a lock; a cached term is read
-    without it.  The lazily filled caches (field, trace representation
-    and its inverse, transfer map to the powers, membership set-up) are
+    without it.  The lazily filled caches (field, trace representation,
+    window map, transfer map to the powers, membership set-up) are
     each built once, under the sequence's fill lock; a filled one is read
     without it.
     """
@@ -65,7 +66,7 @@ class LinRecSeq:
         self._rec = [-c for c in self.charpoly[:-1]]
         self._field: Optional[NumberField] = None
         self._trace_rep: Optional[FieldElement] = None
-        self._trace_rep_inv: Optional[FieldElement] = None
+        self._window_map: Optional[tuple] = None
         self._to_powers = None
         self._vsm: Optional[dict] = None
 
@@ -297,23 +298,51 @@ def transfer_to_powers(seq: LinRecSeq) -> TransferMap:
 # Salem recovery
 # ---------------------------------------------------------------------------
 
-def salem_recover_exact(seq: LinRecSeq, i: int,
-                        window: Optional[Sequence] = None) -> FieldElement:
-    """beta^i from a window (n_i, ..., n_{i+m-1}), by solving the trace
-    system exactly: the window determines beta^i x, divide by x."""
+def _build_window_map(seq: LinRecSeq) -> tuple:
+    """(rows, den, init, s, integral): the integer matrix rows / den sending
+    a window (n_i, ..., n_{i+m-1}) to the power-basis coordinates of beta^i,
+    i.e. of from_traces(window) * x^-1 for the trace representation x,
+    column by column; the initial terms as integers init over s, so that
+    Tr(y x) = sum_j y_j n_j = sum_j y_j init_j / s for every y in K; and
+    whether the recurrence has integer coefficients, so that every term is
+    an integer over s."""
     x = trace_representation(seq)
     if x.is_zero():
         raise ZeroTraceRep("sequence is identically zero")
+    f, m = seq.field, seq.order
+    x_inv = x.inverse()
+    cols = [(f.from_traces([int(j == k) for k in range(m)]) * x_inv).coords
+            for j in range(m)]
+    rows, den = common_den(list(zip(*cols)))
+    (init,), s = common_den([seq._terms[:m]])
+    integral = all(c.denominator == 1 for c in seq.charpoly)
+    return tuple(rows), den, init, s, integral
+
+
+def salem_recover_exact(seq: LinRecSeq, i: int,
+                        window: Optional[Sequence] = None) -> FieldElement:
+    """beta^i from a window (n_i, ..., n_{i+m-1}), by solving the trace
+    system exactly: the window determines beta^i x, and the window map
+    divides by x, m integer dot products over one denominator."""
+    rows, den, _, s, integral = seq._window_map or seq._fill(
+        "_window_map", lambda: _build_window_map(seq))
     m = seq.order
     if window is None:
-        window = [seq.term(i + j) for j in range(m)]
-    window = [Fraction(v) for v in window]
-    if len(window) != m:
-        raise DegreeMismatch(f"window must have {m} terms")
-    y = seq.field.from_traces(window)
-    if seq._trace_rep_inv is None:
-        seq._fill("_trace_rep_inv", x.inverse)
-    return y * seq._trace_rep_inv
+        seq.term(i)             # NegativeIndex for i < 0
+        seq.term(i + m - 1)
+        window = seq._terms[i:i + m]
+    else:
+        window = [Fraction(v) for v in window]
+        if len(window) != m:
+            raise DegreeMismatch(f"window must have {m} terms")
+        integral = False
+    if integral:
+        # numerators over s, without a lcm or a Fraction
+        z = [t.numerator * (s // t.denominator) for t in window]
+    else:
+        (z,), s = common_den([window])
+    return _elem(seq.field, tuple(sum(map(mul, row, z)) for row in rows),
+                 den * s)
 
 
 class SalemRecoveryFamily:
@@ -456,16 +485,19 @@ def _vsm_build(seq: LinRecSeq) -> dict:
     cache = {"zero": seq.is_zero_sequence(), "witness": lambda q, k: None}
     if not cache["zero"]:
         if salem_test(beta):
-            x = trace_representation(seq)
             # beta^k for the witness; lru_cache is thread-safe, and bounded
             # because a search bound lets k reach 10^4 and more
             power = cache["power"] = functools.lru_cache(256)(beta.__pow__)
 
             def witness(q, k):
-                # the window solve must return exactly beta^k and the trace
-                # close the loop
+                # the window solve must return exactly beta^k, and the trace
+                # close the loop: Tr(y x) = sum_j y_j n_j must be q, with
+                # the initial terms n_j = init_j / s
                 y = salem_recover_exact(seq, k)
-                return y == power(k) and (y * x).trace() == q
+                _, _, init, s, _ = seq._window_map
+                tr = sum(map(mul, y.num, init))     # Tr(y x) * y.den * s
+                return (y == power(k)
+                        and tr * q.denominator == q.numerator * y.den * s)
 
             cache["witness"] = witness
         else:

@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 import threading
@@ -5,6 +6,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpnf import linrec, polys
 from gpnf.errors import (DegreeMismatch, GpnfError, NotPisot, NotSquarefree,
@@ -16,6 +18,9 @@ from gpnf.linrec import (LinRecSeq, TransferMap, _vsm_setup, pisot_step,
                          transfer_map, transfer_to_powers, true_onset,
                          value_set_membership, verified_i0)
 from gpnf.numberfield import NumberField, certified_floor, certified_nint
+
+
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
 
 
 @pytest.fixture()
@@ -267,6 +272,72 @@ def test_recover_zero_sequence():
         salem_recover_exact(z, 3)
 
 
+def recover_by_field(seq, i, window=None):
+    """The window solve in field arithmetic, as it was before the integer
+    window map: from_traces(window) * x^-1 for the trace representation x."""
+    if window is None:
+        window = [seq.term(i + j) for j in range(seq.order)]
+    y = seq.field.from_traces([F(v) for v in window])
+    return y * trace_representation(seq).inverse()
+
+
+RECOVERY_SEQS = {"salem4": ([1, -1, -1, -1, 1], [4, 1, 3, 7]),
+                 # integer_scale() is 2: the terms are integers over 2
+                 "salem4-half": ([1, -1, -1, -1, 1], [F(1, 2), 1, 3, 7]),
+                 "salem6": ([1, 0, -1, -1, -1, 0, 1], [6, 0, 2, 3, 6, 5]),
+                 "lehmer": (LEHMER, polys.power_sums(LEHMER, 9)),
+                 # x^2 - 3x/2 - 1/2: the term denominators grow (3/2, 11/4)
+                 "rational": ([-1, -3, 2], [0, 1])}
+
+
+@functools.lru_cache(maxsize=None)
+def recovery_seq(name):
+    """One sequence per name across examples: the field build is the slow
+    part."""
+    return LinRecSeq(*RECOVERY_SEQS[name])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(RECOVERY_SEQS)), st.integers(0, 60), st.data())
+def test_recover_matches_the_field_route(name, i, data):
+    seq = recovery_seq(name)
+    beta_i = seq.field.beta ** i
+    assert salem_recover_exact(seq, i) == recover_by_field(seq, i) == beta_i
+    # a window of the sequence with Fraction entries, and any other window:
+    # the window map is linear, so it must agree off the sequence too
+    terms = [F(seq.term(i + j)) for j in range(seq.order)]
+    assert salem_recover_exact(seq, i, window=terms) == beta_i
+    window = data.draw(st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=9)
+        | st.integers(-10 ** 6, 10 ** 6),
+        min_size=seq.order, max_size=seq.order))
+    assert (salem_recover_exact(seq, i, window=window)
+            == recover_by_field(seq, i, window))
+
+
+@pytest.mark.parametrize("name", ["salem4", "salem4-half"])
+def test_window_map_mutation_is_an_alarm(name):
+    # one wrong entry of the window map breaks y == beta^k, and one wrong
+    # initial term breaks the trace loop: either raises, never answers
+    seq = LinRecSeq(*RECOVERY_SEQS[name])
+    q = seq.term(23)
+    assert value_set_membership(seq, q) is True
+    rows, den, init, s, integral = good = seq._window_map
+    m = seq.order
+    assert seq.integer_scale() == s == (2 if name == "salem4-half" else 1)
+    bumped = [(tuple(tuple(e + ((r, c) == (a, b)) for c, e in enumerate(row))
+                     for r, row in enumerate(rows)), den, init, s, integral)
+              for a in range(m) for b in range(m)]
+    bumped += [(rows, den, tuple(v + (j == b) for j, v in enumerate(init)), s,
+                integral) for b in range(m)]
+    for wrong in bumped:
+        seq._window_map = wrong
+        with pytest.raises(SingularSystem):
+            value_set_membership(seq, q)
+    seq._window_map = good
+    assert value_set_membership(seq, q) is True
+
+
 def test_recovery_family(salem_seq, K_salem):
     fam = salem_recovery_family(salem_seq, range(0, 25))
     # correction tuple at i = 0: floor(beta^j * 4) - n_j
@@ -417,9 +488,6 @@ def test_membership_setup_builds_one_field(monkeypatch, charpoly, init):
 def test_membership_search_bound(fib):
     with pytest.raises(SearchBoundExceeded):
         value_set_membership(fib, 10 ** 40, search_bound=20)
-
-
-LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
 # k-nacci for k >= 4 has unit rank above 1 and 2 + sqrt2 (x^2 - 4x + 2) is
 # a Pisot number but no unit: no route of the paper applies to them
 MEMBERSHIP_SEQS = {"fibonacci": ([-1, -1, 1], [0, 1]),
@@ -582,7 +650,7 @@ def test_membership_shared_across_threads():
     assert seq.terms(800) == ref.terms(800)
 
 
-LAZY_CACHES = ("_field", "_trace_rep", "_trace_rep_inv", "_to_powers", "_vsm")
+LAZY_CACHES = ("_field", "_trace_rep", "_window_map", "_to_powers", "_vsm")
 
 
 @pytest.mark.parametrize("rerun", range(5))
