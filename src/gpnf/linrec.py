@@ -311,12 +311,13 @@ def _build_window_map(seq: LinRecSeq) -> tuple:
         raise ZeroTraceRep("sequence is identically zero")
     f, m = seq.field, seq.order
     x_inv = x.inverse()
-    cols = [(f.from_traces([int(j == k) for k in range(m)]) * x_inv).coords
+    cols = [f.from_traces([int(j == k) for k in range(m)]) * x_inv
             for j in range(m)]
-    rows, den = common_den(list(zip(*cols)))
+    den = lcm(*[c.den for c in cols])
+    rows = tuple(zip(*[[a * (den // c.den) for a in c.num] for c in cols]))
     (init,), s = common_den([seq._terms[:m]])
     integral = all(c.denominator == 1 for c in seq.charpoly)
-    return tuple(rows), den, init, s, integral
+    return rows, den, init, s, integral
 
 
 def salem_recover_exact(seq: LinRecSeq, i: int,

@@ -323,13 +323,15 @@ def test_window_map_mutation_is_an_alarm(name):
     q = seq.term(23)
     assert value_set_membership(seq, q) is True
     rows, den, init, s, integral = good = seq._window_map
-    m = seq.order
     assert seq.integer_scale() == s == (2 if name == "salem4-half" else 1)
-    bumped = [(tuple(tuple(e + ((r, c) == (a, b)) for c, e in enumerate(row))
-                     for r, row in enumerate(rows)), den, init, s, integral)
-              for a in range(m) for b in range(m)]
-    bumped += [(rows, den, tuple(v + (j == b) for j, v in enumerate(init)), s,
-                integral) for b in range(m)]
+
+    def bump(t, j):
+        return t[:j] + (t[j] + 1,) + t[j + 1:]
+
+    m = seq.order
+    bumped = [(rows[:a] + (bump(rows[a], b),) + rows[a + 1:],
+               den, init, s, integral) for a in range(m) for b in range(m)]
+    bumped += [(rows, den, bump(init, b), s, integral) for b in range(m)]
     for wrong in bumped:
         seq._window_map = wrong
         with pytest.raises(SingularSystem):
