@@ -301,11 +301,11 @@ def transfer_to_powers(seq: LinRecSeq) -> TransferMap:
 def _build_window_map(seq: LinRecSeq) -> tuple:
     """(rows, den, init, s, integral): the integer matrix rows / den sending
     a window (n_i, ..., n_{i+m-1}) to the power-basis coordinates of beta^i,
-    i.e. of from_traces(window) * x^-1 for the trace representation x,
-    column by column; the initial terms as integers init over s, so that
-    Tr(y x) = sum_j y_j n_j = sum_j y_j init_j / s for every y in K; and
-    whether the recurrence has integer coefficients, so that every term is
-    an integer over s."""
+    that is of from_traces(window) * x^-1 for the trace representation x
+    (column j is from_traces(e_j) * x^-1); the initial terms as integers
+    init over s, so that Tr(y x) = sum_j y_j n_j = sum_j y_j init_j / s for
+    every y in K; and whether the recurrence has integer coefficients, so
+    that every term is an integer over s."""
     x = trace_representation(seq)
     if x.is_zero():
         raise ZeroTraceRep("sequence is identically zero")

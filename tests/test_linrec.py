@@ -490,6 +490,8 @@ def test_membership_setup_builds_one_field(monkeypatch, charpoly, init):
 def test_membership_search_bound(fib):
     with pytest.raises(SearchBoundExceeded):
         value_set_membership(fib, 10 ** 40, search_bound=20)
+
+
 # k-nacci for k >= 4 has unit rank above 1 and 2 + sqrt2 (x^2 - 4x + 2) is
 # a Pisot number but no unit: no route of the paper applies to them
 MEMBERSHIP_SEQS = {"fibonacci": ([-1, -1, 1], [0, 1]),
