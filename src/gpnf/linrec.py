@@ -298,14 +298,18 @@ def transfer_to_powers(seq: LinRecSeq) -> TransferMap:
 # Salem recovery
 # ---------------------------------------------------------------------------
 
+def _window_map(seq: LinRecSeq) -> tuple:
+    """(rows, den, init, s), built once per sequence: the integer matrix
+    rows / den sending a window (n_i, ..., n_{i+m-1}) to the power-basis
+    coordinates of beta^i, that is of from_traces(window) * x^-1 for the
+    trace representation x (column j is from_traces(e_j) * x^-1); and the
+    initial terms as integers init over s, so that
+    Tr(y x) = sum_j y_j n_j = sum_j y_j init_j / s for every y in K."""
+    return seq._window_map or seq._fill(
+        "_window_map", lambda: _build_window_map(seq))
+
+
 def _build_window_map(seq: LinRecSeq) -> tuple:
-    """(rows, den, init, s, integral): the integer matrix rows / den sending
-    a window (n_i, ..., n_{i+m-1}) to the power-basis coordinates of beta^i,
-    that is of from_traces(window) * x^-1 for the trace representation x
-    (column j is from_traces(e_j) * x^-1); the initial terms as integers
-    init over s, so that Tr(y x) = sum_j y_j n_j = sum_j y_j init_j / s for
-    every y in K; and whether the recurrence has integer coefficients, so
-    that every term is an integer over s."""
     x = trace_representation(seq)
     if x.is_zero():
         raise ZeroTraceRep("sequence is identically zero")
@@ -316,8 +320,7 @@ def _build_window_map(seq: LinRecSeq) -> tuple:
     den = lcm(*[c.den for c in cols])
     rows = tuple(zip(*[[a * (den // c.den) for a in c.num] for c in cols]))
     (init,), s = common_den([seq._terms[:m]])
-    integral = all(c.denominator == 1 for c in seq.charpoly)
-    return rows, den, init, s, integral
+    return rows, den, init, s
 
 
 def salem_recover_exact(seq: LinRecSeq, i: int,
@@ -325,8 +328,7 @@ def salem_recover_exact(seq: LinRecSeq, i: int,
     """beta^i from a window (n_i, ..., n_{i+m-1}), by solving the trace
     system exactly: the window determines beta^i x, and the window map
     divides by x, m integer dot products over one denominator."""
-    rows, den, _, s, integral = seq._window_map or seq._fill(
-        "_window_map", lambda: _build_window_map(seq))
+    rows, den, _, _ = _window_map(seq)
     m = seq.order
     if window is None:
         seq.term(i)             # NegativeIndex for i < 0
@@ -336,14 +338,9 @@ def salem_recover_exact(seq: LinRecSeq, i: int,
         window = [Fraction(v) for v in window]
         if len(window) != m:
             raise DegreeMismatch(f"window must have {m} terms")
-        integral = False
-    if integral:
-        # numerators over s, without a lcm or a Fraction
-        z = [t.numerator * (s // t.denominator) for t in window]
-    else:
-        (z,), s = common_den([window])
+    (z,), d = common_den([window])
     return _elem(seq.field, tuple(sum(map(mul, row, z)) for row in rows),
-                 den * s)
+                 den * d)
 
 
 class SalemRecoveryFamily:
@@ -495,7 +492,7 @@ def _vsm_build(seq: LinRecSeq) -> dict:
                 # close the loop: Tr(y x) = sum_j y_j n_j must be q, with
                 # the initial terms n_j = init_j / s
                 y = salem_recover_exact(seq, k)
-                _, _, init, s, _ = seq._window_map
+                _, _, init, s = _window_map(seq)
                 tr = sum(map(mul, y.num, init))     # Tr(y x) * y.den * s
                 return (y == power(k)
                         and tr * q.denominator == q.numerator * y.den * s)

@@ -322,16 +322,16 @@ def test_window_map_mutation_is_an_alarm(name):
     seq = LinRecSeq(*RECOVERY_SEQS[name])
     q = seq.term(23)
     assert value_set_membership(seq, q) is True
-    rows, den, init, s, integral = good = seq._window_map
+    rows, den, init, s = good = seq._window_map
     assert seq.integer_scale() == s == (2 if name == "salem4-half" else 1)
 
     def bump(t, j):
         return t[:j] + (t[j] + 1,) + t[j + 1:]
 
     m = seq.order
-    bumped = [(rows[:a] + (bump(rows[a], b),) + rows[a + 1:],
-               den, init, s, integral) for a in range(m) for b in range(m)]
-    bumped += [(rows, den, bump(init, b), s, integral) for b in range(m)]
+    bumped = [(rows[:a] + (bump(rows[a], b),) + rows[a + 1:], den, init, s)
+              for a in range(m) for b in range(m)]
+    bumped += [(rows, den, bump(init, b), s) for b in range(m)]
     for wrong in bumped:
         seq._window_map = wrong
         with pytest.raises(SingularSystem):
@@ -468,6 +468,17 @@ def test_membership_witness_disagreement_is_an_alarm(monkeypatch, fib,
         value_set_membership(salem_seq, q_salem)
     with pytest.raises(SingularSystem):
         value_set_membership(fib, q_fib)
+
+
+def test_cold_salem_witness_reads_a_filled_window_map(monkeypatch):
+    # the witness builds the window map itself: with the window solve
+    # stubbed on a cold sequence, a wrong answer still raises the alarm
+    seq = LinRecSeq(*RECOVERY_SEQS["salem4"])
+    monkeypatch.setattr(linrec, "salem_recover_exact",
+                        lambda seq, i, window=None: seq.field.beta ** (i + 1))
+    with pytest.raises(SingularSystem):
+        value_set_membership(seq, seq.term(23))
+    assert seq._window_map is not None
 
 
 @pytest.mark.parametrize("charpoly,init", [([-1, -1, 1], [0, 1]),        # Fibonacci
