@@ -1,8 +1,8 @@
 """Gauss-Jordan elimination shared by every linear solve in the package.
 
-One exact kernel serves the rational systems (inverses, ranks,
-determinants, the trace and transfer systems, whose right-hand sides may
-be field elements).  Private to the package.
+One exact kernel serves the rational systems: inverses (of the trace
+form and of a lattice basis), ranks and determinants.  Every caller
+carries Fraction columns.  Private to the package.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ def gauss_jordan(A: list, n: int) -> tuple:
     rank.  That row is moved up, scaled to a leading 1 and subtracted from
     every other row whose entry in column c is nonzero.  A column without a
     pivot is skipped.  The carried columns (index n and up) may hold
-    anything that the pivot entries scale, such as Fractions or
-    FieldElements.
+    anything that the pivot entries scale; every caller carries
+    Fractions.
 
     Returns (rank, det).  When rank == n the carried columns hold the
     solution (the inverse, if they started as the identity).  det() is the

@@ -27,7 +27,6 @@ from .errors import (DegreeMismatch, NegativeIndex, NotPisot, NotSquarefree,
                      OutOfRange, SearchBoundExceeded, SingularSystem,
                      VandermondeSingular, ZeroSourceSequence, ZeroTraceRep)
 from .intervals import RatInterval, common_den
-from .linalg import gauss_jordan
 from .numberfield import (FieldElement, NumberField, _elem, certified_floor,
                           certified_nint)
 from .records import Record
@@ -103,8 +102,10 @@ class LinRecSeq:
         return all(v == 0 for v in self._terms[:self.order])
 
     def integer_scale(self) -> Fraction:
-        """s with s * n_i integral for all i (the characteristic polynomial
-        is monic; denominators never grow past the initial ones)."""
+        """s with s * n_i integral for i < m, hence for every i when the
+        recurrence coefficients are integers.  Rational ones can make the
+        denominators grow without bound (x^2 - 3x/2 - 1/2 from 0, 1: 3/2,
+        11/4, 39/8, ...), and then no s serves every term."""
         s = lcm(*[v.denominator for v in self._terms[:self.order]])
         return Fraction(s)
 
@@ -247,20 +248,11 @@ class TransferMap(Record):
         return acc
 
 
-def _solve_hankel(seq: LinRecSeq, rhs: list) -> list:
-    """The w with sum_j seq_{i+j} w_j = rhs[i] for 0 <= i < m; rhs entries
-    may be rationals or field elements."""
-    m = seq.order
-    A = [[seq.term(i + j) for j in range(m)] + [rhs[i]] for i in range(m)]
-    if gauss_jordan(A, m)[0] < m:
-        raise SingularSystem("transfer system is singular")
-    return [row[m] for row in A]
-
-
 def _build_transfer(src: LinRecSeq, target) -> TransferMap:
-    """The transfer map g with g(src_i) = target(i) for all i >= onset: the
-    Hankel solve on the integer-scaled source, the verified onset, and a
-    check of the 2m terms from the onset on."""
+    """The transfer map g with g(src_i) = target(i) for all i >= onset:
+    on the source scaled to integers by s, w_j = sum_k rows[j][k]
+    target(k) / (den s) from the source's window map; the verified onset
+    and a check of the 2m terms from the onset on confirm it."""
     if src.is_zero_sequence():
         raise ZeroSourceSequence("transfer source is identically zero")
     f = src.field
@@ -269,7 +261,9 @@ def _build_transfer(src: LinRecSeq, target) -> TransferMap:
     zsrc = LinRecSeq(src.charpoly, [s * src.term(i) for i in range(src.order)])
     zsrc._field = f     # the same recurrence: one field, not a second build
     m = src.order
-    w = _solve_hankel(zsrc, [target(i) for i in range(m)])
+    rows, den, _, _ = _window_map(src)
+    t = [target(k) for k in range(m)]
+    w = [sum(map(mul, row, t)) * (Fraction(1, den) / s) for row in rows]
     onset = max(verified_i0(zsrc, j) for j in range(m))
     tm = TransferMap(f, w, onset, s, [_NintCache(f, j) for j in range(m)])
     for i in range(onset, onset + 2 * m):
@@ -304,7 +298,10 @@ def _window_map(seq: LinRecSeq) -> tuple:
     coordinates of beta^i, that is of from_traces(window) * x^-1 for the
     trace representation x (column j is from_traces(e_j) * x^-1); and the
     initial terms as integers init over s, so that
-    Tr(y x) = sum_j y_j n_j = sum_j y_j init_j / s for every y in K."""
+    Tr(y x) = sum_j y_j n_j = sum_j y_j init_j / s for every y in K.
+    rows / den inverts the Hankel matrix (n_{j+k}), so it is symmetric:
+    row j is the w_j with sum_j w_j n_{i+j} = beta^i, which the transfer
+    maps and the Salem recovery family read as their coefficients."""
     return seq._window_map or seq._fill(
         "_window_map", lambda: _build_window_map(seq))
 
@@ -348,11 +345,10 @@ class SalemRecoveryFamily:
     indexed by integer correction tuples |c_j| <= C_j.
 
     gamma_j are the beta-row entries of the inverse of the conjugate
-    matrix (w_alpha alpha^j), kept as exact elements of Q(beta): by the
-    Lagrange form of the inverse Vandermonde matrix, gamma_j =
-    q_j(beta) / (p'(beta) x) where p(X) / (X - beta) = sum_j q_j(beta) X^j
-    and x is the trace representation.  Every value g_c(n) is computed
-    exactly; only the returned enclosure is approximate.
+    matrix (w_alpha alpha^j), kept as exact elements of Q(beta): they
+    solve sum_j gamma_j n_{i+j} = beta^i, so gamma_j is row j of the
+    sequence's window map.  Every value g_c(n) is computed exactly; only
+    the returned enclosure is approximate.
     """
 
     def __init__(self, seq: LinRecSeq, verify_range: range = range(0, 51)):
@@ -377,18 +373,8 @@ class SalemRecoveryFamily:
             self.bounds.append(int(a_j.numerator // a_j.denominator) + 1)
         self.candidate_count = math.prod(2 * c + 1 for c in self.bounds)
 
-        # synthetic division of the monic minimal polynomial by X - beta:
-        # q_{m-1} = 1, q_{j-1} = p_j + beta q_j; then p'(beta) = q(beta)
-        p, beta = f.monic_minpoly, f.beta
-        q = [f.one]
-        for j in range(m - 1, 0, -1):
-            q.append(q[-1] * beta + p[j])
-        q.reverse()
-        dp = f.zero
-        for qj in reversed(q):
-            dp = dp * beta + qj
-        scale = (dp * x).inverse()
-        self._gamma = [qj * scale for qj in q]
+        rows, den, _, _ = _window_map(seq)
+        self._gamma = [_elem(f, row, den) for row in rows]
 
     def candidates(self):
         """Iterate the correction tuples (c_j) with |c_j| <= C_j; the count

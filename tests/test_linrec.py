@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from gpnf import linrec, polys
 from gpnf.errors import (DegreeMismatch, GpnfError, NotPisot, NotSquarefree,
                          OutOfRange, SearchBoundExceeded, SingularSystem,
-                         ZeroSourceSequence, ZeroTraceRep)
+                         VandermondeSingular, ZeroSourceSequence, ZeroTraceRep)
 from gpnf.linrec import (LinRecSeq, TransferMap, _vsm_setup, pisot_step,
                          salem_recover_exact,
                          salem_recovery_family, sml_zeros, trace_representation,
                          transfer_map, transfer_to_powers, true_onset,
                          value_set_membership, verified_i0)
+from gpnf.linalg import gauss_jordan
 from gpnf.numberfield import NumberField, certified_floor, certified_nint
 
 
@@ -74,6 +75,18 @@ def test_rational_terms():
     seq = LinRecSeq([-1, -1, 1], [F(1, 2), F(1, 3)])
     assert seq.term(2) == F(1, 2) + F(1, 3)
     assert seq.integer_scale() == 6
+
+
+def test_integer_scale_clears_every_denominator():
+    # integer coefficients: the initial denominators are the only ones
+    seq = LinRecSeq([1, -1, -1, -1, 1], [F(1, 2), 1, 3, 7])
+    s = seq.integer_scale()
+    assert s == 2 == linrec._window_map(seq)[3]
+    assert all((s * v).denominator == 1 for v in seq.terms(200))
+    # rational coefficients: the denominators grow past the initial ones
+    seq = LinRecSeq([-1, -3, 2], [0, 1])
+    assert seq.integer_scale() == 1 and seq.terms(4)[2:] == [F(3, 2), F(11, 4),
+                                                             F(39, 8)]
 
 
 def test_degree_mismatch():
@@ -247,6 +260,39 @@ def test_transfer_rational_source(K_phi):
         assert tm.apply(src.term(i)) == dst.term(i)
 
 
+def transfer_by_gauss_jordan(src, target):
+    """The transfer coefficients as they were solved before the window map:
+    Gauss-Jordan on the Hankel system of the integer-scaled source, with
+    right-hand side target(0), ..., target(m-1)."""
+    m, s = src.order, src.integer_scale()
+    A = [[s * src.term(i + j) for j in range(m)] + [target(i)] for i in range(m)]
+    if gauss_jordan(A, m)[0] < m:
+        raise SingularSystem("transfer system is singular")
+    return [row[m] for row in A]
+
+
+TRANSFER_CHARPOLYS = {"fibonacci": [-1, -1, 1], "pell": [-1, -2, 1],
+                      "perrin": [-1, -1, 0, 1], "tribonacci": [-1, -1, -1, 1]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(TRANSFER_CHARPOLYS)), st.data())
+def test_transfer_coeffs_match_the_hankel_solve(name, data):
+    # rational initial terms make integer_scale() exceed 1, so the window
+    # map's division by den * s is exercised as well as its rows
+    charpoly = TRANSFER_CHARPOLYS[name]
+    m = len(charpoly) - 1
+    term = (st.integers(-30, 30)
+            | st.fractions(min_value=-30, max_value=30, max_denominator=6))
+    inits = st.lists(term, min_size=m, max_size=m).filter(any)
+    src, dst = (LinRecSeq(charpoly, data.draw(inits)) for _ in range(2))
+    beta = src.field.beta
+    assert (transfer_to_powers(src).coeffs
+            == transfer_by_gauss_jordan(src, lambda i: beta ** i))
+    assert (transfer_map(src, dst).coeffs
+            == transfer_by_gauss_jordan(src, dst.term))
+
+
 # -- Salem recovery -------------------------------------------------------------------
 
 def test_recover_examples(salem_seq, K_salem):
@@ -315,29 +361,48 @@ def test_recover_matches_the_field_route(name, i, data):
             == recover_by_field(seq, i, window))
 
 
-@pytest.mark.parametrize("name", ["salem4", "salem4-half"])
+def _member_23(seq):
+    return value_set_membership(seq, seq.term(23))
+
+
+# each consumer of the window map, the exact check that must catch a wrong
+# entry, and whether it also reads the map's initial terms (the trace loop)
+MAP_CONSUMERS = {
+    "salem4": (RECOVERY_SEQS["salem4"], _member_23, SingularSystem, True),
+    "salem4-half": (RECOVERY_SEQS["salem4-half"], _member_23,
+                    SingularSystem, True),
+    "salem4-family": (RECOVERY_SEQS["salem4"],
+                      lambda seq: salem_recovery_family(seq, range(0, 3)),
+                      VandermondeSingular, False),
+    "fibonacci-transfer": (([-1, -1, 1], [0, 1]), transfer_to_powers,
+                           SingularSystem, False),
+    "perrin-transfer": (([-1, -1, 0, 1], [3, 0, 2]), transfer_to_powers,
+                        SingularSystem, False)}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_CONSUMERS))
 def test_window_map_mutation_is_an_alarm(name):
-    # one wrong entry of the window map breaks y == beta^k, and one wrong
-    # initial term breaks the trace loop: either raises, never answers
-    seq = LinRecSeq(*RECOVERY_SEQS[name])
-    q = seq.term(23)
-    assert value_set_membership(seq, q) is True
-    rows, den, init, s = good = seq._window_map
-    assert seq.integer_scale() == s == (2 if name == "salem4-half" else 1)
+    # one wrong entry of the window map, put on a cold sequence before its
+    # first use, breaks the consumer's exact check (y == beta^k, g_c(n_i) ==
+    # beta^i, the transfer map's 2m-term verification), and one wrong
+    # initial term breaks the trace loop: each raises, never answers
+    args, consume, alarm, reads_init = MAP_CONSUMERS[name]
+    rows, den, init, s = linrec._window_map(LinRecSeq(*args))
 
     def bump(t, j):
         return t[:j] + (t[j] + 1,) + t[j + 1:]
 
-    m = seq.order
+    m = len(rows)
     bumped = [(rows[:a] + (bump(rows[a], b),) + rows[a + 1:], den, init, s)
               for a in range(m) for b in range(m)]
-    bumped += [(rows, den, bump(init, b), s) for b in range(m)]
+    if reads_init:
+        bumped += [(rows, den, bump(init, b), s) for b in range(m)]
     for wrong in bumped:
+        seq = LinRecSeq(*args)
         seq._window_map = wrong
-        with pytest.raises(SingularSystem):
-            value_set_membership(seq, q)
-    seq._window_map = good
-    assert value_set_membership(seq, q) is True
+        with pytest.raises(alarm):
+            consume(seq)
+    assert consume(LinRecSeq(*args))
 
 
 def test_recovery_family(salem_seq, K_salem):
@@ -354,14 +419,35 @@ def test_recovery_family(salem_seq, K_salem):
         assert fam.contains(fam.correction_tuple(i))
 
 
-def test_recovery_family_gamma_identity(salem_seq, K_salem):
-    # sum_j gamma_j n_{i+j} == beta^i holds exactly in Q(beta)
-    fam = salem_recovery_family(salem_seq, range(0, 3))
-    beta = K_salem.beta
-    for i in range(51):
-        g = sum((gj * salem_seq.term(i + j) for j, gj in enumerate(fam._gamma)),
-                K_salem.zero)
-        assert g == beta ** i
+def gamma_by_synthetic_division(seq):
+    """The gamma_j as they were computed before the window map: q_j(beta) /
+    (p'(beta) x), where p(X) / (X - beta) = sum_j q_j(beta) X^j for the
+    monic minimal polynomial p and the trace representation x."""
+    f = seq.field
+    p, beta, m = f.monic_minpoly, f.beta, f.degree
+    q = [f.one]
+    for j in range(m - 1, 0, -1):
+        q.append(q[-1] * beta + p[j])
+    q.reverse()
+    dp = f.zero
+    for qj in reversed(q):
+        dp = dp * beta + qj
+    scale = (dp * trace_representation(seq)).inverse()
+    return [qj * scale for qj in q]
+
+
+def test_recovery_family_gamma_identity():
+    # sum_j gamma_j n_{i+j} == beta^i holds exactly in Q(beta), and the
+    # gamma_j read from the window map are the synthetic-division ones
+    for name in ("salem4", "salem6", "lehmer"):
+        seq = LinRecSeq(*RECOVERY_SEQS[name])
+        fam = salem_recovery_family(seq, range(0, 3))
+        assert fam._gamma == gamma_by_synthetic_division(seq)
+        f = seq.field
+        for i in range(40):
+            g = sum((gj * seq.term(i + j) for j, gj in enumerate(fam._gamma)),
+                    f.zero)
+            assert g == f.beta ** i
 
 
 def test_recovery_family_gamma_against_sympy(salem_seq):
