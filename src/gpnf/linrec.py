@@ -141,36 +141,45 @@ def verified_i0(seq: LinRecSeq, j: int) -> int:
     """A sound onset: for every i >= i0, n_{i+j} = nint(beta^j n_i).
 
     n_i = w beta^i + sum_a w_a a^i over the other conjugates a of beta,
-    where w_a = sigma_a(x) for the trace representation x.  The bound
-    sum |w_a| |a|^i (|a|^j + beta^j) < 1/2 is evaluated with the certified
-    rational upper bounds of `_conjugate_bounds` on |a| (of beta) and
-    |w_a| (of x), at a precision where every |a| bound is below 1; it may
-    overshoot the true minimal onset but never undershoots.  The upper
-    bounds on |a| bound |a|^j only for j >= 0 (OutOfRange otherwise).
+    where w_a = sigma_a(x) for the trace representation x; `_onset` bounds
+    the error terms.  The upper bounds on |a| bound |a|^j only for j >= 0
+    (OutOfRange otherwise).
     """
     if j < 0:
         raise OutOfRange("j must be >= 0")
     f = seq.field
     _require_pisot_charpoly(f)
-    if j == 0:
+    if j == 0 or seq.is_zero_sequence():
         return 0
-    if seq.is_zero_sequence():
-        return 0
+    return _onset(f, trace_representation(seq), [j])
+
+
+def _onset(f: NumberField, x: FieldElement, js) -> int:
+    """The least i0 from which sum_a |w_a| |a|^i (|a|^j + beta^j) < 1/2
+    for every step j >= 1 in js, with w_a = sigma_a(x) over the conjugates
+    a of the Pisot number beta other than beta itself: the sequence
+    Tr(beta^i x) then steps by each j from i0 on.  The sum is evaluated
+    with the certified rational upper bounds of `_conjugate_bounds` on |a|
+    (of beta) and |w_a| (of x), at one precision for all of js where every
+    |a| bound is below 1; it may overshoot the true minimal onset but never
+    undershoots."""
     bits = 48
     ua = _conjugate_bounds(f.beta, bits)
     while not all(u < 1 for u in ua.values()):
         bits *= 2
         ua = _conjugate_bounds(f.beta, bits)
-    uw = _conjugate_bounds(trace_representation(seq), bits)
+    uw = _conjugate_bounds(x, bits)
     bhi = f.beta.embed(None, bits).hi
-    terms = [uw[a] * (ua[a] ** j + bhi ** j) for a in ua]
     uas = list(ua.values())
-    i = 0
-    while True:
-        if sum(terms) < Fraction(1, 2):
-            return i
-        terms = [t * ua for t, ua in zip(terms, uas)]
-        i += 1
+    onset = 0
+    for j in js:
+        terms = [uw[a] * (ua[a] ** j + bhi ** j) for a in ua]
+        i = 0
+        while sum(terms) >= Fraction(1, 2):
+            terms = [t * u for t, u in zip(terms, uas)]
+            i += 1
+        onset = max(onset, i)
+    return onset
 
 
 def pisot_step(beta: FieldElement, j: int, n) -> Fraction:
@@ -252,19 +261,19 @@ def _build_transfer(src: LinRecSeq, target) -> TransferMap:
     """The transfer map g with g(src_i) = target(i) for all i >= onset:
     on the source scaled to integers by s, w_j = sum_k rows[j][k]
     target(k) / (den s) from the source's window map; the verified onset
-    and a check of the 2m terms from the onset on confirm it."""
+    of the scaled source for every step 0 < j < m (`_onset`, after one
+    Pisot gate) and a check of the 2m terms from the onset on confirm it."""
     if src.is_zero_sequence():
         raise ZeroSourceSequence("transfer source is identically zero")
     f = src.field
     _require_pisot_charpoly(f)
     s = src.integer_scale()
-    zsrc = LinRecSeq(src.charpoly, [s * src.term(i) for i in range(src.order)])
-    zsrc._field = f     # the same recurrence: one field, not a second build
     m = src.order
     rows, den, _, _ = _window_map(src)
     t = [target(k) for k in range(m)]
     w = [sum(map(mul, row, t)) * (Fraction(1, den) / s) for row in rows]
-    onset = max(verified_i0(zsrc, j) for j in range(m))
+    # the source scaled by s is the sequence of trace representation s x
+    onset = _onset(f, trace_representation(src) * s, range(1, m))
     tm = TransferMap(f, w, onset, s, [_NintCache(f, j) for j in range(m)])
     for i in range(onset, onset + 2 * m):
         if tm.apply(src.term(i)) != target(i):

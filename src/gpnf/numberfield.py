@@ -3,8 +3,8 @@
 A NumberField is built from an irreducible defining polynomial, and proves
 it irreducible: factor degrees modulo primes first, then recombination of
 certified root enclosures for the degrees they leave.  Real conjugates are
-isolated by Sturm bisection; complex conjugates by rectangle subdivision
-with an exact winding-number count on rectangle boundaries: one integer
+isolated by Sturm bisection; complex conjugates by rectangle cuts, one
+exact winding-number count per cut (`_cut`), of its lower half: one integer
 Sturm chain of Re p and Im p per edge gives its Cauchy index (Wilf;
 Eisermann), with no root isolation and no floating point anywhere.  The
 same counts order complex pairs: two rectangles are cut at lines through
@@ -158,20 +158,6 @@ _LADDER = tuple(Fraction(num, den) for num, den in (
     (3, 8), (21, 32), (11, 32), (23, 32)))
 
 
-def _splits(rect: tuple):
-    """The two halves (r1, r2) of rect cut across its longer side, at each
-    point of `_LADDER` in turn."""
-    xlo, xhi, ylo, yhi = rect
-    vertical = (xhi - xlo) >= (yhi - ylo)
-    for t in _LADDER:
-        if vertical:
-            c = xlo + (xhi - xlo) * t
-            yield (xlo, c, ylo, yhi), (c, xhi, ylo, yhi)
-        else:
-            c = ylo + (yhi - ylo) * t
-            yield (xlo, xhi, ylo, c), (xlo, xhi, c, yhi)
-
-
 @functools.lru_cache(maxsize=256)
 def _min_sep_sq(c: tuple) -> Fraction:
     """A positive rational lower bound for the squared distance between
@@ -190,11 +176,13 @@ def _isolate_complex_upper(p: tuple, expected: int,
     """Isolating rectangles (xlo, xhi, ylo, yhi) for the roots of squarefree
     p in the open upper half-plane.
 
-    Rectangles are bisected depth first from one containing them all.
-    Each is counted once, when it is split off, and carried with its count;
-    one memo serves every count, so each line's chain is built once: a
-    fresh one unless the caller passes its own, to count on those lines
-    again (see `NumberField._sort_uppers`)."""
+    Rectangles are cut in half across the longer side by `_cut`, depth
+    first from one containing them all.  A cut makes one winding count, of
+    the lower half: its n1 roots leave the other n - n1 to the upper half,
+    exactly, since a root on the cut line would lie on the lower half's
+    edge, which moves the cut.  One memo serves every count, so each
+    line's chain is built once: a fresh one unless the caller passes its
+    own, to count on those lines again (see `NumberField._sort_uppers`)."""
     if expected == 0:
         return []
     bound = polys.cauchy_bound(p)
@@ -216,17 +204,9 @@ def _isolate_complex_upper(p: tuple, expected: int,
         if n == 1:
             done.append(r)
             continue
-        for r1, r2 in _splits(r):
-            try:
-                n1 = count_roots_in_rect(p, *r1, memo)
-                n2 = count_roots_in_rect(p, *r2, memo)
-            except _BoundaryRoot:
-                continue
-            if n1 + n2 == n:
-                work.extend(((r1, n1), (r2, n2)))
-                break
-        else:
-            raise CertificateFailed("complex root isolation failed to split", r)
+        k = 0 if r[1] - r[0] >= r[3] - r[2] else 2
+        (r1, n1, r2), = _cut(p, [r], k, memo)
+        work.extend(((r1, n1), (r2, n - n1)))
     if len(done) != expected:
         raise CertificateFailed("complex root isolation miscount", tuple(done))
     return done
@@ -239,25 +219,26 @@ def _box(rect: tuple) -> ComplexBox:
 
 
 def _cut(p: tuple, rects: list, k: int, memo: dict) -> list:
-    """Isolating rectangles of squarefree p cut at one line through the
-    overlap of their projections on axis k (0: real, 2: imaginary), each
-    keeping the half that holds its root, by one winding count of its lower
-    half; the counts share the new line's chain in memo.  A cut through a
-    root moves along `_LADDER`."""
+    """Rectangles of squarefree p cut at one line through the overlap of
+    their projections on axis k (0: real, 2: imaginary): for each, the
+    triple (lower half, its winding count, upper half), the lower half on
+    the low side of the line.  The counts share the new line's chain in
+    memo.  A root on the line lies on a lower half's edge, so that count
+    raises _BoundaryRoot and the cut moves along `_LADDER`."""
     lo = max(r[k] for r in rects)
     hi = min(r[k + 1] for r in rects)
     for t in _LADDER:
         c = lo + (hi - lo) * t
-        halves = []
+        cuts = []
         for r in rects:
             below = r[:k + 1] + (c,) + r[k + 2:]
             try:
-                inside = count_roots_in_rect(p, *below, memo)
+                n = count_roots_in_rect(p, *below, memo)
             except _BoundaryRoot:
                 break
-            halves.append(below if inside else r[:k] + (c,) + r[k + 1:])
+            cuts.append((below, n, r[:k] + (c,) + r[k + 1:]))
         else:
-            return halves
+            return cuts
     raise CertificateFailed("winding cut failed", tuple(rects))
 
 
@@ -317,11 +298,9 @@ def _refine_rect(p: tuple, Z: ComplexBox, width: Fraction) -> ComplexBox:
     returned when B lies in the box and one Krawczyk inclusion proves a
     root of p in B: that root is then the isolated one.  Otherwise one
     `_cut` across the longer side shrinks the box and Newton runs again;
-    its counts share one memo (see `count_roots_in_rect`).  A width <= 0
-    raises ValueError unless the box is already a point, one past
-    `polys.CEILING_BITS` bits PrecisionExhausted."""
-    if width <= 0 < Z.width:
-        raise ValueError(f"cannot refine {Z} to width {width}")
+    its counts share one memo (see `count_roots_in_rect`).  The width must
+    be positive (`NumberField.root_box` checks it); one past
+    `polys.CEILING_BITS` bits raises PrecisionExhausted."""
     bits = polys._width_bits(width)
     if bits > polys.CEILING_BITS:
         raise PrecisionExhausted("_refine_rect past the ceiling", Z)
@@ -337,67 +316,10 @@ def _refine_rect(p: tuple, Z: ComplexBox, width: Fraction) -> ComplexBox:
                 and _krawczyk_proves(p, dp, B, t)):
             return B
         k = 0 if Z.re.width >= Z.im.width else 2
-        rect, = _cut(p, [(Z.re.lo, Z.re.hi, Z.im.lo, Z.im.hi)], k, memo)
-        Z = _box(rect)
+        (below, n, above), = _cut(
+            p, [(Z.re.lo, Z.re.hi, Z.im.lo, Z.im.hi)], k, memo)
+        Z = _box(below if n else above)
     return Z
-
-
-def _find_factor(p: tuple, degrees: list, reals: list,
-                 uppers: list) -> Optional[list]:
-    """A primitive integer factor of the integer polynomial p with degree in
-    `degrees`, else None, given isolating intervals of its real roots
-    (ascending) and boxes of its upper-half-plane roots.
-
-    Zassenhaus's recombination over certified root enclosures instead of a
-    p-adic lift: the roots of a factor g of degree d form a set S of d roots
-    closed under complex conjugation, and lead(p) * prod_S (x - r) =
-    (lead(p) / lead(g)) g has integer coefficients.  For each such S, copies
-    of the enclosures are refined until some coefficient of that product
-    encloses no integer, or all are enclosed in intervals narrower than 1;
-    then its one integer candidate is tested by exact division.  For d = 1
-    this is the rational-root test, over the real roots in ascending order.
-    """
-    lead, m, r1 = p[-1], len(p) - 1, len(reals)
-    encl = list(reals) + list(uppers)
-    one = RatInterval.point(1)
-
-    def root_factor(j: int, width: Fraction) -> list:
-        """x - r for a real root, (x - r)(x - conj r) for an upper one, as
-        interval coefficients, with the root enclosed below `width`."""
-        e = encl[j]
-        if e.width > width:
-            e = encl[j] = (polys.refine_root if j < r1 else _refine_rect)(
-                p, e, width)
-        return [-e, one] if j < r1 else [e.abs_sq(), e.re * -2, one]
-
-    def candidate(S: tuple) -> Optional[tuple]:
-        width = Fraction(1, 2 * lead)
-        while True:
-            cs = [RatInterval.point(lead)]
-            for j in S:
-                f = root_factor(j, width)
-                out = [RatInterval.point(0)] * (len(cs) + len(f) - 1)
-                for i, x in enumerate(cs):
-                    for k, y in enumerate(f):
-                        out[i + k] = out[i + k] + x * y
-                cs = out
-            ns = [ceil(c.lo) for c in cs]
-            if any(n > c.hi for n, c in zip(ns, cs)):
-                return None
-            if all(c.width < 1 for c in cs):
-                return tuple(ns)
-            width /= 2
-
-    for d in degrees:
-        for S in (rs + us for a in range(d % 2, min(d, r1) + 1, 2)
-                  for rs in combinations(range(r1), a)
-                  for us in combinations(range(r1, len(encl)), (d - a) // 2)):
-            if 2 * d == m and 0 not in S:
-                continue  # a factor of degree m/2 or its cofactor has root 0
-            g = candidate(S)
-            if g is not None and not polys.divmod_(p, g)[1]:
-                return list(polys.canonical(g))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +377,17 @@ class NumberField:
 
         memo: dict = {}
         uppers = _isolate_complex_upper(self.minpoly_int, r2, memo)
-        if degrees:
-            f = _find_factor(self.minpoly_int, degrees, real_ivs,
-                             [_box(r) for r in uppers])
-            if f is not None:
-                raise ReducibleDetected(f"found factor with coefficients {f}")
-
         self._roots = [_Root("real", iv) for iv in real_ivs]
         for rect in self._sort_uppers(uppers, memo):
             k = len(self._roots)
             self._roots.append(_Root("upper", _box(rect), k + 1))
             self._roots.append(_Root("lower", None, k))
-
         self._lock = threading.RLock()
+        if degrees:
+            f = self._find_factor(degrees)
+            if f is not None:
+                raise ReducibleDetected(f"found factor with coefficients {f}")
+
         self._red, self._red_den = self._reduction_table()
         (self._tr,), self._tr_den = common_den([self.power_sums(m - 1)])
         self.distinguished = self._pick_distinguished(
@@ -500,14 +420,14 @@ class NumberField:
 
         Two roots compare on copies of their rectangles, kept per root from
         one comparison to the next: `_cut` cuts both at one vertical line
-        through the overlap of their real projections until the projections
-        part.  Roots lie strictly inside counted rectangles, so projections
-        that only touch are apart.  Its counts share memo, which `__init__`
-        hands over from the isolation, so only the cut lines' chains are
-        new.  Equal real parts never part: after a few cuts, the chain of
-        the sum resolvent (`_sum_chain`) decides whether both doubled real
-        parts are one root of it, and if so horizontal cuts order the
-        imaginary parts."""
+        through the overlap of their real projections, and each keeps the
+        half that holds its root, until the projections part.  Roots lie
+        strictly inside counted rectangles, so projections that only touch
+        are apart.  Its counts share memo, which `__init__` hands over from
+        the isolation, so only the cut lines' chains are new.  Equal real
+        parts never part: after a few cuts, the chain of the sum resolvent
+        (`_sum_chain`) decides whether both doubled real parts are one root
+        of it, and if so horizontal cuts order the imaginary parts."""
         if len(uppers) <= 1:
             return uppers
         p = self.minpoly_int
@@ -534,11 +454,66 @@ class NumberField:
                 if k == 0 and cuts >= 4 and tied(ra, rb):
                     k = 2
                     continue
-                boxes[i], boxes[j] = _cut(p, [ra, rb], k, memo)
+                boxes[i], boxes[j] = (below if n else above for below, n, above
+                                      in _cut(p, [ra, rb], k, memo))
                 cuts += 1
 
         order = sorted(range(len(uppers)), key=functools.cmp_to_key(cmp))
         return [uppers[i] for i in order]
+
+    def _find_factor(self, degrees: list) -> Optional[list]:
+        """A primitive integer factor of the defining polynomial p with
+        degree in `degrees`, else None, from the field's own root boxes.
+
+        Zassenhaus's recombination over certified root enclosures instead
+        of a p-adic lift: the roots of a factor g of degree d form a set S
+        of d roots closed under complex conjugation, and lead(p) * prod_S
+        (x - r) = (lead(p) / lead(g)) g has integer coefficients.  For each
+        such S, `root_box` refines the roots until some coefficient of that
+        product encloses no integer, or all are enclosed in intervals
+        narrower than 1; then its one integer candidate is tested by exact
+        division.  The boxes stay refined for later reads.  For d = 1 this
+        is the rational-root test, over the real roots in ascending order.
+        """
+        p = self.minpoly_int
+        lead, m, r1 = p[-1], self.degree, self.signature[0]
+        one = RatInterval.point(1)
+
+        def root_factor(j: int, width: Fraction) -> list:
+            """x - r for a real root, (x - r)(x - conj r) for an upper one,
+            as interval coefficients, with the root enclosed below width."""
+            e = self.root_box(j, width)
+            return [-e, one] if j < r1 else [e.abs_sq(), e.re * -2, one]
+
+        def candidate(S: tuple) -> Optional[tuple]:
+            width = Fraction(1, 2 * lead)
+            while True:
+                cs = [RatInterval.point(lead)]
+                for j in S:
+                    f = root_factor(j, width)
+                    out = [RatInterval.point(0)] * (len(cs) + len(f) - 1)
+                    for i, x in enumerate(cs):
+                        for k, y in enumerate(f):
+                            out[i + k] = out[i + k] + x * y
+                    cs = out
+                ns = [ceil(c.lo) for c in cs]
+                if any(n > c.hi for n, c in zip(ns, cs)):
+                    return None
+                if all(c.width < 1 for c in cs):
+                    return tuple(ns)
+                width /= 2
+
+        uppers = self.upper_root_indices()
+        for d in degrees:
+            for S in (rs + us for a in range(d % 2, min(d, r1) + 1, 2)
+                      for rs in combinations(range(r1), a)
+                      for us in combinations(uppers, (d - a) // 2)):
+                if 2 * d == m and 0 not in S:
+                    continue  # a factor of degree m/2 or its cofactor has root 0
+                g = candidate(S)
+                if g is not None and not polys.divmod_(p, g)[1]:
+                    return list(polys.canonical(g))
+        return None
 
     def _reduction_table(self) -> tuple:
         """(rows, den): beta^k = rows[k - m] / den in the power basis for
@@ -613,11 +588,18 @@ class NumberField:
         distinguished one), at most width wide: a RatInterval for a real
         root, else a ComplexBox.  The one place roots are refined, under the
         lock: `polys.refine_root` or `_refine_rect` on the stored box, which
-        a lower root shares with its upper conjugate and reads as `.conj()`."""
+        a lower root shares with its upper conjugate and reads as `.conj()`.
+        A width that is no int or Fraction raises TypeError, and one <= 0
+        OutOfRange unless the box is already a point."""
+        if not isinstance(width, (int, Fraction)):
+            raise TypeError("root_box width must be an int or a Fraction, "
+                            f"not {type(width).__name__}")
         r = self._roots[self.root_index(j)]
         base = self._roots[r.pair] if r.kind == "lower" else r
         with self._lock:
-            if base.box.width > width:
+            if base.box.width > max(width, 0):
+                if width <= 0:
+                    raise OutOfRange(f"cannot refine {base.box} to width {width}")
                 refine = polys.refine_root if r.kind == "real" else _refine_rect
                 base.box = refine(self.minpoly_int, base.box, width)
         return base.box.conj() if r.kind == "lower" else base.box

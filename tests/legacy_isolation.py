@@ -12,9 +12,23 @@ from fractions import Fraction
 
 from gpnf import polys
 from gpnf.errors import CertificateFailed, PrecisionExhausted
-from gpnf.numberfield import (_BoundaryRoot, _line_uv, _min_sep_sq, _newton,
-                              _splits)
+from gpnf.numberfield import (_LADDER, _BoundaryRoot, _line_uv, _min_sep_sq,
+                              _newton)
 from legacy_intervals import ComplexBox, RatInterval, common_den, poly_complex_box
+
+
+def _splits(rect: tuple):
+    """The two halves (r1, r2) of rect cut across its longer side, at each
+    point of `_LADDER` in turn."""
+    xlo, xhi, ylo, yhi = rect
+    vertical = (xhi - xlo) >= (yhi - ylo)
+    for t in _LADDER:
+        if vertical:
+            c = xlo + (xhi - xlo) * t
+            yield (xlo, c, ylo, yhi), (c, xhi, ylo, yhi)
+        else:
+            c = ylo + (yhi - ylo) * t
+            yield (xlo, xhi, ylo, c), (xlo, xhi, c, yhi)
 
 
 def _gauss_eval(p: tuple, re: Fraction, im: Fraction) -> tuple:

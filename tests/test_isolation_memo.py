@@ -1,7 +1,7 @@
 """Complex root isolation with one memo of line chains per task, against
 the counting it replaced (`legacy_isolation.py`): the same isolating
 rectangles in the same order, the same refined boxes, and one winding
-count per rectangle."""
+count per cut."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -90,17 +90,46 @@ def _counted(monkeypatch, budget=None):
     return calls
 
 
+def _upper_half(rect: tuple, below: tuple):
+    """The upper half of the cut of rect whose lower half is below, a cut
+    across axis k (0: real, 2: imaginary) strictly inside rect; else None."""
+    for k in (0, 2):
+        c = below[k + 1]
+        if (rect[k] < c < rect[k + 1]
+                and rect[:k + 1] + (c,) + rect[k + 2:] == below):
+            return rect[:k] + (c,) + rect[k + 1:]
+    return None
+
+
 @pytest.mark.parametrize("coeffs", _CATALOGUE[2:] + (_X16, _LEHMER, _TRINOMIALS[-1]),
                          ids=lambda c: ",".join(map(str, c)))
 def test_isolation_counts_each_rectangle_once(monkeypatch, coeffs):
     p = polys.canonical(coeffs)
-    calls = _counted(monkeypatch)
+    counted = numberfield.count_roots_in_rect
+    calls = []      # [rectangle, memo, count]; no count: a root on its edge
+
+    def count(*args):
+        calls.append([args[1:5], args[5], None])
+        calls[-1][2] = n = counted(*args)
+        return n
+
+    monkeypatch.setattr(numberfield, "count_roots_in_rect", count)
     rects = numberfield._isolate_complex_upper(p, _upper_count(p))
-    counts = Counter(r for r, _ in calls)
-    assert set(counts.values()) == {1}
-    assert set(rects) <= set(counts)
+    assert len({r for r, _, _ in calls}) == len(calls)
+    # after the start rectangle, every count is of the lower half of a cut
+    # of a rectangle reached before; a rectangle is cut once, so the last
+    # one reached of those is the one cut, and a count reaches its halves
+    reached, uppers = [calls[0][0]], set()
+    for below, _, n in calls[1:]:
+        above = next(filter(None, (_upper_half(r, below)
+                                   for r in reversed(reached))), None)
+        assert above is not None, below
+        if n is not None:
+            reached += [below, above]
+            uppers.add(above)
+    assert set(rects) <= {r for r, _, _ in calls} | uppers
     # one memo for the whole isolation, a new one for the next
-    assert len({id(m) for _, m in calls}) == 1
+    assert len({id(m) for _, m, _ in calls}) == 1
     first = calls[0][1]
     calls.clear()
     numberfield._isolate_complex_upper(p, _upper_count(p))

@@ -292,6 +292,46 @@ def test_transfer_coeffs_match_the_hankel_solve(name, data):
             == transfer_by_gauss_jordan(src, dst.term))
 
 
+def verified_i0_as_before(seq, j):
+    """`verified_i0` as it was before `_onset`: its own Pisot gate, bound
+    ladder and trace solve for each sequence and step."""
+    f = seq.field
+    assert linrec._is_pisot(f.beta)
+    if j == 0 or seq.is_zero_sequence():
+        return 0
+    bits = 48
+    ua = linrec._conjugate_bounds(f.beta, bits)
+    while not all(u < 1 for u in ua.values()):
+        bits *= 2
+        ua = linrec._conjugate_bounds(f.beta, bits)
+    uw = linrec._conjugate_bounds(trace_representation(seq), bits)
+    bhi = f.beta.embed(None, bits).hi
+    terms = [uw[a] * (ua[a] ** j + bhi ** j) for a in ua]
+    uas = list(ua.values())
+    i = 0
+    while sum(terms) >= F(1, 2):
+        terms = [t * u for t, u in zip(terms, uas)]
+        i += 1
+    return i
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(TRANSFER_CHARPOLYS) + ["2+sqrt2"]), st.data())
+def test_transfer_onset_matches_the_scaled_source(name, data):
+    # the onset of the source scaled to integers, once from s times its
+    # trace representation, against a second sequence built from s * init
+    charpoly = TRANSFER_CHARPOLYS.get(name, [2, -4, 1])
+    m = len(charpoly) - 1
+    term = (st.integers(-30, 30)
+            | st.fractions(min_value=-30, max_value=30, max_denominator=6))
+    src = LinRecSeq(charpoly, data.draw(
+        st.lists(term, min_size=m, max_size=m).filter(any)))
+    s = src.integer_scale()
+    zsrc = LinRecSeq(charpoly, [s * src.term(i) for i in range(m)])
+    assert transfer_to_powers(src).onset == max(
+        verified_i0_as_before(zsrc, j) for j in range(m))
+
+
 # -- Salem recovery -------------------------------------------------------------------
 
 def test_recover_examples(salem_seq, K_salem):

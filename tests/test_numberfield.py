@@ -45,6 +45,20 @@ def test_root_box_zero_width_raises(coeffs, j):
     assert K.root_box(j, F(1, 2 ** 20)).width <= F(1, 2 ** 20)
 
 
+@pytest.mark.parametrize("coeffs,j", [([-2, 0, 1], 1), ([1, 0, 0, 0, 1], 0),
+                                      ([1, 0, 0, 0, 1], 1)])
+def test_root_box_bad_width_is_a_typed_error(coeffs, j):
+    # a real root (sqrt 2), and an upper and a lower root of x^4 + 1
+    K = NumberField(coeffs)
+    for width in (F(0), 0, -1, F(-1, 8)):
+        with pytest.raises(OutOfRange):
+            K.root_box(j, width)
+    for width in (2.0 ** -40, "1/8", None):
+        with pytest.raises(TypeError, match=type(width).__name__):
+            K.root_box(j, width)
+    assert K.root_box(j, 1).width <= 1
+
+
 def test_root_box_zero_width_rational_root():
     # once refinement has collapsed a rational root's enclosure to a point,
     # width 0 asks for nothing more
