@@ -50,11 +50,16 @@ def test_cli_golden(entry, tmp_path):
     assert run_entry(entry, tmp_path) == (entry["code"], entry["stdout"])
 
 
-# The enclosures that the two moved entries printed while sums and products
-# were combined strictly left to right, one resolvent per cross-field
-# operand.  Folding same-field operands first keeps each value and moves
-# only its 512-bit enclosure, so each new one must overlap its old one.
+# The enclosures that moved entries printed before a change that keeps each
+# value and moves only its enclosure, so each new one must overlap its old
+# one.  The sqrt2 entries moved when sums and products stopped combining
+# strictly left to right, one resolvent per cross-field operand, and
+# folded same-field operands first.  re(emb(v,0)) on x^4 + 1 moved when the
+# irreducibility proof began to refine the field's own root boxes, from
+# which its 64-bit enclosure now starts.
 PRIOR_ENCLOSURES = {
+    "re(emb(v,0))": ("-854839645001009215068579/1208925819614629174706176",
+                     "-106854955625126151883563/151115727451828646838272"),
     "sqrt2*x*x + x": (
         "1003967063819693053420411695702074303207768018269687791148831260"
         "2497187059428936289782541802053200968581473878424426066124956956"
