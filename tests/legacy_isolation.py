@@ -1,9 +1,10 @@
 """Complex root isolation, refinement and ordering as they were before the
 winding counts kept a memo of line chains: every edge of every count
-builds its line's chain afresh, and every rectangle is counted again when
-it is taken off the work list; and the Krawczyk test as it was before
-intervals kept integer ends, in `Fraction` box arithmetic
-(`legacy_intervals.py`).  Kept only as an oracle for
+builds its line's chain afresh, every rectangle is counted again when it
+is taken off the work list, and both halves of a split are counted (its
+own `_splits`, from before `_cut` made one count per cut); and the
+Krawczyk test as it was before intervals kept integer ends, in `Fraction`
+box arithmetic (`legacy_intervals.py`).  Kept only as an oracle for
 `test_isolation_memo.py` and `test_interval_ints.py`; the library never
 imports it."""
 

@@ -115,6 +115,7 @@ def test_isolation_counts_each_rectangle_once(monkeypatch, coeffs):
 
     monkeypatch.setattr(numberfield, "count_roots_in_rect", count)
     rects = numberfield._isolate_complex_upper(p, _upper_count(p))
+    # no rectangle is counted twice
     assert len({r for r, _, _ in calls}) == len(calls)
     # after the start rectangle, every count is of the lower half of a cut
     # of a rectangle reached before; a rectangle is cut once, so the last
