@@ -85,12 +85,18 @@ class RealAlg:
 
     @staticmethod
     def from_embedding(x: FieldElement, root_index: Optional[int] = None) -> "RealAlg":
-        """sigma_j(x) at a real embedding, as a self-contained value."""
+        """sigma_j(x) at a real embedding, as a self-contained value.  For
+        x = beta, the field's polynomial and root box at width 2^-8, which
+        `_isolate` reads off the first enclosure; else isolated."""
         j = x.field.root_index(root_index)
         if not x.field.is_real_root(j):
             raise ComplexEmbedding("from_embedding needs a real root index")
         if x.is_rational():
             return RealAlg.from_rational(x.as_rational())
+        if x == x.field.beta:
+            iv = x.field.root_box(j, Fraction(1, 2 ** 8))
+            return (RealAlg.from_rational(iv.lo) if iv._t[0] == iv._t[1]
+                    else RealAlg(x.field.minpoly_int, iv))
         return _isolate(x._minimal_poly_int(), x.enclosures(j))
 
     # -- basic state ----------------------------------------------------------

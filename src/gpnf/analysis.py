@@ -1,6 +1,8 @@
 """Binary words, Sturmian generators, subword complexity, and the
 construction of a slowly-decaying set with a high-complexity subset.
 
+A Sturmian window takes every floor from one enclosure each of its slope
+and intercept, and certifies only the positions that straddle an integer.
 The construction machinery is exact combinatorics on integer windows: the
 level schedule, the pigeonhole extraction of repeated blocks, and the
 carving of chosen subsets are all recorded in a plan object whose claims
@@ -54,7 +56,11 @@ def sturmian(a, b, lo: int, hi: int) -> BinaryWord:
 
     The slope must be an irrational real algebraic number (a field element
     at a real distinguished embedding); the intercept may be rational or an
-    element of the same field.  All floors are certified.
+    element of the same field.  All floors are certified.  They read
+    [A0, A1] / D and [B0, B1] / D, from `embed` of sigma(a) and sigma(b) at
+    bits(max(|lo|, |hi| + 1)) + 12 bits: floor(an + b) is that of n A0 + B0
+    and n A1 + B1 over D (A0, A1 swapped for n < 0) where the two agree,
+    and certified_floor(a n + b) at the rare position where they do not.
     """
     if not isinstance(a, FieldElement):
         raise RationalSlope("slope must be a field element (irrational)")
@@ -67,13 +73,15 @@ def sturmian(a, b, lo: int, hi: int) -> BinaryWord:
         b = f.element(b)
     else:
         b = f.element(Fraction(b))
-    bits = []
-    prev = certified_floor(a * lo + b)
-    for n in range(lo, hi + 1):
-        nxt = certified_floor(a * (n + 1) + b)
-        bits.append(nxt - prev)
-        prev = nxt
-    return BinaryWord(lo, tuple(bits))
+    k = max(abs(lo), abs(hi) + 1).bit_length() + 12
+    (a0, a1, da), (b0, b1, db) = a.embed(None, k)._t, b.embed(None, k)._t
+    a0, a1, b0, b1, D = a0 * db, a1 * db, b0 * da, b1 * da, da * db
+    fl = []
+    for n in range(lo, hi + 2):
+        u, v = (a0, a1) if n >= 0 else (a1, a0)
+        q = (n * u + b0) // D
+        fl.append(q if q == (n * v + b1) // D else certified_floor(a * n + b))
+    return BinaryWord(lo, tuple(y - x for x, y in zip(fl, fl[1:])))
 
 
 def subword_complexity(word: BinaryWord, length: int) -> int:

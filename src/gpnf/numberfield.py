@@ -32,7 +32,7 @@ import functools
 import threading
 from fractions import Fraction
 from itertools import combinations, count
-from math import ceil, gcd
+from math import ceil, gcd, isqrt
 from operator import mul as _mul
 from typing import Optional, Sequence, Union
 
@@ -326,6 +326,14 @@ def _refine_rect(p: tuple, Z: ComplexBox, width: Fraction) -> ComplexBox:
 # the field
 # ---------------------------------------------------------------------------
 
+def _wider(box, n: int, e: int) -> bool:
+    """Is a RatInterval or ComplexBox wider than n / e?  On the ends `_t`."""
+    if type(box) is ComplexBox:
+        return _wider(box.re, n, e) or _wider(box.im, n, e)
+    a, b, d = box._t
+    return (b - a) * e > n * d
+
+
 class _Root:
     __slots__ = ("kind", "box", "pair")
 
@@ -388,6 +396,10 @@ class NumberField:
             if f is not None:
                 raise ReducibleDetected(f"found factor with coefficients {f}")
 
+        # proven irreducible of prime degree: an irrational element
+        # generates the field, so its char poly is its minimal polynomial
+        self._char_is_min = check_reducible and all(
+            m % q for q in range(2, isqrt(m) + 1))
         self._red, self._red_den = self._reduction_table()
         (self._tr,), self._tr_den = common_den([self.power_sums(m - 1)])
         self.distinguished = self._pick_distinguished(
@@ -589,20 +601,23 @@ class NumberField:
         root, else a ComplexBox.  The one place roots are refined, under the
         lock: `polys.refine_root` or `_refine_rect` on the stored box, which
         a lower root shares with its upper conjugate and reads as `.conj()`.
-        A width that is no int or Fraction raises TypeError, and one <= 0
-        OutOfRange unless the box is already a point."""
+        A box already narrow enough on its integer ends comes back without
+        the lock, as in `FieldElement._first_look`.  A width that is no int
+        or Fraction raises TypeError, and one <= 0 OutOfRange unless the box
+        is already a point."""
         if not isinstance(width, (int, Fraction)):
             raise TypeError("root_box width must be an int or a Fraction, "
                             f"not {type(width).__name__}")
         r = self._roots[self.root_index(j)]
         base = self._roots[r.pair] if r.kind == "lower" else r
-        with self._lock:
-            if base.box.width > max(width, 0):
-                if width <= 0:
-                    raise OutOfRange(f"cannot refine {base.box} to width {width}")
-                refine = polys.refine_root if r.kind == "real" else _refine_rect
-                base.box = refine(self.minpoly_int, base.box, width)
-        return base.box.conj() if r.kind == "lower" else base.box
+        box, w = base.box, max(width, 0)
+        if _wider(box, w.numerator, w.denominator):
+            if width <= 0:
+                raise OutOfRange(f"cannot refine {box} to width {width}")
+            refine = polys.refine_root if r.kind == "real" else _refine_rect
+            with self._lock:  # a box narrowed meanwhile comes back as is
+                base.box = box = refine(self.minpoly_int, base.box, width)
+        return box.conj() if r.kind == "lower" else box
 
     # -- elements -------------------------------------------------------------
 
@@ -877,11 +892,11 @@ class FieldElement:
         pw = [f.one]
         for _ in range(m):
             pw.append(pw[-1] * y)
-        ps = [z.trace() for z in pw]
-        if any(t.denominator != 1 for t in ps):
+        ps = [divmod(sum(map(_mul, z.num, f._tr)), z.den * f._tr_den)
+              for z in pw]
+        if any(r for _, r in ps):
             raise CertificateFailed("integer traces expected")
-        return pw[:m], D, polys._int_from_power_sums(
-            [t.numerator for t in ps], m)
+        return pw[:m], D, polys._int_from_power_sums([t for t, _ in ps], m)
 
     def char_poly(self) -> tuple:
         """Characteristic polynomial of multiplication by x, monic of degree
@@ -897,10 +912,14 @@ class FieldElement:
     @functools.lru_cache(maxsize=256)
     def _minimal_poly_int(self) -> tuple:
         """The minimal polynomial over Q in canonical integer form: the
-        squarefree part of the char poly of y = D x, roots divided by D;
-        kept for the last 256 (immutable, hashable) elements."""
+        squarefree part of the char poly g of y = D x, roots divided by D;
+        kept for the last 256 (immutable, hashable) elements.  In a field of
+        prime degree whose construction proved irreducibility, g of an
+        irrational element is irreducible already, and no gcd is taken."""
         _, D, g = self._int_char_poly()
-        return polys.scale_roots(polys.squarefree_part(g), Fraction(1, D))
+        if not self.field._char_is_min or self.is_rational():
+            g = polys.squarefree_part(g)
+        return polys.scale_roots(g, Fraction(1, D))
 
     def is_algebraic_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.char_poly())
@@ -914,12 +933,12 @@ class FieldElement:
 
     def embed(self, root_index: Optional[int] = None, prec_bits: int = 30):
         """Certified box around sigma_j(self), at most 2**(1-prec_bits) wide;
-        OutOfRange below 0 bits, PrecisionExhausted past polys.CEILING_BITS."""
+        OutOfRange below 0 bits, PrecisionExhausted past polys.CEILING_BITS.
+        Horner on root boxes 2^-8, 2^-14, ... wide, measured on the ends."""
         if prec_bits < 0:
             raise OutOfRange("prec_bits must be >= 0")
         f = self.field
         j = f.root_index(root_index)
-        target = Fraction(1, 2 ** prec_bits)
         if self.is_rational():
             q = self.as_rational()
             return (RatInterval.point(q) if f.is_real_root(j)
@@ -928,7 +947,7 @@ class FieldElement:
         width = Fraction(1, 2 ** 8)
         while True:
             out = horner(self.num, self.den, f.root_box(j, width))
-            if out.width <= 2 * target:
+            if not _wider(out, 2, 1 << prec_bits):
                 return out
             if prec_bits > polys.CEILING_BITS:
                 raise PrecisionExhausted(f"embed to {prec_bits} bits", out)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, gcd as igcd, isqrt, lcm
 from typing import Iterable
 
-from .errors import PrecisionExhausted
+from .errors import OutOfRange, PrecisionExhausted
 from .intervals import RatInterval, common_den, horner_ints
 
 # The most bits a refinement may be asked for (PrecisionExhausted past it),
@@ -448,18 +448,22 @@ def refine_root(p: Poly, iv: RatInterval, width: Fraction) -> RatInterval:
     the fallback, and the only step when an end of iv is a root (p then has
     the sign of p'(lo) there, as its roots are simple).  Point intervals
     pass through unchanged; a midpoint that hits the root exactly collapses
-    the interval to a point.  A width <= 0 raises ValueError unless the
-    interval is already a point.  The steps run on integers: the canonical
+    the interval to a point.  A width that is no int or Fraction raises
+    TypeError, and one <= 0 OutOfRange (a ValueError) unless the interval
+    is already a point.  The steps run on integers: the canonical
     form P of p, a rational multiple that keeps roots and Newton quotients,
     and the ends [A, B] / D of iv.  The interval returned holds the
     rationals that the same steps give on Fractions.  A width past
     `CEILING_BITS` bits raises PrecisionExhausted.
     """
+    if not isinstance(width, (int, Fraction)):
+        raise TypeError("refine_root width must be an int or a Fraction, "
+                        f"not {type(width).__name__}")
     A, B, D = iv._t
     if A == B:
         return iv
     if width <= 0:
-        raise ValueError(f"cannot refine {iv} to width {width}")
+        raise OutOfRange(f"cannot refine {iv} to width {width}")
     wn, wd = width.numerator, width.denominator
     if (B - A) * wd <= wn * D:
         return iv

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import from_qq, poly_mul, qq
 from gpnf import polys as P
+from gpnf.errors import OutOfRange
 from gpnf.intervals import RatInterval
 
 
@@ -459,6 +460,21 @@ def test_refine_root_zero_width():
         P.refine_root(p, iv, F(-1))
     point = RatInterval(2, 2)
     assert P.refine_root((-4, 0, 1), point, F(0)) is point
+
+
+@pytest.mark.parametrize("width", [2.0 ** -40, "1/8", None])
+def test_refine_root_rejects_a_width_of_another_type(width):
+    iv = RatInterval(1, 2)  # isolates sqrt 2
+    with pytest.raises(TypeError, match=type(width).__name__):
+        P.refine_root((-2, 0, 1), iv, width)
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_refine_root_rejects_a_width_out_of_range(width):
+    with pytest.raises(OutOfRange):
+        P.refine_root((-2, 0, 1), RatInterval(1, 2), width)
+    point = RatInterval(2, 2)
+    assert P.refine_root((-4, 0, 1), point, width) is point
 
 
 def _gcd_case(rng, k):
